@@ -13,11 +13,8 @@ from .denoiser import (
     Checkpoint,
     GaussianOracle,
     MlpDenoiser,
-    cheat_predict,
-    gaussian_predict,
     load_checkpoint,
     mlp_backward,
-    mlp_predict,
     save_checkpoint,
     time_embed,
 )
@@ -39,6 +36,7 @@ from .process import (
     NoisyState,
     PairSample,
     empirical_variance,
+    forward_state,
     interpolate,
     sample_noise,
 )
@@ -55,8 +53,6 @@ from .schedule import (
     CoeffDerivs,
     CoeffSet,
     GvpSchedule,
-    coeff_derivs,
-    coeffs,
     new_schedule,
 )
 from .sweep import run_sweep
@@ -84,7 +80,6 @@ from .training import (
     TrainResult,
     UniformSampler,
     make_time_sampler,
-    sample_time,
     train,
     weighted_loss,
 )
@@ -96,10 +91,8 @@ from .trajectory import (
     TimeGrid,
     Trajectory,
     VPath,
-    discretize,
     make_trajectory,
     path_continuity_order,
-    point,
 )
 
 __version__ = "0.1.0"

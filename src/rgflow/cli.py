@@ -25,7 +25,14 @@ import numpy as np
 
 from .denoiser import CheatDenoiser, GaussianOracle, load_checkpoint, save_checkpoint
 from .dynamics import euler_integrate
-from .errors import ConfigError, RgflowError
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    DomainError,
+    EmptyDataset,
+    RgflowError,
+)
+from .process import forward_state
 from .sampler import SamplerConfig, restore, restore_batch
 from .schedule import GvpSchedule, schedule_grid
 from .sweep import SWEEP_FIELDS, run_sweep
@@ -120,8 +127,7 @@ def _cmd_simulate(args) -> int:
     for t, r, g in zip(grid.t, grid.r, grid.g):
         pair = ds.pairs[int(rng.integers(0, len(ds)))]
         z = rng.normal(0.0, ds.sigma_d, size=dim)
-        c = sched.coeffs(float(r), float(g))
-        x = c.lam * (c.alpha * pair.x0 + c.beta * pair.x1) + c.gamma * z
+        x = forward_state(sched, pair.x0, pair.x1, z, float(r), float(g))
         rows.append([t, r, g, *x])
     header = ["t", "r", "g"] + [f"x_{i + 1}" for i in range(dim)]
     _write_csv(args.out, header, rows)
@@ -227,17 +233,34 @@ def _cmd_train(args) -> int:
 
 
 def _load_degraded(path) -> np.ndarray:
+    """Read degraded points: x1_* columns of a dataset CSV, or a bare matrix
+    with or without a header.  Rejects empty, ragged, non-numeric and
+    non-finite input."""
     with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise EmptyDataset(f"{path}: no rows")
+    header = rows[0]
     try:
         # Headerless file: the first row is already data.
-        rows.insert(0, [float(v) for v in header])
+        [float(v) for v in header]
         header = []
     except ValueError:
-        pass
-    data = np.asarray(rows, dtype=np.float64)
+        rows = rows[1:]
+    if not rows:
+        raise EmptyDataset(f"{path}: header but no data rows")
+    width = len(header) or len(rows[0])
+    for row in rows:
+        if len(row) != width:
+            raise DimensionMismatch(
+                f"{path}: row {row} has {len(row)} cells, expected {width}"
+            )
+    try:
+        data = np.asarray([[float(v) for v in row] for row in rows], dtype=np.float64)
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"{path}: non-finite value in input")
     x1_cols = [i for i, name in enumerate(header) if name.startswith("x1_")]
     if x1_cols:
         return data[:, x1_cols]

@@ -65,11 +65,6 @@ class CheatDenoiser:
         return self.x0.copy()
 
 
-def cheat_predict(pair, x, x1, r, g) -> np.ndarray:
-    """Functional form: the clean half of the pair, always."""
-    return np.asarray(pair.x0, dtype=np.float64).copy()
-
-
 class GaussianOracle:
     """Exact per-coordinate posterior mean for standardized Gaussian pairs.
 
@@ -115,11 +110,6 @@ class GaussianOracle:
         return m + (a * s2 / denom) * (y - a * m)
 
 
-def gaussian_predict(params: GaussianOracle, x, x1, r, g) -> np.ndarray:
-    """Functional form of GaussianOracle.predict."""
-    return params.predict(x, x1, r, g)
-
-
 def _gelu(z: np.ndarray) -> np.ndarray:
     return 0.5 * z * (1.0 + erf(z / math.sqrt(2.0)))
 
@@ -128,6 +118,42 @@ def _gelu_grad(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(z / math.sqrt(2.0))) + z * np.exp(-0.5 * z * z) / math.sqrt(
         2.0 * math.pi
     )
+
+
+def _dense_forward(params: dict, layers, feats: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Dense stack over params[W], params[b] for each (W, b) name pair in
+    `layers`, with GELU between layers and a linear last layer.
+
+    Returns the output and the cache _dense_backward needs: every layer's
+    input and every hidden pre-activation.
+    """
+    inputs, pre = [], []
+    h = feats
+    for w_key, b_key in layers[:-1]:
+        inputs.append(h)
+        z = h @ params[w_key] + params[b_key]
+        pre.append(z)
+        h = _gelu(z)
+    inputs.append(h)
+    w_key, b_key = layers[-1]
+    return h @ params[w_key] + params[b_key], (inputs, pre)
+
+
+def _dense_backward(params: dict, layers, cache: tuple, d_out: np.ndarray) -> dict:
+    """Gradients of sum(d_out * _dense_forward output) for every parameter."""
+    inputs, pre = cache
+    grads = {}
+    d = d_out
+    for i in range(len(layers) - 1, -1, -1):
+        w_key, b_key = layers[i]
+        grads[w_key] = inputs[i].T @ d
+        grads[b_key] = d.sum(axis=0)
+        if i:
+            d = (d @ params[w_key].T) * _gelu_grad(pre[i - 1])
+    return grads
+
+
+_LAYERS = (("W1", "b1"), ("W2", "b2"), ("W3", "b3"))
 
 
 @dataclass
@@ -208,56 +234,33 @@ class MlpDenoiser:
             axis=1,
         )
 
-    def _forward(self, feats: np.ndarray) -> tuple[np.ndarray, dict]:
-        p = self.params
-        z1 = feats @ p["W1"] + p["b1"]
-        a1 = _gelu(z1)
-        z2 = a1 @ p["W2"] + p["b2"]
-        a2 = _gelu(z2)
-        out = a2 @ p["W3"] + p["b3"]
-        cache = {"feats": feats, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
-        return out, cache
-
     def predict(self, x, x1, r, g) -> np.ndarray:
         x_arr = np.asarray(x, dtype=np.float64)
         feats = self.features(x, x1, r, g)
-        out, _ = self._forward(feats)
+        out, _ = _dense_forward(self.params, _LAYERS, feats)
         out = self.sigma_d * out
         return out[0] if x_arr.ndim == 1 else out
 
     # -- backward ------------------------------------------------------------
 
-    def forward_batch(self, feats: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward_batch(self, feats: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Core map on pre-built features, without the sigma_d rescale."""
-        return self._forward(feats)
+        return _dense_forward(self.params, _LAYERS, feats)
 
-    def backward_batch(self, cache: dict, d_out: np.ndarray) -> dict:
+    def backward_batch(self, cache: tuple, d_out: np.ndarray) -> dict:
         """Gradients of sum(d_out * core_output) for every parameter."""
-        p = self.params
-        a2, z2, a1, z1, feats = (
-            cache["a2"],
-            cache["z2"],
-            cache["a1"],
-            cache["z1"],
-            cache["feats"],
-        )
-        grads = {}
-        grads["W3"] = a2.T @ d_out
-        grads["b3"] = d_out.sum(axis=0)
-        da2 = d_out @ p["W3"].T
-        dz2 = da2 * _gelu_grad(z2)
-        grads["W2"] = a1.T @ dz2
-        grads["b2"] = dz2.sum(axis=0)
-        da1 = dz2 @ p["W2"].T
-        dz1 = da1 * _gelu_grad(z1)
-        grads["W1"] = feats.T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
-        return grads
+        return _dense_backward(self.params, _LAYERS, cache, d_out)
 
 
-def mlp_predict(net: MlpDenoiser, x, x1, r, g) -> np.ndarray:
-    """Functional form of MlpDenoiser.predict."""
-    return net.predict(x, x1, r, g)
+def _weighted_error(net: MlpDenoiser, core, targets, weights):
+    """Terms of loss = mean_i exp(w_i) * ||sigma_d * core_i - target_i||^2.
+
+    Returns the per-row squared errors, exp(w) and d loss / d core.
+    """
+    err = net.sigma_d * core - targets
+    ew = np.exp(weights)
+    d_core = (ew[:, None] * 2.0 * err * net.sigma_d) / core.shape[0]
+    return (err * err).sum(axis=1), ew, d_core
 
 
 def mlp_backward(net: MlpDenoiser, inputs, targets, weights) -> dict:
@@ -274,10 +277,7 @@ def mlp_backward(net: MlpDenoiser, inputs, targets, weights) -> dict:
         np.asarray(weights, dtype=np.float64), (feats.shape[0],)
     )
     core, cache = net.forward_batch(feats)
-    pred = net.sigma_d * core
-    err = pred - targets
-    # d loss / d core = exp(w) * 2 * err * sigma_d / n
-    d_core = (np.exp(weights)[:, None] * 2.0 * err * net.sigma_d) / feats.shape[0]
+    _, _, d_core = _weighted_error(net, core, targets, weights)
     return net.backward_batch(cache, d_core)
 
 
@@ -289,13 +289,14 @@ def weighted_prediction_loss(net: MlpDenoiser, inputs, targets, weights) -> floa
         np.asarray(weights, dtype=np.float64), (feats.shape[0],)
     )
     core, _ = net.forward_batch(feats)
-    err = net.sigma_d * core - targets
-    return float(np.mean(np.exp(weights) * (err * err).sum(axis=1)))
+    sq, ew, _ = _weighted_error(net, core, targets, weights)
+    return float(np.mean(ew * sq))
 
 
 # -- checkpoint I/O -----------------------------------------------------------
 
-_PARAM_KEYS = ("W1", "b1", "W2", "b2", "W3", "b3")
+_PARAM_KEYS = tuple(k for layer in _LAYERS for k in layer)
+_DOC_KEYS = ("dims", "emb_dim", "widths", "sigma_d", "rho", "weights")
 
 
 @dataclass(frozen=True)
@@ -317,8 +318,28 @@ def _params_to_json(params: dict) -> dict:
     return {k: params[k].tolist() for k in _PARAM_KEYS}
 
 
-def _params_from_json(obj: dict) -> dict:
-    return {k: np.asarray(obj[k], dtype=np.float64) for k in _PARAM_KEYS}
+def _params_from_json(obj: dict, widths: list[int], name: str) -> dict:
+    """Tensors of one weight set, each checked against the layer widths."""
+    params = {}
+    for i, (k_w, k_b) in enumerate(_LAYERS):
+        d_in, d_out = widths[i], widths[i + 1]
+        for key, shape in ((k_w, (d_in, d_out)), (k_b, (d_out,))):
+            if key not in obj:
+                raise DomainError(f"checkpoint {name} lacks tensor {key!r}")
+            try:
+                a = np.asarray(obj[key], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"checkpoint {name}[{key!r}] is not a numeric array"
+                ) from None
+            if a.shape != shape:
+                raise DimensionMismatch(
+                    f"checkpoint {name}[{key!r}] has shape {a.shape}, expected {shape}"
+                )
+            if not np.all(np.isfinite(a)):
+                raise DomainError(f"checkpoint {name}[{key!r}] holds non-finite values")
+            params[key] = a
+    return params
 
 
 def save_checkpoint(
@@ -342,30 +363,43 @@ def save_checkpoint(
         "weights": _params_to_json(net.params),
     }
     if ema_params is not None:
-        doc["ema_weights"] = {k: ema_params[k].tolist() for k in _PARAM_KEYS}
+        doc["ema_weights"] = _params_to_json(ema_params)
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != 1:
-        raise DomainError(f"unsupported checkpoint version {doc.get('version')!r}")
-    hidden = doc["widths"][1]
-    net = MlpDenoiser(
-        dim=doc["dims"],
-        hidden=hidden,
-        emb_dim=doc["emb_dim"],
-        sigma_d=doc["sigma_d"],
-        params=_params_from_json(doc["weights"]),
-    )
-    ema_net = None
-    if "ema_weights" in doc:
-        ema_net = MlpDenoiser(
+    """Read a checkpoint written by save_checkpoint.
+
+    Every tensor of `weights` and `ema_weights` must have the shape that
+    `dims`, `emb_dim` and `widths` give it and hold only finite values.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"checkpoint {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("version") != 1:
+        version = doc.get("version") if isinstance(doc, dict) else None
+        raise DomainError(f"unsupported checkpoint version {version!r}")
+    missing = [k for k in _DOC_KEYS if k not in doc]
+    if missing:
+        raise DomainError(f"checkpoint {path} lacks {missing}")
+
+    def load(key: str) -> MlpDenoiser:
+        net = MlpDenoiser(
             dim=doc["dims"],
-            hidden=hidden,
+            hidden=doc["widths"][1],
             emb_dim=doc["emb_dim"],
             sigma_d=doc["sigma_d"],
-            params=_params_from_json(doc["ema_weights"]),
+            params={},
         )
+        if list(doc["widths"]) != net.widths:
+            raise DimensionMismatch(
+                f"checkpoint widths {doc['widths']} do not match dims and emb_dim "
+                f"{net.widths}"
+            )
+        net.params = _params_from_json(doc[key], net.widths, key)
+        return net
+
+    net = load("weights")
+    ema_net = load("ema_weights") if "ema_weights" in doc else None
     return Checkpoint(net=net, ema_net=ema_net, rho=doc["rho"])

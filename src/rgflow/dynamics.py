@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, SingularTime
+from .errors import DomainError, SingularTime
+from .sampler import _match
 from .schedule import GvpSchedule
 from .trajectory import Trajectory
 
@@ -29,15 +30,6 @@ class VelocityPair:
 
     v_r: np.ndarray
     v_g: np.ndarray
-
-
-def _match(*arrays) -> tuple[np.ndarray, ...]:
-    out = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
-    first = out[0].shape
-    for a in out[1:]:
-        if a.shape != first:
-            raise DimensionMismatch(f"shape mismatch: {[a.shape for a in out]}")
-    return out
 
 
 def velocity_r(sched: GvpSchedule, x0hat, x1, r: float, g: float) -> np.ndarray:

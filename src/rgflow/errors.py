@@ -18,7 +18,10 @@ class SingularTime(RgflowError, ArithmeticError):
 
 
 class SingularStart(RgflowError, ArithmeticError):
-    """Hybrid update requested from g1 = 0 where k = sin(g2)/sin(g1) diverges."""
+    """Hybrid update requested from g1 = 0 where k = sin(g2)/sin(g1) diverges.
+
+    Not raised at eta = 1, where k^0 = 1 and the update stays finite.
+    """
 
 
 class ConfigError(RgflowError, ValueError):

@@ -49,6 +49,20 @@ class NoisyState:
     g: float
 
 
+def forward_state(sched: GvpSchedule, x0, x1, z, r, g) -> np.ndarray:
+    """The forward map x(r, g) = cos g (alpha(r) x0 + beta(r) x1) + sin g z.
+
+    r and g are scalars, or per-row arrays for a batch (n, d) that broadcast
+    as [:, None].  No domain check; callers that take user times run
+    sched.check_domain first.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if r.ndim:
+        r, g = r[:, None], g[:, None]
+    return np.cos(g) * (sched.alpha(r) * x0 + sched.beta(r) * x1) + np.sin(g) * z
+
+
 def interpolate(
     sched: GvpSchedule, pair: PairSample, z, r: float, g: float
 ) -> NoisyState:
@@ -60,8 +74,8 @@ def interpolate(
     z = _as_vector(z, "z")
     if z.shape != pair.x0.shape:
         raise DimensionMismatch(f"z {z.shape} does not match pair dim {pair.x0.shape}")
-    c = sched.coeffs(r, g)
-    x = c.lam * (c.alpha * pair.x0 + c.beta * pair.x1) + c.gamma * z
+    sched.check_domain(r, g)
+    x = forward_state(sched, pair.x0, pair.x1, z, r, g)
     return NoisyState(x=x, r=float(r), g=float(g))
 
 
@@ -92,7 +106,7 @@ def empirical_variance(
         raise EmptyDataset("empirical_variance needs a nonempty dataset")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    c = sched.coeffs(r, g)
+    sched.check_domain(r, g)
     x0 = np.stack([p.x0 for p in dataset])
     x1 = np.stack([p.x1 for p in dataset])
     dim = x0.shape[1]
@@ -109,7 +123,7 @@ def empirical_variance(
         remaining -= m
         idx = stream.integers(0, len(dataset), size=m)
         z = stream.normal(0.0, sched.sigma_d, size=(m, dim))
-        x = c.lam * (c.alpha * x0[idx] + c.beta * x1[idx]) + c.gamma * z
+        x = forward_state(sched, x0[idx], x1[idx], z, r, g)
         s1 += x.sum(axis=0)
         s2 += (x * x).sum(axis=0)
     var = s2 / n - (s1 / n) ** 2

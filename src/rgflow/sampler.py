@@ -13,12 +13,13 @@ denoiser prediction across the step, so large steps stay accurate.  eta
 interpolates from fully deterministic (eta = 0, kappa = 0) to fully
 stochastic (eta = 1, k^s = 1, kappa = sin g2 - sin g1).
 
-Paths that start at g = 0 (Elliptical, V-path, Bezier) have a singular k on
-their first step; restoration boots with a small fully-stochastic step from
-t_start to t_start offset by boot_epsilon, then runs the hybrid update over
-a uniform grid, for exactly n_steps denoiser calls.  Pure regression paths
-use the noiseless update x2 = x1state + (alpha_r2 - alpha_r1) x0hat +
-(beta_r2 - beta_r1) x1 instead.
+The update is undefined from g1 = 0, where k diverges, except at eta = 1:
+there k^0 = 1 and kappa = sin g2 - sin g1 stay finite.  Paths that start at
+g = 0 (Elliptical, V-path, Bezier) therefore boot with that eta = 1 update
+(boot_step), a small step from t_start to t_start offset by boot_epsilon,
+then run the hybrid update over a uniform grid, for exactly n_steps
+denoiser calls.  Pure regression paths use the noiseless update
+x2 = x1state + (alpha_r2 - alpha_r1) x0hat + (beta_r2 - beta_r1) x1 instead.
 """
 
 from __future__ import annotations
@@ -40,17 +41,18 @@ def kappa(eta: float, g1: float, g2: float) -> float:
     """Noise coefficient of the hybrid step.
 
     Exactly 0 at eta = 0 and exactly sin(g2) - sin(g1) at eta = 1; computed
-    through expm1 in between so the eta -> 0 limit is smooth.
+    through expm1 in between so the eta -> 0 limit is smooth.  Undefined from
+    g1 <= 0 (SingularStart) except at eta = 1, where the k-ratio drops out.
     """
     if not (0.0 <= eta <= 1.0):
         raise ConfigError(f"eta must lie in [0, 1], got {eta}")
-    if g1 <= 0.0:
-        raise SingularStart(f"kappa undefined from g1={g1} <= 0")
-    if eta == 0.0:
-        return 0.0
     s1, s2 = math.sin(g1), math.sin(g2)
     if eta == 1.0:
         return s2 - s1
+    if g1 <= 0.0:
+        raise SingularStart(f"kappa undefined from g1={g1} <= 0 unless eta = 1")
+    if eta == 0.0:
+        return 0.0
     if s2 == 0.0:
         # k = 0 and s > 0, so k^s sin(g1) = 0 and the numerator vanishes.
         return 0.0
@@ -91,11 +93,13 @@ def hybrid_step(
     eta: float,
     z,
 ) -> np.ndarray:
-    """One hybrid update from (r1, g1) to (r2, g2); requires g1 > 0."""
+    """One hybrid update from (r1, g1) to (r2, g2); g1 > 0 unless eta = 1."""
     r1, g1 = frm
     r2, g2 = to
-    if g1 <= 0.0:
-        raise SingularStart(f"hybrid_step undefined from g1={g1} <= 0")
+    if g1 <= 0.0 and eta != 1.0:
+        raise SingularStart(
+            f"hybrid_step undefined from g1={g1} <= 0 unless eta = 1"
+        )
     x_prev, x0hat, x1, z = _match(x_prev, x0hat, x1, z)
     c1 = sched.coeffs(r1, g1)
     c2 = sched.coeffs(r2, g2)
@@ -118,23 +122,12 @@ def boot_step(
     to: tuple[float, float],
     z,
 ) -> np.ndarray:
-    """Fully stochastic (eta = 1) update, valid from g1 = 0.
+    """The booting step: the fully stochastic (eta = 1) hybrid update.
 
     At eta = 1 the k-ratio drops out (k^0 = 1) and the noise coefficient is
-    sin(g2) - sin(g1), so the start singularity never appears.
+    sin(g2) - sin(g1), so the step stays defined from g1 = 0.
     """
-    r1, g1 = frm
-    r2, g2 = to
-    x_prev, x0hat, x1, z = _match(x_prev, x0hat, x1, z)
-    c1 = sched.coeffs(r1, g1)
-    c2 = sched.coeffs(r2, g2)
-    kap = c2.gamma - c1.gamma
-    return (
-        x_prev
-        + c2.lam * (c2.alpha * x0hat + c2.beta * x1)
-        - c1.lam * (c1.alpha * x0hat + c1.beta * x1)
-        + kap * z
-    )
+    return hybrid_step(sched, x_prev, x0hat, x1, frm, to, 1.0, z)
 
 
 def regression_step(

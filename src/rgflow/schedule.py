@@ -139,16 +139,6 @@ def new_schedule(rho: float, sigma_d: float = 1.0) -> GvpSchedule:
     return GvpSchedule(rho=rho, sigma_d=sigma_d)
 
 
-def coeffs(sched: GvpSchedule, r: float, g: float) -> CoeffSet:
-    """Functional form of GvpSchedule.coeffs."""
-    return sched.coeffs(r, g)
-
-
-def coeff_derivs(sched: GvpSchedule, r: float, g: float) -> CoeffDerivs:
-    """Functional form of GvpSchedule.coeff_derivs."""
-    return sched.coeff_derivs(r, g)
-
-
 def schedule_grid(sched: GvpSchedule, n: int) -> np.ndarray:
     """Tabulate the schedule on an n x n (r, g) grid.
 

@@ -18,8 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .denoiser import MlpDenoiser, time_embed, _gelu, _gelu_grad
+from .denoiser import (
+    MlpDenoiser,
+    _dense_backward,
+    _dense_forward,
+    _weighted_error,
+    time_embed,
+)
 from .errors import ConfigError, DomainError, EmptyDataset, NonFiniteLoss
+from .process import forward_state
 from .schedule import GvpSchedule
 
 _HALF_PI = math.pi / 2.0
@@ -105,12 +112,6 @@ def make_time_sampler(name: str):
     )
 
 
-def sample_time(kind, phi: float, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw a single (r, g) pair from the given sampler."""
-    batch = kind.sample_batch(phi, rng, 1)
-    return float(batch["r"][0]), float(batch["g"][0])
-
-
 # -- objective ------------------------------------------------------------------
 
 
@@ -120,6 +121,9 @@ def weighted_loss(x0hat, x0, w: float) -> float:
     x0 = np.asarray(x0, dtype=np.float64)
     err = x0hat - x0
     return float(math.exp(w) * float((err * err).sum()) - w)
+
+
+_WEIGHT_LAYERS = (("V1", "c1"), ("V2", "c2"))
 
 
 class AdaptiveWeight:
@@ -149,26 +153,15 @@ class AdaptiveWeight:
             [time_embed(r, self.emb_dim), time_embed(g, self.emb_dim)], axis=1
         )
 
-    def forward(self, r, g) -> tuple[np.ndarray, dict]:
-        feats = self.features(r, g)
-        z1 = feats @ self.params["V1"] + self.params["c1"]
-        a1 = _gelu(z1)
-        w = (a1 @ self.params["V2"] + self.params["c2"])[:, 0]
-        return w, {"feats": feats, "z1": z1, "a1": a1}
+    def forward(self, r, g) -> tuple[np.ndarray, tuple]:
+        out, cache = _dense_forward(self.params, _WEIGHT_LAYERS, self.features(r, g))
+        return out[:, 0], cache
 
     def __call__(self, r, g) -> np.ndarray:
         return self.forward(r, g)[0]
 
-    def backward(self, cache: dict, d_w: np.ndarray) -> dict:
-        d_out = d_w[:, None]
-        grads = {}
-        grads["V2"] = cache["a1"].T @ d_out
-        grads["c2"] = d_out.sum(axis=0)
-        da1 = d_out @ self.params["V2"].T
-        dz1 = da1 * _gelu_grad(cache["z1"])
-        grads["V1"] = cache["feats"].T @ dz1
-        grads["c1"] = dz1.sum(axis=0)
-        return grads
+    def backward(self, cache: tuple, d_w: np.ndarray) -> dict:
+        return _dense_backward(self.params, _WEIGHT_LAYERS, cache, d_w[:, None])
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -297,9 +290,7 @@ def train(
         r, g = times["r"], times["g"]
         z = rng.normal(0.0, sd, size=(batch, dim))
 
-        lam, gam = np.cos(g)[:, None], np.sin(g)[:, None]
-        alpha, beta = schedule.alpha(r)[:, None], schedule.beta(r)[:, None]
-        x = lam * (alpha * x0 + beta * x1) + gam * z
+        x = forward_state(schedule, x0, x1, z, r, g)
 
         if cfg.adaptive_weighting:
             w, w_cache = weight_net.forward(r, g)
@@ -308,10 +299,7 @@ def train(
 
         feats = net.features(x, x1, r, g)
         core, cache = net.forward_batch(feats)
-        pred = sd * core
-        err = pred - x0
-        sq = (err * err).sum(axis=1)
-        ew = np.exp(w)
+        sq, ew, d_core = _weighted_error(net, core, x0, w)
         loss = float(np.mean(ew * sq - w))
         if not math.isfinite(loss):
             raise NonFiniteLoss(
@@ -321,7 +309,6 @@ def train(
             )
         trace[step] = loss
 
-        d_core = (ew[:, None] * 2.0 * err * sd) / batch
         grads = net.backward_batch(cache, d_core)
         opt_net.step(net.params, grads)
 

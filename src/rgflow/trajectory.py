@@ -76,7 +76,7 @@ class Trajectory:
         r, g = self._raw_point(t)
         return float(r), float(g)
 
-    def discretize(self, n_steps: int, spacing: str = "uniform") -> TimeGrid:
+    def discretize(self, n_steps: int) -> TimeGrid:
         """Uniform-in-t grid of n_steps+1 points from path start to end.
 
         The first and last rows are patched to the exact boundary (r, g) so
@@ -84,8 +84,6 @@ class Trajectory:
         """
         if n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-        if spacing != "uniform":
-            raise DomainError(f"unsupported spacing {spacing!r}")
         t = np.linspace(self.t_start, self.t_end, n_steps + 1)
         r, g = self._raw_point(t)
         r = np.asarray(r, dtype=np.float64).copy()
@@ -216,16 +214,6 @@ class QuadBezier(Trajectory):
         t = np.asarray(t, dtype=np.float64)
         omt = 1.0 - t
         return omt**2 * self.phi - t**2 * self.phi, 2.0 * t * omt * self.delta
-
-
-def point(traj: Trajectory, t: float) -> tuple[float, float]:
-    """Functional form of Trajectory.point."""
-    return traj.point(t)
-
-
-def discretize(traj: Trajectory, n_steps: int, spacing: str = "uniform") -> TimeGrid:
-    """Functional form of Trajectory.discretize."""
-    return traj.discretize(n_steps, spacing)
 
 
 def path_continuity_order(traj: Trajectory) -> str:

@@ -137,6 +137,41 @@ class TestRestoreCli:
                    "--eta", "0", "--out", tmp_path / "x.csv")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "x1_1,x1_2\n",
+            "x1_1,x1_2\n0.5,abc\n",
+            "x1_1,x1_2\n0.5,nan\n0.25,inf\n",
+        ],
+        ids=["empty", "header-only", "non-numeric", "non-finite"],
+    )
+    def test_malformed_input_rejected(self, toy_dataset, tmp_path, capsys, text):
+        _, ck = toy_dataset
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert run("restore", "--model", ck, "--input", bad, "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_misshaped_raw_weights_rejected(self, toy_dataset, tmp_path, capsys):
+        data, ck = toy_dataset
+        doc = json.loads(ck.read_text())
+        doc["weights"]["W2"] = doc["weights"]["W2"][:-1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert run("restore", "--model", bad, "--no-ema", "--input", data,
+                   "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "W2" in err[0]
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, toy_dataset, tmp_path):
         _, ck = toy_dataset
         assert run("restore", "--model", ck, "--input", tmp_path / "nope.csv",

@@ -1,5 +1,6 @@
 """Denoiser contract: oracles, MLP, embeddings, checkpoints, gradients."""
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from rgflow import (
     MlpDenoiser,
     Regression,
     SamplerConfig,
-    cheat_predict,
     load_checkpoint,
     make_gaussian_pairs,
     mlp_backward,
@@ -23,7 +23,6 @@ from rgflow import (
     time_embed,
 )
 from rgflow.denoiser import weighted_prediction_loss
-from rgflow.process import PairSample
 
 HALF_PI = math.pi / 2.0
 
@@ -57,8 +56,8 @@ class TestCheatOracle:
         den = CheatDenoiser(x0)
         out = den.predict(np.array([9.0, 9.0]), np.array([0.0, 0.0]), 0.3, 0.9)
         assert np.array_equal(out, x0)
-        pair = PairSample(x0=x0, x1=np.array([0.0, 0.0]))
-        assert np.array_equal(cheat_predict(pair, None, None, 0.1, 0.2), x0)
+        batch = den.predict(np.zeros((3, 2)), np.zeros((3, 2)), 0.1, 0.2)
+        assert np.array_equal(batch, np.broadcast_to(x0, (3, 2)))
 
     def test_one_step_restore_recovers_truth(self):
         sched = new_schedule(0.4)
@@ -248,6 +247,18 @@ class TestMlpBackward:
             mlp_backward(net, np.zeros((0, net.input_dim)), np.zeros((0, 2)), [])
 
 
+def _rewritten_checkpoint(tmp_path, mutate):
+    """Save a small checkpoint with EMA weights, apply mutate to its JSON
+    document, and write it back."""
+    net = MlpDenoiser(dim=2, hidden=4, emb_dim=4)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, net, rho=0.2, ema_params=net.params)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -275,6 +286,35 @@ class TestCheckpoint:
         ck = load_checkpoint(p1)
         save_checkpoint(p2, ck.net, rho=ck.rho)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("section", ["weights", "ema_weights"])
+    def test_non_finite_weight_rejected(self, tmp_path, section):
+        def mutate(doc):
+            doc[section]["W1"][0][0] = float("nan")
+
+        with pytest.raises(DomainError):
+            load_checkpoint(_rewritten_checkpoint(tmp_path, mutate))
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        def mutate(doc):
+            del doc["ema_weights"]["b3"]
+
+        with pytest.raises(DomainError):
+            load_checkpoint(_rewritten_checkpoint(tmp_path, mutate))
+
+    def test_misshaped_tensor_rejected(self, tmp_path):
+        def mutate(doc):
+            doc["weights"]["b2"].append(0.0)
+
+        with pytest.raises(DimensionMismatch):
+            load_checkpoint(_rewritten_checkpoint(tmp_path, mutate))
+
+    def test_not_a_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "ck.json"
+        for text in ("not json", "[1, 2]", '{"version": 1, "dims": 2}'):
+            path.write_text(text)
+            with pytest.raises(DomainError):
+                load_checkpoint(path)
 
     def test_ema_optional(self, tmp_path):
         net = MlpDenoiser(dim=1, hidden=4, emb_dim=4)

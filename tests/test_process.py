@@ -7,9 +7,11 @@ import pytest
 
 from rgflow import (
     DimensionMismatch,
+    DomainError,
     EmptyDataset,
     PairSample,
     empirical_variance,
+    forward_state,
     interpolate,
     make_gaussian_pairs,
     new_schedule,
@@ -71,6 +73,28 @@ class TestInterpolate:
             interpolate(sched, pair, np.zeros(3), 0.0, 0.1)
         with pytest.raises(DimensionMismatch):
             PairSample(x0=np.zeros(2), x1=np.zeros(3))
+
+
+    def test_out_of_domain_times_rejected(self, pair):
+        sched = new_schedule(0.3)
+        for r, g in ((sched.phi + 1e-6, 0.1), (0.0, -1e-6), (0.0, HALF_PI + 1e-6)):
+            with pytest.raises(DomainError):
+                interpolate(sched, pair, np.zeros(2), r, g)
+
+
+class TestForwardState:
+    def test_per_row_times_match_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        sched = new_schedule(0.6)
+        x0, x1, z = rng.normal(size=(3, 64, 3))
+        r = rng.uniform(-sched.phi, sched.phi, size=64)
+        g = rng.uniform(0.0, HALF_PI, size=64)
+        batch = forward_state(sched, x0, x1, z, r, g)
+        rows = [
+            forward_state(sched, x0[i], x1[i], z[i], float(r[i]), float(g[i]))
+            for i in range(64)
+        ]
+        assert np.array_equal(batch, np.stack(rows))
 
 
 class TestSampleNoise:

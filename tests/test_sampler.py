@@ -52,6 +52,10 @@ class TestKappa:
         assert kappa(0.5, 0.4, 0.0) == 0.0
         assert kappa(1.0, 0.4, 0.0) == -math.sin(0.4)
 
+    def test_fully_stochastic_defined_from_zero(self):
+        for g2 in (0.0, 1e-3, 0.4, HALF_PI):
+            assert kappa(1.0, 0.0, g2) == math.sin(g2)
+
     def test_validation(self):
         with pytest.raises(SingularStart):
             kappa(0.5, 0.0, 0.3)
@@ -98,14 +102,15 @@ class TestHybridStep:
         sched = new_schedule(0.4)
         rng = np.random.default_rng(6)
         x_prev, x0hat, x1, z = rng.normal(size=(4, 3))
-        frm, to = (0.2, 0.3), (-0.1, 0.45)
-        np.testing.assert_allclose(
-            boot_step(sched, x_prev, x0hat, x1, frm, to, z),
-            hybrid_step(sched, x_prev, x0hat, x1, frm, to, 1.0, z),
-            atol=1e-14,
-        )
-        # and it stays defined from g1 = 0 where hybrid_step refuses
-        boot_step(sched, x_prev, x0hat, x1, (sched.phi, 0.0), to, z)
+        to = (-0.1, 0.45)
+        for frm in ((0.2, 0.3), (sched.phi, 0.0)):
+            assert np.array_equal(
+                boot_step(sched, x_prev, x0hat, x1, frm, to, z),
+                hybrid_step(sched, x_prev, x0hat, x1, frm, to, 1.0, z),
+            )
+        # g1 = 0 is singular for every eta < 1
+        with pytest.raises(SingularStart):
+            hybrid_step(sched, x_prev, x0hat, x1, (sched.phi, 0.0), to, 0.999, z)
 
 
 class TestRegressionStep:

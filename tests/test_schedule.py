@@ -8,8 +8,6 @@ import pytest
 from rgflow import (
     DomainError,
     Elliptical,
-    coeff_derivs,
-    coeffs,
     new_schedule,
 )
 from rgflow.schedule import schedule_grid
@@ -63,26 +61,26 @@ class TestConstruction:
 class TestCoeffs:
     def test_boundary_tuples(self):
         sched = new_schedule(0.3)
-        lo = coeffs(sched, -sched.phi, 0.0)
+        lo = sched.coeffs(-sched.phi, 0.0)
         np.testing.assert_allclose(
             [lo.alpha, lo.beta, lo.lam, lo.gamma], [1, 0, 1, 0], atol=1e-12
         )
-        hi = coeffs(sched, sched.phi, 0.0)
+        hi = sched.coeffs(sched.phi, 0.0)
         np.testing.assert_allclose(
             [hi.alpha, hi.beta, hi.lam, hi.gamma], [0, 1, 1, 0], atol=1e-12
         )
 
     def test_center_point_uncorrelated(self):
-        c = coeffs(new_schedule(0.0), 0.0, 0.0)
+        c = new_schedule(0.0).coeffs(0.0, 0.0)
         assert c.alpha == pytest.approx(1 / math.sqrt(2), abs=1e-15)
         assert c.beta == pytest.approx(1 / math.sqrt(2), abs=1e-15)
         assert (c.lam, c.gamma) == (1.0, 0.0)
 
     def test_generation_axis_exact(self):
         sched = new_schedule(0.2)
-        c0 = coeffs(sched, 0.0, 0.0)
+        c0 = sched.coeffs(0.0, 0.0)
         assert (c0.lam, c0.gamma) == (1.0, 0.0)
-        c1 = coeffs(sched, 0.0, HALF_PI)
+        c1 = sched.coeffs(0.0, HALF_PI)
         assert c1.gamma == 1.0
         assert abs(c1.lam) < 1e-15
 
@@ -124,12 +122,12 @@ class TestCoeffs:
 
 class TestDerivs:
     def test_center_point_uncorrelated(self):
-        d = coeff_derivs(new_schedule(0.0), 0.0, 0.3)
+        d = new_schedule(0.0).coeff_derivs(0.0, 0.3)
         assert d.dalpha == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
         assert d.dbeta == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_generation_derivs_exact_at_zero(self):
-        d = coeff_derivs(new_schedule(0.3), 0.0, 0.0)
+        d = new_schedule(0.3).coeff_derivs(0.0, 0.0)
         assert d.dlambda == 0.0
         assert d.dgamma == 1.0
 

@@ -24,7 +24,6 @@ from rgflow import (
     mse,
     new_schedule,
     restore_batch,
-    sample_time,
     train,
     weighted_loss,
 )
@@ -43,7 +42,8 @@ class TestTimeSamplers:
             UniformSampler(),
             LogitNormalSampler(0.0, 1.0, -0.5, 1.0),
         ):
-            r, g = sample_time(kind, PHI, rng)
+            d = kind.sample_batch(PHI, rng, 1)
+            r, g = float(d["r"][0]), float(d["g"][0])
             assert -PHI <= r <= PHI
             assert 0.0 <= g <= HALF_PI
 

@@ -12,10 +12,8 @@ from rgflow import (
     QuadBezier,
     Regression,
     VPath,
-    discretize,
     make_trajectory,
     path_continuity_order,
-    point,
 )
 
 HALF_PI = math.pi / 2.0
@@ -25,30 +23,30 @@ PHI = 0.5
 class TestPoint:
     def test_elliptical_endpoints_and_apex(self):
         traj = Elliptical(phi=PHI, delta=math.pi / 4.0)
-        assert point(traj, HALF_PI) == (PHI, 0.0)
-        assert point(traj, -HALF_PI) == (-PHI, 0.0)
-        r, g = point(traj, 0.0)
+        assert traj.point(HALF_PI) == (PHI, 0.0)
+        assert traj.point(-HALF_PI) == (-PHI, 0.0)
+        r, g = traj.point(0.0)
         assert r == pytest.approx(0.0, abs=1e-15)
         assert g == pytest.approx(math.pi / 4.0, abs=1e-15)
 
     def test_linear_endpoints(self):
         traj = Linear(phi=PHI, delta=math.pi / 8.0)
-        assert point(traj, 1.0) == (PHI, math.pi / 8.0)
-        assert point(traj, 0.0) == (-PHI, 0.0)
+        assert traj.point(1.0) == (PHI, math.pi / 8.0)
+        assert traj.point(0.0) == (-PHI, 0.0)
 
     def test_regression_map(self):
         traj = Regression(phi=PHI)
-        assert point(traj, 0.0) == (PHI, 0.0)
-        assert point(traj, 1.0) == (-PHI, 0.0)
-        r, g = point(traj, 0.25)
+        assert traj.point(0.0) == (PHI, 0.0)
+        assert traj.point(1.0) == (-PHI, 0.0)
+        r, g = traj.point(0.25)
         assert r == pytest.approx(PHI * 0.5, abs=1e-15)
         assert g == 0.0
 
     def test_out_of_domain(self):
         with pytest.raises(DomainError):
-            point(Elliptical(phi=PHI, delta=0.1), HALF_PI + 0.01)
+            Elliptical(phi=PHI, delta=0.1).point(HALF_PI + 0.01)
         with pytest.raises(DomainError):
-            point(Linear(phi=PHI, delta=0.1), -0.01)
+            Linear(phi=PHI, delta=0.1).point(-0.01)
 
     def test_implicit_equations_hold(self):
         rng = np.random.default_rng(12)
@@ -66,7 +64,7 @@ class TestPoint:
 class TestDiscretize:
     def test_elliptical_two_steps(self):
         traj = Elliptical(phi=PHI, delta=0.3)
-        grid = discretize(traj, 2)
+        grid = traj.discretize(2)
         np.testing.assert_allclose(grid.t, [HALF_PI, 0.0, -HALF_PI])
         assert (grid.r[0], grid.g[0]) == (PHI, 0.0)
         assert (grid.r[-1], grid.g[-1]) == (-PHI, 0.0)
@@ -74,12 +72,12 @@ class TestDiscretize:
         assert grid.g[1] == pytest.approx(0.3, abs=1e-15)
 
     def test_regression_single_step(self):
-        grid = discretize(Regression(phi=PHI), 1)
+        grid = Regression(phi=PHI).discretize(1)
         assert list(grid.r) == [PHI, -PHI]
         assert list(grid.g) == [0.0, 0.0]
 
     def test_linear_generation_times(self):
-        grid = discretize(Linear(phi=PHI, delta=math.pi / 8.0), 4)
+        grid = Linear(phi=PHI, delta=math.pi / 8.0).discretize(4)
         expected = [math.pi / 8, 3 * math.pi / 32, math.pi / 16, math.pi / 32, 0.0]
         np.testing.assert_allclose(grid.g, expected, atol=1e-15)
 
@@ -91,7 +89,7 @@ class TestDiscretize:
             VPath(phi=PHI, delta=0.4, p=2.5),
             QuadBezier(phi=PHI, delta=0.4),
         ):
-            grid = discretize(traj, 9)
+            grid = traj.discretize(9)
             dt = np.diff(grid.t)
             assert np.all(dt > 0) or np.all(dt < 0)
             assert (grid.r[0], grid.g[0]) == traj.start_rg
@@ -99,11 +97,7 @@ class TestDiscretize:
 
     def test_zero_steps_rejected(self):
         with pytest.raises(DomainError):
-            discretize(Elliptical(phi=PHI, delta=0.1), 0)
-
-    def test_only_uniform_spacing(self):
-        with pytest.raises(DomainError):
-            discretize(Elliptical(phi=PHI, delta=0.1), 4, spacing="cosine")
+            Elliptical(phi=PHI, delta=0.1).discretize(0)
 
 
 class TestContinuityOrder:
