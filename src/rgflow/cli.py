@@ -25,13 +25,7 @@ import numpy as np
 
 from .denoiser import CheatDenoiser, GaussianOracle, load_checkpoint, save_checkpoint
 from .dynamics import euler_integrate
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
-    EmptyDataset,
-    RgflowError,
-)
+from .errors import ConfigError, RgflowError
 from .process import forward_state
 from .sampler import SamplerConfig, restore, restore_batch
 from .schedule import GvpSchedule, schedule_grid
@@ -40,6 +34,7 @@ from .toydata import (
     load_dataset,
     make_gaussian_pairs,
     make_scurve_dataset,
+    read_matrix,
     save_dataset,
 )
 from .training import TrainConfig, make_time_sampler, train
@@ -135,8 +130,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.oracle != "gaussian":
-        raise ConfigError("bench supports --oracle gaussian only")
     sched = GvpSchedule(rho=args.rho, sigma_d=1.0)
     den = GaussianOracle(rho=args.rho)
     traj = make_trajectory(args.traj, phi=sched.phi, delta=args.delta, p=args.p)
@@ -234,33 +227,8 @@ def _cmd_train(args) -> int:
 
 def _load_degraded(path) -> np.ndarray:
     """Read degraded points: x1_* columns of a dataset CSV, or a bare matrix
-    with or without a header.  Rejects empty, ragged, non-numeric and
-    non-finite input."""
-    with Path(path).open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise EmptyDataset(f"{path}: no rows")
-    header = rows[0]
-    try:
-        # Headerless file: the first row is already data.
-        [float(v) for v in header]
-        header = []
-    except ValueError:
-        rows = rows[1:]
-    if not rows:
-        raise EmptyDataset(f"{path}: header but no data rows")
-    width = len(header) or len(rows[0])
-    for row in rows:
-        if len(row) != width:
-            raise DimensionMismatch(
-                f"{path}: row {row} has {len(row)} cells, expected {width}"
-            )
-    try:
-        data = np.asarray([[float(v) for v in row] for row in rows], dtype=np.float64)
-    except ValueError as exc:
-        raise DomainError(f"{path}: {exc}") from None
-    if not np.all(np.isfinite(data)):
-        raise DomainError(f"{path}: non-finite value in input")
+    with or without a header, with the checks of read_matrix."""
+    header, data = read_matrix(path)
     x1_cols = [i for i, name in enumerate(header) if name.startswith("x1_")]
     if x1_cols:
         return data[:, x1_cols]

@@ -1,4 +1,4 @@
-"""Analytic hybrid sampler and the full restoration loops.
+"""Analytic hybrid sampler and the restoration loop.
 
 The per-step update from (r1, g1) to (r2, g2), with k = sin(g2)/sin(g1) and
 s = sqrt(1 - eta^2), is
@@ -14,11 +14,15 @@ interpolates from fully deterministic (eta = 0, kappa = 0) to fully
 stochastic (eta = 1, k^s = 1, kappa = sin g2 - sin g1).
 
 The update is undefined from g1 = 0, where k diverges, except at eta = 1:
-there k^0 = 1 and kappa = sin g2 - sin g1 stay finite.  Paths that start at
-g = 0 (Elliptical, V-path, Bezier) therefore boot with that eta = 1 update
-(boot_step), a small step from t_start to t_start offset by boot_epsilon,
-then run the hybrid update over a uniform grid, for exactly n_steps
-denoiser calls.  Pure regression paths use the noiseless update
+there k^0 = 1 and kappa = sin g2 - sin g1 stay finite.  One loop runs every
+noisy path, for exactly n_steps denoiser calls, over the start, a boot point
+at t_start offset by boot_epsilon (paths that start at g = 0, i.e.
+Elliptical, V-path and Bezier, with n_steps > 1), then a uniform grid.  The
+step from g = 0 is that eta = 1 update (boot_step), every other step the
+hybrid update at the configured eta, and a step draws noise only where its
+kappa is nonzero.  So n_steps = 1 from g = 0 is one boot step to the clean
+end (kappa = 0, no draw), and eta < 1 is rejected there.  Pure regression
+paths use the noiseless update
 x2 = x1state + (alpha_r2 - alpha_r1) x0hat + (beta_r2 - beta_r1) x1 instead.
 """
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -96,15 +101,12 @@ def hybrid_step(
     """One hybrid update from (r1, g1) to (r2, g2); g1 > 0 unless eta = 1."""
     r1, g1 = frm
     r2, g2 = to
-    if g1 <= 0.0 and eta != 1.0:
-        raise SingularStart(
-            f"hybrid_step undefined from g1={g1} <= 0 unless eta = 1"
-        )
+    # kappa first: it rejects eta outside [0, 1] and g1 <= 0 below eta = 1.
+    kap = kappa(eta, g1, g2)
     x_prev, x0hat, x1, z = _match(x_prev, x0hat, x1, z)
     c1 = sched.coeffs(r1, g1)
     c2 = sched.coeffs(r2, g2)
     ks = _k_pow_s(eta, g1, g2)
-    kap = kappa(eta, g1, g2)
     return (
         ks * x_prev
         + c2.lam * (c2.alpha * x0hat + c2.beta * x1)
@@ -161,24 +163,15 @@ class SamplerConfig:
             )
 
 
-NoiseDraw = Callable[[int], np.ndarray]
-"""draw(k) -> noise array for the k-th stochastic draw of a run."""
-
-
-def _rng_draw(rng: np.random.Generator, sigma_d: float, shape) -> NoiseDraw:
-    def draw(_k: int) -> np.ndarray:
-        return rng.normal(0.0, sigma_d, size=shape)
-
-    return draw
-
-
-def _list_draw(noise: Iterable[np.ndarray]) -> NoiseDraw:
+def _list_source(noise: Iterable[np.ndarray]) -> Callable[[], np.ndarray]:
     items = [np.asarray(a, dtype=np.float64) for a in noise]
+    it = iter(items)
 
-    def draw(k: int) -> np.ndarray:
-        if k >= len(items):
-            raise ConfigError(f"noise override exhausted at draw {k}")
-        return items[k]
+    def draw() -> np.ndarray:
+        z = next(it, None)
+        if z is None:
+            raise ConfigError(f"noise override exhausted at draw {len(items)}")
+        return z
 
     return draw
 
@@ -197,53 +190,39 @@ def _run_regression(sched, denoiser, x1, n_steps) -> np.ndarray:
     return x
 
 
-def _run_noisy(sched, traj, denoiser, x1, cfg, draw: NoiseDraw) -> np.ndarray:
-    n = cfg.n_steps
-    eta = cfg.eta
-    draws = 0
-
-    if traj.starts_noiseless:
-        if n == 1:
-            if eta != 1.0:
-                raise ConfigError(
-                    "a path starting at g=0 with n_steps=1 requires eta=1"
-                )
-            frm = traj.start_rg
-            to = traj.end_rg
-            x0hat = denoiser.predict(x1, x1, *frm)
-            # kappa = sin(0) - sin(0) = 0: no draw consumed.
-            return boot_step(sched, x1, x0hat, x1, frm, to, np.zeros_like(x1))
-        grid = traj.discretize(n - 1)
+def _points(cfg: SamplerConfig) -> list[tuple[float, float]]:
+    """The n_steps + 1 (r, g) points a run visits: the path start, the boot
+    point when the path starts at g = 0 and n_steps > 1, then the uniform
+    grid over the rest of the budget."""
+    traj = cfg.trajectory
+    boot = traj.starts_noiseless and cfg.n_steps > 1
+    if traj.starts_noiseless and not boot and cfg.eta != 1.0:
+        raise ConfigError("a path starting at g=0 with n_steps=1 requires eta=1")
+    grid = traj.discretize(cfg.n_steps - boot)
+    points = [(float(r), float(g)) for r, g in zip(grid.r, grid.g)]
+    if boot:
         direction = 1.0 if traj.t_end > traj.t_start else -1.0
-        t_boot = traj.t_start + direction * cfg.boot_epsilon
-        frm = traj.start_rg
-        to = traj.point(t_boot)
-        x = np.array(x1, dtype=np.float64, copy=True)
-        x0hat = denoiser.predict(x, x1, *frm)
-        z = draw(draws)
-        draws += 1
-        x = boot_step(sched, x, x0hat, x1, frm, to, z)
-        points = [to] + [
-            (float(grid.r[i]), float(grid.g[i])) for i in range(1, len(grid))
-        ]
-    else:
-        grid = traj.discretize(n)
-        r0, g0 = float(grid.r[0]), float(grid.g[0])
-        c0 = sched.coeffs(r0, g0)
-        z = draw(draws)
-        draws += 1
-        x = c0.lam * c0.beta * np.asarray(x1, dtype=np.float64) + c0.gamma * z
-        points = [(float(grid.r[i]), float(grid.g[i])) for i in range(len(grid))]
+        points.insert(1, traj.point(traj.t_start + direction * cfg.boot_epsilon))
+    return points
 
+
+def _run_noisy(sched, denoiser, x1, cfg, draw) -> np.ndarray:
+    points = _points(cfg)
+    r0, g0 = points[0]
+    if g0 == 0.0:
+        x = np.array(x1, dtype=np.float64, copy=True)
+    else:
+        c0 = sched.coeffs(r0, g0)
+        x = c0.lam * c0.beta * x1 + c0.gamma * draw()
     for frm, to in zip(points[:-1], points[1:]):
+        boot = frm[1] == 0.0
         x0hat = denoiser.predict(x, x1, *frm)
-        kap = kappa(eta, frm[1], to[1])
-        if kap != 0.0:
-            z = draw(draws)
-            draws += 1
+        kap = kappa(1.0 if boot else cfg.eta, frm[1], to[1])
+        z = draw() if kap != 0.0 else np.zeros_like(x)
+        if boot:
+            x = boot_step(sched, x, x0hat, x1, frm, to, z)
         else:
-            z = np.zeros_like(x)
-        x = hybrid_step(sched, x, x0hat, x1, frm, to, eta, z)
+            x = hybrid_step(sched, x, x0hat, x1, frm, to, cfg.eta, z)
     return x
 
 
@@ -255,24 +234,26 @@ def restore(
     rng: np.random.Generator | None = None,
     noise: Iterable[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Run the full restoration loop for one degraded point.
+    """Run the restoration loop for one degraded point.
 
     Stochastic draws come from `rng` (defaulting to a generator seeded with
     cfg.seed) unless an explicit `noise` sequence is supplied; draws are
-    consumed in grid order and only where the noise coefficient is nonzero,
-    so eta = 0 runs depend on at most one draw regardless of n_steps.
+    consumed in step order: one for a start at g > 0, then one per step whose
+    noise coefficient is nonzero.  So eta = 0 runs depend on at most one draw
+    regardless of n_steps, and n_steps = 1 from g = 0 (one boot step to the
+    clean end, kappa = 0) draws none.  Regression paths draw nothing and
+    build no generator.
     """
     x1 = np.asarray(x1, dtype=np.float64)
+    if _is_regressive(cfg.trajectory):
+        return _run_regression(sched, denoiser, x1, cfg.n_steps)
     if noise is not None:
-        draw = _list_draw(noise)
+        draw = _list_source(noise)
     else:
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
-        draw = _rng_draw(rng, sched.sigma_d, x1.shape)
-    traj = cfg.trajectory
-    if _is_regressive(traj):
-        return _run_regression(sched, denoiser, x1, cfg.n_steps)
-    return _run_noisy(sched, traj, denoiser, x1, cfg, draw)
+        draw = partial(rng.normal, 0.0, sched.sigma_d, x1.shape)
+    return _run_noisy(sched, denoiser, x1, cfg, draw)
 
 
 def restore_batch(
@@ -287,18 +268,17 @@ def restore_batch(
     Item i draws from default_rng([cfg.seed, item_offset + i]), exactly the
     stream a sequential restore(..., rng=default_rng([cfg.seed, i])) would
     consume, so the result is independent of batching, chunking, or
-    scheduling order.
+    scheduling order.  Regression paths build no generators.
     """
     x1_batch = np.atleast_2d(np.asarray(x1_batch, dtype=np.float64))
+    if _is_regressive(cfg.trajectory):
+        return _run_regression(sched, denoiser, x1_batch, cfg.n_steps)
     n_items, dim = x1_batch.shape
     rngs = [
         np.random.default_rng([cfg.seed, item_offset + i]) for i in range(n_items)
     ]
 
-    def draw(_k: int) -> np.ndarray:
+    def draw() -> np.ndarray:
         return np.stack([r.normal(0.0, sched.sigma_d, size=dim) for r in rngs])
 
-    traj = cfg.trajectory
-    if _is_regressive(traj):
-        return _run_regression(sched, denoiser, x1_batch, cfg.n_steps)
-    return _run_noisy(sched, traj, denoiser, x1_batch, cfg, draw)
+    return _run_noisy(sched, denoiser, x1_batch, cfg, draw)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DimensionMismatch, DomainError, InsufficientData
+from .errors import DimensionMismatch, DomainError, EmptyDataset, InsufficientData
 from .process import PairSample
 
 
@@ -95,7 +95,6 @@ def make_scurve(
 
 def degrade(
     clean: np.ndarray,
-    kind: str = "shear",
     strength: float = 0.5,
     noise: float = 0.1,
     seed: int = 0,
@@ -106,8 +105,6 @@ def degrade(
     The map is S = [[1, strength], [0, 1 - strength/2]]; the output keeps the
     row pairing with `clean` and is re-standardized to sigma_d.
     """
-    if kind != "shear":
-        raise DomainError(f"unknown degradation kind {kind!r}")
     if strength < 0.0 or noise < 0.0:
         raise DomainError("strength and noise must be >= 0")
     clean = np.asarray(clean, dtype=np.float64)
@@ -249,18 +246,51 @@ def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
+def read_matrix(path) -> tuple[list[str], np.ndarray]:
+    """Read a numeric CSV with an optional header row.
+
+    Returns the header ([] when the first row is already data) and the data
+    rows as a float matrix.  Rejects empty and header-only files
+    (EmptyDataset), ragged rows (DimensionMismatch), and non-numeric or
+    non-finite cells (DomainError).
+    """
+    with Path(path).open(newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise EmptyDataset(f"{path}: no rows")
+    header = rows[0]
+    try:
+        # Headerless file: the first row is already data.
+        [float(v) for v in header]
+        header = []
+    except ValueError:
+        rows = rows[1:]
+    if not rows:
+        raise EmptyDataset(f"{path}: header but no data rows")
+    width = len(header) or len(rows[0])
+    for row in rows:
+        if len(row) != width:
+            raise DimensionMismatch(
+                f"{path}: row {row} has {len(row)} cells, expected {width}"
+            )
+    try:
+        data = np.asarray([[float(v) for v in row] for row in rows], dtype=np.float64)
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"{path}: non-finite value in input")
+    return header, data
+
+
 def load_dataset(path) -> ToyDataset:
-    """Read a dataset CSV written by save_dataset (sidecar optional)."""
+    """Read a dataset CSV written by save_dataset (sidecar optional), with
+    the checks of read_matrix."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
+    header, data = read_matrix(path)
     n_x0 = sum(1 for name in header if name.startswith("x0_"))
     n_x1 = sum(1 for name in header if name.startswith("x1_"))
     if n_x0 == 0 or n_x0 != n_x1 or n_x0 + n_x1 != len(header):
         raise DomainError(f"unrecognized dataset header {header!r}")
-    data = np.asarray(rows, dtype=np.float64)
     x0, x1 = data[:, :n_x0], data[:, n_x0:]
     pairs = _pairs_from_matrices(x0, x1)
     meta_file = sidecar_path(path)

@@ -212,8 +212,6 @@ class TrainConfig:
     batch_size: int = 16
     n_steps: int = 20_000
     learning_rate: float = 1e-4
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     weight_decay: float = 1e-2
     ema_decay: float = 0.9999
     adaptive_weighting: bool = True
@@ -275,8 +273,8 @@ def train(
     net.reinit(rng)
     weight_net = AdaptiveWeight(rng=rng)
 
-    opt_net = AdamW(cfg.learning_rate, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
-    opt_w = AdamW(cfg.learning_rate, cfg.adam_betas, cfg.adam_eps, cfg.weight_decay)
+    opt_net = AdamW(cfg.learning_rate, weight_decay=cfg.weight_decay)
+    opt_w = AdamW(cfg.learning_rate, weight_decay=cfg.weight_decay)
 
     ema = {k: v.copy() for k, v in net.params.items()}
     trace = np.empty(cfg.n_steps)

@@ -19,6 +19,39 @@ def read_csv(path):
         return header, [row for row in reader]
 
 
+def assert_rejected(capsys, out, *argv):
+    """The command exits 2 with one `error:` line and writes no output."""
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+MALFORMED_DATASETS = pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "x0_1,x1_1\n",
+        "x0_1,x1_1\n0.5,0.1\n0.25\n",
+        "x0_1,x1_1\n0.5,abc\n",
+        "x0_1,x1_1\n0.5,nan\n0.25,0.1\n",
+    ],
+    ids=["empty", "header-only", "ragged", "non-numeric", "non-finite"],
+)
+
+
+def malformed_dataset(tmp_path, text):
+    """A dataset CSV with `text` and a valid sidecar, so only the CSV is bad."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    (tmp_path / "bad.meta.json").write_text(
+        json.dumps({"kind": "gaussian", "params": {}, "seed": 0,
+                    "sigma_d": 1.0, "rho_hat": 0.5})
+    )
+    return bad
+
+
 @pytest.fixture(scope="module")
 def toy_dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "train.csv"
@@ -72,6 +105,12 @@ class TestSimulate:
         header, rows = read_csv(out)
         assert header == ["t", "r", "g", "x_1", "x_2"]
         assert len(rows) == 7
+
+    @MALFORMED_DATASETS
+    def test_malformed_pairs_rejected(self, tmp_path, capsys, text):
+        bad = malformed_dataset(tmp_path, text)
+        assert_rejected(capsys, tmp_path / "x.csv", "simulate", "--traj", "elliptical",
+                        "--delta", "pi/4", "--pairs", bad, "--steps", "2")
 
 
 class TestTrainCli:
@@ -151,12 +190,26 @@ class TestRestoreCli:
         _, ck = toy_dataset
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
-        out = tmp_path / "x.csv"
-        capsys.readouterr()
-        assert run("restore", "--model", ck, "--input", bad, "--out", out) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert not out.exists()
+        assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
+                        "--input", bad)
+
+    def test_thread_count_keeps_output(self, toy_dataset, tmp_path, monkeypatch):
+        """400 rows span two 256-row chunks, so two workers really split them."""
+        data, ck = toy_dataset
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        argv = ("restore", "--model", ck, "--input", data, "--mode", "disi-g",
+                "--seed", "5", "--out")
+        monkeypatch.delenv("RGFLOW_THREADS", raising=False)
+        assert run(*argv, one) == 0
+        monkeypatch.setenv("RGFLOW_THREADS", "2")
+        assert run(*argv, two) == 0
+        assert one.read_bytes() == two.read_bytes()
+
+    def test_bad_thread_count_rejected(self, toy_dataset, tmp_path, capsys, monkeypatch):
+        data, ck = toy_dataset
+        monkeypatch.setenv("RGFLOW_THREADS", "x")
+        assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
+                        "--input", data, "--mode", "disi-g")
 
     def test_misshaped_raw_weights_rejected(self, toy_dataset, tmp_path, capsys):
         data, ck = toy_dataset
@@ -208,6 +261,13 @@ class TestSweepCli:
                    "--out", out) == 0
         _, rows = read_csv(out)
         assert all(r[3] != "NA" for r in rows)
+
+    @MALFORMED_DATASETS
+    def test_malformed_data_rejected(self, tmp_path, capsys, text):
+        bad = malformed_dataset(tmp_path, text)
+        assert_rejected(capsys, tmp_path / "x.csv", "sweep", "--data", bad,
+                        "--oracle", "gaussian", "--deltas", "0,pi/8", "--etas", "0",
+                        "--nfes", "2")
 
 
 class TestBenchCli:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgflow import (
     CheatDenoiser,
@@ -19,6 +21,7 @@ from rgflow import (
     hybrid_step,
     interpolate,
     kappa,
+    make_trajectory,
     new_schedule,
     regression_step,
     restore,
@@ -79,6 +82,10 @@ class TestHybridStep:
         z = np.zeros(2)
         with pytest.raises(SingularStart):
             hybrid_step(sched, z, z, z, (0.1, 0.0), (0.0, 0.2), 0.5, z)
+        for eta in (-0.1, 1.5):  # from a singular and a regular start
+            for g1 in (0.0, 0.2):
+                with pytest.raises(ConfigError):
+                    hybrid_step(sched, z, z, z, (0.1, g1), (0.0, 0.3), eta, z)
 
     def test_manifold_invariance_deterministic(self):
         """With the exact clean point substituted, the eta=0 step transports
@@ -273,6 +280,18 @@ class TestRestore:
             )
             np.testing.assert_array_equal(batch[i], single)
 
+    def test_item_offset_slice_matches_full_batch(self):
+        sched = new_schedule(0.4)
+        den = GaussianOracle(rho=0.4)
+        x1s = np.random.default_rng(12).normal(size=(9, 2))
+        for traj, eta in ((Elliptical(phi=sched.phi, delta=0.7), 0.5),
+                          (Linear(phi=sched.phi, delta=0.4), 1.0)):
+            cfg = SamplerConfig(trajectory=traj, n_steps=5, eta=eta, seed=4)
+            full = restore_batch(sched, den, x1s, cfg)
+            for a, b in ((0, 3), (3, 9), (4, 5)):
+                part = restore_batch(sched, den, x1s[a:b], cfg, item_offset=a)
+                assert np.array_equal(part, full[a:b])
+
     def test_gaussian_conditional_law_small(self):
         """Endpoint cloud approximates the exact conditional law (loose
         bounds; the acceptance suite runs the pinned version)."""
@@ -292,3 +311,51 @@ class TestRestore:
             SamplerConfig(trajectory=traj, n_steps=2, eta=1.2)
         with pytest.raises(ConfigError):
             SamplerConfig(trajectory=traj, n_steps=2, boot_epsilon=0.0)
+
+
+def _draws_needed(traj, cfg):
+    """Draws a run consumes: one for a start at g > 0, then one per step with
+    nonzero kappa.  The steps run from the path start through the boot point
+    (paths starting at g = 0 with n_steps > 1) and then the uniform grid; the
+    step from g = 0 is the eta = 1 boot step."""
+    boot = traj.starts_noiseless and cfg.n_steps > 1
+    grid = traj.discretize(cfg.n_steps - boot)
+    gs = [float(g) for g in grid.g]
+    if boot:
+        direction = 1.0 if traj.t_end > traj.t_start else -1.0
+        gs.insert(1, traj.point(traj.t_start + direction * cfg.boot_epsilon)[1])
+    needed = 0 if traj.starts_noiseless else 1
+    for g1, g2 in zip(gs[:-1], gs[1:]):
+        needed += kappa(1.0 if g1 == 0.0 else cfg.eta, g1, g2) != 0.0
+    return needed
+
+
+class TestNoiseContract:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["elliptical", "linear", "vpath", "bezier"]),
+        delta=st.floats(0.01, HALF_PI),
+        eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        n_steps=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_count_and_sources_agree(self, kind, delta, eta, n_steps, seed):
+        sched = new_schedule(0.5)
+        den = GaussianOracle(rho=0.5)
+        traj = make_trajectory(kind, phi=sched.phi, delta=delta, p=1.5)
+        cfg = SamplerConfig(trajectory=traj, n_steps=n_steps, eta=eta, seed=seed)
+        x1 = np.random.default_rng(seed).normal(size=2)
+        if traj.starts_noiseless and n_steps == 1 and eta != 1.0:
+            with pytest.raises(ConfigError):
+                restore(sched, den, x1, cfg, noise=[])
+            return
+        needed = _draws_needed(traj, cfg)
+        draws = np.random.default_rng(seed)
+        zs = [draws.normal(0.0, sched.sigma_d, size=2) for _ in range(needed)]
+        from_list = restore(sched, den, x1, cfg, noise=zs)
+        assert np.all(np.isfinite(from_list))
+        if needed:
+            with pytest.raises(ConfigError):
+                restore(sched, den, x1, cfg, noise=zs[:-1])
+        from_rng = restore(sched, den, x1, cfg, rng=np.random.default_rng(seed))
+        assert np.array_equal(from_rng, from_list)

@@ -85,8 +85,6 @@ class TestDegrade:
     def test_validation(self):
         clean = make_scurve(50, seed=1)
         with pytest.raises(DomainError):
-            degrade(clean, kind="blur")
-        with pytest.raises(DomainError):
             degrade(clean, strength=-1.0)
         with pytest.raises(DimensionMismatch):
             degrade(np.zeros((10, 3)))
