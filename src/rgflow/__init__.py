@@ -28,6 +28,7 @@ from .errors import (
     EmptyDataset,
     InsufficientData,
     NonFiniteLoss,
+    NonFiniteOutput,
     RgflowError,
     SingularStart,
     SingularTime,

@@ -277,20 +277,18 @@ def _cmd_restore(args) -> int:
     # count: threads only schedule chunks, they never reshape the batches.
     chunk = 256
     starts = range(0, x1.shape[0], chunk)
+
+    def restore_chunk(s: int) -> np.ndarray:
+        # An overflow surfaces as restore_batch's NonFiniteOutput, the one
+        # error line, rather than as numpy warnings (errstate is per thread).
+        with np.errstate(all="ignore"):
+            return restore_batch(sched, den, x1[s : s + chunk], cfg, item_offset=s)
+
     if workers == 1:
-        parts = [
-            restore_batch(sched, den, x1[s : s + chunk], cfg, item_offset=s)
-            for s in starts
-        ]
+        parts = [restore_chunk(s) for s in starts]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(
-                    restore_batch, sched, den, x1[s : s + chunk], cfg, item_offset=s
-                )
-                for s in starts
-            ]
-            parts = [f.result() for f in futs]
+            parts = list(pool.map(restore_chunk, starts))
     out = np.concatenate(parts)
     header = [f"x_{i + 1}" for i in range(out.shape[1])]
     _write_csv(args.out, header, out)

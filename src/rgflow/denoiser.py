@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Protocol
 
@@ -36,6 +37,14 @@ class Denoiser(Protocol):
     def predict(self, x, x1, r, g) -> np.ndarray: ...
 
 
+@lru_cache(maxsize=None)
+def _frequencies(emb_dim: int) -> np.ndarray:
+    """time_embed's read-only frequency vector for one emb_dim."""
+    omega = _EMB_BASE ** (-2.0 * np.arange(emb_dim // 2) / emb_dim)
+    omega.flags.writeable = False
+    return omega
+
+
 def time_embed(t, emb_dim: int) -> np.ndarray:
     """Sinusoidal features of a time scalar (or batch of scalars).
 
@@ -44,10 +53,8 @@ def time_embed(t, emb_dim: int) -> np.ndarray:
     """
     if emb_dim % 2 != 0 or emb_dim < 2:
         raise DomainError(f"emb_dim must be even and >= 2, got {emb_dim}")
-    half = emb_dim // 2
-    omega = _EMB_BASE ** (-2.0 * np.arange(half) / emb_dim)
     t = np.asarray(t, dtype=np.float64)
-    phase = t[..., None] * omega
+    phase = t[..., None] * _frequencies(emb_dim)
     return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 
@@ -110,14 +117,9 @@ class GaussianOracle:
         return m + (a * s2 / denom) * (y - a * m)
 
 
-def _gelu(z: np.ndarray) -> np.ndarray:
-    return 0.5 * z * (1.0 + erf(z / math.sqrt(2.0)))
-
-
-def _gelu_grad(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0))) + z * np.exp(-0.5 * z * z) / math.sqrt(
-        2.0 * math.pi
-    )
+def _gelu_grad(z: np.ndarray, erf_z: np.ndarray) -> np.ndarray:
+    """GELU'(z), given erf_z = erf(z / sqrt 2) from the forward pass."""
+    return 0.5 * (1.0 + erf_z) + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def _dense_forward(params: dict, layers, feats: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -125,23 +127,25 @@ def _dense_forward(params: dict, layers, feats: np.ndarray) -> tuple[np.ndarray,
     `layers`, with GELU between layers and a linear last layer.
 
     Returns the output and the cache _dense_backward needs: every layer's
-    input and every hidden pre-activation.
+    input, every hidden pre-activation z and its erf(z / sqrt 2).
     """
-    inputs, pre = [], []
+    inputs, pre, erfs = [], [], []
     h = feats
     for w_key, b_key in layers[:-1]:
         inputs.append(h)
         z = h @ params[w_key] + params[b_key]
+        erf_z = erf(z / math.sqrt(2.0))
         pre.append(z)
-        h = _gelu(z)
+        erfs.append(erf_z)
+        h = 0.5 * z * (1.0 + erf_z)
     inputs.append(h)
     w_key, b_key = layers[-1]
-    return h @ params[w_key] + params[b_key], (inputs, pre)
+    return h @ params[w_key] + params[b_key], (inputs, pre, erfs)
 
 
 def _dense_backward(params: dict, layers, cache: tuple, d_out: np.ndarray) -> dict:
     """Gradients of sum(d_out * _dense_forward output) for every parameter."""
-    inputs, pre = cache
+    inputs, pre, erfs = cache
     grads = {}
     d = d_out
     for i in range(len(layers) - 1, -1, -1):
@@ -149,7 +153,7 @@ def _dense_backward(params: dict, layers, cache: tuple, d_out: np.ndarray) -> di
         grads[w_key] = inputs[i].T @ d
         grads[b_key] = d.sum(axis=0)
         if i:
-            d = (d @ params[w_key].T) * _gelu_grad(pre[i - 1])
+            d = (d @ params[w_key].T) * _gelu_grad(pre[i - 1], erfs[i - 1])
     return grads
 
 

@@ -44,5 +44,9 @@ class NonFiniteLoss(RgflowError, FloatingPointError):
     """Training loss became NaN/Inf; message carries step diagnostics."""
 
 
+class NonFiniteOutput(RgflowError, FloatingPointError):
+    """A restoration result holds NaN/Inf; message counts the bad rows."""
+
+
 class CheckFailure(RgflowError):
     """A verification check did not meet its tolerance."""

@@ -35,7 +35,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, SingularStart
+from .errors import ConfigError, DimensionMismatch, NonFiniteOutput, SingularStart
 from .schedule import GvpSchedule
 from .trajectory import Regression, Trajectory
 
@@ -64,6 +64,9 @@ def kappa(eta: float, g1: float, g2: float) -> float:
     s = math.sqrt((1.0 - eta) * (1.0 + eta))
     one_minus_s = eta * eta / (1.0 + s)
     log_k = math.log(s2) - math.log(s1)
+    if one_minus_s == 0.0:
+        # eta^2 underflowed; the ratio below tends to log_k as 1 - s -> 0.
+        return eta * s2 * log_k
     # eta * s2 * (1 - k^(s-1)) / (1-s), with 1 - e^x = -expm1(x).
     return eta * s2 * (-math.expm1(-one_minus_s * log_k)) / one_minus_s
 
@@ -226,6 +229,18 @@ def _run_noisy(sched, denoiser, x1, cfg, draw) -> np.ndarray:
     return x
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    """Return a restoration result, or raise NonFiniteOutput if it holds NaN
+    or inf."""
+    if not np.isfinite(x).all():
+        rows = np.atleast_2d(x)
+        bad = int((~np.isfinite(rows)).any(axis=1).sum())
+        raise NonFiniteOutput(
+            f"restoration produced non-finite values in {bad} of {len(rows)} rows"
+        )
+    return x
+
+
 def restore(
     sched: GvpSchedule,
     denoiser,
@@ -242,18 +257,18 @@ def restore(
     noise coefficient is nonzero.  So eta = 0 runs depend on at most one draw
     regardless of n_steps, and n_steps = 1 from g = 0 (one boot step to the
     clean end, kappa = 0) draws none.  Regression paths draw nothing and
-    build no generator.
+    build no generator.  A result holding NaN or inf raises NonFiniteOutput.
     """
     x1 = np.asarray(x1, dtype=np.float64)
     if _is_regressive(cfg.trajectory):
-        return _run_regression(sched, denoiser, x1, cfg.n_steps)
+        return _finite(_run_regression(sched, denoiser, x1, cfg.n_steps))
     if noise is not None:
         draw = _list_source(noise)
     else:
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
         draw = partial(rng.normal, 0.0, sched.sigma_d, x1.shape)
-    return _run_noisy(sched, denoiser, x1, cfg, draw)
+    return _finite(_run_noisy(sched, denoiser, x1, cfg, draw))
 
 
 def restore_batch(
@@ -268,17 +283,22 @@ def restore_batch(
     Item i draws from default_rng([cfg.seed, item_offset + i]), exactly the
     stream a sequential restore(..., rng=default_rng([cfg.seed, i])) would
     consume, so the result is independent of batching, chunking, or
-    scheduling order.  Regression paths build no generators.
+    scheduling order.  The generators are built on the first draw, so a run
+    that draws nothing (a regression path, or one boot step with kappa = 0)
+    builds none.  A result holding NaN or inf raises NonFiniteOutput.
     """
     x1_batch = np.atleast_2d(np.asarray(x1_batch, dtype=np.float64))
     if _is_regressive(cfg.trajectory):
-        return _run_regression(sched, denoiser, x1_batch, cfg.n_steps)
+        return _finite(_run_regression(sched, denoiser, x1_batch, cfg.n_steps))
     n_items, dim = x1_batch.shape
-    rngs = [
-        np.random.default_rng([cfg.seed, item_offset + i]) for i in range(n_items)
-    ]
+    rngs = []
 
     def draw() -> np.ndarray:
+        if not rngs:
+            rngs.extend(
+                np.random.default_rng([cfg.seed, item_offset + i])
+                for i in range(n_items)
+            )
         return np.stack([r.normal(0.0, sched.sigma_d, size=dim) for r in rngs])
 
-    return _run_noisy(sched, denoiser, x1_batch, cfg, draw)
+    return _finite(_run_noisy(sched, denoiser, x1_batch, cfg, draw))

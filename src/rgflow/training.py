@@ -168,7 +168,12 @@ class AdaptiveWeight:
 
 
 class AdamW:
-    """Adam with decoupled weight decay; state keyed by parameter name."""
+    """Adam with decoupled weight decay over one flat parameter vector.
+
+    `step` updates the vector in place.  Its moments and two scratch buffers
+    are allocated on the first step; every later step runs each operation
+    with `out=` or in place and allocates no array.
+    """
 
     def __init__(
         self,
@@ -182,23 +187,47 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self._s1: np.ndarray | None = None
+        self._s2: np.ndarray | None = None
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+            self._s1, self._s2 = np.empty_like(params), np.empty_like(params)
         self.t += 1
         b1, b2 = self.b1, self.b2
-        for key, p in params.items():
-            gr = grads[key]
-            m = self.m.setdefault(key, np.zeros_like(p))
-            v = self.v.setdefault(key, np.zeros_like(p))
-            m *= b1
-            m += (1.0 - b1) * gr
-            v *= b2
-            v += (1.0 - b2) * gr * gr
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            p -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
+        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        m *= b1
+        np.multiply(grads, 1.0 - b1, out=s1)
+        m += s1
+        v *= b2
+        np.multiply(grads, 1.0 - b2, out=s1)
+        s1 *= grads
+        v += s1
+        # p -= lr (m_hat / (sqrt(v_hat) + eps) + weight_decay p)
+        np.divide(m, 1.0 - b1**self.t, out=s1)
+        np.divide(v, 1.0 - b2**self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        np.multiply(params, self.weight_decay, out=s2)
+        s1 += s2
+        s1 *= self.lr
+        params -= s1
+
+
+def _flatten(params: dict) -> tuple[np.ndarray, dict]:
+    """Copy `params` into one contiguous vector, in key order; return it and
+    a dict of reshaped views into it under the same names."""
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    views, start = {}, 0
+    for key, p in params.items():
+        views[key] = flat[start : start + p.size].reshape(p.shape)
+        start += p.size
+    return flat, views
 
 
 # -- training loop ----------------------------------------------------------------
@@ -272,11 +301,17 @@ def train(
     )
     net.reinit(rng)
     weight_net = AdaptiveWeight(rng=rng)
+    # One flat vector per model; the params dicts become views into it, and
+    # gradients are gathered into a flat buffer in the same key order.
+    flat, net.params = _flatten(net.params)
+    w_flat, weight_net.params = _flatten(weight_net.params)
+    grad, w_grad = np.empty_like(flat), np.empty_like(w_flat)
+    ema, ema_params = _flatten(net.params)
+    ema_scratch = np.empty_like(flat)
 
     opt_net = AdamW(cfg.learning_rate, weight_decay=cfg.weight_decay)
     opt_w = AdamW(cfg.learning_rate, weight_decay=cfg.weight_decay)
 
-    ema = {k: v.copy() for k, v in net.params.items()}
     trace = np.empty(cfg.n_steps)
     batch = cfg.batch_size
 
@@ -308,20 +343,22 @@ def train(
         trace[step] = loss
 
         grads = net.backward_batch(cache, d_core)
-        opt_net.step(net.params, grads)
+        np.concatenate([grads[k].ravel() for k in net.params], out=grad)
+        opt_net.step(flat, grad)
 
         if cfg.adaptive_weighting:
             d_w = (ew * sq - 1.0) / batch
             w_grads = weight_net.backward(w_cache, d_w)
-            opt_w.step(weight_net.params, w_grads)
+            np.concatenate([w_grads[k].ravel() for k in weight_net.params], out=w_grad)
+            opt_w.step(w_flat, w_grad)
 
         d = cfg.ema_decay
-        for key, p in net.params.items():
-            ema[key] *= d
-            ema[key] += (1.0 - d) * p
+        ema *= d
+        np.multiply(flat, 1.0 - d, out=ema_scratch)
+        ema += ema_scratch
 
     ema_net = MlpDenoiser(
-        dim=dim, hidden=cfg.hidden, emb_dim=cfg.emb_dim, sigma_d=sd, params=ema
+        dim=dim, hidden=cfg.hidden, emb_dim=cfg.emb_dim, sigma_d=sd, params=ema_params
     )
     return TrainResult(
         denoiser=net, ema_denoiser=ema_net, weight_net=weight_net, loss_trace=trace

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -224,6 +225,23 @@ class TestRestoreCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "W2" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["disi-r", "disi-g"])
+    def test_overflowing_weights_rejected(self, toy_dataset, tmp_path, capsys, mode):
+        """W3 = 1e308 is finite, so the checkpoint loads, but predictions
+        overflow to inf: the run exits 2 with one error line, no numpy
+        warning and no output file."""
+        data, ck = toy_dataset
+        doc = json.loads(ck.read_text())
+        for key in ("weights", "ema_weights"):
+            doc[key]["W3"] = [[1e308] * len(row) for row in doc[key]["W3"]]
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", bad,
+                            "--input", data, "--mode", mode)
+        assert caught == []
 
     def test_missing_input_is_io_error(self, toy_dataset, tmp_path):
         _, ck = toy_dataset

@@ -22,7 +22,7 @@ from rgflow import (
     save_checkpoint,
     time_embed,
 )
-from rgflow.denoiser import weighted_prediction_loss
+from rgflow.denoiser import _frequencies, weighted_prediction_loss
 
 HALF_PI = math.pi / 2.0
 
@@ -48,6 +48,19 @@ class TestTimeEmbed:
     def test_odd_width_rejected(self):
         with pytest.raises(DomainError):
             time_embed(0.5, 7)
+
+    def test_cached_frequencies_match_formula(self):
+        """The frequency vector is built once per width, read-only, and
+        gives the same features as rebuilding it on every call."""
+        t = np.random.default_rng(2).uniform(-HALF_PI, HALF_PI, size=(5, 3))
+        for emb_dim in (2, 8, 32):
+            omega = 1.0e4 ** (-2.0 * np.arange(emb_dim // 2) / emb_dim)
+            phase = t[..., None] * omega
+            want = np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
+            assert np.array_equal(time_embed(t, emb_dim), want)
+            assert np.array_equal(time_embed(t, emb_dim), want)
+        with pytest.raises(ValueError, match="read-only"):
+            _frequencies(8)[0] = 1.0
 
 
 class TestCheatOracle:

@@ -11,8 +11,11 @@ from rgflow import (
     CheatDenoiser,
     ConfigError,
     Elliptical,
+    DimensionMismatch,
     GaussianOracle,
     Linear,
+    MlpDenoiser,
+    NonFiniteOutput,
     PairSample,
     Regression,
     SamplerConfig,
@@ -54,6 +57,15 @@ class TestKappa:
     def test_target_at_zero_noise_time(self):
         assert kappa(0.5, 0.4, 0.0) == 0.0
         assert kappa(1.0, 0.4, 0.0) == -math.sin(0.4)
+
+    def test_underflowing_eta_takes_the_small_eta_limit(self):
+        """eta^2 underflows to 0 below eta ~ 1e-162; kappa then takes its
+        eta -> 0 limit eta * sin(g2) * ln(sin g2 / sin g1) instead of
+        dividing by zero."""
+        for g1, g2 in ((0.2, 0.9), (1.1, 0.3), (1e-3, 1.0)):
+            limit = math.sin(g2) * math.log(math.sin(g2) / math.sin(g1))
+            for eta in (1e-170, 1.33e-244):
+                assert kappa(eta, g1, g2) == pytest.approx(eta * limit, rel=1e-12)
 
     def test_fully_stochastic_defined_from_zero(self):
         for g2 in (0.0, 1e-3, 0.4, HALF_PI):
@@ -291,6 +303,53 @@ class TestRestore:
             for a, b in ((0, 3), (3, 9), (4, 5)):
                 part = restore_batch(sched, den, x1s[a:b], cfg, item_offset=a)
                 assert np.array_equal(part, full[a:b])
+
+    def test_generators_built_on_first_draw(self, monkeypatch):
+        """restore_batch builds its per-item generators only when a step
+        draws: a batch the denoiser rejects, and one boot step from g = 0
+        (kappa = 0), build none; a drawing run builds one per item."""
+        sched = new_schedule(0.5)
+        den = MlpDenoiser(dim=2, hidden=8, emb_dim=4)
+        built = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        traj = Elliptical(phi=sched.phi, delta=math.pi / 8.0)
+        x1s = np.ones((3, 2))
+        with pytest.raises(DimensionMismatch):
+            restore_batch(sched, den, np.ones((1, 3)),
+                          SamplerConfig(trajectory=traj, n_steps=10))
+        assert built == []
+        one = SamplerConfig(trajectory=traj, n_steps=1, eta=1.0)
+        assert np.all(np.isfinite(restore_batch(sched, den, x1s, one)))
+        assert built == []
+        restore_batch(sched, den, x1s, SamplerConfig(trajectory=traj, n_steps=3),
+                      item_offset=5)
+        assert built == [([0, 5],), ([0, 6],), ([0, 7],)]
+
+    def test_non_finite_output_rejected(self):
+        """A denoiser whose prediction for the last row is NaN makes every
+        restore raise NonFiniteOutput, with a message counting the bad rows."""
+
+        class NanRow:
+            def predict(self, x, x1, r, g):
+                out = np.zeros(np.shape(x))
+                np.atleast_2d(out)[-1, 0] = np.nan
+                return out
+
+        sched = new_schedule(0.5)
+        x1s = np.ones((3, 2))
+        for traj in (Regression(phi=sched.phi), Elliptical(phi=sched.phi, delta=0.5),
+                     Linear(phi=sched.phi, delta=0.5)):
+            cfg = SamplerConfig(trajectory=traj, n_steps=4, eta=0.5)
+            with pytest.raises(NonFiniteOutput, match="in 1 of 3 rows"):
+                restore_batch(sched, NanRow(), x1s, cfg)
+            with pytest.raises(NonFiniteOutput, match="in 1 of 1 rows"):
+                restore(sched, NanRow(), x1s[0], cfg)
 
     def test_gaussian_conditional_law_small(self):
         """Endpoint cloud approximates the exact conditional law (loose

@@ -1,12 +1,14 @@
 """Time samplers, adaptive-weighted objective, and the training loop."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from rgflow import (
+    AdamW,
     AdaptiveWeight,
     ConfigError,
     Elliptical,
@@ -139,6 +141,54 @@ class TestAdaptiveWeight:
             assert grads[key][idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
+class TestAdamW:
+    SHAPES = {"W1": (40, 32), "b1": (32,), "W2": (32, 3), "b2": (3,)}
+
+    def test_flat_step_matches_per_key_formula(self):
+        """Five steps on one flat vector equal, bitwise, AdamW written out
+        per parameter tensor with its own moments."""
+        rng = np.random.default_rng(0)
+        params = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
+        flat = np.concatenate([p.ravel() for p in params.values()])
+        lr, b1, b2, eps, wd = 1e-2, 0.9, 0.999, 1e-8, 1e-2
+        opt = AdamW(lr, weight_decay=wd)
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
+            for key, p in params.items():
+                gr = grads[key]
+                m[key] *= b1
+                m[key] += (1.0 - b1) * gr
+                v[key] *= b2
+                v[key] += (1.0 - b2) * gr * gr
+                m_hat = m[key] / (1.0 - b1**t)
+                v_hat = v[key] / (1.0 - b2**t)
+                p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p)
+            opt.step(flat, np.concatenate([grads[k].ravel() for k in params]))
+            assert np.array_equal(
+                flat, np.concatenate([p.ravel() for p in params.values()])
+            )
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        """After the first step has allocated the moments and scratch
+        buffers, a step's traced memory never grows by a parameter vector."""
+        rng = np.random.default_rng(1)
+        params = rng.normal(size=25_602)
+        grads = rng.normal(size=params.size)
+        opt = AdamW()
+        opt.step(params, grads)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            opt.step(params, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < params.nbytes
+
+
 class TestTrainLoop:
     def test_bitwise_deterministic(self):
         ds = make_gaussian_pairs(0.5, 200, seed=1, dim=1)
@@ -157,6 +207,30 @@ class TestTrainLoop:
             assert np.array_equal(
                 result.ema_denoiser.params[key], result.denoiser.params[key]
             )
+
+    def test_parameter_sets_keep_shapes_and_do_not_alias(self):
+        """Each model's params are named views of one flat vector, with the
+        documented shapes; the raw and EMA sets share no memory."""
+        ds = make_gaussian_pairs(0.5, 200, seed=1, dim=2)
+        cfg = TrainConfig(n_steps=5, seed=9, hidden=16, emb_dim=8)
+        result = train(ds, cfg)
+        d_in = 2 * 2 + 2 * 8
+        shapes = {"W1": (d_in, 16), "b1": (16,), "W2": (16, 16), "b2": (16,),
+                  "W3": (16, 2), "b3": (2,)}
+        w_shapes = {"V1": (32, 32), "c1": (32,), "V2": (32, 1), "c2": (1,)}
+        for net, want in ((result.denoiser, shapes), (result.ema_denoiser, shapes),
+                          (result.weight_net, w_shapes)):
+            assert {k: p.shape for k, p in net.params.items()} == want
+            flat = net.params[next(iter(want))].base
+            assert all(p.base is flat for p in net.params.values())
+        raw, ema = result.denoiser.params, result.ema_denoiser.params
+        for key in shapes:
+            assert not np.shares_memory(raw[key], ema[key])
+            before = ema[key].copy()
+            raw[key][...] = 7.0
+            assert np.array_equal(ema[key], before)
+            ema[key][...] = -7.0
+            assert np.all(raw[key] == 7.0)
 
     def test_loss_decreases(self):
         """Short-run progress on the restoration task: the trailing loss
