@@ -20,9 +20,7 @@ from .denoiser import (
 )
 from .dynamics import VelocityPair, euler_integrate, velocities, velocity_r
 from .errors import (
-    CheckFailure,
     ConfigError,
-    DegenerateState,
     DimensionMismatch,
     DomainError,
     EmptyDataset,
@@ -54,7 +52,6 @@ from .schedule import (
     CoeffDerivs,
     CoeffSet,
     GvpSchedule,
-    new_schedule,
 )
 from .sweep import run_sweep
 from .toydata import (
@@ -82,7 +79,6 @@ from .training import (
     UniformSampler,
     make_time_sampler,
     train,
-    weighted_loss,
 )
 from .trajectory import (
     Elliptical,

@@ -38,7 +38,7 @@ from .toydata import (
     save_dataset,
 )
 from .training import TrainConfig, make_time_sampler, train
-from .trajectory import make_trajectory
+from .trajectory import TRAJECTORY_KINDS, make_trajectory
 from .verify import run_checks
 
 
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("traj", help="emit (t, r, g) rows for a trajectory")
     p.add_argument("--kind", required=True,
-                   choices=["elliptical", "linear", "regression", "vpath", "bezier"])
+                   choices=list(TRAJECTORY_KINDS))
     p.add_argument("--delta", type=_angle, default=0.0)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--rho", type=float, default=0.0, help="sets phi = arccos(rho)/2")
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample forward states along a trajectory")
     p.add_argument("--traj", required=True,
-                   choices=["elliptical", "linear", "regression", "vpath", "bezier"])
+                   choices=list(TRAJECTORY_KINDS))
     p.add_argument("--delta", type=_angle, default=0.0)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--pairs", required=True, help="dataset CSV (x0_*, x1_* columns)")
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", default="gaussian", choices=["gaussian"])
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--traj", default="elliptical",
-                   choices=["elliptical", "linear", "vpath", "bezier"])
+                   choices=[k for k in TRAJECTORY_KINDS if k != "regression"])
     p.add_argument("--delta", type=_angle, default=math.pi / 4.0)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--euler-steps", type=int, default=10_000, dest="euler_steps")
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="presets: disi-r = regression/1 step; "
                         "disi-g = elliptical/10 steps with booting")
     p.add_argument("--traj", default="elliptical",
-                   choices=["elliptical", "linear", "regression", "vpath", "bezier"])
+                   choices=list(TRAJECTORY_KINDS))
     p.add_argument("--delta", type=_angle, default=None)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=None)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 from scipy.special import erf
@@ -29,12 +28,6 @@ from .errors import DimensionMismatch, DomainError
 from .schedule import GvpSchedule
 
 _EMB_BASE = 1.0e4
-
-
-class Denoiser(Protocol):
-    """Behavioral contract: predict the clean point from a noisy state."""
-
-    def predict(self, x, x1, r, g) -> np.ndarray: ...
 
 
 @lru_cache(maxsize=None)
@@ -205,15 +198,6 @@ class MlpDenoiser:
     def reinit(self, rng: np.random.Generator) -> None:
         """Redraw hidden-layer weights; output projection stays at zero."""
         self.params = self._init_params(rng)
-
-    def copy(self) -> "MlpDenoiser":
-        return MlpDenoiser(
-            dim=self.dim,
-            hidden=self.hidden,
-            emb_dim=self.emb_dim,
-            sigma_d=self.sigma_d,
-            params={k: v.copy() for k, v in self.params.items()},
-        )
 
     # -- forward -------------------------------------------------------------
 

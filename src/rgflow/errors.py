@@ -36,17 +36,9 @@ class InsufficientData(RgflowError, ValueError):
     """Too few samples for the requested statistic."""
 
 
-class DegenerateState(RgflowError, ArithmeticError):
-    """Observation model carries no information about the target."""
-
-
 class NonFiniteLoss(RgflowError, FloatingPointError):
     """Training loss became NaN/Inf; message carries step diagnostics."""
 
 
 class NonFiniteOutput(RgflowError, FloatingPointError):
     """A restoration result holds NaN/Inf; message counts the bad rows."""
-
-
-class CheckFailure(RgflowError):
-    """A verification check did not meet its tolerance."""

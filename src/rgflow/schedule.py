@@ -134,11 +134,6 @@ class GvpSchedule:
         )
 
 
-def new_schedule(rho: float, sigma_d: float = 1.0) -> GvpSchedule:
-    """Build a GvpSchedule, validating rho in (-1, 1) and sigma_d > 0."""
-    return GvpSchedule(rho=rho, sigma_d=sigma_d)
-
-
 def schedule_grid(sched: GvpSchedule, n: int) -> np.ndarray:
     """Tabulate the schedule on an n x n (r, g) grid.
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatch, DomainError, EmptyDataset, InsufficientData
 from .process import PairSample
@@ -207,6 +206,10 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
 
     V-statistic over all cross pairs; sizes may differ, dimensions may not.
     """
+    # Imported on first use: only sweep and verify measure distances, and
+    # loading scipy.spatial at import would slow every CLI start.
+    from scipy.spatial.distance import cdist
+
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:

@@ -115,14 +115,6 @@ def make_time_sampler(name: str):
 # -- objective ------------------------------------------------------------------
 
 
-def weighted_loss(x0hat, x0, w: float) -> float:
-    """exp(w) * ||x0hat - x0||^2 - w for a single sample."""
-    x0hat = np.asarray(x0hat, dtype=np.float64)
-    x0 = np.asarray(x0, dtype=np.float64)
-    err = x0hat - x0
-    return float(math.exp(w) * float((err * err).sum()) - w)
-
-
 _WEIGHT_LAYERS = (("V1", "c1"), ("V2", "c2"))
 
 
@@ -219,14 +211,17 @@ class AdamW:
         params -= s1
 
 
-def _flatten(params: dict) -> tuple[np.ndarray, dict]:
-    """Copy `params` into one contiguous vector, in key order; return it and
-    a dict of reshaped views into it under the same names."""
-    flat = np.concatenate([p.ravel() for p in params.values()])
-    views, start = {}, 0
-    for key, p in params.items():
-        views[key] = flat[start : start + p.size].reshape(p.shape)
-        start += p.size
+def _flatten(*param_sets: dict) -> tuple[np.ndarray, list[dict]]:
+    """Copy the param dicts into one contiguous vector, in order and in key
+    order; return it and, per dict, reshaped views into it under the same
+    names."""
+    flat = np.concatenate([p.ravel() for ps in param_sets for p in ps.values()])
+    views, start = [], 0
+    for params in param_sets:
+        views.append({})
+        for key, p in params.items():
+            views[-1][key] = flat[start : start + p.size].reshape(p.shape)
+            start += p.size
     return flat, views
 
 
@@ -301,16 +296,17 @@ def train(
     )
     net.reinit(rng)
     weight_net = AdaptiveWeight(rng=rng)
-    # One flat vector per model; the params dicts become views into it, and
-    # gradients are gathered into a flat buffer in the same key order.
-    flat, net.params = _flatten(net.params)
-    w_flat, weight_net.params = _flatten(weight_net.params)
-    grad, w_grad = np.empty_like(flat), np.empty_like(w_flat)
-    ema, ema_params = _flatten(net.params)
-    ema_scratch = np.empty_like(flat)
-
-    opt_net = AdamW(cfg.learning_rate, weight_decay=cfg.weight_decay)
-    opt_w = AdamW(cfg.learning_rate, weight_decay=cfg.weight_decay)
+    # One flat vector holds the denoiser's parameters, then the weight net's;
+    # the params dicts become views into it, and gradients are gathered into
+    # a flat buffer in the same order.  Without adaptive weighting the
+    # optimizer sees only the denoiser's slice.
+    flat, (net.params, weight_net.params) = _flatten(net.params, weight_net.params)
+    ema, (ema_params,) = _flatten(net.params)
+    ema_scratch = np.empty_like(ema)
+    net_flat = flat[: ema.size]
+    opt_params = flat if cfg.adaptive_weighting else net_flat
+    grad = np.empty_like(opt_params)
+    opt = AdamW(cfg.learning_rate, weight_decay=cfg.weight_decay)
 
     trace = np.empty(cfg.n_steps)
     batch = cfg.batch_size
@@ -343,18 +339,16 @@ def train(
         trace[step] = loss
 
         grads = net.backward_batch(cache, d_core)
-        np.concatenate([grads[k].ravel() for k in net.params], out=grad)
-        opt_net.step(flat, grad)
-
+        parts = [grads[k] for k in net.params]
         if cfg.adaptive_weighting:
-            d_w = (ew * sq - 1.0) / batch
-            w_grads = weight_net.backward(w_cache, d_w)
-            np.concatenate([w_grads[k].ravel() for k in weight_net.params], out=w_grad)
-            opt_w.step(w_flat, w_grad)
+            w_grads = weight_net.backward(w_cache, (ew * sq - 1.0) / batch)
+            parts += [w_grads[k] for k in weight_net.params]
+        np.concatenate([p.ravel() for p in parts], out=grad)
+        opt.step(opt_params, grad)
 
         d = cfg.ema_decay
         ema *= d
-        np.multiply(flat, 1.0 - d, out=ema_scratch)
+        np.multiply(net_flat, 1.0 - d, out=ema_scratch)
         ema += ema_scratch
 
     ema_net = MlpDenoiser(

@@ -32,7 +32,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Base path type; subclasses define the (r, g) map and the t domain."""
+    """Base path type; subclasses define the (r, g) map and the t domain.
+
+    The `delta` field of the subclasses that have one is checked here.
+    """
 
     phi: float
 
@@ -43,13 +46,17 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not (0.0 < self.phi <= _HALF_PI):
             raise DomainError(f"phi must lie in (0, pi/2], got {self.phi}")
+        delta = getattr(self, "delta", 0.0)
+        if not (0.0 <= delta <= _HALF_PI):
+            raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
 
     def _raw_point(self, t):
         raise NotImplementedError
 
     @property
     def start_rg(self) -> tuple[float, float]:
-        raise NotImplementedError
+        """The degraded end (phi, 0); paths that start noisy override it."""
+        return (self.phi, 0.0)
 
     @property
     def end_rg(self) -> tuple[float, float]:
@@ -93,11 +100,6 @@ class Trajectory:
         return TimeGrid(t=t, r=r, g=g)
 
 
-def _check_delta(delta: float) -> None:
-    if not (0.0 <= delta <= _HALF_PI):
-        raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
-
-
 @dataclass(frozen=True)
 class Elliptical(Trajectory):
     """r = phi sin t, g = delta cos t on t in [pi/2, -pi/2] (start to end).
@@ -109,14 +111,6 @@ class Elliptical(Trajectory):
     delta: float = 0.0
     t_start = _HALF_PI
     t_end = -_HALF_PI
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _check_delta(self.delta)
-
-    @property
-    def start_rg(self) -> tuple[float, float]:
-        return (self.phi, 0.0)
 
     def _raw_point(self, t):
         return self.phi * np.sin(t), self.delta * np.cos(t)
@@ -134,10 +128,6 @@ class Linear(Trajectory):
     t_start = 1.0
     t_end = 0.0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _check_delta(self.delta)
-
     @property
     def start_rg(self) -> tuple[float, float]:
         return (self.phi, self.delta)
@@ -152,10 +142,6 @@ class Regression(Trajectory):
 
     t_start = 0.0
     t_end = 1.0
-
-    @property
-    def start_rg(self) -> tuple[float, float]:
-        return (self.phi, 0.0)
 
     def _raw_point(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -177,13 +163,8 @@ class VPath(Trajectory):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _check_delta(self.delta)
         if self.p <= 0.0:
             raise DomainError(f"p must be > 0, got {self.p}")
-
-    @property
-    def start_rg(self) -> tuple[float, float]:
-        return (self.phi, 0.0)
 
     def _raw_point(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -201,14 +182,6 @@ class QuadBezier(Trajectory):
     delta: float = 0.0
     t_start = 0.0
     t_end = 1.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _check_delta(self.delta)
-
-    @property
-    def start_rg(self) -> tuple[float, float]:
-        return (self.phi, 0.0)
 
     def _raw_point(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -238,7 +211,7 @@ def path_continuity_order(traj: Trajectory) -> str:
     raise DomainError(f"no continuity classification for {type(traj).__name__}")
 
 
-_KINDS = {
+TRAJECTORY_KINDS = {
     "elliptical": Elliptical,
     "linear": Linear,
     "regression": Regression,
@@ -252,10 +225,10 @@ def make_trajectory(
 ) -> Trajectory:
     """Build a trajectory by name; used by the CLI and config loaders."""
     try:
-        cls = _KINDS[kind]
+        cls = TRAJECTORY_KINDS[kind]
     except KeyError:
         raise DomainError(
-            f"unknown trajectory kind {kind!r}; expected one of {sorted(_KINDS)}"
+            f"unknown trajectory kind {kind!r}; expected one of {sorted(TRAJECTORY_KINDS)}"
         ) from None
     if cls is Regression:
         return Regression(phi=phi)

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import rgflow
 from rgflow.cli import main
 
 
@@ -353,3 +357,16 @@ class TestHelp:
                 main([cmd, "--help"])
             assert exc.value.code == 0
             assert "--" in capsys.readouterr().out
+
+
+class TestImport:
+    def test_cli_import_skips_scipy_spatial(self):
+        """`energy_distance` imports scipy.spatial on first use, so loading
+        the CLI (every `rgflow` process) does not pay for it."""
+        src = os.path.dirname(os.path.dirname(rgflow.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, rgflow.cli; print('scipy.spatial' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

@@ -11,13 +11,13 @@ from rgflow import (
     DimensionMismatch,
     DomainError,
     GaussianOracle,
+    GvpSchedule,
     MlpDenoiser,
     Regression,
     SamplerConfig,
     load_checkpoint,
     make_gaussian_pairs,
     mlp_backward,
-    new_schedule,
     restore,
     save_checkpoint,
     time_embed,
@@ -73,7 +73,7 @@ class TestCheatOracle:
         assert np.array_equal(batch, np.broadcast_to(x0, (3, 2)))
 
     def test_one_step_restore_recovers_truth(self):
-        sched = new_schedule(0.4)
+        sched = GvpSchedule(0.4, 1.0)
         x0 = np.array([0.2, -0.7])
         cfg = SamplerConfig(trajectory=Regression(phi=sched.phi), n_steps=1)
         out = restore(sched, CheatDenoiser(x0), np.array([1.0, 1.0]), cfg)
@@ -127,7 +127,7 @@ class TestGaussianOracle:
         ds = make_gaussian_pairs(rho, 10_000, seed=3)
         x0 = ds.x0_matrix()[:, 0]
         x1 = ds.x1_matrix()[:, 0]
-        sched = new_schedule(rho)
+        sched = GvpSchedule(rho, 1.0)
         oracle = GaussianOracle(rho=rho)
         mlp = MlpDenoiser(dim=1, hidden=16, emb_dim=8)  # zero output head
         rng = np.random.default_rng(4)

@@ -10,10 +10,10 @@ from rgflow import (
     DomainError,
     Elliptical,
     GaussianOracle,
+    GvpSchedule,
     Regression,
     SingularTime,
     euler_integrate,
-    new_schedule,
     velocities,
     velocity_r,
 )
@@ -23,7 +23,7 @@ HALF_PI = math.pi / 2.0
 
 class TestVelocities:
     def test_full_noise_time(self):
-        sched = new_schedule(0.3)
+        sched = GvpSchedule(0.3, 1.0)
         rng = np.random.default_rng(1)
         x, x0hat, x1 = rng.normal(size=(3, 4))
         v = velocities(sched, x, x0hat, x1, 0.1, HALF_PI)
@@ -34,21 +34,21 @@ class TestVelocities:
         np.testing.assert_allclose(v.v_r, np.zeros(4), atol=1e-12)
 
     def test_regression_velocity_at_center(self):
-        sched = new_schedule(0.0)
+        sched = GvpSchedule(0.0, 1.0)
         x0hat = np.array([1.0, 2.0])
         x1 = np.array([-1.0, 0.5])
         v = velocity_r(sched, x0hat, x1, 0.0, 0.0)
         np.testing.assert_allclose(v, (x1 - x0hat) / math.sqrt(2.0), atol=1e-15)
 
     def test_generation_velocity_singular_at_zero(self):
-        sched = new_schedule(0.3)
+        sched = GvpSchedule(0.3, 1.0)
         z = np.zeros(2)
         with pytest.raises(SingularTime):
             velocities(sched, z, z, z, 0.0, 0.0)
         velocity_r(sched, z, z, 0.0, 0.0)  # well-defined there
 
     def test_velocity_r_scaling(self):
-        sched = new_schedule(0.4)
+        sched = GvpSchedule(0.4, 1.0)
         rng = np.random.default_rng(2)
         x0hat, x1 = rng.normal(size=(2, 3))
         base = velocity_r(sched, x0hat, x1, 0.2, 0.5)
@@ -57,7 +57,7 @@ class TestVelocities:
         )
 
     def test_velocity_r_matches_pair(self):
-        sched = new_schedule(0.4)
+        sched = GvpSchedule(0.4, 1.0)
         rng = np.random.default_rng(3)
         x, x0hat, x1 = rng.normal(size=(3, 3))
         pair = velocities(sched, x, x0hat, x1, -0.2, 0.9)
@@ -65,7 +65,7 @@ class TestVelocities:
         assert np.array_equal(pair.v_r, alone)
 
     def test_joint_linearity(self):
-        sched = new_schedule(-0.3)
+        sched = GvpSchedule(-0.3, 1.0)
         rng = np.random.default_rng(4)
         a = rng.normal(size=(3, 5))
         b = rng.normal(size=(3, 5))
@@ -80,7 +80,7 @@ class TestEulerIntegrate:
     def test_regression_path_with_cheat_oracle(self):
         """The regression flow has the closed-form solution alpha*x0+beta*x1;
         forward Euler converges to x0 at first order (error ~ phi/n)."""
-        sched = new_schedule(0.0)
+        sched = GvpSchedule(0.0, 1.0)
         x0 = np.array([0.8, -0.4])
         x1 = np.array([-0.2, 1.1])
         den = CheatDenoiser(x0)
@@ -111,7 +111,7 @@ class TestEulerIntegrate:
                 t = np.asarray(t, dtype=np.float64)
                 return self.phi + (self.r_stop - self.phi) * t, np.zeros_like(t)
 
-        sched = new_schedule(0.4)
+        sched = GvpSchedule(0.4, 1.0)
         x0 = np.array([0.5, -0.1])
         x1 = np.array([-0.3, 0.8])
         den = CheatDenoiser(x0)
@@ -123,7 +123,7 @@ class TestEulerIntegrate:
             np.testing.assert_allclose(got, want, atol=2e-3)
 
     def test_first_order_convergence_on_elliptical(self):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = Elliptical(phi=sched.phi, delta=math.pi / 4.0)
         rng = np.random.default_rng(8)
@@ -135,7 +135,7 @@ class TestEulerIntegrate:
         assert 1.6 <= e1 / e2 <= 2.4
 
     def test_validation(self):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = Elliptical(phi=sched.phi, delta=0.3)
         with pytest.raises(DomainError):
@@ -146,7 +146,7 @@ class TestEulerIntegrate:
     def test_linear_path_consumes_initial_noise(self):
         """A path starting at g = delta > 0 mixes the provided z into the
         initial state; different z must give different endpoints."""
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         from rgflow import Linear
 

@@ -9,12 +9,12 @@ from rgflow import (
     DimensionMismatch,
     DomainError,
     EmptyDataset,
+    GvpSchedule,
     PairSample,
     empirical_variance,
     forward_state,
     interpolate,
     make_gaussian_pairs,
-    new_schedule,
     sample_noise,
 )
 
@@ -28,7 +28,7 @@ def pair():
 
 class TestInterpolate:
     def test_clean_boundary_ignores_noise(self, pair):
-        sched = new_schedule(0.3)
+        sched = GvpSchedule(0.3, 1.0)
         za = np.array([5.0, -7.0])
         zb = np.array([-2.0, 9.0])
         a = interpolate(sched, pair, za, -sched.phi, 0.0)
@@ -37,24 +37,24 @@ class TestInterpolate:
         np.testing.assert_allclose(a.x, pair.x0, atol=1e-12)
 
     def test_degraded_boundary(self, pair):
-        sched = new_schedule(0.3)
+        sched = GvpSchedule(0.3, 1.0)
         s = interpolate(sched, pair, np.zeros(2), sched.phi, 0.0)
         np.testing.assert_allclose(s.x, pair.x1, atol=1e-12)
 
     def test_pure_noise_at_full_generation_time(self, pair):
-        sched = new_schedule(0.3)
+        sched = GvpSchedule(0.3, 1.0)
         z = np.array([0.7, -1.3])
         s = interpolate(sched, pair, z, 0.1, HALF_PI)
         np.testing.assert_allclose(s.x, z, atol=1e-15)
 
     def test_center_point_uncorrelated(self, pair):
-        sched = new_schedule(0.0)
+        sched = GvpSchedule(0.0, 1.0)
         s = interpolate(sched, pair, np.zeros(2), 0.0, 0.0)
         np.testing.assert_allclose(s.x, [1 / math.sqrt(2)] * 2, atol=1e-15)
 
     def test_linear_in_each_argument(self):
         rng = np.random.default_rng(3)
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         x0, x1, z = rng.normal(size=(3, 4))
         r = rng.uniform(-sched.phi, sched.phi)
         g = rng.uniform(0.0, HALF_PI)
@@ -68,7 +68,7 @@ class TestInterpolate:
             np.testing.assert_allclose(scaled_z, base + dz, atol=1e-12)
 
     def test_dimension_mismatch(self, pair):
-        sched = new_schedule(0.3)
+        sched = GvpSchedule(0.3, 1.0)
         with pytest.raises(DimensionMismatch):
             interpolate(sched, pair, np.zeros(3), 0.0, 0.1)
         with pytest.raises(DimensionMismatch):
@@ -76,7 +76,7 @@ class TestInterpolate:
 
 
     def test_out_of_domain_times_rejected(self, pair):
-        sched = new_schedule(0.3)
+        sched = GvpSchedule(0.3, 1.0)
         for r, g in ((sched.phi + 1e-6, 0.1), (0.0, -1e-6), (0.0, HALF_PI + 1e-6)):
             with pytest.raises(DomainError):
                 interpolate(sched, pair, np.zeros(2), r, g)
@@ -85,7 +85,7 @@ class TestInterpolate:
 class TestForwardState:
     def test_per_row_times_match_scalar_calls(self):
         rng = np.random.default_rng(11)
-        sched = new_schedule(0.6)
+        sched = GvpSchedule(0.6, 1.0)
         x0, x1, z = rng.normal(size=(3, 64, 3))
         r = rng.uniform(-sched.phi, sched.phi, size=64)
         g = rng.uniform(0.0, HALF_PI, size=64)
@@ -115,7 +115,7 @@ class TestSampleNoise:
 class TestEmpiricalVariance:
     def test_interior_point(self):
         ds = make_gaussian_pairs(0.5, 50_000, seed=4)
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         v = empirical_variance(
             sched, ds.pairs, 0.1, 0.4, 100_000, np.random.default_rng(6)
         )
@@ -123,7 +123,7 @@ class TestEmpiricalVariance:
 
     def test_pure_noise_point(self):
         ds = make_gaussian_pairs(0.5, 10_000, seed=4)
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         v = empirical_variance(
             sched, ds.pairs, 0.0, HALF_PI, 100_000, np.random.default_rng(6)
         )
@@ -131,7 +131,7 @@ class TestEmpiricalVariance:
 
     def test_high_correlation_grid(self):
         ds = make_gaussian_pairs(0.9, 50_000, seed=4)
-        sched = new_schedule(0.9)
+        sched = GvpSchedule(0.9, 1.0)
         rng = np.random.default_rng(6)
         for rf in (-0.6, 0.0, 0.6):
             for g in (0.2, 0.8, 1.4):
@@ -142,7 +142,7 @@ class TestEmpiricalVariance:
 
     def test_deterministic_given_seed(self):
         ds = make_gaussian_pairs(0.5, 1000, seed=4)
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         a = empirical_variance(sched, ds.pairs, 0.1, 0.4, 20_000, np.random.default_rng(3))
         b = empirical_variance(sched, ds.pairs, 0.1, 0.4, 20_000, np.random.default_rng(3))
         assert a == b
@@ -150,5 +150,5 @@ class TestEmpiricalVariance:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             empirical_variance(
-                new_schedule(0.5), [], 0.0, 0.4, 100, np.random.default_rng(0)
+                GvpSchedule(0.5, 1.0), [], 0.0, 0.4, 100, np.random.default_rng(0)
             )

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from rgflow import (
     CheatDenoiser,
     ConfigError,
-    Elliptical,
     DimensionMismatch,
+    Elliptical,
     GaussianOracle,
+    GvpSchedule,
     Linear,
     MlpDenoiser,
     NonFiniteOutput,
@@ -25,7 +26,6 @@ from rgflow import (
     interpolate,
     kappa,
     make_trajectory,
-    new_schedule,
     regression_step,
     restore,
     restore_batch,
@@ -80,7 +80,7 @@ class TestKappa:
 
 class TestHybridStep:
     def test_deterministic_step_ignores_noise(self):
-        sched = new_schedule(0.4)
+        sched = GvpSchedule(0.4, 1.0)
         rng = np.random.default_rng(0)
         x_prev, x0hat, x1 = rng.normal(size=(3, 3))
         a = hybrid_step(sched, x_prev, x0hat, x1, (0.1, 0.5), (-0.1, 0.3), 0.0,
@@ -90,7 +90,7 @@ class TestHybridStep:
         assert np.array_equal(a, b)
 
     def test_singular_start_rejected(self):
-        sched = new_schedule(0.4)
+        sched = GvpSchedule(0.4, 1.0)
         z = np.zeros(2)
         with pytest.raises(SingularStart):
             hybrid_step(sched, z, z, z, (0.1, 0.0), (0.0, 0.2), 0.5, z)
@@ -105,7 +105,7 @@ class TestHybridStep:
         rng = np.random.default_rng(5)
         for _ in range(200):
             rho = rng.uniform(-0.9, 0.9)
-            sched = new_schedule(rho)
+            sched = GvpSchedule(rho, 1.0)
             pair = PairSample(x0=rng.normal(size=2), x1=rng.normal(size=2))
             z = rng.normal(size=2)
             r1, g1 = rng.uniform(-sched.phi, sched.phi), rng.uniform(0.05, HALF_PI)
@@ -118,7 +118,7 @@ class TestHybridStep:
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_boot_step_matches_fully_stochastic_step(self):
-        sched = new_schedule(0.4)
+        sched = GvpSchedule(0.4, 1.0)
         rng = np.random.default_rng(6)
         x_prev, x0hat, x1, z = rng.normal(size=(4, 3))
         to = (-0.1, 0.45)
@@ -134,7 +134,7 @@ class TestHybridStep:
 
 class TestRegressionStep:
     def test_single_full_step_returns_prediction(self):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         rng = np.random.default_rng(7)
         x1 = rng.normal(size=4)
         x0hat = rng.normal(size=4)
@@ -143,13 +143,13 @@ class TestRegressionStep:
         assert rel <= 1e-15
 
     def test_noop_step(self):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         x = np.array([1.0, -2.0])
         out = regression_step(sched, x, 2 * x, x, 0.2, 0.2)
         assert np.array_equal(out, x)
 
     def test_half_steps_telescope(self):
-        sched = new_schedule(0.3)
+        sched = GvpSchedule(0.3, 1.0)
         rng = np.random.default_rng(8)
         x_prev, x0hat, x1 = rng.normal(size=(3, 2))
         full = regression_step(sched, x_prev, x0hat, x1, sched.phi, -sched.phi)
@@ -160,7 +160,7 @@ class TestRegressionStep:
 
 class TestRestore:
     def test_one_step_regression_identity(self):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         x1 = np.array([1.0, -0.5, 0.25])
         cfg = SamplerConfig(trajectory=Regression(phi=sched.phi), n_steps=1)
@@ -170,14 +170,14 @@ class TestRestore:
         assert rel <= 1e-15
 
     def test_multi_step_regression_with_cheat_oracle(self):
-        sched = new_schedule(0.2)
+        sched = GvpSchedule(0.2, 1.0)
         x0 = np.array([0.3, 0.9])
         cfg = SamplerConfig(trajectory=Regression(phi=sched.phi), n_steps=5)
         out = restore(sched, CheatDenoiser(x0), np.array([1.0, -1.0]), cfg)
         np.testing.assert_allclose(out, x0, atol=1e-12)
 
     def test_zero_delta_reroutes_to_regression(self):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         x1 = np.array([0.7, 0.1])
         reg = restore(
@@ -192,7 +192,7 @@ class TestRestore:
             assert np.array_equal(out, reg)
 
     def test_single_step_on_noiseless_start_needs_full_stochasticity(self):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = Elliptical(phi=sched.phi, delta=0.4)
         x1 = np.array([1.0])
@@ -205,7 +205,7 @@ class TestRestore:
         np.testing.assert_allclose(out, pred, atol=1e-12)
 
     def test_single_step_linear_path_allows_any_eta(self):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = Linear(phi=sched.phi, delta=0.4)
         out = restore(
@@ -215,7 +215,7 @@ class TestRestore:
         assert np.all(np.isfinite(out))
 
     def test_deterministic_given_seed(self):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = Elliptical(phi=sched.phi, delta=0.6)
         cfg = SamplerConfig(trajectory=traj, n_steps=8, eta=0.4, seed=21)
@@ -226,7 +226,7 @@ class TestRestore:
     def test_eta_zero_depends_only_on_boot_draw(self):
         """At eta = 0 every post-boot noise coefficient vanishes, so a single
         supplied draw fully determines the run at any step count."""
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = Elliptical(phi=sched.phi, delta=0.6)
         z = np.array([0.37])
@@ -243,7 +243,7 @@ class TestRestore:
     def test_two_call_run_matches_one_step_regression(self):
         """Any two-call elliptical run collapses to the one-step regression
         answer: the final step to g = 0 keeps only the fresh prediction."""
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         x0 = np.array([0.4, -0.2])
         den = CheatDenoiser(x0)
         x1 = np.array([1.0, 0.6])
@@ -265,7 +265,7 @@ class TestRestore:
         """With a shared boot draw and eta < 1, two-call runs give the same
         output for every apex delta (the final step to g = 0 keeps only the
         fresh prediction)."""
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         x0 = np.array([0.3, -0.8])
         den = CheatDenoiser(x0)
         x1 = np.array([1.0, 0.2])
@@ -279,7 +279,7 @@ class TestRestore:
         assert np.array_equal(outs[0], outs[2])
 
     def test_batch_matches_sequential(self):
-        sched = new_schedule(0.3)
+        sched = GvpSchedule(0.3, 1.0)
         den = GaussianOracle(rho=0.3)
         traj = Linear(phi=sched.phi, delta=0.5)
         cfg = SamplerConfig(trajectory=traj, n_steps=6, eta=0.7, seed=2)
@@ -293,7 +293,7 @@ class TestRestore:
             np.testing.assert_array_equal(batch[i], single)
 
     def test_item_offset_slice_matches_full_batch(self):
-        sched = new_schedule(0.4)
+        sched = GvpSchedule(0.4, 1.0)
         den = GaussianOracle(rho=0.4)
         x1s = np.random.default_rng(12).normal(size=(9, 2))
         for traj, eta in ((Elliptical(phi=sched.phi, delta=0.7), 0.5),
@@ -308,7 +308,7 @@ class TestRestore:
         """restore_batch builds its per-item generators only when a step
         draws: a batch the denoiser rejects, and one boot step from g = 0
         (kappa = 0), build none; a drawing run builds one per item."""
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = MlpDenoiser(dim=2, hidden=8, emb_dim=4)
         built = []
         real = np.random.default_rng
@@ -341,7 +341,7 @@ class TestRestore:
                 np.atleast_2d(out)[-1, 0] = np.nan
                 return out
 
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         x1s = np.ones((3, 2))
         for traj in (Regression(phi=sched.phi), Elliptical(phi=sched.phi, delta=0.5),
                      Linear(phi=sched.phi, delta=0.5)):
@@ -354,7 +354,7 @@ class TestRestore:
     def test_gaussian_conditional_law_small(self):
         """Endpoint cloud approximates the exact conditional law (loose
         bounds; the acceptance suite runs the pinned version)."""
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = Elliptical(phi=sched.phi, delta=HALF_PI)
         cfg = SamplerConfig(trajectory=traj, n_steps=100, eta=0.0, seed=1)
@@ -399,7 +399,7 @@ class TestNoiseContract:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_draw_count_and_sources_agree(self, kind, delta, eta, n_steps, seed):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = make_trajectory(kind, phi=sched.phi, delta=delta, p=1.5)
         cfg = SamplerConfig(trajectory=traj, n_steps=n_steps, eta=eta, seed=seed)

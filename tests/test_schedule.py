@@ -8,7 +8,7 @@ import pytest
 from rgflow import (
     DomainError,
     Elliptical,
-    new_schedule,
+    GvpSchedule,
 )
 from rgflow.schedule import schedule_grid
 
@@ -18,7 +18,7 @@ HALF_PI = math.pi / 2.0
 def bisect_half_range(rho, tol=1e-14):
     """Independent oracle: the half-range is the root of beta(-x) = 0,
     found by bisection on [0, pi/2]."""
-    sched = new_schedule(rho)
+    sched = GvpSchedule(rho, 1.0)
     lo, hi = 0.0, HALF_PI
     f = lambda x: float(sched.beta(-x))
     assert f(lo) > 0.0 and f(hi) < 0.0
@@ -33,34 +33,34 @@ def bisect_half_range(rho, tol=1e-14):
 
 class TestConstruction:
     def test_phi_rho_zero(self):
-        assert new_schedule(0.0).phi == pytest.approx(math.pi / 4.0, abs=1e-15)
+        assert GvpSchedule(0.0, 1.0).phi == pytest.approx(math.pi / 4.0, abs=1e-15)
 
     def test_phi_rho_half(self):
-        assert new_schedule(0.5).phi == pytest.approx(math.pi / 6.0, abs=1e-12)
+        assert GvpSchedule(0.5, 1.0).phi == pytest.approx(math.pi / 6.0, abs=1e-12)
 
     def test_degenerate_rho_rejected(self):
         with pytest.raises(DomainError):
-            new_schedule(1.0)
+            GvpSchedule(1.0, 1.0)
         with pytest.raises(DomainError):
-            new_schedule(-1.0)
+            GvpSchedule(-1.0, 1.0)
 
     def test_bad_sigma_rejected(self):
         with pytest.raises(DomainError):
-            new_schedule(0.0, sigma_d=0.0)
+            GvpSchedule(0.0, sigma_d=0.0)
         with pytest.raises(DomainError):
-            new_schedule(0.0, sigma_d=-1.0)
+            GvpSchedule(0.0, sigma_d=-1.0)
 
     def test_phi_matches_bisection_oracle(self):
         rng = np.random.default_rng(2)
         for rho in rng.uniform(-0.95, 0.95, size=20):
-            assert new_schedule(rho).phi == pytest.approx(
+            assert GvpSchedule(rho, 1.0).phi == pytest.approx(
                 bisect_half_range(rho), abs=1e-12
             )
 
 
 class TestCoeffs:
     def test_boundary_tuples(self):
-        sched = new_schedule(0.3)
+        sched = GvpSchedule(0.3, 1.0)
         lo = sched.coeffs(-sched.phi, 0.0)
         np.testing.assert_allclose(
             [lo.alpha, lo.beta, lo.lam, lo.gamma], [1, 0, 1, 0], atol=1e-12
@@ -71,13 +71,13 @@ class TestCoeffs:
         )
 
     def test_center_point_uncorrelated(self):
-        c = new_schedule(0.0).coeffs(0.0, 0.0)
+        c = GvpSchedule(0.0, 1.0).coeffs(0.0, 0.0)
         assert c.alpha == pytest.approx(1 / math.sqrt(2), abs=1e-15)
         assert c.beta == pytest.approx(1 / math.sqrt(2), abs=1e-15)
         assert (c.lam, c.gamma) == (1.0, 0.0)
 
     def test_generation_axis_exact(self):
-        sched = new_schedule(0.2)
+        sched = GvpSchedule(0.2, 1.0)
         c0 = sched.coeffs(0.0, 0.0)
         assert (c0.lam, c0.gamma) == (1.0, 0.0)
         c1 = sched.coeffs(0.0, HALF_PI)
@@ -88,7 +88,7 @@ class TestCoeffs:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             rho = rng.uniform(-0.99, 0.99)
-            sched = new_schedule(rho)
+            sched = GvpSchedule(rho, 1.0)
             r = rng.uniform(-sched.phi, sched.phi)
             c = sched.coeffs(r, 0.0)
             ident = c.alpha**2 + c.beta**2 + 2.0 * rho * c.alpha * c.beta
@@ -101,7 +101,7 @@ class TestCoeffs:
         rng = np.random.default_rng(8)
         for _ in range(200):
             rho = rng.uniform(-0.95, 0.95)
-            sched = new_schedule(rho)
+            sched = GvpSchedule(rho, 1.0)
             c = sched.coeffs(
                 rng.uniform(-sched.phi, sched.phi), rng.uniform(0.0, HALF_PI)
             )
@@ -111,7 +111,7 @@ class TestCoeffs:
             assert 0.0 <= c.lam <= 1.0 and 0.0 <= c.gamma <= 1.0
 
     def test_domain_is_strict(self):
-        sched = new_schedule(0.4)
+        sched = GvpSchedule(0.4, 1.0)
         with pytest.raises(DomainError):
             sched.coeffs(sched.phi + 1e-6, 0.0)
         with pytest.raises(DomainError):
@@ -122,19 +122,19 @@ class TestCoeffs:
 
 class TestDerivs:
     def test_center_point_uncorrelated(self):
-        d = new_schedule(0.0).coeff_derivs(0.0, 0.3)
+        d = GvpSchedule(0.0, 1.0).coeff_derivs(0.0, 0.3)
         assert d.dalpha == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
         assert d.dbeta == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_generation_derivs_exact_at_zero(self):
-        d = new_schedule(0.3).coeff_derivs(0.0, 0.0)
+        d = GvpSchedule(0.3, 1.0).coeff_derivs(0.0, 0.0)
         assert d.dlambda == 0.0
         assert d.dgamma == 1.0
 
     def test_matches_finite_differences(self):
         h = 1e-6
         for rho in (-0.8, 0.0, 0.6):
-            sched = new_schedule(rho)
+            sched = GvpSchedule(rho, 1.0)
             rs = np.linspace(-sched.phi + h, sched.phi - h, 20)
             gs = np.linspace(h, HALF_PI - h, 20)
             for r, g in zip(rs, gs):
@@ -154,7 +154,7 @@ class TestSingleTimeReduction:
     single-time interpolant with the standard boundary behavior."""
 
     def test_boundaries_and_positivity(self):
-        sched = new_schedule(0.4)
+        sched = GvpSchedule(0.4, 1.0)
         traj = Elliptical(phi=sched.phi, delta=HALF_PI)
 
         def single_time(t):
@@ -175,7 +175,7 @@ class TestSingleTimeReduction:
 
 class TestGridDump:
     def test_shape_and_ends(self):
-        sched = new_schedule(0.5)
+        sched = GvpSchedule(0.5, 1.0)
         table = schedule_grid(sched, 5)
         assert table.shape == (25, 8)
         assert table[0, 0] == -sched.phi and table[-1, 0] == sched.phi

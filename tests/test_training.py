@@ -14,8 +14,10 @@ from rgflow import (
     Elliptical,
     EllipticalSpecialist,
     GaussianOracle,
+    GvpSchedule,
     LinearSpecialist,
     LogitNormalSampler,
+    MlpDenoiser,
     NonFiniteLoss,
     RegressionSpecialist,
     SamplerConfig,
@@ -24,14 +26,13 @@ from rgflow import (
     make_gaussian_pairs,
     make_time_sampler,
     mse,
-    new_schedule,
     restore_batch,
     train,
-    weighted_loss,
 )
+from rgflow.denoiser import _weighted_error
 
 HALF_PI = math.pi / 2.0
-PHI = new_schedule(0.5).phi
+PHI = GvpSchedule(0.5, 1.0).phi
 
 
 class TestTimeSamplers:
@@ -84,22 +85,32 @@ class TestTimeSamplers:
             make_time_sampler("cosine")
 
 
+def train_objective(x0hat, x0, w):
+    """Per-row terms of the loss `train` descends, exp(w) ||x0hat - x0||^2 - w,
+    built as `train` builds them.  With sigma_d = 1 the core output is x0hat."""
+    x0hat = np.atleast_2d(x0hat)
+    net = MlpDenoiser(dim=x0hat.shape[1], hidden=1, emb_dim=2)
+    w = np.broadcast_to(np.asarray(w, dtype=np.float64), (x0hat.shape[0],))
+    sq, ew, _ = _weighted_error(net, x0hat, np.atleast_2d(x0), w)
+    return ew * sq - w
+
+
 class TestWeightedLoss:
     def test_unweighted_case(self):
         x0hat = np.array([1.0, 2.0])
         x0 = np.array([0.0, 0.0])
-        assert weighted_loss(x0hat, x0, 0.0) == pytest.approx(5.0, abs=1e-15)
+        assert train_objective(x0hat, x0, 0.0)[0] == pytest.approx(5.0, abs=1e-15)
 
     def test_exact_fit_pays_negative_weight(self):
         x = np.array([0.3, -0.4])
-        assert weighted_loss(x, x, 0.7) == pytest.approx(-0.7, abs=1e-15)
+        assert train_objective(x, x, 0.7)[0] == pytest.approx(-0.7, abs=1e-15)
 
     def test_optimal_weight_is_negative_log_error(self):
         err = 0.37
-        x0hat = np.array([math.sqrt(err)])
-        x0 = np.array([0.0])
         ws = np.linspace(-4.0, 4.0, 8001)
-        losses = [weighted_loss(x0hat, x0, w) for w in ws]
+        x0hat = np.full((ws.size, 1), math.sqrt(err))
+        x0 = np.zeros((ws.size, 1))
+        losses = train_objective(x0hat, x0, ws)
         w_star = ws[int(np.argmin(losses))]
         assert w_star == pytest.approx(-math.log(err), abs=2e-3)
 
@@ -199,6 +210,40 @@ class TestTrainLoop:
         for key in a.denoiser.params:
             assert np.array_equal(a.denoiser.params[key], b.denoiser.params[key])
 
+    def test_one_optimizer_step_per_training_step(self, monkeypatch):
+        """The denoiser and the weight net share one AdamW, stepped once per
+        training step, with adaptive weighting on or off."""
+        calls = []
+        step = AdamW.step
+
+        def counted(self, params, grads):
+            calls.append(params.size)
+            step(self, params, grads)
+
+        monkeypatch.setattr(AdamW, "step", counted)
+        ds = make_gaussian_pairs(0.5, 200, seed=1, dim=1)
+        for adaptive in (True, False):
+            calls.clear()
+            cfg = TrainConfig(n_steps=7, seed=9, hidden=16, emb_dim=8,
+                              adaptive_weighting=adaptive)
+            result = train(ds, cfg)
+            sizes = [sum(p.size for p in result.denoiser.params.values())]
+            if adaptive:
+                sizes.append(sum(p.size for p in result.weight_net.params.values()))
+            assert calls == [sum(sizes)] * 7
+
+    def test_weight_net_frozen_without_adaptive_weighting(self):
+        """With adaptive weighting off, the weight net keeps its initial draw:
+        its params after 1 and after 50 steps are bitwise equal."""
+        ds = make_gaussian_pairs(0.5, 200, seed=1, dim=1)
+        nets = [
+            train(ds, TrainConfig(n_steps=n, seed=9, hidden=16, emb_dim=8,
+                                  adaptive_weighting=False)).weight_net
+            for n in (1, 50)
+        ]
+        for key, value in nets[0].params.items():
+            assert np.array_equal(value, nets[1].params[key])
+
     def test_zero_ema_decay_tracks_weights(self):
         ds = make_gaussian_pairs(0.5, 200, seed=1, dim=1)
         cfg = TrainConfig(n_steps=5, seed=9, hidden=16, emb_dim=8, ema_decay=0.0)
@@ -270,7 +315,7 @@ class TestTrainLoop:
         result = train(ds, cfg)
         net = result.ema_denoiser
         oracle = GaussianOracle(rho=rho)
-        sched = new_schedule(rho)
+        sched = GvpSchedule(rho, 1.0)
         rng = np.random.default_rng(5)
         hold = make_gaussian_pairs(rho, 2000, seed=55, dim=1)
         x0 = hold.x0_matrix()
@@ -292,7 +337,7 @@ class TestTrainLoop:
         rho = 0.5
         ds = make_gaussian_pairs(rho, 2000, seed=6, dim=1)
         hold = make_gaussian_pairs(rho, 1000, seed=66, dim=1)
-        sched = new_schedule(rho)
+        sched = GvpSchedule(rho, 1.0)
         results = {}
         for name, sampler in (
             ("regression", RegressionSpecialist()),

@@ -168,6 +168,10 @@ class TestFactoryAndFlags:
         with pytest.raises(DomainError):
             Linear(phi=PHI, delta=HALF_PI + 0.1)
         with pytest.raises(DomainError):
+            VPath(phi=PHI, delta=-0.1, p=2.0)
+        with pytest.raises(DomainError):
+            QuadBezier(phi=PHI, delta=HALF_PI + 0.1)
+        with pytest.raises(DomainError):
             VPath(phi=PHI, delta=0.2, p=0.0)
         with pytest.raises(DomainError):
             Elliptical(phi=0.0, delta=0.2)
