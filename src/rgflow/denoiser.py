@@ -202,25 +202,28 @@ class MlpDenoiser:
     # -- forward -------------------------------------------------------------
 
     def features(self, x, x1, r, g) -> np.ndarray:
-        """Assemble the normalized input block for a batch (n, d)."""
+        """Assemble the normalized input block for a batch (n, d).
+
+        A scalar time, as every sampler call passes, is embedded once and
+        broadcast over the rows; per-row times, as training passes, are
+        embedded row by row.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-        if x.shape != x1.shape or x.shape[1] != self.dim:
+        if x.shape != x1.shape or x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"x {x.shape} / x1 {x1.shape} incompatible with dim={self.dim}"
             )
-        n = x.shape[0]
-        r = np.broadcast_to(np.asarray(r, dtype=np.float64), (n,))
-        g = np.broadcast_to(np.asarray(g, dtype=np.float64), (n,))
-        return np.concatenate(
-            [
-                x / self.sigma_d,
-                x1 / self.sigma_d,
-                time_embed(r, self.emb_dim),
-                time_embed(g, self.emb_dim),
-            ],
-            axis=1,
-        )
+        n, d, e = x.shape[0], self.dim, self.emb_dim
+        feats = np.empty((n, self.input_dim))
+        np.divide(x, self.sigma_d, out=feats[:, :d])
+        np.divide(x1, self.sigma_d, out=feats[:, d : 2 * d])
+        for col, t in ((2 * d, r), (2 * d + e, g)):
+            t = np.asarray(t, dtype=np.float64)
+            if t.ndim:
+                t = np.broadcast_to(t, (n,))
+            feats[:, col : col + e] = time_embed(t, e)
+        return feats
 
     def predict(self, x, x1, r, g) -> np.ndarray:
         x_arr = np.asarray(x, dtype=np.float64)

@@ -15,14 +15,15 @@ stochastic (eta = 1, k^s = 1, kappa = sin g2 - sin g1).
 
 The update is undefined from g1 = 0, where k diverges, except at eta = 1:
 there k^0 = 1 and kappa = sin g2 - sin g1 stay finite.  One loop runs every
-noisy path, for exactly n_steps denoiser calls, over the start, a boot point
-at t_start offset by boot_epsilon (paths that start at g = 0, i.e.
-Elliptical, V-path and Bezier, with n_steps > 1), then a uniform grid.  The
-step from g = 0 is that eta = 1 update (boot_step), every other step the
-hybrid update at the configured eta, and a step draws noise only where its
-kappa is nonzero.  So n_steps = 1 from g = 0 is one boot step to the clean
-end (kappa = 0, no draw), and eta < 1 is rejected there.  Pure regression
-paths use the noiseless update
+path, for exactly n_steps denoiser calls, over a step plan (see `plan`)
+compiled once per schedule and sampler settings.  A noisy path visits the
+start, a boot point at t_start offset by boot_epsilon (paths that start at
+g = 0, i.e. Elliptical, V-path and Bezier, with n_steps > 1), then a
+uniform grid.  The step from g = 0 is that eta = 1 update (boot_step),
+every other step the hybrid update at the configured eta, and a step draws
+noise only where its kappa is nonzero.  So n_steps = 1 from g = 0 is one
+boot step to the clean end (kappa = 0, no draw), and eta < 1 is rejected
+there.  Pure regression paths use the noiseless update
 x2 = x1state + (alpha_r2 - alpha_r1) x0hat + (beta_r2 - beta_r1) x1 instead.
 """
 
@@ -30,13 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable
+from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NonFiniteOutput, SingularStart
-from .schedule import GvpSchedule
+from .errors import ConfigError, DimensionMismatch, DomainError, NonFiniteOutput, SingularStart
+from .schedule import CoeffSet, GvpSchedule
 from .trajectory import Regression, Trajectory
 
 _HALF_PI = math.pi / 2.0
@@ -91,6 +92,23 @@ def _match(*arrays) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _update(x, x0hat, x1, ks: float, c1: CoeffSet, c2: CoeffSet, kap: float, z):
+    """The hybrid update with its scalars filled in: the one copy of the
+    formula, run by hybrid_step, boot_step and the plan loop alike."""
+    return (
+        ks * x
+        + c2.lam * (c2.alpha * x0hat + c2.beta * x1)
+        - ks * c1.lam * (c1.alpha * x0hat + c1.beta * x1)
+        + kap * z
+    )
+
+
+def _regression_update(x, x0hat, x1, d_alpha: float, d_beta: float):
+    """The noiseless update along g = 0, given alpha_r2 - alpha_r1 and
+    beta_r2 - beta_r1."""
+    return x + d_alpha * x0hat + d_beta * x1
+
+
 def hybrid_step(
     sched: GvpSchedule,
     x_prev,
@@ -109,13 +127,7 @@ def hybrid_step(
     x_prev, x0hat, x1, z = _match(x_prev, x0hat, x1, z)
     c1 = sched.coeffs(r1, g1)
     c2 = sched.coeffs(r2, g2)
-    ks = _k_pow_s(eta, g1, g2)
-    return (
-        ks * x_prev
-        + c2.lam * (c2.alpha * x0hat + c2.beta * x1)
-        - ks * c1.lam * (c1.alpha * x0hat + c1.beta * x1)
-        + kap * z
-    )
+    return _update(x_prev, x0hat, x1, _k_pow_s(eta, g1, g2), c1, c2, kap, z)
 
 
 def boot_step(
@@ -140,9 +152,9 @@ def regression_step(
 ) -> np.ndarray:
     """Noiseless update along g = 0."""
     x_prev, x0hat, x1 = _match(x_prev, x0hat, x1)
-    a1, a2 = sched.alpha(r1), sched.alpha(r2)
-    b1, b2 = sched.beta(r1), sched.beta(r2)
-    return x_prev + (a2 - a1) * x0hat + (b2 - b1) * x1
+    d_alpha = sched.alpha(r2) - sched.alpha(r1)
+    d_beta = sched.beta(r2) - sched.beta(r1)
+    return _regression_update(x_prev, x0hat, x1, d_alpha, d_beta)
 
 
 @dataclass(frozen=True)
@@ -166,79 +178,136 @@ class SamplerConfig:
             )
 
 
-def _list_source(noise: Iterable[np.ndarray]) -> Callable[[], np.ndarray]:
-    items = [np.asarray(a, dtype=np.float64) for a in noise]
-    it = iter(items)
+REGRESSION, BOOT, HYBRID = "regression", "boot", "hybrid"
 
-    def draw() -> np.ndarray:
-        z = next(it, None)
-        if z is None:
-            raise ConfigError(f"noise override exhausted at draw {len(items)}")
-        return z
 
-    return draw
+@dataclass(frozen=True)
+class Step:
+    """One update of a plan: its kind (REGRESSION, BOOT or HYBRID), its
+    (r, g) endpoints, k^s, the coefficients at both ends and kappa."""
+
+    kind: str
+    frm: tuple[float, float]
+    to: tuple[float, float]
+    ks: float
+    c1: CoeffSet
+    c2: CoeffSet
+    kappa: float
+
+
+@dataclass(frozen=True)
+class Plan:
+    """Everything a restoration computes before its first denoiser call.
+
+    `start` holds the coefficients of a start at g > 0, whose state is
+    lam beta x1 + gamma z, and is None for a start at g = 0, whose state is
+    x1.  `n_draws` counts the noise draws: one for a start at g > 0, then
+    one per step whose kappa is nonzero.
+    """
+
+    start: CoeffSet | None
+    steps: tuple[Step, ...]
+    n_draws: int
 
 
 def _is_regressive(traj: Trajectory) -> bool:
     return isinstance(traj, Regression) or getattr(traj, "delta", None) == 0.0
 
 
-def _run_regression(sched, denoiser, x1, n_steps) -> np.ndarray:
-    grid = Regression(phi=sched.phi).discretize(n_steps)
-    x = np.array(x1, dtype=np.float64, copy=True)
-    for i in range(len(grid) - 1):
-        r_cur, r_nxt = float(grid.r[i]), float(grid.r[i + 1])
-        x0hat = denoiser.predict(x, x1, r_cur, 0.0)
-        x = regression_step(sched, x, x0hat, x1, r_cur, r_nxt)
-    return x
-
-
-def _points(cfg: SamplerConfig) -> list[tuple[float, float]]:
-    """The n_steps + 1 (r, g) points a run visits: the path start, the boot
-    point when the path starts at g = 0 and n_steps > 1, then the uniform
-    grid over the rest of the budget."""
-    traj = cfg.trajectory
-    boot = traj.starts_noiseless and cfg.n_steps > 1
-    if traj.starts_noiseless and not boot and cfg.eta != 1.0:
+def _points(traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float):
+    """The n_steps + 1 (r, g) points a noisy run visits: the path start, the
+    boot point when the path starts at g = 0 and n_steps > 1, then the
+    uniform grid over the rest of the budget."""
+    boot = traj.starts_noiseless and n_steps > 1
+    if traj.starts_noiseless and not boot and eta != 1.0:
         raise ConfigError("a path starting at g=0 with n_steps=1 requires eta=1")
-    grid = traj.discretize(cfg.n_steps - boot)
+    grid = traj.discretize(n_steps - boot)
     points = [(float(r), float(g)) for r, g in zip(grid.r, grid.g)]
     if boot:
         direction = 1.0 if traj.t_end > traj.t_start else -1.0
-        points.insert(1, traj.point(traj.t_start + direction * cfg.boot_epsilon))
+        points.insert(1, traj.point(traj.t_start + direction * boot_epsilon))
     return points
 
 
-def _run_noisy(sched, denoiser, x1, cfg, draw) -> np.ndarray:
-    points = _points(cfg)
-    r0, g0 = points[0]
-    if g0 == 0.0:
+@lru_cache(maxsize=256, typed=True)
+def _plan(
+    sched: GvpSchedule, traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float
+) -> Plan:
+    regressive = _is_regressive(traj)
+    if regressive:
+        grid = Regression(phi=sched.phi).discretize(n_steps)
+        points = [(float(r), float(g)) for r, g in zip(grid.r, grid.g)]
+    else:
+        points = _points(traj, n_steps, eta, boot_epsilon)
+    coeffs = [sched.coeffs(r, g) for r, g in points]
+    steps = []
+    for frm, to, c1, c2 in zip(points[:-1], points[1:], coeffs[:-1], coeffs[1:]):
+        if regressive:
+            steps.append(Step(REGRESSION, frm, to, 1.0, c1, c2, 0.0))
+            continue
+        kind = BOOT if frm[1] == 0.0 else HYBRID
+        step_eta = 1.0 if kind == BOOT else eta
+        # kappa first: it rejects eta outside [0, 1] and g1 <= 0 below eta = 1.
+        kap = kappa(step_eta, frm[1], to[1])
+        steps.append(Step(kind, frm, to, _k_pow_s(step_eta, frm[1], to[1]), c1, c2, kap))
+    start = None if points[0][1] == 0.0 else coeffs[0]
+    n_draws = (start is not None) + sum(s.kappa != 0.0 for s in steps)
+    return Plan(start, tuple(steps), n_draws)
+
+
+def plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan:
+    """The step plan of a restoration under `sched` and `cfg`.
+
+    Built once per (sched, trajectory, n_steps, eta, boot_epsilon) and kept
+    in a bounded cache; the seed is not part of the key.  Every rejection of
+    the configuration (ConfigError, SingularStart, DomainError from the
+    schedule) is raised here.
+    """
+    return _plan(sched, cfg.trajectory, cfg.n_steps, cfg.eta, cfg.boot_epsilon)
+
+
+def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
+    """Run plan `p` from x1.  `draw()` returns the run's p.n_draws noise
+    samples, indexable in draw order; it is called once, at the first step
+    that needs noise."""
+    noise, used = None, 0
+    if p.start is None:
         x = np.array(x1, dtype=np.float64, copy=True)
     else:
-        c0 = sched.coeffs(r0, g0)
-        x = c0.lam * c0.beta * x1 + c0.gamma * draw()
-    for frm, to in zip(points[:-1], points[1:]):
-        boot = frm[1] == 0.0
-        x0hat = denoiser.predict(x, x1, *frm)
-        kap = kappa(1.0 if boot else cfg.eta, frm[1], to[1])
-        z = draw() if kap != 0.0 else np.zeros_like(x)
-        if boot:
-            x = boot_step(sched, x, x0hat, x1, frm, to, z)
+        noise, used = draw(), 1
+        c0 = p.start
+        x = c0.lam * c0.beta * x1 + c0.gamma * noise[0]
+    for step in p.steps:
+        x0hat = denoiser.predict(x, x1, *step.frm)
+        if step.kind == REGRESSION:
+            x, x0hat, x1 = _match(x, x0hat, x1)
+            c1, c2 = step.c1, step.c2
+            x = _regression_update(x, x0hat, x1, c2.alpha - c1.alpha, c2.beta - c1.beta)
+            continue
+        if step.kappa != 0.0:
+            if noise is None:
+                noise = draw()
+            z = noise[used]
+            used += 1
         else:
-            x = hybrid_step(sched, x, x0hat, x1, frm, to, cfg.eta, z)
+            z = np.zeros_like(x)
+        x, x0hat, x1, z = _match(x, x0hat, x1, z)
+        x = _update(x, x0hat, x1, step.ks, step.c1, step.c2, step.kappa, z)
     return x
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
-    """Return a restoration result, or raise NonFiniteOutput if it holds NaN
-    or inf."""
+def _require_finite(x: np.ndarray, error: type, message: str) -> np.ndarray:
+    """Return x, or raise `error` with `message` formatted with the count of
+    rows holding NaN or inf ({bad}) and the row count ({n})."""
     if not np.isfinite(x).all():
         rows = np.atleast_2d(x)
         bad = int((~np.isfinite(rows)).any(axis=1).sum())
-        raise NonFiniteOutput(
-            f"restoration produced non-finite values in {bad} of {len(rows)} rows"
-        )
+        raise error(message.format(bad=bad, n=len(rows)))
     return x
+
+
+_BAD_INPUT = "x1 holds non-finite values in {bad} of {n} rows"
+_BAD_OUTPUT = "restoration produced non-finite values in {bad} of {n} rows"
 
 
 def restore(
@@ -256,19 +325,37 @@ def restore(
     consumed in step order: one for a start at g > 0, then one per step whose
     noise coefficient is nonzero.  So eta = 0 runs depend on at most one draw
     regardless of n_steps, and n_steps = 1 from g = 0 (one boot step to the
-    clean end, kappa = 0) draws none.  Regression paths draw nothing and
-    build no generator.  A result holding NaN or inf raises NonFiniteOutput.
+    clean end, kappa = 0) draws none.  The draw count is known from the plan,
+    so the run takes all its draws from `rng` in one normal() call, at its
+    first draw, leaving `rng` in the state that many sequential draws would.
+    Regression paths draw nothing and build no generator.
+
+    A rejected configuration, a NaN or inf in x1 (DomainError) and a `noise`
+    sequence too short for the plan (ConfigError) are all raised before any
+    denoiser call or draw.  If the denoiser fails mid-run (say, a dimension
+    mismatch on a path that starts at g > 0), a passed `rng` may already
+    have advanced by the whole block.  A result holding NaN or inf raises
+    NonFiniteOutput.
     """
     x1 = np.asarray(x1, dtype=np.float64)
-    if _is_regressive(cfg.trajectory):
-        return _finite(_run_regression(sched, denoiser, x1, cfg.n_steps))
-    if noise is not None:
-        draw = _list_source(noise)
+    p = plan(sched, cfg)
+    _require_finite(x1, DomainError, _BAD_INPUT)
+    # Regression paths draw nothing and ignore `noise`, as they always did.
+    if noise is None or _is_regressive(cfg.trajectory):
+
+        def draw() -> np.ndarray:
+            gen = np.random.default_rng(cfg.seed) if rng is None else rng
+            return gen.normal(0.0, sched.sigma_d, size=(p.n_draws, *x1.shape))
+
     else:
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
-        draw = partial(rng.normal, 0.0, sched.sigma_d, x1.shape)
-    return _finite(_run_noisy(sched, denoiser, x1, cfg, draw))
+        items = [np.asarray(a, dtype=np.float64) for a in noise]
+        if len(items) < p.n_draws:
+            raise ConfigError(f"noise override exhausted at draw {len(items)}")
+
+        def draw() -> list[np.ndarray]:
+            return items
+
+    return _require_finite(_run(p, denoiser, x1, draw), NonFiniteOutput, _BAD_OUTPUT)
 
 
 def restore_batch(
@@ -282,23 +369,26 @@ def restore_batch(
 
     Item i draws from default_rng([cfg.seed, item_offset + i]), exactly the
     stream a sequential restore(..., rng=default_rng([cfg.seed, i])) would
-    consume, so the result is independent of batching, chunking, or
-    scheduling order.  The generators are built on the first draw, so a run
-    that draws nothing (a regression path, or one boot step with kappa = 0)
-    builds none.  A result holding NaN or inf raises NonFiniteOutput.
+    consume, so the noise is independent of batching, chunking, or
+    scheduling order (and so is the result under a per-coordinate denoiser;
+    an MLP's matmuls may round differently for another row count).  Each
+    item takes its draws in one normal() call, and the generators are built
+    at the run's first draw, so a run that draws nothing (a regression path,
+    one boot step with kappa = 0, or an empty batch) builds none.
+
+    A rejected configuration and a NaN or inf in x1_batch (DomainError,
+    counting the bad rows) are raised before any denoiser call or draw.  A
+    result holding NaN or inf raises NonFiniteOutput.
     """
     x1_batch = np.atleast_2d(np.asarray(x1_batch, dtype=np.float64))
-    if _is_regressive(cfg.trajectory):
-        return _finite(_run_regression(sched, denoiser, x1_batch, cfg.n_steps))
-    n_items, dim = x1_batch.shape
-    rngs = []
+    p = plan(sched, cfg)
+    _require_finite(x1_batch, DomainError, _BAD_INPUT)
 
     def draw() -> np.ndarray:
-        if not rngs:
-            rngs.extend(
-                np.random.default_rng([cfg.seed, item_offset + i])
-                for i in range(n_items)
-            )
-        return np.stack([r.normal(0.0, sched.sigma_d, size=dim) for r in rngs])
+        block = np.empty((p.n_draws, *x1_batch.shape))
+        for i in range(len(x1_batch)):
+            gen = np.random.default_rng([cfg.seed, item_offset + i])
+            block[:, i] = gen.normal(0.0, sched.sigma_d, size=block[:, i].shape)
+        return block
 
-    return _finite(_run_noisy(sched, denoiser, x1_batch, cfg, draw))
+    return _require_finite(_run(p, denoiser, x1_batch, draw), NonFiniteOutput, _BAD_OUTPUT)

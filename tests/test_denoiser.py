@@ -193,6 +193,8 @@ class TestMlp:
         net = MlpDenoiser(dim=2, hidden=8, emb_dim=4)
         with pytest.raises(DimensionMismatch):
             net.predict(np.zeros(3), np.zeros(3), 0.1, 0.2)
+        with pytest.raises(DimensionMismatch):
+            net.predict(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)), 0.1, 0.2)
 
     def test_per_item_times(self):
         net = MlpDenoiser(dim=1, hidden=8, emb_dim=4, params={})
@@ -205,6 +207,19 @@ class TestMlp:
         for i in range(2):
             single = net.predict(x[i], x[i], rs[i], gs[i])
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
+
+    @pytest.mark.parametrize("emb_dim", [2, 16, 32])
+    def test_scalar_times_match_per_row_times(self, emb_dim):
+        """A scalar (r, g), embedded once and broadcast, gives the same
+        features bit for bit as the same times passed as one value per row."""
+        net = MlpDenoiser(dim=3, hidden=8, emb_dim=emb_dim)
+        rng = np.random.default_rng(emb_dim)
+        for n in (1, 2, 7, 64):
+            x, x1 = rng.normal(size=(2, n, 3))
+            for r, g in rng.uniform(-HALF_PI, HALF_PI, size=(5, 2)):
+                scalar = net.features(x, x1, r, g)
+                rows = net.features(x, x1, np.full(n, r), np.full(n, g))
+                assert scalar.tobytes() == rows.tobytes()
 
 
 class TestMlpBackward:

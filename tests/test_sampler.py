@@ -1,6 +1,7 @@
 """Hybrid sampler: kappa limits, step identities, full restoration loops."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rgflow import (
     CheatDenoiser,
     ConfigError,
     DimensionMismatch,
+    DomainError,
     Elliptical,
     GaussianOracle,
     GvpSchedule,
@@ -29,7 +31,9 @@ from rgflow import (
     regression_step,
     restore,
     restore_batch,
+    sampler,
 )
+from rgflow.trajectory import TRAJECTORY_KINDS
 
 HALF_PI = math.pi / 2.0
 
@@ -372,21 +376,87 @@ class TestRestore:
             SamplerConfig(trajectory=traj, n_steps=2, boot_epsilon=0.0)
 
 
-def _draws_needed(traj, cfg):
-    """Draws a run consumes: one for a start at g > 0, then one per step with
-    nonzero kappa.  The steps run from the path start through the boot point
-    (paths starting at g = 0 with n_steps > 1) and then the uniform grid; the
-    step from g = 0 is the eta = 1 boot step."""
+def _oracle_points(traj, cfg):
+    """The (r, g) points a noisy run visits: the path start, the boot point
+    (paths starting at g = 0 with n_steps > 1), then the uniform grid."""
     boot = traj.starts_noiseless and cfg.n_steps > 1
     grid = traj.discretize(cfg.n_steps - boot)
-    gs = [float(g) for g in grid.g]
+    points = [(float(r), float(g)) for r, g in zip(grid.r, grid.g)]
     if boot:
         direction = 1.0 if traj.t_end > traj.t_start else -1.0
-        gs.insert(1, traj.point(traj.t_start + direction * cfg.boot_epsilon)[1])
+        points.insert(1, traj.point(traj.t_start + direction * cfg.boot_epsilon))
+    return points
+
+
+def _draws_needed(traj, cfg):
+    """Draws a run consumes: one for a start at g > 0, then one per step with
+    nonzero kappa; the step from g = 0 is the eta = 1 boot step."""
+    gs = [g for _, g in _oracle_points(traj, cfg)]
     needed = 0 if traj.starts_noiseless else 1
     for g1, g2 in zip(gs[:-1], gs[1:]):
         needed += kappa(1.0 if g1 == 0.0 else cfg.eta, g1, g2) != 0.0
     return needed
+
+
+def _oracle_restore(sched, den, x1, cfg, draw):
+    """Step-by-step restoration from the public step functions, taking one
+    draw() for a noisy start and one per step whose kappa is nonzero."""
+    traj = cfg.trajectory
+    x = np.array(x1, dtype=np.float64, copy=True)
+    if isinstance(traj, Regression) or traj.delta == 0.0:
+        rs = [float(r) for r in Regression(phi=sched.phi).discretize(cfg.n_steps).r]
+        for r1, r2 in zip(rs[:-1], rs[1:]):
+            x = regression_step(sched, x, den.predict(x, x1, r1, 0.0), x1, r1, r2)
+        return x
+    points = _oracle_points(traj, cfg)
+    r0, g0 = points[0]
+    if g0 > 0.0:
+        c0 = sched.coeffs(r0, g0)
+        x = c0.lam * c0.beta * x1 + c0.gamma * draw()
+    for frm, to in zip(points[:-1], points[1:]):
+        x0hat = den.predict(x, x1, *frm)
+        boot = frm[1] == 0.0
+        if kappa(1.0 if boot else cfg.eta, frm[1], to[1]) != 0.0:
+            z = draw()
+        else:
+            z = np.zeros_like(x)
+        if boot:
+            x = boot_step(sched, x, x0hat, x1, frm, to, z)
+        else:
+            x = hybrid_step(sched, x, x0hat, x1, frm, to, cfg.eta, z)
+    return x
+
+
+def _trained_like_mlp():
+    """A small MLP with a nonzero output layer, so its predictions vary."""
+    net = MlpDenoiser(dim=2, hidden=8, emb_dim=4, sigma_d=1.0)
+    net.reinit(np.random.default_rng(17))
+    net.params["W3"][:] = np.random.default_rng(18).normal(0.0, 0.3, size=(8, 2))
+    return net
+
+
+_DENOISERS = {"oracle": GaussianOracle(rho=0.5), "mlp": _trained_like_mlp()}
+
+_run_settings = dict(
+    kind=st.sampled_from(sorted(TRAJECTORY_KINDS)),
+    delta=st.one_of(st.sampled_from([0.0, math.pi / 8, HALF_PI]), st.floats(0.0, HALF_PI)),
+    eta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    n_steps=st.integers(1, 15),
+    seed=st.integers(0, 2**32 - 1),
+    den=st.sampled_from(sorted(_DENOISERS)),
+)
+
+
+def _config(sched, kind, delta, eta, n_steps, seed):
+    traj = make_trajectory(kind, phi=sched.phi, delta=delta, p=1.5)
+    return SamplerConfig(trajectory=traj, n_steps=n_steps, eta=eta, seed=seed)
+
+
+def _rejected(cfg):
+    """A path from g = 0 in one step is defined only at eta = 1."""
+    traj = cfg.trajectory
+    regressive = isinstance(traj, Regression) or traj.delta == 0.0
+    return not regressive and traj.starts_noiseless and cfg.n_steps == 1 and cfg.eta != 1.0
 
 
 class TestNoiseContract:
@@ -418,3 +488,182 @@ class TestNoiseContract:
                 restore(sched, den, x1, cfg, noise=zs[:-1])
         from_rng = restore(sched, den, x1, cfg, rng=np.random.default_rng(seed))
         assert np.array_equal(from_rng, from_list)
+
+
+class TestPlan:
+    @settings(max_examples=80, deadline=None)
+    @given(**_run_settings)
+    def test_plan_loop_matches_step_by_step_oracle(self, kind, delta, eta, n_steps, seed, den):
+        """restore and restore_batch, run over the cached plan with one noise
+        block per item, equal the step-by-step oracle bit for bit, and leave a
+        passed generator where the oracle's sequential draws leave it."""
+        sched = GvpSchedule(0.5, 1.0)
+        den = _DENOISERS[den]
+        cfg = _config(sched, kind, delta, eta, n_steps, seed)
+        x1s = np.random.default_rng(seed).normal(size=(3, 2))
+        if _rejected(cfg):
+            with pytest.raises(ConfigError):
+                restore(sched, den, x1s[0], cfg)
+            return
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = restore(sched, den, x1s[0], cfg, rng=got_rng)
+        want = _oracle_restore(
+            sched, den, x1s[0], cfg, lambda: want_rng.normal(0.0, sched.sigma_d, size=2)
+        )
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        gens = [np.random.default_rng([seed, i]) for i in range(len(x1s))]
+        want = _oracle_restore(
+            sched, den, x1s, cfg,
+            lambda: np.stack([g.normal(0.0, sched.sigma_d, size=2) for g in gens]),
+        )
+        assert restore_batch(sched, den, x1s, cfg).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        **{k: v for k, v in _run_settings.items() if k != "den"},
+        n_items=st.integers(1, 9),
+        cuts=st.lists(st.integers(0, 9), max_size=4),
+        offset=st.integers(0, 50),
+    )
+    def test_batch_invariant_under_chunking(
+        self, kind, delta, eta, n_steps, seed, n_items, cuts, offset
+    ):
+        """Any split of a batch into chunks, each restored with its
+        item_offset, reproduces the whole batch bit for bit.  The Gaussian
+        oracle works per coordinate; an MLP's matmuls may round differently
+        for another row count."""
+        sched = GvpSchedule(0.5, 1.0)
+        den = _DENOISERS["oracle"]
+        cfg = _config(sched, kind, delta, eta, n_steps, seed)
+        if _rejected(cfg):
+            return
+        x1s = np.random.default_rng(seed).normal(size=(n_items, 2))
+        whole = restore_batch(sched, den, x1s, cfg, item_offset=offset)
+        bounds = sorted({0, n_items, *(c for c in cuts if c < n_items)})
+        parts = [
+            restore_batch(sched, den, x1s[a:b], cfg, item_offset=offset + a)
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_kappa_called_once_per_noisy_step_then_cached(self, monkeypatch):
+        """Building a plan calls kappa once per step off the regression line;
+        a second restore with an equal config reuses the plan and calls it
+        not at all."""
+        calls = []
+        real = sampler.kappa
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sampler, "kappa", counting)
+        sampler._plan.cache_clear()
+        sched = GvpSchedule(0.5, 1.0)
+        den = GaussianOracle(rho=0.5)
+        x1 = np.array([0.3, -0.2])
+        for traj, noisy_steps in (
+            (Elliptical(phi=sched.phi, delta=0.6), 12),
+            (Linear(phi=sched.phi, delta=0.6), 12),
+            (Regression(phi=sched.phi), 0),
+        ):
+            cfg = SamplerConfig(trajectory=traj, n_steps=12, eta=0.5, seed=1)
+            calls.clear()
+            restore(sched, den, x1, cfg)
+            assert len(calls) == noisy_steps
+            calls.clear()
+            restore(sched, den, x1, SamplerConfig(trajectory=traj, n_steps=12, eta=0.5, seed=2))
+            restore_batch(sched, den, np.ones((3, 2)), cfg)
+            assert calls == []
+
+    def test_passed_rng_advances_by_exactly_the_draw_count(self):
+        sched = GvpSchedule(0.5, 1.0)
+        den = GaussianOracle(rho=0.5)
+        for traj in (Elliptical(phi=sched.phi, delta=0.6), Linear(phi=sched.phi, delta=0.6)):
+            for eta in (0.0, 0.5, 1.0):
+                cfg = SamplerConfig(trajectory=traj, n_steps=10, eta=eta)
+                n_draws = sampler.plan(sched, cfg).n_draws
+                assert n_draws == _draws_needed(traj, cfg)
+                g = np.random.default_rng(5)
+                restore(sched, den, np.ones(3), cfg, rng=g)
+                fresh = np.random.default_rng(5)
+                for _ in range(n_draws):
+                    fresh.normal(size=3)
+                assert g.normal(size=4).tobytes() == fresh.normal(size=4).tobytes()
+
+    def test_rejections_come_before_any_denoiser_call_or_draw(self, monkeypatch):
+        """A path from g = 0 in one step below eta = 1, a schedule whose phi
+        the path leaves, and a noise list too short for the plan are all
+        rejected before the denoiser runs or a generator is built."""
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
+
+        class Spy:
+            calls = 0
+
+            def predict(self, x, x1, r, g):
+                Spy.calls += 1
+                return np.zeros(np.shape(x))
+
+        sched = GvpSchedule(0.5, 1.0)
+        x1s = np.ones((2, 2))
+        one_step = SamplerConfig(trajectory=Elliptical(phi=sched.phi, delta=0.5), n_steps=1)
+        wide = SamplerConfig(trajectory=Linear(phi=2 * sched.phi, delta=0.5), n_steps=4)
+        for cfg, error in ((one_step, ConfigError), (wide, DomainError)):
+            with pytest.raises(error):
+                restore_batch(sched, Spy(), x1s, cfg)
+            with pytest.raises(error):
+                restore(sched, Spy(), x1s[0], cfg)
+        cfg = SamplerConfig(trajectory=Elliptical(phi=sched.phi, delta=0.5), n_steps=6, eta=0.5)
+        with pytest.raises(ConfigError, match="exhausted at draw 2"):
+            restore(sched, Spy(), x1s[0], cfg, noise=[np.zeros(2)] * 2)
+        assert Spy.calls == 0
+        assert built == []
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("kind", sorted(TRAJECTORY_KINDS))
+    def test_empty_batch_returns_empty_result(self, kind, monkeypatch):
+        dens = (GaussianOracle(rho=0.5), MlpDenoiser(dim=2, hidden=8, emb_dim=4))
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
+        sched = GvpSchedule(0.5, 1.0)
+        traj = make_trajectory(kind, phi=sched.phi, delta=0.5)
+        cfg = SamplerConfig(trajectory=traj, n_steps=5, eta=0.5)
+        for den in dens:
+            out = restore_batch(sched, den, np.zeros((0, 2)), cfg)
+            assert out.shape == (0, 2)
+        assert built == []
+
+    def test_non_finite_input_rejected_before_the_run(self, monkeypatch):
+        """NaN or inf in x1 raises DomainError counting the bad rows, before
+        any denoiser call or generator, and without a numpy warning."""
+        dens = (GaussianOracle(rho=0.5), MlpDenoiser(dim=2, hidden=8, emb_dim=4))
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
+        sched = GvpSchedule(0.5, 1.0)
+        x1s = np.ones((4, 2))
+        x1s[1, 0] = np.nan
+        x1s[3, 1] = -np.inf
+        calls = []
+        for den in dens:
+            real_predict = den.predict
+            monkeypatch.setattr(den, "predict", lambda *a, f=real_predict: calls.append(1) or f(*a))
+            for traj in (Regression(phi=sched.phi), Elliptical(phi=sched.phi, delta=0.5),
+                         Linear(phi=sched.phi, delta=0.5)):
+                cfg = SamplerConfig(trajectory=traj, n_steps=4, eta=0.5)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(DomainError, match="in 2 of 4 rows"):
+                        restore_batch(sched, den, x1s, cfg)
+                    with pytest.raises(DomainError, match="in 1 of 1 rows"):
+                        restore(sched, den, x1s[1], cfg)
+                    with pytest.raises(DomainError, match="in 1 of 1 rows"):
+                        restore(sched, den, x1s[3], cfg, rng=real(0))
+                assert caught == []
+        assert calls == []
+        assert built == []
