@@ -11,6 +11,17 @@ Three interchangeable implementations:
 
 All predictors accept a single vector (d,) or a batch (n, d) and broadcast
 per coordinate.
+
+The MLP's first layer splits along its input blocks: W1 = [W1_x ; W1_x1 ;
+W1_t].  Within one restoration only x changes, so MlpDenoiser.bind computes
+x1/sigma_d @ W1_x1 once and one bias row [embed(r), embed(g)] @ W1_t + b1
+per step time, and each step runs only x/sigma_d @ W1_x and the hidden
+layers.  predict is bind's one-step case; training assembles the whole
+input block through features and forward_batch.  The time-embedding rows
+hold no weights, so they are cached across calls (_time_row); nothing
+derived from the weights outlives a bind, so an in-place update of params
+is seen by the next call.  GELU is computed as z * Phi(z), Phi the standard
+normal CDF (scipy.special.ndtr).
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 from .errors import DimensionMismatch, DomainError
 from .schedule import GvpSchedule
@@ -49,6 +60,15 @@ def time_embed(t, emb_dim: int) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     phase = t[..., None] * _frequencies(emb_dim)
     return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
+
+
+@lru_cache(maxsize=4096)
+def _time_row(r: float, g: float, emb_dim: int) -> np.ndarray:
+    """[embed(r), embed(g)] for one time pair, read-only.  The row holds no
+    weights, so it stays valid when a net's params change."""
+    row = time_embed(np.array([r, g]), emb_dim).reshape(2 * emb_dim)
+    row.flags.writeable = False
+    return row
 
 
 class CheatDenoiser:
@@ -110,35 +130,40 @@ class GaussianOracle:
         return m + (a * s2 / denom) * (y - a * m)
 
 
-def _gelu_grad(z: np.ndarray, erf_z: np.ndarray) -> np.ndarray:
-    """GELU'(z), given erf_z = erf(z / sqrt 2) from the forward pass."""
-    return 0.5 * (1.0 + erf_z) + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+def _gelu_grad(z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU'(z) = Phi(z) + z phi(z), given cdf = Phi(z) from the forward pass."""
+    return cdf + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
-def _dense_forward(params: dict, layers, feats: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _dense_forward(
+    params: dict, layers, feats: np.ndarray | None, z: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple]:
     """Dense stack over params[W], params[b] for each (W, b) name pair in
-    `layers`, with GELU between layers and a linear last layer.
+    `layers`, with GELU z * Phi(z) between layers and a linear last layer.
+
+    `z`, when given, is the first layer's pre-activation as the caller
+    assembled it (MlpDenoiser.bind), and `feats` is not read.
 
     Returns the output and the cache _dense_backward needs: every layer's
-    input, every hidden pre-activation z and its erf(z / sqrt 2).
+    input, every hidden pre-activation z and its Phi(z).
     """
-    inputs, pre, erfs = [], [], []
-    h = feats
-    for w_key, b_key in layers[:-1]:
+    if z is None:
+        w_key, b_key = layers[0]
+        z = feats @ params[w_key] + params[b_key]
+    inputs, pre, cdfs = [feats], [], []
+    for w_key, b_key in layers[1:]:
+        cdf = ndtr(z)
+        pre.append(z)
+        cdfs.append(cdf)
+        h = z * cdf
         inputs.append(h)
         z = h @ params[w_key] + params[b_key]
-        erf_z = erf(z / math.sqrt(2.0))
-        pre.append(z)
-        erfs.append(erf_z)
-        h = 0.5 * z * (1.0 + erf_z)
-    inputs.append(h)
-    w_key, b_key = layers[-1]
-    return h @ params[w_key] + params[b_key], (inputs, pre, erfs)
+    return z, (inputs, pre, cdfs)
 
 
 def _dense_backward(params: dict, layers, cache: tuple, d_out: np.ndarray) -> dict:
     """Gradients of sum(d_out * _dense_forward output) for every parameter."""
-    inputs, pre, erfs = cache
+    inputs, pre, cdfs = cache
     grads = {}
     d = d_out
     for i in range(len(layers) - 1, -1, -1):
@@ -146,7 +171,7 @@ def _dense_backward(params: dict, layers, cache: tuple, d_out: np.ndarray) -> di
         grads[w_key] = inputs[i].T @ d
         grads[b_key] = d.sum(axis=0)
         if i:
-            d = (d @ params[w_key].T) * _gelu_grad(pre[i - 1], erfs[i - 1])
+            d = (d @ params[w_key].T) * _gelu_grad(pre[i - 1], cdfs[i - 1])
     return grads
 
 
@@ -171,8 +196,10 @@ class MlpDenoiser:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if self.emb_dim % 2 != 0:
-            raise DomainError(f"emb_dim must be even, got {self.emb_dim}")
+        if self.hidden < 1:
+            raise DomainError(f"hidden must be >= 1, got {self.hidden}")
+        if self.emb_dim % 2 != 0 or self.emb_dim < 2:
+            raise DomainError(f"emb_dim must be even and >= 2, got {self.emb_dim}")
         if self.params is None:
             self.params = self._init_params(np.random.default_rng(0))
 
@@ -202,11 +229,10 @@ class MlpDenoiser:
     # -- forward -------------------------------------------------------------
 
     def features(self, x, x1, r, g) -> np.ndarray:
-        """Assemble the normalized input block for a batch (n, d).
+        """Assemble the normalized input block for a batch (n, d), as
+        training feeds it to forward_batch.
 
-        A scalar time, as every sampler call passes, is embedded once and
-        broadcast over the rows; per-row times, as training passes, are
-        embedded row by row.
+        Times are scalars or one value per row, as in _time_block.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
@@ -214,23 +240,60 @@ class MlpDenoiser:
             raise DimensionMismatch(
                 f"x {x.shape} / x1 {x1.shape} incompatible with dim={self.dim}"
             )
-        n, d, e = x.shape[0], self.dim, self.emb_dim
+        n, d = x.shape[0], self.dim
         feats = np.empty((n, self.input_dim))
         np.divide(x, self.sigma_d, out=feats[:, :d])
         np.divide(x1, self.sigma_d, out=feats[:, d : 2 * d])
-        for col, t in ((2 * d, r), (2 * d + e, g)):
-            t = np.asarray(t, dtype=np.float64)
-            if t.ndim:
-                t = np.broadcast_to(t, (n,))
-            feats[:, col : col + e] = time_embed(t, e)
+        feats[:, 2 * d :] = self._time_block(r, g, n)
         return feats
 
+    def _time_block(self, r, g, n: int) -> np.ndarray:
+        """[embed(r), embed(g)]: the cached (2e,) row for scalar times, an
+        (n, 2e) block for per-row times."""
+        r = np.asarray(r, dtype=np.float64)
+        g = np.asarray(g, dtype=np.float64)
+        if r.ndim == 0 and g.ndim == 0:
+            return _time_row(float(r), float(g), self.emb_dim)
+        return np.concatenate(
+            [time_embed(np.broadcast_to(t, (n,)), self.emb_dim) for t in (r, g)], axis=1
+        )
+
+    def bind(self, x1, times):
+        """Step predictor of one restoration from x1 over the (r, g) `times`.
+
+        Checks x1 and computes x1/sigma_d @ W1_x1 once, then one first-layer
+        bias row [embed(r), embed(g)] @ W1_t + b1 per time.  The returned
+        f(x, i) predicts x0hat at state x (shaped like x1) for times[i],
+        running only x/sigma_d @ W1_x and the hidden layers.  The weights
+        are read when bind is called; update params between runs.
+        """
+        x1 = np.asarray(x1, dtype=np.float64)
+        rows = np.atleast_2d(x1)
+        d, sd, p = self.dim, self.sigma_d, self.params
+        if rows.ndim != 2 or rows.shape[1] != d:
+            raise DimensionMismatch(f"x1 {x1.shape} incompatible with dim={d}")
+        w1 = p["W1"]
+        w1_x, w1_t = w1[:d], w1[2 * d :]
+        x1_part = (rows / sd) @ w1[d : 2 * d]
+        biases = [self._time_block(r, g, len(rows)) @ w1_t + p["b1"] for r, g in times]
+
+        def step(x, i: int) -> np.ndarray:
+            x = np.asarray(x, dtype=np.float64)
+            if x.shape != x1.shape:
+                raise DimensionMismatch(f"x {x.shape} / x1 {x1.shape} incompatible with dim={d}")
+            z = (np.atleast_2d(x) / sd) @ w1_x
+            z += x1_part
+            z += biases[i]
+            out, _ = _dense_forward(p, _LAYERS, None, z)
+            out *= sd
+            return out[0] if x.ndim == 1 else out
+
+        return step
+
     def predict(self, x, x1, r, g) -> np.ndarray:
-        x_arr = np.asarray(x, dtype=np.float64)
-        feats = self.features(x, x1, r, g)
-        out, _ = _dense_forward(self.params, _LAYERS, feats)
-        out = self.sigma_d * out
-        return out[0] if x_arr.ndim == 1 else out
+        """x0hat at state x; the one-step case of bind.  r and g are scalars
+        or one value per row."""
+        return self.bind(x1, [(r, g)])(x, 0)
 
     # -- backward ------------------------------------------------------------
 

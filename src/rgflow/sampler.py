@@ -25,6 +25,11 @@ noise only where its kappa is nonzero.  So n_steps = 1 from g = 0 is one
 boot step to the clean end (kappa = 0, no draw), and eta < 1 is rejected
 there.  Pure regression paths use the noiseless update
 x2 = x1state + (alpha_r2 - alpha_r1) x0hat + (beta_r2 - beta_r1) x1 instead.
+
+Each run binds the denoiser once, before the first draw, to its input x1 and
+the steps' source times (MlpDenoiser.bind, which hoists everything but the
+state's own first-layer product out of the step loop); a denoiser without
+bind is called through predict at every step.
 """
 
 from __future__ import annotations
@@ -267,9 +272,16 @@ def plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan:
 
 
 def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
-    """Run plan `p` from x1.  `draw()` returns the run's p.n_draws noise
-    samples, indexable in draw order; it is called once, at the first step
-    that needs noise."""
+    """Run plan `p` from x1.  The denoiser is bound to x1 and the steps'
+    times once, before the first draw: predict(x, i) is x0hat at x for step
+    i.  `draw()` returns the run's p.n_draws noise samples, indexable in
+    draw order; it is called once, at the first step that needs noise."""
+    times = [step.frm for step in p.steps]
+    if hasattr(denoiser, "bind"):
+        predict = denoiser.bind(x1, times)
+    else:
+        def predict(x, i):
+            return denoiser.predict(x, x1, *times[i])
     noise, used = None, 0
     if p.start is None:
         x = np.array(x1, dtype=np.float64, copy=True)
@@ -277,8 +289,8 @@ def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
         noise, used = draw(), 1
         c0 = p.start
         x = c0.lam * c0.beta * x1 + c0.gamma * noise[0]
-    for step in p.steps:
-        x0hat = denoiser.predict(x, x1, *step.frm)
+    for i, step in enumerate(p.steps):
+        x0hat = predict(x, i)
         if step.kind == REGRESSION:
             x, x0hat, x1 = _match(x, x0hat, x1)
             c1, c2 = step.c1, step.c2
@@ -330,12 +342,13 @@ def restore(
     first draw, leaving `rng` in the state that many sequential draws would.
     Regression paths draw nothing and build no generator.
 
-    A rejected configuration, a NaN or inf in x1 (DomainError) and a `noise`
-    sequence too short for the plan (ConfigError) are all raised before any
-    denoiser call or draw.  If the denoiser fails mid-run (say, a dimension
-    mismatch on a path that starts at g > 0), a passed `rng` may already
-    have advanced by the whole block.  A result holding NaN or inf raises
-    NonFiniteOutput.
+    A rejected configuration, a NaN or inf in x1 (DomainError), a `noise`
+    sequence too short for the plan (ConfigError) and an x1 that an
+    MlpDenoiser's bind rejects (DimensionMismatch) are all raised before any
+    denoiser call or draw.  If a denoiser without bind fails mid-run (say,
+    a dimension mismatch on a path that starts at g > 0), a passed `rng` may
+    already have advanced by the whole block.  A result holding NaN or inf
+    raises NonFiniteOutput.
     """
     x1 = np.asarray(x1, dtype=np.float64)
     p = plan(sched, cfg)

@@ -148,6 +148,11 @@ class TestTrainCli:
         conf.write_text(json.dumps({"stepz": 10}))
         assert run("train", "--config", conf, "--out", tmp_path / "x.json") == 2
 
+    @pytest.mark.parametrize("hidden", ["0", "-4"])
+    def test_hidden_below_one_rejected(self, tmp_path, capsys, hidden):
+        assert_rejected(capsys, tmp_path / "ck.json", "train", "--n", "50",
+                        "--steps", "5", "--hidden", hidden)
+
 
 class TestRestoreCli:
     def test_modes_and_determinism(self, toy_dataset, tmp_path):
@@ -246,6 +251,23 @@ class TestRestoreCli:
             assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", bad,
                             "--input", data, "--mode", mode)
         assert caught == []
+
+    def test_zero_hidden_checkpoint_rejected(self, toy_dataset, tmp_path, capsys):
+        data, ck = toy_dataset
+        doc = json.loads(ck.read_text())
+        doc["widths"][1:3] = [0, 0]
+        for key in ("weights", "ema_weights"):
+            w = doc[key]
+            w["W1"] = [[] for _ in w["W1"]]
+            w["b1"], w["W2"], w["b2"], w["W3"] = [], [], [], []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert run("restore", "--model", bad, "--input", data, "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: hidden must be >= 1")
+        assert not out.exists()
 
     def test_missing_input_is_io_error(self, toy_dataset, tmp_path):
         _, ck = toy_dataset

@@ -12,6 +12,7 @@ from rgflow import (
     DomainError,
     GaussianOracle,
     GvpSchedule,
+    Linear,
     MlpDenoiser,
     Regression,
     SamplerConfig,
@@ -19,10 +20,17 @@ from rgflow import (
     make_gaussian_pairs,
     mlp_backward,
     restore,
+    restore_batch,
     save_checkpoint,
     time_embed,
 )
-from rgflow.denoiser import _frequencies, weighted_prediction_loss
+from rgflow.denoiser import (
+    _dense_forward,
+    _frequencies,
+    _gelu_grad,
+    _time_row,
+    weighted_prediction_loss,
+)
 
 HALF_PI = math.pi / 2.0
 
@@ -220,6 +228,122 @@ class TestMlp:
                 scalar = net.features(x, x1, r, g)
                 rows = net.features(x, x1, np.full(n, r), np.full(n, g))
                 assert scalar.tobytes() == rows.tobytes()
+
+
+def _random_mlp(dim, emb_dim, seed):
+    """An MLP with random weights in every layer, so its predictions vary."""
+    rng = np.random.default_rng(seed)
+    net = MlpDenoiser(dim=dim, hidden=16, emb_dim=emb_dim, sigma_d=1.3, params={})
+    net.reinit(rng)
+    net.params["W3"] = rng.normal(0.0, 0.3, size=net.params["W3"].shape)
+    net.params["b1"] = rng.normal(0.0, 0.3, size=net.params["b1"].shape)
+    return net
+
+
+class TestMlpValidation:
+    @pytest.mark.parametrize("hidden", [0, -4])
+    def test_hidden_below_one_rejected(self, hidden):
+        for params in (None, {}):
+            with pytest.raises(DomainError, match="hidden"):
+                MlpDenoiser(dim=2, hidden=hidden, emb_dim=4, params=params)
+
+    @pytest.mark.parametrize("emb_dim", [0, -2, 3])
+    def test_emb_dim_below_two_or_odd_rejected(self, emb_dim):
+        with pytest.raises(DomainError, match="emb_dim"):
+            MlpDenoiser(dim=2, hidden=4, emb_dim=emb_dim)
+
+    def test_checkpoint_with_zero_hidden_rejected(self, tmp_path):
+        def mutate(doc):
+            doc["widths"][1:3] = [0, 0]
+            for key in ("weights", "ema_weights"):
+                w = doc[key]
+                w["W1"] = [[] for _ in w["W1"]]
+                w["b1"], w["W2"], w["b2"], w["W3"] = [], [], [], []
+
+        with pytest.raises(DomainError, match="hidden"):
+            load_checkpoint(_rewritten_checkpoint(tmp_path, mutate))
+
+
+class TestBind:
+    @pytest.mark.parametrize("emb_dim", [2, 16, 32])
+    def test_predict_is_the_one_step_bind(self, emb_dim):
+        net = _random_mlp(3, emb_dim, seed=emb_dim)
+        rng = np.random.default_rng(emb_dim)
+        for shape in ((3,), (1, 3), (7, 3)):
+            x, x1 = rng.normal(size=(2, *shape))
+            for r, g in rng.uniform(-HALF_PI, HALF_PI, size=(4, 2)):
+                got = net.predict(x, x1, r, g)
+                want = net.bind(x1, [(0.3, 0.1), (r, g)])(x, 1)
+                assert got.shape == shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("emb_dim", [2, 16, 32])
+    def test_matches_the_training_path(self, emb_dim):
+        """Splitting W1 by input block only reorders the first layer's sums:
+        scalar and per-row times agree with sigma_d * forward_batch(features)."""
+        net = _random_mlp(3, emb_dim, seed=emb_dim + 1)
+        rng = np.random.default_rng(emb_dim + 1)
+        x, x1 = rng.normal(size=(2, 9, 3))
+        rs, gs = rng.uniform(-HALF_PI, HALF_PI, size=(2, 9))
+        for r, g in ((rs[0], gs[0]), (rs, gs), (rs[0], gs)):
+            core, _ = net.forward_batch(net.features(x, x1, r, g))
+            np.testing.assert_allclose(
+                net.predict(x, x1, r, g), net.sigma_d * core, rtol=0.0, atol=1e-12
+            )
+
+    def test_wrong_width_rejected_before_any_step(self):
+        """A restore whose x1 has the wrong width fails in bind, before the
+        noisy start draws from the passed generator."""
+        net = _random_mlp(2, 8, seed=3)
+        with pytest.raises(DimensionMismatch):
+            net.bind(np.zeros((4, 3)), [(0.1, 0.2)])
+        sched = GvpSchedule(0.5, 1.0)
+        cfg = SamplerConfig(trajectory=Linear(phi=sched.phi, delta=0.5), n_steps=4, eta=0.5)
+        gen = np.random.default_rng(1)
+        state = gen.bit_generator.state
+        with pytest.raises(DimensionMismatch):
+            restore(sched, net, np.zeros(3), cfg, rng=gen)
+        assert gen.bit_generator.state == state
+        with pytest.raises(DimensionMismatch):
+            restore_batch(sched, net, np.zeros((2, 3)), cfg)
+
+    def test_in_place_weight_update_is_seen(self):
+        """Nothing derived from the weights outlives a run: after an in-place
+        update, a restore equals that of a fresh net holding the new weights."""
+        net = _random_mlp(2, 8, seed=4)
+        sched = GvpSchedule(0.5, 1.0)
+        cfg = SamplerConfig(trajectory=Linear(phi=sched.phi, delta=0.5), n_steps=5, eta=0.3)
+        x1 = np.random.default_rng(4).normal(size=(6, 2))
+        before = restore_batch(sched, net, x1, cfg)
+        for v in net.params.values():
+            v *= 1.1
+        fresh = MlpDenoiser(dim=2, hidden=16, emb_dim=8, sigma_d=net.sigma_d,
+                            params={k: v.copy() for k, v in net.params.items()})
+        after = restore_batch(sched, net, x1, cfg)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == restore_batch(sched, fresh, x1, cfg).tobytes()
+
+    def test_cached_time_rows_are_read_only(self):
+        row = _time_row(0.25, 0.5, 8)
+        assert row.shape == (16,)
+        assert np.array_equal(row, np.concatenate([time_embed(0.25, 8), time_embed(0.5, 8)]))
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+
+
+class TestGelu:
+    def test_matches_erf_reference(self):
+        """z * ndtr(z) and its derivative agree with the erf forms out to
+        |z| = 40, within 1e-15 * max(1, |z|)."""
+        z = np.linspace(-40.0, 40.0, 16001)[:, None]
+        params = {"W": np.ones((1, 1)), "b": np.zeros(1)}
+        gelu, (_, pre, cdfs) = _dense_forward(params, (("V", "c"), ("W", "b")), None, z)
+        erf = np.array([math.erf(t / math.sqrt(2.0)) for t in z[:, 0]])[:, None]
+        tol = 1e-15 * np.maximum(1.0, np.abs(z))
+        want = 0.5 * z * (1.0 + erf)
+        want_grad = 0.5 * (1.0 + erf) + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        assert np.all(np.abs(gelu - want) <= tol)
+        assert np.all(np.abs(_gelu_grad(pre[0], cdfs[0]) - want_grad) <= tol)
 
 
 class TestMlpBackward:
