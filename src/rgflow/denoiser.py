@@ -16,12 +16,13 @@ The MLP's first layer splits along its input blocks: W1 = [W1_x ; W1_x1 ;
 W1_t].  Within one restoration only x changes, so MlpDenoiser.bind computes
 x1/sigma_d @ W1_x1 once and one bias row [embed(r), embed(g)] @ W1_t + b1
 per step time, and each step runs only x/sigma_d @ W1_x and the hidden
-layers.  predict is bind's one-step case; training assembles the whole
-input block through features and forward_batch.  The time-embedding rows
-hold no weights, so they are cached across calls (_time_row); nothing
-derived from the weights outlives a bind, so an in-place update of params
-is seen by the next call.  GELU is computed as z * Phi(z), Phi the standard
-normal CDF (scipy.special.ndtr).
+layers.  predict is bind's one-step case, and each bias row is a one-row
+product whatever the number of times, so a bound step equals predict bit
+for bit.  The embedding rows of a time grid hold no weights, so they are
+cached per grid (_grid_rows); nothing derived from the weights outlives a
+bind, so an in-place update of params is seen by the next call.  Training
+assembles the whole input block through features and forward_batch.  GELU
+is computed as z * Phi(z), Phi the standard normal CDF (scipy.special.ndtr).
 """
 
 from __future__ import annotations
@@ -62,13 +63,23 @@ def time_embed(t, emb_dim: int) -> np.ndarray:
     return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 
-@lru_cache(maxsize=4096)
-def _time_row(r: float, g: float, emb_dim: int) -> np.ndarray:
-    """[embed(r), embed(g)] for one time pair, read-only.  The row holds no
-    weights, so it stays valid when a net's params change."""
-    row = time_embed(np.array([r, g]), emb_dim).reshape(2 * emb_dim)
-    row.flags.writeable = False
-    return row
+def _time_pairs(t: np.ndarray, emb_dim: int) -> np.ndarray:
+    """[embed(r), embed(g)] for the (r, g) pairs along t's last axis, from
+    one time_embed call: shape t.shape[:-1] + (2 emb_dim,)."""
+    return time_embed(t, emb_dim).reshape(*t.shape[:-1], 2 * emb_dim)
+
+
+@lru_cache(maxsize=256)
+def _grid_rows(times: tuple, emb_dim: int) -> np.ndarray:
+    """_time_pairs of a time grid, a tuple of scalar (r, g) pairs, as one
+    read-only (k, 1, 2 emb_dim) block.  The block holds no weights, so it
+    stays valid when a net's params change.  An entry per grid: the sampler
+    binds over the grid of a cached plan, and the 256 entries match the
+    plan cache (sampler._plan)."""
+    block = _time_pairs(np.array(times, dtype=np.float64), emb_dim)
+    block = block.reshape(len(times), 1, 2 * emb_dim)
+    block.flags.writeable = False
+    return block
 
 
 class CheatDenoiser:
@@ -135,22 +146,15 @@ def _gelu_grad(z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return cdf + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
-def _dense_forward(
-    params: dict, layers, feats: np.ndarray | None, z: np.ndarray | None = None
-) -> tuple[np.ndarray, tuple]:
-    """Dense stack over params[W], params[b] for each (W, b) name pair in
-    `layers`, with GELU z * Phi(z) between layers and a linear last layer.
+def _dense_hidden(params: dict, layers, z: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The dense stack from its first layer's pre-activation z on: GELU
+    z * Phi(z) between layers, then params[W], params[b] for each later
+    (W, b) name pair in `layers`, the last layer linear.
 
-    `z`, when given, is the first layer's pre-activation as the caller
-    assembled it (MlpDenoiser.bind), and `feats` is not read.
-
-    Returns the output and the cache _dense_backward needs: every layer's
-    input, every hidden pre-activation z and its Phi(z).
+    Returns the output and every later layer's input, every hidden
+    pre-activation and its Phi.
     """
-    if z is None:
-        w_key, b_key = layers[0]
-        z = feats @ params[w_key] + params[b_key]
-    inputs, pre, cdfs = [feats], [], []
+    inputs, pre, cdfs = [], [], []
     for w_key, b_key in layers[1:]:
         cdf = ndtr(z)
         pre.append(z)
@@ -159,6 +163,18 @@ def _dense_forward(
         inputs.append(h)
         z = h @ params[w_key] + params[b_key]
     return z, (inputs, pre, cdfs)
+
+
+def _dense_forward(params: dict, layers, feats: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Dense stack over params[W], params[b] for each (W, b) name pair in
+    `layers`, with GELU between layers and a linear last layer.
+
+    Returns the output and the cache _dense_backward needs: every layer's
+    input, every hidden pre-activation z and its Phi(z).
+    """
+    w_key, b_key = layers[0]
+    out, (inputs, pre, cdfs) = _dense_hidden(params, layers, feats @ params[w_key] + params[b_key])
+    return out, ([feats, *inputs], pre, cdfs)
 
 
 def _dense_backward(params: dict, layers, cache: tuple, d_out: np.ndarray) -> dict:
@@ -230,10 +246,8 @@ class MlpDenoiser:
 
     def features(self, x, x1, r, g) -> np.ndarray:
         """Assemble the normalized input block for a batch (n, d), as
-        training feeds it to forward_batch.
-
-        Times are scalars or one value per row, as in _time_block.
-        """
+        training feeds it to forward_batch.  r and g are scalars or one
+        value per row."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
         if x.shape != x1.shape or x.ndim != 2 or x.shape[1] != self.dim:
@@ -244,38 +258,51 @@ class MlpDenoiser:
         feats = np.empty((n, self.input_dim))
         np.divide(x, self.sigma_d, out=feats[:, :d])
         np.divide(x1, self.sigma_d, out=feats[:, d : 2 * d])
-        feats[:, 2 * d :] = self._time_block(r, g, n)
+        feats[:, 2 * d :] = self._times(r, g)
         return feats
 
-    def _time_block(self, r, g, n: int) -> np.ndarray:
-        """[embed(r), embed(g)]: the cached (2e,) row for scalar times, an
-        (n, 2e) block for per-row times."""
-        r = np.asarray(r, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
-        if r.ndim == 0 and g.ndim == 0:
-            return _time_row(float(r), float(g), self.emb_dim)
-        return np.concatenate(
-            [time_embed(np.broadcast_to(t, (n,)), self.emb_dim) for t in (r, g)], axis=1
-        )
+    def _times(self, r, g) -> np.ndarray:
+        """[embed(r), embed(g)] for scalar times, (2e,), or one time per
+        row, (n, 2e)."""
+        return _time_pairs(np.stack(np.broadcast_arrays(r, g), axis=-1), self.emb_dim)
+
+    def _x1_rows(self, x1: np.ndarray) -> np.ndarray:
+        """x1 as rows (n, dim); DimensionMismatch for any other width."""
+        rows = np.atleast_2d(x1)
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise DimensionMismatch(f"x1 {x1.shape} incompatible with dim={self.dim}")
+        return rows
 
     def bind(self, x1, times):
-        """Step predictor of one restoration from x1 over the (r, g) `times`.
+        """Step predictor of one restoration from x1 over `times`, a
+        sequence of scalar (r, g) pairs.
 
-        Checks x1 and computes x1/sigma_d @ W1_x1 once, then one first-layer
-        bias row [embed(r), embed(g)] @ W1_t + b1 per time.  The returned
-        f(x, i) predicts x0hat at state x (shaped like x1) for times[i],
-        running only x/sigma_d @ W1_x and the hidden layers.  The weights
-        are read when bind is called; update params between runs.
+        The returned f(x, i) equals predict(x, x1, *times[i]) for a state x
+        shaped like x1.  bind checks x1's width (DimensionMismatch) at once.
+        It computes x1/sigma_d @ W1_x1 and the bias rows
+        [embed(r), embed(g)] @ W1_t + b1 once, so each step runs only
+        x/sigma_d @ W1_x and the hidden layers.  The embedding rows come
+        from a cache keyed on the whole grid (_grid_rows); the weights are
+        read when bind is called, so update params between runs.
+
+        When predict has been replaced (a subclass override, or a wrapper
+        set on the class or the instance), f calls it at every step, so the
+        replacement sees every call.
         """
         x1 = np.asarray(x1, dtype=np.float64)
-        rows = np.atleast_2d(x1)
+        rows = self._x1_rows(x1)
+        if getattr(self.predict, "__func__", None) is not MlpDenoiser._predict:
+            return lambda x, i: self.predict(x, x1, *times[i])
+        # A stack of one-row products, so each bias row rounds as predict's.
+        biases = _grid_rows(tuple(times), self.emb_dim) @ self.params["W1"][2 * self.dim :]
+        return self._step_predictor(x1, rows, biases + self.params["b1"])
+
+    def _step_predictor(self, x1: np.ndarray, rows: np.ndarray, biases: np.ndarray):
+        """f(x, i) over first-layer bias rows biases[i] (broadcast over x's rows)."""
         d, sd, p = self.dim, self.sigma_d, self.params
-        if rows.ndim != 2 or rows.shape[1] != d:
-            raise DimensionMismatch(f"x1 {x1.shape} incompatible with dim={d}")
         w1 = p["W1"]
-        w1_x, w1_t = w1[:d], w1[2 * d :]
+        w1_x = w1[:d]
         x1_part = (rows / sd) @ w1[d : 2 * d]
-        biases = [self._time_block(r, g, len(rows)) @ w1_t + p["b1"] for r, g in times]
 
         def step(x, i: int) -> np.ndarray:
             x = np.asarray(x, dtype=np.float64)
@@ -284,7 +311,7 @@ class MlpDenoiser:
             z = (np.atleast_2d(x) / sd) @ w1_x
             z += x1_part
             z += biases[i]
-            out, _ = _dense_forward(p, _LAYERS, None, z)
+            out, _ = _dense_hidden(p, _LAYERS, z)
             out *= sd
             return out[0] if x.ndim == 1 else out
 
@@ -293,7 +320,12 @@ class MlpDenoiser:
     def predict(self, x, x1, r, g) -> np.ndarray:
         """x0hat at state x; the one-step case of bind.  r and g are scalars
         or one value per row."""
-        return self.bind(x1, [(r, g)])(x, 0)
+        x1 = np.asarray(x1, dtype=np.float64)
+        rows = self._x1_rows(x1)
+        bias = self._times(r, g) @ self.params["W1"][2 * self.dim :] + self.params["b1"]
+        return self._step_predictor(x1, rows, bias[None])(x, 0)
+
+    _predict = predict  # the predict that bind's own step predictor equals
 
     # -- backward ------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularTime
-from .sampler import _match
+from .sampler import _bind, _match
 from .schedule import GvpSchedule
 from .trajectory import Trajectory
 
@@ -65,7 +65,8 @@ def euler_integrate(
     """First-order reference integration of dx = v_r dr + v_g dg.
 
     The state starts at cos(g_start)*beta(r_start)*x1 + sin(g_start)*z and is
-    advanced with the denoiser's prediction substituted at each grid point.
+    advanced with the denoiser's prediction substituted at each grid point;
+    the denoiser is bound to x1 and the grid's times once.
     Steps whose source has g below g_floor advance by v_r alone.
     """
     x1, z = _match(x1, z)
@@ -77,10 +78,11 @@ def euler_integrate(
     r0, g0 = grid.r[0], grid.g[0]
     c0 = sched.coeffs(r0, g0)
     x = c0.lam * c0.beta * x1 + c0.gamma * z
+    r, g = grid.r.tolist(), grid.g.tolist()
+    predict = _bind(denoiser, x1, tuple(zip(r[:-1], g[:-1])))
     for i in range(len(grid) - 1):
-        r_cur, g_cur = float(grid.r[i]), float(grid.g[i])
-        r_nxt, g_nxt = float(grid.r[i + 1]), float(grid.g[i + 1])
-        x0hat = denoiser.predict(x, x1, r_cur, g_cur)
+        r_cur, g_cur, r_nxt, g_nxt = r[i], g[i], r[i + 1], g[i + 1]
+        x0hat = predict(x, i)
         if g_cur >= g_floor:
             v = velocities(sched, x, x0hat, x1, r_cur, g_cur)
             x = x + v.v_r * (r_nxt - r_cur) + v.v_g * (g_nxt - g_cur)

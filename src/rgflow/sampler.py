@@ -29,7 +29,8 @@ x2 = x1state + (alpha_r2 - alpha_r1) x0hat + (beta_r2 - beta_r1) x1 instead.
 Each run binds the denoiser once, before the first draw, to its input x1 and
 the steps' source times (MlpDenoiser.bind, which hoists everything but the
 state's own first-layer product out of the step loop); a denoiser without
-bind is called through predict at every step.
+bind, or an MlpDenoiser whose predict has been replaced, is called through
+predict at every step.
 """
 
 from __future__ import annotations
@@ -271,17 +272,20 @@ def plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan:
     return _plan(sched, cfg.trajectory, cfg.n_steps, cfg.eta, cfg.boot_epsilon)
 
 
+def _bind(denoiser, x1, times):
+    """f(x, i) = denoiser.predict(x, x1, *times[i]): the denoiser's own bind
+    when it has one, else a call of predict at every step."""
+    if hasattr(denoiser, "bind"):
+        return denoiser.bind(x1, times)
+    return lambda x, i: denoiser.predict(x, x1, *times[i])
+
+
 def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
     """Run plan `p` from x1.  The denoiser is bound to x1 and the steps'
     times once, before the first draw: predict(x, i) is x0hat at x for step
     i.  `draw()` returns the run's p.n_draws noise samples, indexable in
     draw order; it is called once, at the first step that needs noise."""
-    times = [step.frm for step in p.steps]
-    if hasattr(denoiser, "bind"):
-        predict = denoiser.bind(x1, times)
-    else:
-        def predict(x, i):
-            return denoiser.predict(x, x1, *times[i])
+    predict = _bind(denoiser, x1, tuple(step.frm for step in p.steps))
     noise, used = None, 0
     if p.start is None:
         x = np.array(x1, dtype=np.float64, copy=True)

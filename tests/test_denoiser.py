@@ -25,10 +25,10 @@ from rgflow import (
     time_embed,
 )
 from rgflow.denoiser import (
-    _dense_forward,
+    _dense_hidden,
     _frequencies,
     _gelu_grad,
-    _time_row,
+    _grid_rows,
     weighted_prediction_loss,
 )
 
@@ -267,15 +267,19 @@ class TestMlpValidation:
 class TestBind:
     @pytest.mark.parametrize("emb_dim", [2, 16, 32])
     def test_predict_is_the_one_step_bind(self, emb_dim):
+        """Each bound step equals predict bit for bit, however many times
+        the bind covers."""
         net = _random_mlp(3, emb_dim, seed=emb_dim)
         rng = np.random.default_rng(emb_dim)
+        times = [(0.3, 0.1), *map(tuple, rng.uniform(-HALF_PI, HALF_PI, size=(6, 2)))]
         for shape in ((3,), (1, 3), (7, 3)):
             x, x1 = rng.normal(size=(2, *shape))
-            for r, g in rng.uniform(-HALF_PI, HALF_PI, size=(4, 2)):
+            step = net.bind(x1, times)
+            for i, (r, g) in enumerate(times):
                 got = net.predict(x, x1, r, g)
-                want = net.bind(x1, [(0.3, 0.1), (r, g)])(x, 1)
                 assert got.shape == shape
-                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == net.bind(x1, [(r, g)])(x, 0).tobytes()
+                assert got.tobytes() == step(x, i).tobytes()
 
     @pytest.mark.parametrize("emb_dim", [2, 16, 32])
     def test_matches_the_training_path(self, emb_dim):
@@ -323,12 +327,48 @@ class TestBind:
         assert not np.array_equal(after, before)
         assert after.tobytes() == restore_batch(sched, fresh, x1, cfg).tobytes()
 
-    def test_cached_time_rows_are_read_only(self):
-        row = _time_row(0.25, 0.5, 8)
-        assert row.shape == (16,)
-        assert np.array_equal(row, np.concatenate([time_embed(0.25, 8), time_embed(0.5, 8)]))
+    def test_replaced_predict_is_called_at_every_step(self, monkeypatch):
+        """A subclass's predict, or a wrapper set on the class, sees every
+        step of a restore, and a wrapper that only passes through leaves the
+        result unchanged."""
+        sched = GvpSchedule(0.5, 1.0)
+        cfg = SamplerConfig(trajectory=Linear(phi=sched.phi, delta=0.5), n_steps=5, eta=0.3)
+        x1 = np.random.default_rng(5).normal(size=(3, 2))
+        net = _random_mlp(2, 8, seed=5)
+        calls = []
+
+        class Shifted(MlpDenoiser):
+            def predict(self, x, x1, r, g):
+                calls.append((r, g))
+                return super().predict(x, x1, r, g) + 1.0
+
+        shifted = Shifted(dim=2, hidden=16, emb_dim=8, sigma_d=net.sigma_d, params=net.params)
+        plain = restore_batch(sched, net, x1, cfg)
+        assert not np.array_equal(restore_batch(sched, shifted, x1, cfg), plain)
+        assert len(calls) == 5
+
+        calls.clear()
+        own = MlpDenoiser.predict
+
+        def wrapped(self, x, x1, r, g):
+            calls.append((r, g))
+            return own(self, x, x1, r, g)
+
+        monkeypatch.setattr(MlpDenoiser, "predict", wrapped)
+        assert restore_batch(sched, net, x1, cfg).tobytes() == plain.tobytes()
+        assert len(calls) == 5
+        with pytest.raises(DimensionMismatch):
+            net.bind(np.zeros(3), [(0.1, 0.2)])
+
+
+    def test_cached_grid_rows_are_read_only(self):
+        times = ((0.25, 0.5), (0.1, 0.3))
+        rows = _grid_rows(times, 8)
+        assert rows.shape == (2, 1, 16)
+        for row, (r, g) in zip(rows, times):
+            assert np.array_equal(row[0], np.concatenate([time_embed(r, 8), time_embed(g, 8)]))
         with pytest.raises(ValueError, match="read-only"):
-            row[0] = 1.0
+            rows[0, 0, 0] = 1.0
 
 
 class TestGelu:
@@ -337,7 +377,7 @@ class TestGelu:
         |z| = 40, within 1e-15 * max(1, |z|)."""
         z = np.linspace(-40.0, 40.0, 16001)[:, None]
         params = {"W": np.ones((1, 1)), "b": np.zeros(1)}
-        gelu, (_, pre, cdfs) = _dense_forward(params, (("V", "c"), ("W", "b")), None, z)
+        gelu, (_, pre, cdfs) = _dense_hidden(params, (("V", "c"), ("W", "b")), z)
         erf = np.array([math.erf(t / math.sqrt(2.0)) for t in z[:, 0]])[:, None]
         tol = 1e-15 * np.maximum(1.0, np.abs(z))
         want = 0.5 * z * (1.0 + erf)

@@ -11,6 +11,7 @@ from rgflow import (
     Elliptical,
     GaussianOracle,
     GvpSchedule,
+    MlpDenoiser,
     Regression,
     SingularTime,
     euler_integrate,
@@ -133,6 +134,29 @@ class TestEulerIntegrate:
         e1 = np.mean(np.abs(euler_integrate(sched, traj, den, x1, z, 500) - ref))
         e2 = np.mean(np.abs(euler_integrate(sched, traj, den, x1, z, 1000) - ref))
         assert 1.6 <= e1 / e2 <= 2.4
+
+    def test_mlp_bound_once_equals_predict_at_every_step(self):
+        """The integrator binds an MLP to x1 and the grid's times once; a
+        subclass whose predict only passes through is called at each grid
+        point instead, and both give the same bits."""
+        calls = []
+
+        class Counted(MlpDenoiser):
+            def predict(self, x, x1, r, g):
+                calls.append((r, g))
+                return super().predict(x, x1, r, g)
+
+        sched = GvpSchedule(0.5, 1.0)
+        traj = Elliptical(phi=sched.phi, delta=math.pi / 4.0)
+        net = MlpDenoiser(dim=3, hidden=16, emb_dim=8, params={})
+        net.reinit(np.random.default_rng(2))
+        net.params["W3"] = np.random.default_rng(3).normal(size=net.params["W3"].shape)
+        counted = Counted(dim=3, hidden=16, emb_dim=8, params=net.params)
+        x1, z = np.random.default_rng(4).normal(size=(2, 5, 3))
+        got = euler_integrate(sched, traj, net, x1, z, 40)
+        assert got.tobytes() == euler_integrate(sched, traj, counted, x1, z, 40).tobytes()
+        grid = traj.discretize(40)
+        assert calls == list(zip(grid.r[:-1].tolist(), grid.g[:-1].tolist()))
 
     def test_validation(self):
         sched = GvpSchedule(0.5, 1.0)
