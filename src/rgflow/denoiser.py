@@ -17,12 +17,22 @@ W1_t].  Within one restoration only x changes, so MlpDenoiser.bind computes
 x1/sigma_d @ W1_x1 once and one bias row [embed(r), embed(g)] @ W1_t + b1
 per step time, and each step runs only x/sigma_d @ W1_x and the hidden
 layers.  predict is bind's one-step case, and each bias row is a one-row
-product whatever the number of times, so a bound step equals predict bit
-for bit.  The embedding rows of a time grid hold no weights, so they are
-cached per grid (_grid_rows); nothing derived from the weights outlives a
-bind, so an in-place update of params is seen by the next call.  Training
-assembles the whole input block through features and forward_batch.  GELU
-is computed as z * Phi(z), Phi the standard normal CDF (scipy.special.ndtr).
+product, so a bound step equals predict bit for bit.  The embedding rows of a
+time grid hold no weights, so they are cached per grid (_grid_rows); nothing
+derived from the weights outlives a bind, so an in-place update of params is
+seen by the next call.
+
+A step runs its rows in blocks of 256 (_BLOCK_ROWS), cut at multiples of 256,
+a one-row remainder joining the block before it (_row_blocks); a batch of at
+most 257 rows is one block.  Each block runs an inference-only pass,
+z = z * Phi(z); z = z @ W + b per hidden layer, that keeps nothing for a
+backward pass, so its activations stay cache-sized.  numpy's gemm rounds a
+row alike whatever rows surround it, so the blocks give the whole-batch
+outputs bit for bit; a one-row product goes through gemv and rounds
+otherwise, hence the fold.  Training assembles the whole input block through
+features and forward_batch, whose _dense_forward keeps the cache
+_dense_backward needs.  GELU is computed as z * Phi(z), Phi the standard
+normal CDF (scipy.special.ndtr).
 """
 
 from __future__ import annotations
@@ -83,17 +93,26 @@ def _grid_rows(times: tuple, emb_dim: int) -> np.ndarray:
 
 
 class CheatDenoiser:
-    """Returns the stored true x0 regardless of the queried state."""
+    """Returns the stored true x0 regardless of the queried state.
+
+    Batch-coupled: row i of a batch query gets row i of the stored x0, so it
+    must be queried with the whole batch it was built for, never a slice.
+    """
 
     def __init__(self, x0) -> None:
         self.x0 = np.asarray(x0, dtype=np.float64)
 
     def predict(self, x, x1, r, g) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if self.x0.shape != x.shape:
-            # Allow a (d,) truth against (n, d) queries only when it broadcasts.
+        if self.x0.shape == x.shape:
+            return self.x0.copy()
+        # A (d,) truth answers (n, d) queries when it broadcasts.
+        try:
             return np.broadcast_to(self.x0, x.shape).copy()
-        return self.x0.copy()
+        except ValueError:
+            raise DimensionMismatch(
+                f"stored x0 {self.x0.shape} does not fit the queried batch {x.shape}"
+            ) from None
 
 
 class GaussianOracle:
@@ -146,15 +165,16 @@ def _gelu_grad(z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return cdf + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
-def _dense_hidden(params: dict, layers, z: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The dense stack from its first layer's pre-activation z on: GELU
-    z * Phi(z) between layers, then params[W], params[b] for each later
-    (W, b) name pair in `layers`, the last layer linear.
+def _dense_forward(params: dict, layers, feats: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Dense stack over params[W], params[b] for each (W, b) name pair in
+    `layers`, with GELU z * Phi(z) between layers and a linear last layer.
 
-    Returns the output and every later layer's input, every hidden
-    pre-activation and its Phi.
+    Returns the output and the cache _dense_backward needs: every layer's
+    input, every hidden pre-activation z and its Phi(z).
     """
-    inputs, pre, cdfs = [], [], []
+    w_key, b_key = layers[0]
+    z = feats @ params[w_key] + params[b_key]
+    inputs, pre, cdfs = [feats], [], []
     for w_key, b_key in layers[1:]:
         cdf = ndtr(z)
         pre.append(z)
@@ -163,18 +183,6 @@ def _dense_hidden(params: dict, layers, z: np.ndarray) -> tuple[np.ndarray, tupl
         inputs.append(h)
         z = h @ params[w_key] + params[b_key]
     return z, (inputs, pre, cdfs)
-
-
-def _dense_forward(params: dict, layers, feats: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Dense stack over params[W], params[b] for each (W, b) name pair in
-    `layers`, with GELU between layers and a linear last layer.
-
-    Returns the output and the cache _dense_backward needs: every layer's
-    input, every hidden pre-activation z and its Phi(z).
-    """
-    w_key, b_key = layers[0]
-    out, (inputs, pre, cdfs) = _dense_hidden(params, layers, feats @ params[w_key] + params[b_key])
-    return out, ([feats, *inputs], pre, cdfs)
 
 
 def _dense_backward(params: dict, layers, cache: tuple, d_out: np.ndarray) -> dict:
@@ -192,6 +200,30 @@ def _dense_backward(params: dict, layers, cache: tuple, d_out: np.ndarray) -> di
 
 
 _LAYERS = (("W1", "b1"), ("W2", "b2"), ("W3", "b3"))
+
+
+def _check_sizes(hidden: int, emb_dim: int) -> None:
+    """DomainError unless hidden >= 1 and emb_dim is even and >= 2."""
+    if hidden < 1:
+        raise DomainError(f"hidden must be >= 1, got {hidden}")
+    if emb_dim % 2 != 0 or emb_dim < 2:
+        raise DomainError(f"emb_dim must be even and >= 2, got {emb_dim}")
+
+
+# Rows per block of a step predictor: at hidden 128 a block's hidden
+# activations take 256 KB each and stay in a core's L2 cache, where a whole
+# 2000-row batch's do not.
+_BLOCK_ROWS = 256
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of an n-row batch, cut at multiples of _BLOCK_ROWS.  A
+    one-row remainder joins the block before it: numpy sends a one-row
+    product through gemv, which rounds otherwise than the batch's gemm."""
+    stops = list(range(_BLOCK_ROWS, n, _BLOCK_ROWS))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    return [slice(a, b) for a, b in zip([0, *stops], [*stops, n])]
 
 
 @dataclass
@@ -212,10 +244,7 @@ class MlpDenoiser:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if self.hidden < 1:
-            raise DomainError(f"hidden must be >= 1, got {self.hidden}")
-        if self.emb_dim % 2 != 0 or self.emb_dim < 2:
-            raise DomainError(f"emb_dim must be even and >= 2, got {self.emb_dim}")
+        _check_sizes(self.hidden, self.emb_dim)
         if self.params is None:
             self.params = self._init_params(np.random.default_rng(0))
 
@@ -281,9 +310,10 @@ class MlpDenoiser:
         shaped like x1.  bind checks x1's width (DimensionMismatch) at once.
         It computes x1/sigma_d @ W1_x1 and the bias rows
         [embed(r), embed(g)] @ W1_t + b1 once, so each step runs only
-        x/sigma_d @ W1_x and the hidden layers.  The embedding rows come
-        from a cache keyed on the whole grid (_grid_rows); the weights are
-        read when bind is called, so update params between runs.
+        x/sigma_d @ W1_x and the hidden layers, in blocks of at most 257
+        rows (_row_blocks) through an inference-only pass.  The embedding
+        rows come from a cache keyed on the whole grid (_grid_rows); the
+        weights are read when bind is called, so update params between runs.
 
         When predict has been replaced (a subclass override, or a wrapper
         set on the class or the instance), f calls it at every step, so the
@@ -298,21 +328,43 @@ class MlpDenoiser:
         return self._step_predictor(x1, rows, biases + self.params["b1"])
 
     def _step_predictor(self, x1: np.ndarray, rows: np.ndarray, biases: np.ndarray):
-        """f(x, i) over first-layer bias rows biases[i] (broadcast over x's rows)."""
+        """f(x, i) over first-layer bias rows biases[i]: a row shared by all
+        of x's rows, or one per row (biases.shape[1] > 1).
+
+        x's rows run in the blocks of _row_blocks, each through an
+        inference-only pass that keeps nothing for a backward pass; a
+        shared bias row is broadcast to every block, per-row ones are
+        sliced with it.
+        """
         d, sd, p = self.dim, self.sigma_d, self.params
         w1 = p["W1"]
         w1_x = w1[:d]
         x1_part = (rows / sd) @ w1[d : 2 * d]
+        hidden = [(p[w_key], p[b_key]) for w_key, b_key in _LAYERS[1:]]
+        per_row = biases.ndim == 3 and biases.shape[1] > 1
+
+        def block(x, x1_rows, bias):
+            z = (x / sd) @ w1_x
+            z += x1_rows
+            z += bias
+            for w, b in hidden:
+                z *= ndtr(z)
+                z = z @ w
+                z += b
+            z *= sd
+            return z
 
         def step(x, i: int) -> np.ndarray:
             x = np.asarray(x, dtype=np.float64)
             if x.shape != x1.shape:
                 raise DimensionMismatch(f"x {x.shape} / x1 {x1.shape} incompatible with dim={d}")
-            z = (np.atleast_2d(x) / sd) @ w1_x
-            z += x1_part
-            z += biases[i]
-            out, _ = _dense_hidden(p, _LAYERS, z)
-            out *= sd
+            xs, bias = np.atleast_2d(x), biases[i]
+            if len(xs) <= _BLOCK_ROWS + 1:
+                out = block(xs, x1_part, bias)
+            else:
+                out = np.empty((len(xs), d))
+                for s in _row_blocks(len(xs)):
+                    out[s] = block(xs[s], x1_part[s], bias[s] if per_row else bias)
             return out[0] if x.ndim == 1 else out
 
         return step
@@ -323,6 +375,8 @@ class MlpDenoiser:
         x1 = np.asarray(x1, dtype=np.float64)
         rows = self._x1_rows(x1)
         bias = self._times(r, g) @ self.params["W1"][2 * self.dim :] + self.params["b1"]
+        if bias.ndim == 2 and len(bias) not in (1, len(rows)):
+            raise DimensionMismatch(f"{len(bias)} times for {len(rows)} rows")
         return self._step_predictor(x1, rows, bias[None])(x, 0)
 
     _predict = predict  # the predict that bind's own step predictor equals

@@ -20,12 +20,13 @@ from scipy.special import expit
 
 from .denoiser import (
     MlpDenoiser,
+    _check_sizes,
     _dense_backward,
     _dense_forward,
     _weighted_error,
     time_embed,
 )
-from .errors import ConfigError, DomainError, EmptyDataset, NonFiniteLoss
+from .errors import ConfigError, EmptyDataset, NonFiniteLoss
 from .process import forward_state
 from .schedule import GvpSchedule
 
@@ -125,8 +126,7 @@ class AdaptiveWeight:
     """
 
     def __init__(self, emb_dim: int = 16, hidden: int = 32, rng=None) -> None:
-        if emb_dim % 2 != 0:
-            raise DomainError(f"emb_dim must be even, got {emb_dim}")
+        _check_sizes(hidden, emb_dim)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.emb_dim = emb_dim
         self.hidden = hidden

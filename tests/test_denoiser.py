@@ -24,11 +24,14 @@ from rgflow import (
     save_checkpoint,
     time_embed,
 )
+from rgflow import denoiser
 from rgflow.denoiser import (
-    _dense_hidden,
+    _BLOCK_ROWS,
+    _dense_forward,
     _frequencies,
     _gelu_grad,
     _grid_rows,
+    _row_blocks,
     weighted_prediction_loss,
 )
 
@@ -79,6 +82,15 @@ class TestCheatOracle:
         assert np.array_equal(out, x0)
         batch = den.predict(np.zeros((3, 2)), np.zeros((3, 2)), 0.1, 0.2)
         assert np.array_equal(batch, np.broadcast_to(x0, (3, 2)))
+
+    def test_mismatched_batch_rejected(self):
+        """A stored batch that neither matches nor broadcasts to the query
+        is a DimensionMismatch, not numpy's bare ValueError."""
+        den = CheatDenoiser(np.zeros((4, 2)))
+        for shape in ((3, 2), (4, 3), (2,)):
+            with pytest.raises(DimensionMismatch, match="stored x0"):
+                den.predict(np.zeros(shape), np.zeros(shape), 0.1, 0.2)
+        assert den.predict(np.zeros((4, 2)), np.zeros((4, 2)), 0.1, 0.2).shape == (4, 2)
 
     def test_one_step_restore_recovers_truth(self):
         sched = GvpSchedule(0.4, 1.0)
@@ -371,13 +383,112 @@ class TestBind:
             rows[0, 0, 0] = 1.0
 
 
+class TestBlocks:
+    """The step predictor runs a batch in blocks of at most _BLOCK_ROWS + 1
+    rows, cut at multiples of _BLOCK_ROWS."""
+
+    SIZES = (2, 255, 256, 257, 511, 512, 513, 2001)
+
+    def test_block_cuts(self):
+        assert _BLOCK_ROWS == 256
+        for n in [*range(0, 1100), 2001, 4097]:
+            cuts = _row_blocks(n)
+            assert cuts[0].start == 0 and cuts[-1].stop == n
+            for a, b in zip(cuts, cuts[1:]):
+                assert a.stop == b.start
+            for s in cuts:
+                assert s.start % _BLOCK_ROWS == 0
+                assert s.stop - s.start <= _BLOCK_ROWS + 1
+                assert s.stop - s.start != 1 or n == 1
+        assert [(s.start, s.stop) for s in _row_blocks(513)] == [(0, 256), (256, 513)]
+
+    def test_step_runs_each_block(self, monkeypatch):
+        """Each hidden layer sees one block at a time, never the whole batch."""
+        seen = []
+        ndtr = denoiser.ndtr
+
+        def spy(z):
+            seen.append(len(z))
+            return ndtr(z)
+
+        monkeypatch.setattr(denoiser, "ndtr", spy)
+        net = _random_mlp(3, 8, seed=6)
+        rng = np.random.default_rng(6)
+        for n in (*self.SIZES, 1):
+            x, x1 = rng.normal(size=(2, n, 3))
+            seen.clear()
+            net.bind(x1, [(0.3, 0.1)])(x, 0)
+            assert seen == [s.stop - s.start for s in _row_blocks(n) for _ in range(2)]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_blocked_equals_each_block_alone(self, n):
+        """A bound step and predict, with scalar and per-row times, equal bit
+        for bit the same predictor run on each block's slice, and stay within
+        1e-12 of sigma_d * forward_batch(features(...))."""
+        net = _random_mlp(3, 8, seed=n)
+        rng = np.random.default_rng(n)
+        x, x1 = rng.normal(size=(2, n, 3))
+        rs, gs = rng.uniform(-HALF_PI, HALF_PI, size=(2, n))
+        times = [(0.3, 0.1), (rs[0], gs[0])]
+        step = net.bind(x1, times)
+        cases = [(step(x, i), lambda s, i=i: net.bind(x1[s], times)(x[s], i), times[i])
+                 for i in range(len(times))]
+        cases += [
+            (net.predict(x, x1, 0.3, 0.1), lambda s: net.predict(x[s], x1[s], 0.3, 0.1), (0.3, 0.1)),
+            (net.predict(x, x1, rs, gs), lambda s: net.predict(x[s], x1[s], rs[s], gs[s]), (rs, gs)),
+            (net.predict(x, x1, 0.3, gs), lambda s: net.predict(x[s], x1[s], 0.3, gs[s]), (0.3, gs)),
+        ]
+        for got, alone, (r, g) in cases:
+            assert got.shape == (n, 3)
+            for s in _row_blocks(n):
+                assert got[s].tobytes() == alone(s).tobytes()
+            core, _ = net.forward_batch(net.features(x, x1, r, g))
+            np.testing.assert_allclose(got, net.sigma_d * core, rtol=0.0, atol=1e-12)
+
+    def test_one_dimensional_input_is_its_one_row_batch(self):
+        net = _random_mlp(3, 8, seed=7)
+        x, x1 = np.random.default_rng(7).normal(size=(2, 3))
+        got = net.predict(x, x1, 0.3, 0.1)
+        assert got.shape == (3,)
+        assert got.tobytes() == net.predict(x[None], x1[None], 0.3, 0.1)[0].tobytes()
+        assert got.tobytes() == net.bind(x1, [(0.3, 0.1)])(x, 0).tobytes()
+
+    def test_per_row_times_use_each_rows_bias(self):
+        """Over more than one block, per-row times give each row its own
+        bias row: the result matches row-by-row predict."""
+        net = _random_mlp(3, 8, seed=8)
+        rng = np.random.default_rng(8)
+        n = 600
+        x, x1 = rng.normal(size=(2, n, 3))
+        rs, gs = rng.uniform(-HALF_PI, HALF_PI, size=(2, n))
+        got = net.predict(x, x1, rs, gs)
+        rows = np.stack([net.predict(x[i], x1[i], rs[i], gs[i]) for i in range(n)])
+        np.testing.assert_allclose(got, rows, rtol=0.0, atol=1e-12)
+
+    def test_empty_batch_and_wrong_width(self):
+        net = _random_mlp(3, 8, seed=9)
+        empty = np.zeros((0, 3))
+        assert net.predict(empty, empty, 0.3, 0.1).shape == (0, 3)
+        assert net.bind(empty, [(0.3, 0.1)])(empty, 0).shape == (0, 3)
+        wide = np.zeros((600, 4))
+        with pytest.raises(DimensionMismatch):
+            net.predict(wide, wide, 0.3, 0.1)
+        with pytest.raises(DimensionMismatch):
+            net.bind(wide, [(0.3, 0.1)])
+        step = net.bind(np.zeros((600, 3)), [(0.3, 0.1)])
+        with pytest.raises(DimensionMismatch):
+            step(np.zeros((599, 3)), 0)
+        with pytest.raises(DimensionMismatch, match="times"):
+            net.predict(np.zeros((600, 3)), np.zeros((600, 3)), np.zeros(601), 0.1)
+
+
 class TestGelu:
     def test_matches_erf_reference(self):
         """z * ndtr(z) and its derivative agree with the erf forms out to
         |z| = 40, within 1e-15 * max(1, |z|)."""
         z = np.linspace(-40.0, 40.0, 16001)[:, None]
-        params = {"W": np.ones((1, 1)), "b": np.zeros(1)}
-        gelu, (_, pre, cdfs) = _dense_hidden(params, (("V", "c"), ("W", "b")), z)
+        params = {"V": np.ones((1, 1)), "c": np.zeros(1), "W": np.ones((1, 1)), "b": np.zeros(1)}
+        gelu, (_, pre, cdfs) = _dense_forward(params, (("V", "c"), ("W", "b")), z)
         erf = np.array([math.erf(t / math.sqrt(2.0)) for t in z[:, 0]])[:, None]
         tol = 1e-15 * np.maximum(1.0, np.abs(z))
         want = 0.5 * z * (1.0 + erf)

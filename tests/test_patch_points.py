@@ -64,3 +64,31 @@ def test_sampler_draws_through_its_numpy_name(monkeypatch):
     )
     sampler.restore_batch(sched, denoiser.GaussianOracle(rho=0.5), np.ones((2, 2)), cfg)
     assert built == [([0, 0],), ([0, 1],)]
+
+
+def test_replaced_predict_sees_every_blocked_step(monkeypatch):
+    """`MlpDenoiser.bind` is defined on the class, and a `predict` replaced
+    on the class (as the tracer replaces it) still sees every step of a
+    restore_batch whose batch spans several blocks, each call with the whole
+    batch."""
+    import numpy as np
+
+    assert callable(denoiser.MlpDenoiser.__dict__["bind"])
+    net = denoiser.MlpDenoiser(dim=2, hidden=8, emb_dim=4, params={})
+    net.reinit(np.random.default_rng(0))
+    sched = schedule.GvpSchedule(0.5, 1.0)
+    cfg = sampler.SamplerConfig(
+        trajectory=trajectory.Elliptical(phi=sched.phi, delta=0.5), n_steps=6, eta=0.5
+    )
+    x1 = np.random.default_rng(1).normal(size=(600, 2))
+    plain = sampler.restore_batch(sched, net, x1, cfg)
+    rows = []
+    own = denoiser.MlpDenoiser.predict
+
+    def wrapped(self, x, x1, r, g):
+        rows.append(len(x))
+        return own(self, x, x1, r, g)
+
+    monkeypatch.setattr(denoiser.MlpDenoiser, "predict", wrapped)
+    assert sampler.restore_batch(sched, net, x1, cfg).tobytes() == plain.tobytes()
+    assert rows == [600] * 6

@@ -11,6 +11,7 @@ from rgflow import (
     AdamW,
     AdaptiveWeight,
     ConfigError,
+    DomainError,
     Elliptical,
     EllipticalSpecialist,
     GaussianOracle,
@@ -116,6 +117,15 @@ class TestWeightedLoss:
 
 
 class TestAdaptiveWeight:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("emb_dim", 0), ("emb_dim", -2), ("emb_dim", 3), ("hidden", 0), ("hidden", -1)],
+    )
+    def test_bad_sizes_rejected(self, name, value):
+        """The weight net checks its sizes as MlpDenoiser does."""
+        with pytest.raises(DomainError, match=name):
+            AdaptiveWeight(rng=np.random.default_rng(0), **{name: value})
+
     def test_zero_initialised_output(self):
         w = AdaptiveWeight(rng=np.random.default_rng(0))
         vals = w(np.array([0.1, -0.3]), np.array([0.2, 1.0]))
