@@ -39,7 +39,6 @@ from .toydata import (
 )
 from .training import TrainConfig, make_time_sampler, train
 from .trajectory import TRAJECTORY_KINDS, make_trajectory
-from .verify import run_checks
 
 
 def _fmt(v) -> str:
@@ -320,6 +319,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here: only this subcommand runs the checks.
+    from .verify import run_checks
+
     results = run_checks(only=args.only)
     if not results:
         raise ConfigError(f"--only {args.only!r} matched no checks")

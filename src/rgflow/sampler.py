@@ -26,11 +26,22 @@ boot step to the clean end (kappa = 0, no draw), and eta < 1 is rejected
 there.  Pure regression paths use the noiseless update
 x2 = x1state + (alpha_r2 - alpha_r1) x0hat + (beta_r2 - beta_r1) x1 instead.
 
+Every step kind folds to four scalars, computed once per plan (_fold):
+
+    x2 = k^s x1state + a x0hat + b x1 + kappa z,
+    a = lam_2 alpha_r2 - k^s lam_1 alpha_r1,   b = lam_2 beta_r2 - k^s lam_1 beta_r1,
+
+with lam = cos(g).  The regression update is the case k^s = 1, lam = 1,
+kappa = 0, so one function (_update) runs every step, and a step with
+kappa = 0 never reads z.
+
 Each run binds the denoiser once, before the first draw, to its input x1 and
 the steps' source times (MlpDenoiser.bind, which hoists everything but the
-state's own first-layer product out of the step loop); a denoiser without
+state's own first-layer product out of the step loop).  A denoiser without
 bind, or an MlpDenoiser whose predict has been replaced, is called through
-predict at every step.
+predict at every step, and that prediction is converted to float64 and
+checked against the state's shape; the inputs themselves are checked once,
+where they enter restore and restore_batch.
 """
 
 from __future__ import annotations
@@ -98,21 +109,21 @@ def _match(*arrays) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _update(x, x0hat, x1, ks: float, c1: CoeffSet, c2: CoeffSet, kap: float, z):
-    """The hybrid update with its scalars filled in: the one copy of the
-    formula, run by hybrid_step, boot_step and the plan loop alike."""
-    return (
-        ks * x
-        + c2.lam * (c2.alpha * x0hat + c2.beta * x1)
-        - ks * c1.lam * (c1.alpha * x0hat + c1.beta * x1)
-        + kap * z
-    )
+def _fold(c1: CoeffSet, c2: CoeffSet, ks: float, kap: float) -> tuple[float, ...]:
+    """(k^s, a, b, kappa) of the step between points with coefficients c1 and
+    c2: a = lam_2 alpha_2 - k^s lam_1 alpha_1, b likewise with beta."""
+    ks_lam1 = ks * c1.lam
+    return ks, c2.lam * c2.alpha - ks_lam1 * c1.alpha, c2.lam * c2.beta - ks_lam1 * c1.beta, kap
 
 
-def _regression_update(x, x0hat, x1, d_alpha: float, d_beta: float):
-    """The noiseless update along g = 0, given alpha_r2 - alpha_r1 and
-    beta_r2 - beta_r1."""
-    return x + d_alpha * x0hat + d_beta * x1
+def _update(x, x0hat, x1, ks: float, a: float, b: float, kap: float, z):
+    """k^s x + a x0hat + b x1 + kappa z, with the scalars of _fold: the one
+    update of every step kind, run by the public step functions and the plan
+    loop alike.  z is read only where kappa is nonzero."""
+    out = ks * x + a * x0hat + b * x1
+    if kap != 0.0:
+        out += kap * z
+    return out
 
 
 def hybrid_step(
@@ -126,14 +137,12 @@ def hybrid_step(
     z,
 ) -> np.ndarray:
     """One hybrid update from (r1, g1) to (r2, g2); g1 > 0 unless eta = 1."""
-    r1, g1 = frm
-    r2, g2 = to
+    g1, g2 = frm[1], to[1]
     # kappa first: it rejects eta outside [0, 1] and g1 <= 0 below eta = 1.
     kap = kappa(eta, g1, g2)
     x_prev, x0hat, x1, z = _match(x_prev, x0hat, x1, z)
-    c1 = sched.coeffs(r1, g1)
-    c2 = sched.coeffs(r2, g2)
-    return _update(x_prev, x0hat, x1, _k_pow_s(eta, g1, g2), c1, c2, kap, z)
+    fold = _fold(sched.coeffs(*frm), sched.coeffs(*to), _k_pow_s(eta, g1, g2), kap)
+    return _update(x_prev, x0hat, x1, *fold, z)
 
 
 def boot_step(
@@ -156,11 +165,11 @@ def boot_step(
 def regression_step(
     sched: GvpSchedule, x_prev, x0hat, x1, r1: float, r2: float
 ) -> np.ndarray:
-    """Noiseless update along g = 0."""
+    """Noiseless update along g = 0: the fold with k^s = 1 and kappa = 0,
+    where lam = 1 makes a = alpha_r2 - alpha_r1 and b = beta_r2 - beta_r1."""
     x_prev, x0hat, x1 = _match(x_prev, x0hat, x1)
-    d_alpha = sched.alpha(r2) - sched.alpha(r1)
-    d_beta = sched.beta(r2) - sched.beta(r1)
-    return _regression_update(x_prev, x0hat, x1, d_alpha, d_beta)
+    fold = _fold(sched.coeffs(r1, 0.0), sched.coeffs(r2, 0.0), 1.0, 0.0)
+    return _update(x_prev, x0hat, x1, *fold, None)
 
 
 @dataclass(frozen=True)
@@ -184,26 +193,24 @@ class SamplerConfig:
             )
 
 
-REGRESSION, BOOT, HYBRID = "regression", "boot", "hybrid"
-
-
 @dataclass(frozen=True)
 class Step:
-    """One update of a plan: its kind (REGRESSION, BOOT or HYBRID), its
-    (r, g) endpoints, k^s, the coefficients at both ends and kappa."""
+    """One update of a plan, folded: its source point frm (the time the
+    denoiser is queried at), its target point to, and the four scalars of
+    x2 = ks x + a x0hat + b x1 + kappa z (see _fold)."""
 
-    kind: str
     frm: tuple[float, float]
     to: tuple[float, float]
     ks: float
-    c1: CoeffSet
-    c2: CoeffSet
+    a: float
+    b: float
     kappa: float
 
 
 @dataclass(frozen=True)
 class Plan:
-    """Everything a restoration computes before its first denoiser call.
+    """Everything a restoration computes before its first denoiser call:
+    the start, every step folded to its scalars, and the draw count.
 
     `start` holds the coefficients of a start at g > 0, whose state is
     lam beta x1 + gamma z, and is None for a start at g = 0, whose state is
@@ -249,13 +256,14 @@ def _plan(
     steps = []
     for frm, to, c1, c2 in zip(points[:-1], points[1:], coeffs[:-1], coeffs[1:]):
         if regressive:
-            steps.append(Step(REGRESSION, frm, to, 1.0, c1, c2, 0.0))
-            continue
-        kind = BOOT if frm[1] == 0.0 else HYBRID
-        step_eta = 1.0 if kind == BOOT else eta
-        # kappa first: it rejects eta outside [0, 1] and g1 <= 0 below eta = 1.
-        kap = kappa(step_eta, frm[1], to[1])
-        steps.append(Step(kind, frm, to, _k_pow_s(step_eta, frm[1], to[1]), c1, c2, kap))
+            ks, kap = 1.0, 0.0
+        else:
+            # The step from g = 0 is the boot step, the eta = 1 update.
+            step_eta = 1.0 if frm[1] == 0.0 else eta
+            # kappa first: it rejects eta outside [0, 1] and g1 <= 0 below eta = 1.
+            kap = kappa(step_eta, frm[1], to[1])
+            ks = _k_pow_s(step_eta, frm[1], to[1])
+        steps.append(Step(frm, to, *_fold(c1, c2, ks, kap)))
     start = None if points[0][1] == 0.0 else coeffs[0]
     n_draws = (start is not None) + sum(s.kappa != 0.0 for s in steps)
     return Plan(start, tuple(steps), n_draws)
@@ -273,11 +281,21 @@ def plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan:
 
 
 def _bind(denoiser, x1, times):
-    """f(x, i) = denoiser.predict(x, x1, *times[i]): the denoiser's own bind
-    when it has one, else a call of predict at every step."""
-    if hasattr(denoiser, "bind"):
-        return denoiser.bind(x1, times)
-    return lambda x, i: denoiser.predict(x, x1, *times[i])
+    """f(x, i) = denoiser.predict(x, x1, *times[i]): the predictor the
+    denoiser's own bind returns, else a call of predict at every step whose
+    result is converted to float64 and must have the state's shape
+    (DimensionMismatch)."""
+    bound = denoiser.bind(x1, times) if hasattr(denoiser, "bind") else None
+    if bound is not None:
+        return bound
+
+    def predict(x, i: int) -> np.ndarray:
+        x0hat = np.asarray(denoiser.predict(x, x1, *times[i]), dtype=np.float64)
+        if x0hat.shape != np.shape(x):
+            raise DimensionMismatch(f"prediction {x0hat.shape} for a state {np.shape(x)}")
+        return x0hat
+
+    return predict
 
 
 def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
@@ -295,20 +313,13 @@ def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
         x = c0.lam * c0.beta * x1 + c0.gamma * noise[0]
     for i, step in enumerate(p.steps):
         x0hat = predict(x, i)
-        if step.kind == REGRESSION:
-            x, x0hat, x1 = _match(x, x0hat, x1)
-            c1, c2 = step.c1, step.c2
-            x = _regression_update(x, x0hat, x1, c2.alpha - c1.alpha, c2.beta - c1.beta)
-            continue
+        z = None
         if step.kappa != 0.0:
             if noise is None:
                 noise = draw()
             z = noise[used]
             used += 1
-        else:
-            z = np.zeros_like(x)
-        x, x0hat, x1, z = _match(x, x0hat, x1, z)
-        x = _update(x, x0hat, x1, step.ks, step.c1, step.c2, step.kappa, z)
+        x = _update(x, x0hat, x1, step.ks, step.a, step.b, step.kappa, z)
     return x
 
 
@@ -347,11 +358,13 @@ def restore(
     Regression paths draw nothing and build no generator.
 
     A rejected configuration, a NaN or inf in x1 (DomainError), a `noise`
-    sequence too short for the plan (ConfigError) and an x1 that an
-    MlpDenoiser's bind rejects (DimensionMismatch) are all raised before any
-    denoiser call or draw.  If a denoiser without bind fails mid-run (say,
-    a dimension mismatch on a path that starts at g > 0), a passed `rng` may
-    already have advanced by the whole block.  A result holding NaN or inf
+    sequence too short for the plan (ConfigError), one of its first n_draws
+    items not shaped like x1 (DimensionMismatch) or holding NaN or inf
+    (DomainError), and an x1 that an MlpDenoiser's bind rejects
+    (DimensionMismatch) are all raised before any denoiser call or draw.  If
+    a denoiser without bind fails mid-run (say, a prediction of another
+    shape on a path that starts at g > 0), a passed `rng` may already have
+    advanced by the whole block.  A result holding NaN or inf
     raises NonFiniteOutput.
     """
     x1 = np.asarray(x1, dtype=np.float64)
@@ -368,6 +381,11 @@ def restore(
         items = [np.asarray(a, dtype=np.float64) for a in noise]
         if len(items) < p.n_draws:
             raise ConfigError(f"noise override exhausted at draw {len(items)}")
+        for k, z in enumerate(items[: p.n_draws]):
+            if z.shape != x1.shape:
+                raise DimensionMismatch(f"noise draw {k} has shape {z.shape}, x1 {x1.shape}")
+            bad_noise = f"noise draw {k} holds NaN or inf in {{bad}} of {{n}} rows"
+            _require_finite(z, DomainError, bad_noise)
 
         def draw() -> list[np.ndarray]:
             return items

@@ -381,14 +381,24 @@ class TestHelp:
             assert "--" in capsys.readouterr().out
 
 
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has `module` loaded after `import rgflow.cli`."""
+    src = os.path.dirname(os.path.dirname(rgflow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import sys, rgflow.cli; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip() == "True"
+
+
 class TestImport:
     def test_cli_import_skips_scipy_spatial(self):
         """`energy_distance` imports scipy.spatial on first use, so loading
         the CLI (every `rgflow` process) does not pay for it."""
-        src = os.path.dirname(os.path.dirname(rgflow.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, rgflow.cli; print('scipy.spatial' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert not _loaded_by_cli_import("scipy.spatial")
+
+    def test_cli_import_skips_verify(self):
+        """`rgflow.verify` is imported by the verify subcommand alone, so the
+        other subcommands do not load it."""
+        assert not _loaded_by_cli_import("rgflow.verify")

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rgflow import (
@@ -160,6 +160,78 @@ class TestRegressionStep:
         half = regression_step(sched, x_prev, x0hat, x1, sched.phi, 0.0)
         two = regression_step(sched, half, x0hat, x1, 0.0, -sched.phi)
         np.testing.assert_allclose(two, full, atol=1e-12)
+
+
+_rho = st.floats(-0.9, 0.9)
+_unit = st.floats(-1.0, 1.0)
+_vectors = st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8).map(
+    lambda v: np.reshape(v, (4, 2))
+)
+
+
+def _unfolded(sched, x, x0hat, x1, frm, to, ks, kap, z):
+    """The hybrid update with both ends' coefficients, before folding."""
+    c1, c2 = sched.coeffs(*frm), sched.coeffs(*to)
+    return (
+        ks * x
+        + c2.lam * (c2.alpha * x0hat + c2.beta * x1)
+        - ks * c1.lam * (c1.alpha * x0hat + c1.beta * x1)
+        + kap * z
+    )
+
+
+class TestFoldProperties:
+    """Each step kind, run through its folded scalars, against the update
+    written out with both ends' coefficients, and manifold invariance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=_rho, u1=_unit, u2=_unit, g1=st.floats(1e-3, HALF_PI),
+           g2=st.floats(0.0, HALF_PI), eta=st.floats(0.0, 1.0), vecs=_vectors)
+    def test_hybrid_step_equals_unfolded_update(self, rho, u1, u2, g1, g2, eta, vecs):
+        sched = GvpSchedule(rho, 1.0)
+        frm, to = (u1 * sched.phi, g1), (u2 * sched.phi, g2)
+        ks = (math.sin(g2) / math.sin(g1)) ** math.sqrt((1.0 - eta) * (1.0 + eta))
+        want = _unfolded(sched, *vecs[:3], frm, to, ks, kappa(eta, g1, g2), vecs[3])
+        got = hybrid_step(sched, *vecs[:3], frm, to, eta, vecs[3])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * (1.0 + ks))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rho=_rho, u1=_unit, u2=_unit, g2=st.floats(0.0, HALF_PI), vecs=_vectors)
+    def test_boot_and_regression_steps_equal_unfolded_update(self, rho, u1, u2, g2, vecs):
+        sched = GvpSchedule(rho, 1.0)
+        r1, r2 = u1 * sched.phi, u2 * sched.phi
+        want = _unfolded(sched, *vecs[:3], (r1, 0.0), (r2, g2), 1.0, math.sin(g2), vecs[3])
+        got = boot_step(sched, *vecs[:3], (r1, 0.0), (r2, g2), vecs[3])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-13)
+        want = _unfolded(sched, *vecs[:3], (r1, 0.0), (r2, 0.0), 1.0, 0.0, vecs[3])
+        got = regression_step(sched, *vecs[:3], r1, r2)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(TRAJECTORY_KINDS)), rho=_rho,
+           delta=st.floats(0.0, HALF_PI), p=st.floats(1.0, 3.0),
+           s1=st.floats(0.0, 1.0), s2=st.floats(0.0, 1.0), vecs=_vectors)
+    def test_manifold_invariance(self, kind, rho, delta, p, s1, s2, vecs):
+        """With the exact clean point substituted, a step between two points
+        of any path maps the forward state to the forward state with the same
+        latent: at eta = 0 with no noise, at eta = 1 with the latent as noise.
+        From g = 0 only the eta = 1 (boot) step is defined, and along g = 0
+        the regression step."""
+        sched = GvpSchedule(rho, 1.0)
+        traj = make_trajectory(kind, phi=sched.phi, delta=delta, p=p)
+        t1, t2 = (traj.t_start + s * (traj.t_end - traj.t_start) for s in (s1, s2))
+        frm, to = traj.point(t1), traj.point(t2)
+        assume(frm[1] == 0.0 or frm[1] >= 1e-3)
+        pair, z = PairSample(x0=vecs[0], x1=vecs[1]), vecs[2]
+        x = interpolate(sched, pair, z, *frm).x
+        want = interpolate(sched, pair, z, *to).x
+        got = [boot_step(sched, x, pair.x0, pair.x1, frm, to, z)]
+        if frm[1] > 0.0:
+            got.append(hybrid_step(sched, x, pair.x0, pair.x1, frm, to, 0.0, np.zeros(2)))
+        elif to[1] == 0.0:
+            got.append(regression_step(sched, x, pair.x0, pair.x1, frm[0], to[0]))
+        for out in got:
+            np.testing.assert_allclose(out, want, rtol=0.0, atol=1e-10)
 
 
 class TestRestore:
@@ -619,11 +691,61 @@ class TestPlan:
         cfg = SamplerConfig(trajectory=Elliptical(phi=sched.phi, delta=0.5), n_steps=6, eta=0.5)
         with pytest.raises(ConfigError, match="exhausted at draw 2"):
             restore(sched, Spy(), x1s[0], cfg, noise=[np.zeros(2)] * 2)
+        # One draw, at the start: its item must have x1's shape and be finite.
+        cfg = SamplerConfig(trajectory=Linear(phi=sched.phi, delta=0.5), n_steps=4)
+        for item, error in ((0.5, DimensionMismatch), (np.array([0.5]), DimensionMismatch),
+                            (np.ones(3), DimensionMismatch),
+                            (np.array([np.nan, 0.0]), DomainError)):
+            with pytest.raises(error, match="noise draw 0"):
+                restore(sched, Spy(), x1s[0], cfg, noise=[item])
         assert Spy.calls == 0
         assert built == []
 
 
 class TestInputGuards:
+    def test_foreign_prediction_of_another_shape_rejected(self):
+        """A prediction called through predict at every step (a denoiser
+        without bind, or an MlpDenoiser whose predict is replaced) must have
+        the state's shape: one that would broadcast raises DimensionMismatch."""
+
+        class Short:
+            def predict(self, x, x1, r, g):
+                return np.zeros(1)
+
+        class ShortMlp(MlpDenoiser):
+            def predict(self, x, x1, r, g):
+                return np.zeros(1)
+
+        sched = GvpSchedule(0.5, 1.0)
+        for traj in (Regression(phi=sched.phi), Elliptical(phi=sched.phi, delta=0.5),
+                     Linear(phi=sched.phi, delta=0.5)):
+            cfg = SamplerConfig(trajectory=traj, n_steps=4, eta=0.5)
+            for den in (Short(), ShortMlp(dim=2, hidden=8, emb_dim=4)):
+                with pytest.raises(DimensionMismatch, match="prediction"):
+                    restore(sched, den, np.array([0.3, -0.2]), cfg)
+                with pytest.raises(DimensionMismatch, match="prediction"):
+                    restore_batch(sched, den, np.ones((3, 2)), cfg)
+
+    def test_foreign_prediction_converted_to_float64(self):
+        """A denoiser whose predict returns a list restores as one returning
+        the same values as an array."""
+
+        class Halving:
+            def __init__(self, wrap):
+                self.wrap = wrap
+
+            def predict(self, x, x1, r, g):
+                return self.wrap(0.5 * np.asarray(x1))
+
+        sched = GvpSchedule(0.5, 1.0)
+        x1 = np.array([0.3, -0.2])
+        for traj in (Regression(phi=sched.phi), Elliptical(phi=sched.phi, delta=0.5),
+                     Linear(phi=sched.phi, delta=0.5)):
+            cfg = SamplerConfig(trajectory=traj, n_steps=4, eta=0.5, seed=3)
+            want = restore(sched, Halving(np.asarray), x1, cfg)
+            got = restore(sched, Halving(lambda a: a.tolist()), x1, cfg)
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kind", sorted(TRAJECTORY_KINDS))
     def test_empty_batch_returns_empty_result(self, kind, monkeypatch):
         dens = (GaussianOracle(rho=0.5), MlpDenoiser(dim=2, hidden=8, emb_dim=4))
