@@ -27,7 +27,7 @@ from .denoiser import CheatDenoiser, GaussianOracle, load_checkpoint, save_check
 from .dynamics import euler_integrate
 from .errors import ConfigError, RgflowError
 from .process import forward_state
-from .sampler import SamplerConfig, restore, restore_batch
+from .sampler import SamplerConfig, check_seed, restore, restore_batch
 from .schedule import GvpSchedule, schedule_grid
 from .sweep import SWEEP_FIELDS, run_sweep
 from .toydata import (
@@ -115,7 +115,7 @@ def _cmd_simulate(args) -> int:
     sched = GvpSchedule(rho=rho, sigma_d=ds.sigma_d)
     traj = make_trajectory(args.traj, phi=sched.phi, delta=args.delta, p=args.p)
     grid = traj.discretize(args.steps)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(check_seed(args.seed))
     dim = ds.dim
     rows = []
     for t, r, g in zip(grid.t, grid.r, grid.g):
@@ -132,7 +132,7 @@ def _cmd_bench(args) -> int:
     sched = GvpSchedule(rho=args.rho, sigma_d=1.0)
     den = GaussianOracle(rho=args.rho)
     traj = make_trajectory(args.traj, phi=sched.phi, delta=args.delta, p=args.p)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(check_seed(args.seed))
     x1 = rng.normal(0.0, 1.0, size=args.trials)
     zeros = np.zeros(args.trials)
     euler_end = euler_integrate(
@@ -173,30 +173,7 @@ def _cmd_train(args) -> int:
             return flag
         return conf.get(name, default)
 
-    data = pick("data", "scurve")
-    n = int(pick("n", 2000))
-    seed = int(pick("seed", 0))
-    sigma_d = float(pick("sigma_d", 1.0))
-    if data == "scurve":
-        ds = make_scurve_dataset(
-            n,
-            jitter=float(pick("jitter", 0.05)),
-            strength=float(pick("strength", 1.0)),
-            noise=float(pick("noise", 0.25)),
-            sigma_d=sigma_d,
-            seed=seed,
-        )
-    elif data == "gaussian":
-        ds = make_gaussian_pairs(
-            float(pick("gaussian_rho", 0.5)),
-            n,
-            sigma_d=sigma_d,
-            seed=seed,
-            dim=int(pick("dim", 2)),
-        )
-    else:
-        raise ConfigError(f"unknown --data {data!r}; expected scurve or gaussian")
-
+    # Built first, so that a bad seed is rejected before the data set is drawn.
     cfg = TrainConfig(
         time_sampler=make_time_sampler(pick("time_sampler", "elliptical")),
         batch_size=int(pick("batch", 16)),
@@ -207,8 +184,31 @@ def _cmd_train(args) -> int:
         adaptive_weighting=bool(pick("adaptive_weighting", True)),
         hidden=int(pick("hidden", 128)),
         emb_dim=int(pick("emb_dim", 32)),
-        seed=seed,
+        seed=int(pick("seed", 0)),
     )
+    data = pick("data", "scurve")
+    n = int(pick("n", 2000))
+    sigma_d = float(pick("sigma_d", 1.0))
+    if data == "scurve":
+        ds = make_scurve_dataset(
+            n,
+            jitter=float(pick("jitter", 0.05)),
+            strength=float(pick("strength", 1.0)),
+            noise=float(pick("noise", 0.25)),
+            sigma_d=sigma_d,
+            seed=cfg.seed,
+        )
+    elif data == "gaussian":
+        ds = make_gaussian_pairs(
+            float(pick("gaussian_rho", 0.5)),
+            n,
+            sigma_d=sigma_d,
+            seed=cfg.seed,
+            dim=int(pick("dim", 2)),
+        )
+    else:
+        raise ConfigError(f"unknown --data {data!r}; expected scurve or gaussian")
+
     result = train(ds, cfg)
     save_checkpoint(
         args.out, result.denoiser, rho=ds.rho_hat,

@@ -42,11 +42,21 @@ bind, or an MlpDenoiser whose predict has been replaced, is called through
 predict at every step, and that prediction is converted to float64 and
 checked against the state's shape; the inputs themselves are checked once,
 where they enter restore and restore_batch.
+
+restore_batch's item i draws from default_rng([seed, item_offset + i]).
+Rather than build that generator per item, it computes every item's PCG64
+state at once (numpy's SeedSequence hash in uint32 arithmetic, then PCG64's
+seeding) and sets each state on one generator local to the call, which
+yields the same stream.  Items whose seed or id is >= 2**32, batches below
+_FAST_SEEDING_MIN_ITEMS rows, and a numpy whose seeding no longer matches
+(checked once per process) take default_rng per item instead.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -82,11 +92,18 @@ def kappa(eta: float, g1: float, g2: float) -> float:
     s = math.sqrt((1.0 - eta) * (1.0 + eta))
     one_minus_s = eta * eta / (1.0 + s)
     log_k = math.log(s2) - math.log(s1)
-    if one_minus_s == 0.0:
-        # eta^2 underflowed; the ratio below tends to log_k as 1 - s -> 0.
+    x = one_minus_s * log_k
+    if abs(x) < 2.0**-53:
+        # 1 - e^-x = x (1 - x/2 + ...) is x to double precision, so the
+        # ratio below is log_k.  This also covers eta^2 or x underflowing,
+        # where the ratio form would lose every digit or divide by zero.
         return eta * s2 * log_k
     # eta * s2 * (1 - k^(s-1)) / (1-s), with 1 - e^x = -expm1(x).
-    return eta * s2 * (-math.expm1(-one_minus_s * log_k)) / one_minus_s
+    numerator = eta * s2 * -math.expm1(-x)
+    if abs(numerator) < sys.float_info.min:
+        # It underflowed (sin g2 near the smallest doubles): divide first.
+        return s2 * (-math.expm1(-x) / one_minus_s) * eta
+    return numerator / one_minus_s
 
 
 def _k_pow_s(eta: float, g1: float, g2: float) -> float:
@@ -172,6 +189,16 @@ def regression_step(
     return _update(x_prev, x0hat, x1, *fold, None)
 
 
+def check_seed(value, name: str = "seed") -> int:
+    """`value` as an int, if it is a non-negative integer (a Python or numpy
+    int, not a bool): the seeds and item ids numpy's seeding accepts.  Else
+    ConfigError, so a bad seed is reported as a configuration error rather
+    than raised by numpy mid-run."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Inference knobs: path, step budget, stochasticity, boot offset, seed."""
@@ -191,6 +218,7 @@ class SamplerConfig:
             raise ConfigError(
                 f"boot_epsilon must lie in (0, pi/2), got {self.boot_epsilon}"
             )
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -407,23 +435,154 @@ def restore_batch(
     consume, so the noise is independent of batching, chunking, or
     scheduling order (and so is the result under a per-coordinate denoiser;
     an MLP's matmuls may round differently for another row count).  Each
-    item takes its draws in one normal() call, and the generators are built
-    at the run's first draw, so a run that draws nothing (a regression path,
-    one boot step with kappa = 0, or an empty batch) builds none.
+    item takes its draws in one normal() call.  The streams are seeded at
+    the run's first draw, all items at once where they fit the vectorized
+    seeding (see the module docstring), so a run that draws nothing (a
+    regression path, one boot step with kappa = 0, or an empty batch) seeds
+    none.
 
-    A rejected configuration and a NaN or inf in x1_batch (DomainError,
-    counting the bad rows) are raised before any denoiser call or draw.  A
-    result holding NaN or inf raises NonFiniteOutput.
+    A rejected configuration, a negative or non-integer item_offset
+    (ConfigError), and a NaN or inf in x1_batch (DomainError, counting the
+    bad rows) are raised before any denoiser call or draw.  A result holding
+    NaN or inf raises NonFiniteOutput.
     """
+    item_offset = check_seed(item_offset, "item_offset")
     x1_batch = np.atleast_2d(np.asarray(x1_batch, dtype=np.float64))
     p = plan(sched, cfg)
     _require_finite(x1_batch, DomainError, _BAD_INPUT)
 
     def draw() -> np.ndarray:
-        block = np.empty((p.n_draws, *x1_batch.shape))
-        for i in range(len(x1_batch)):
-            gen = np.random.default_rng([cfg.seed, item_offset + i])
-            block[:, i] = gen.normal(0.0, sched.sigma_d, size=block[:, i].shape)
-        return block
+        return _item_noise(cfg.seed, item_offset, p.n_draws, x1_batch.shape, sched.sigma_d)
 
     return _require_finite(_run(p, denoiser, x1_batch, draw), NonFiniteOutput, _BAD_OUTPUT)
+
+
+# -- per-item noise streams ------------------------------------------------------
+#
+# default_rng([seed, item]) is PCG64 seeded by SeedSequence([seed, item]).
+# With seed and item below 2**32 that entropy is two 32-bit words, and the
+# seeding below redoes, for many items at once, what numpy's
+# bit_generator.pyx (SeedSequence's mix_entropy into a pool of four words,
+# then generate_state(4, uint64)) and pcg64.c (pcg64_set_seed, PCG's
+# srandom) do for one.  Its hash calls' constants depend on no data, so they
+# are computed here once.  Arrays are uint32, whose products wrap mod 2**32
+# as the C code's do; Python ints are masked to 32 bits instead.
+
+_M32 = 0xFFFF_FFFF
+_M128 = (1 << 128) - 1
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+# Below this many rows default_rng per item is as cheap: measured on one CPU,
+# the vectorized seeding costs a fixed ~50 us and ~4 us an item, default_rng
+# ~14 us an item, crossing at 5-6 rows.
+_FAST_SEEDING_MIN_ITEMS = 8
+
+
+def _hash_calls(const: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """(xor, multiplier) of n successive SeedSequence hashes starting from
+    hash constant `const`: each xors with the constant, advances it by
+    `mult`, then multiplies by the advanced constant."""
+    calls = []
+    for _ in range(n):
+        advanced = const * mult & _M32
+        calls.append((const, advanced))
+        const = advanced
+    return calls
+
+
+# mix_entropy's 16 hashmix calls: one per pool word, then, for each source
+# word in turn, one per other word.  generate_state's 8 output words cycle the
+# pool twice, with a hash of their own.
+_MIX_CALLS = _hash_calls(0x43B0D7E5, 0x931E8875, 16)
+_OUT_XOR, _OUT_MULT = (
+    np.array(c, dtype=np.uint32) for c in zip(*_hash_calls(0x8B51F9DD, 0x58F38DED, 8))
+)
+# For source words 1..3, the calls' constants laid out at their destination
+# words; the source's own slot holds a dummy 0 and is restored after the mix.
+_SOURCE_XOR, _SOURCE_MULT = (
+    np.array(
+        [[0 if dst == src else _MIX_CALLS[4 + 3 * src + dst - (dst > src)][part]
+          for dst in range(4)] for src in range(4)],
+        dtype=np.uint32,
+    )
+    for part in (0, 1)
+)
+
+
+def _hashmix(value, call: int):
+    """SeedSequence's hashmix with the constants of mix_entropy's call
+    `call`, on a Python int or a uint32 array."""
+    xor, mult = _MIX_CALLS[call]
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of words x and y, Python ints or uint32 arrays."""
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _pcg64_states(seed: int, first: int, n: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence([seed, item])) for the n items
+    first, first + 1, ...; seed and every item must be below 2**32."""
+    # Until source word 1 mixes in, pool words 0, 2 and 3 depend only on the
+    # seed: that part runs once, on Python ints.
+    w0 = _hashmix(seed, 0)
+    pool = np.empty((n, 4), dtype=np.uint32)
+    pool[:, 0] = w0
+    pool[:, 1] = _mix(_hashmix(np.arange(first, first + n, dtype=np.uint32), 1), _hashmix(w0, 4))
+    pool[:, 2] = _mix(_hashmix(0, 2), _hashmix(w0, 5))
+    pool[:, 3] = _mix(_hashmix(0, 3), _hashmix(w0, 6))
+    for src in (1, 2, 3):
+        h = (pool[:, src : src + 1] ^ _SOURCE_XOR[src]) * _SOURCE_MULT[src]
+        h ^= h >> 16
+        mixed = _MIX_L * pool - _MIX_R * h
+        mixed ^= mixed >> 16
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    out = (np.concatenate((pool, pool), axis=1) ^ _OUT_XOR) * _OUT_MULT
+    out ^= out >> 16
+    # generate_state(4, uint64) pairs the words little-endian.
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in out.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        # srandom: state 0, step, add the seed, step.
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128, inc))
+    return states
+
+
+def _pcg64_state(state: int, inc: int) -> dict:
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+@lru_cache(maxsize=1)
+def _seeding_matches_numpy() -> bool:
+    """Whether _pcg64_states reproduces this numpy's seeding at one probe;
+    if it does not, every item falls back to default_rng."""
+    seed, item = 0x9E3779B9, 0x7F4A7C15
+    want = np.random.PCG64(np.random.SeedSequence([seed, item])).state
+    return want == _pcg64_state(*_pcg64_states(seed, item, 1)[0])
+
+
+def _item_noise(seed: int, first: int, n_draws: int, shape: tuple, sigma_d: float) -> np.ndarray:
+    """The noise block of a batch of shape `shape`: block[:, i] is
+    default_rng([seed, first + i]).normal(0, sigma_d, (n_draws, *shape[1:]))."""
+    seed = int(seed)
+    block = np.empty((n_draws, *shape))
+    size = (n_draws, *shape[1:])
+    n_fast = min(shape[0], max(0, 2**32 - first)) if seed < 2**32 else 0
+    if n_fast < _FAST_SEEDING_MIN_ITEMS or not _seeding_matches_numpy():
+        n_fast = 0
+    if n_fast:
+        # Local to the call: the CLI restores chunks on several threads.
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        for i, (state, inc) in enumerate(_pcg64_states(seed, first, n_fast)):
+            bitgen.state = _pcg64_state(state, inc)
+            block[:, i] = gen.normal(0.0, sigma_d, size=size)
+    for i in range(n_fast, shape[0]):
+        gen = np.random.default_rng([seed, first + i])
+        block[:, i] = gen.normal(0.0, sigma_d, size=size)
+    return block

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .sampler import SamplerConfig, restore_batch
+from .sampler import SamplerConfig, check_seed, restore_batch
 from .schedule import GvpSchedule
 from .toydata import energy_distance, mse
 from .trajectory import Elliptical
@@ -31,7 +31,11 @@ def run_sweep(
     boot_epsilon: float = 1e-3,
 ) -> list[dict]:
     """Evaluate every (delta, eta, NFE) cell; all cells share cfg.seed so the
-    per-item noise streams (hence the boot noise) coincide across cells."""
+    per-item noise streams (hence the boot noise) coincide across cells.
+
+    A cell whose configuration is rejected reads "NA"; a bad seed, shared by
+    every cell, raises ConfigError instead."""
+    check_seed(seed)
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     rows: list[dict] = []

@@ -28,6 +28,7 @@ from .denoiser import (
 )
 from .errors import ConfigError, EmptyDataset, NonFiniteLoss
 from .process import forward_state
+from .sampler import check_seed
 from .schedule import GvpSchedule
 
 _HALF_PI = math.pi / 2.0
@@ -250,6 +251,7 @@ class TrainConfig:
             raise ConfigError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
         if self.batch_size < 1 or self.n_steps < 1:
             raise ConfigError("batch_size and n_steps must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass

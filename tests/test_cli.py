@@ -204,16 +204,27 @@ class TestRestoreCli:
                         "--input", bad)
 
     def test_thread_count_keeps_output(self, toy_dataset, tmp_path, monkeypatch):
-        """400 rows span two 256-row chunks, so two workers really split them."""
+        """400 rows span two 256-row chunks, so two workers really split them;
+        in the eta = 0.5, 15-step setting each chunk draws 14 blocks per item
+        from its own generator while the other thread does the same.  A short
+        thread switch interval makes the two threads interleave within each
+        chunk's draws, and three two-thread runs give them three chances."""
         data, ck = toy_dataset
-        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-        argv = ("restore", "--model", ck, "--input", data, "--mode", "disi-g",
-                "--seed", "5", "--out")
-        monkeypatch.delenv("RGFLOW_THREADS", raising=False)
-        assert run(*argv, one) == 0
-        monkeypatch.setenv("RGFLOW_THREADS", "2")
-        assert run(*argv, two) == 0
-        assert one.read_bytes() == two.read_bytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name, extra in (("disi-g", ()), ("eta05", ("--steps", "15", "--eta", "0.5"))):
+                one, two = tmp_path / f"one-{name}.csv", tmp_path / f"two-{name}.csv"
+                argv = ("restore", "--model", ck, "--input", data, "--mode", "disi-g",
+                        *extra, "--seed", "5", "--out")
+                monkeypatch.delenv("RGFLOW_THREADS", raising=False)
+                assert run(*argv, one) == 0
+                monkeypatch.setenv("RGFLOW_THREADS", "2")
+                for _ in range(3):
+                    assert run(*argv, two) == 0
+                    assert one.read_bytes() == two.read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_bad_thread_count_rejected(self, toy_dataset, tmp_path, capsys, monkeypatch):
         data, ck = toy_dataset
@@ -312,6 +323,41 @@ class TestSweepCli:
         assert_rejected(capsys, tmp_path / "x.csv", "sweep", "--data", bad,
                         "--oracle", "gaussian", "--deltas", "0,pi/8", "--etas", "0",
                         "--nfes", "2")
+
+
+class TestSeedRejected:
+    """A negative seed exits 2 with one error line before any draw, in
+    every command that takes one (numpy would raise ValueError mid-run)."""
+
+    @pytest.mark.parametrize("mode", ["disi-r", "disi-g"])
+    def test_restore(self, toy_dataset, tmp_path, capsys, mode):
+        data, ck = toy_dataset
+        assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
+                        "--input", data, "--mode", mode, "--seed", "-1")
+
+    def test_train(self, tmp_path, capsys):
+        assert_rejected(capsys, tmp_path / "ck.json", "train", "--n", "50",
+                        "--steps", "5", "--seed", "-1")
+
+    def test_train_config_file(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"n": 50, "steps": 5, "seed": -3}))
+        assert_rejected(capsys, tmp_path / "ck.json", "train", "--config", conf)
+
+    def test_sweep(self, toy_dataset, tmp_path, capsys):
+        data, _ = toy_dataset
+        assert_rejected(capsys, tmp_path / "x.csv", "sweep", "--data", data,
+                        "--oracle", "gaussian", "--deltas", "0,pi/8", "--etas", "0",
+                        "--nfes", "2", "--seed", "-1")
+
+    def test_bench(self, tmp_path, capsys):
+        assert_rejected(capsys, tmp_path / "x.csv", "bench", "--rho", "0.5",
+                        "--sampler-steps", "10", "--trials", "4", "--seed", "-1")
+
+    def test_simulate(self, toy_dataset, tmp_path, capsys):
+        data, _ = toy_dataset
+        assert_rejected(capsys, tmp_path / "x.csv", "simulate", "--traj", "elliptical",
+                        "--delta", "pi/4", "--pairs", data, "--steps", "2", "--seed", "-1")
 
 
 class TestBenchCli:

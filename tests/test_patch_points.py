@@ -2,9 +2,9 @@
 
 `perfbench/tracer.py` replaces each name through its owner's `__dict__`
 (module attributes for functions, class attributes for methods, and
-`rgflow.sampler.np` for the per-item generators), so a rename or a move
-breaks the traced benchmark with a KeyError.  perfbench's own tests are not
-collected with this suite, so this one pins the names here.
+`rgflow.sampler.np` for the generators that `default_rng` builds), so a
+rename or a move breaks the traced benchmark with a KeyError.  perfbench's
+own tests are not collected with this suite, so this one pins the names here.
 """
 
 import pytest
@@ -36,34 +36,34 @@ def test_traced_name_defined_on_its_owner(owner, name):
     assert callable(owner.__dict__[name]) or name == "np"
 
 
-def test_sampler_draws_through_its_numpy_name(monkeypatch):
-    """restore_batch builds its generators through `sampler.np` at draw
-    time, which is where the tracer substitutes counting generators."""
+def test_item_noise_replaced_by_name_sees_each_drawing_run(monkeypatch):
+    """restore_batch looks `sampler._item_noise` up at draw time, so a
+    replacement set on the module (as a tracer would set it) sees each
+    drawing run once, with the whole batch, on either side of the
+    fast-seeding crossover; a run that draws nothing does not call it."""
     import numpy as np
 
-    built = []
+    assert callable(sampler.__dict__["_item_noise"])
+    calls = []
+    real = sampler._item_noise
 
-    class Random:
-        def __getattr__(self, attr):
-            return getattr(np.random, attr)
+    def wrapped(seed, first, n_draws, shape, sigma_d):
+        calls.append((seed, first, n_draws, shape))
+        return real(seed, first, n_draws, shape, sigma_d)
 
-        def default_rng(self, *args):
-            built.append(args)
-            return np.random.default_rng(*args)
-
-    class Numpy:
-        random = Random()
-
-        def __getattr__(self, attr):
-            return getattr(np, attr)
-
-    monkeypatch.setattr(sampler, "np", Numpy())
+    monkeypatch.setattr(sampler, "_item_noise", wrapped)
     sched = schedule.GvpSchedule(0.5, 1.0)
-    cfg = sampler.SamplerConfig(
-        trajectory=trajectory.Elliptical(phi=sched.phi, delta=0.5), n_steps=4, eta=0.5
-    )
-    sampler.restore_batch(sched, denoiser.GaussianOracle(rho=0.5), np.ones((2, 2)), cfg)
-    assert built == [([0, 0],), ([0, 1],)]
+    traj = trajectory.Elliptical(phi=sched.phi, delta=0.5)
+    den = denoiser.GaussianOracle(rho=0.5)
+    boot_only = sampler.SamplerConfig(trajectory=traj, n_steps=1, eta=1.0)
+    cfg = sampler.SamplerConfig(trajectory=traj, n_steps=4, eta=0.5, seed=7)
+    for rows in (3, 40):
+        calls.clear()
+        x1 = np.ones((rows, 2))
+        sampler.restore_batch(sched, den, x1, boot_only)
+        assert calls == []
+        sampler.restore_batch(sched, den, x1, cfg, item_offset=2)
+        assert calls == [(7, 2, sampler.plan(sched, cfg).n_draws, (rows, 2))]
 
 
 def test_replaced_predict_sees_every_blocked_step(monkeypatch):

@@ -1,11 +1,13 @@
 """Hybrid sampler: kappa limits, step identities, full restoration loops."""
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rgflow import (
@@ -36,6 +38,20 @@ from rgflow import (
 from rgflow.trajectory import TRAJECTORY_KINDS
 
 HALF_PI = math.pi / 2.0
+
+
+def _spy_item_noise(monkeypatch) -> list[list[int]]:
+    """Record, per call of restore_batch's stream seeding, the item ids it
+    seeds (sampler._item_noise, looked up at draw time)."""
+    seeded = []
+    real = sampler._item_noise
+
+    def spy(seed, first, n_draws, shape, sigma_d):
+        seeded.append(list(range(first, first + shape[0])))
+        return real(seed, first, n_draws, shape, sigma_d)
+
+    monkeypatch.setattr(sampler, "_item_noise", spy)
+    return seeded
 
 
 class TestKappa:
@@ -70,6 +86,65 @@ class TestKappa:
             limit = math.sin(g2) * math.log(math.sin(g2) / math.sin(g1))
             for eta in (1e-170, 1.33e-244):
                 assert kappa(eta, g1, g2) == pytest.approx(eta * limit, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g1=st.floats(1e-3, HALF_PI), g2=st.floats(0.0, HALF_PI),
+           log_eta=st.floats(-323.0, -9.0))
+    @example(g1=0.5, g2=0.8, log_eta=-150.0)  # eta * s2 * expm1(...) underflowed
+    @example(g1=1.0, g2=1.2184612689841436e-301, log_eta=-9.0)  # so did its s2 tail
+    def test_vanishes_like_its_eta_limit(self, g1, g2, log_eta):
+        """For eta -> 0 (down to subnormal eta), kappa = eta sin(g2) ln k to
+        within rounding, so it tends to 0 continuously with no dip to 0."""
+        eta = 10.0**log_eta
+        assume(eta > 0.0)
+        limit = eta * math.sin(g2) * (math.log(math.sin(g2)) - math.log(math.sin(g1))) \
+            if g2 > 0.0 else 0.0
+        assert kappa(eta, g1, g2) == pytest.approx(limit, rel=1e-9, abs=1e-320)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g1=st.floats(1e-3, HALF_PI), g2=st.floats(1e-3, HALF_PI),
+           log_gap=st.floats(-16.0, -4.0))
+    def test_tends_to_the_fully_stochastic_value(self, g1, g2, log_gap):
+        """As eta -> 1, kappa tends to sin g2 - sin g1 at the rate of
+        s = sqrt(1 - eta^2).  (Not towards g2 = 0, where k^s is 0 below
+        eta = 1 and 1 at it: test_target_at_zero_noise_time.)"""
+        eta = 1.0 - 10.0**log_gap
+        s = math.sqrt((1.0 - eta) * (1.0 + eta))
+        s1, s2 = math.sin(g1), math.sin(g2)
+        log_k = math.log(s2) - math.log(s1)
+        bound = 2.0 * s * (abs(s2 - s1) + s1 * abs(log_k) + 1.0)
+        assert abs(kappa(eta, g1, g2) - (s2 - s1)) <= bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(g1=st.floats(1e-3, HALF_PI), g2=st.floats(1e-3, HALF_PI),
+           log_scale=st.floats(-3.0, 4.0))
+    def test_branches_agree_at_their_boundary(self, g1, g2, log_scale):
+        """kappa switches from its expm1 form to its eta -> 0 limit where
+        x = (1 - s) ln k falls below 2**-53 in size.  From a thousandth to
+        ten thousand times the eta of that switch, either branch equals
+        eta sin(g2) (1 - e^-x) / (1 - s) evaluated ratio first (which
+        neither underflows nor cancels there) to rounding."""
+        s1, s2 = math.sin(g1), math.sin(g2)
+        log_k = math.log(s2) - math.log(s1)
+        assume(log_k != 0.0)
+        eta = math.sqrt(2.0 * 2.0**-53 / abs(log_k)) * 10.0**log_scale  # 1 - s ~ eta^2 / 2
+        assume(eta < 1e-3)
+        s = math.sqrt((1.0 - eta) * (1.0 + eta))
+        one_minus_s = eta * eta / (1.0 + s)
+        want = eta * s2 * (-math.expm1(-one_minus_s * log_k) / one_minus_s)
+        assert kappa(eta, g1, g2) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g1=st.floats(1e-3, HALF_PI), g2=st.floats(1e-3, HALF_PI),
+           log_eta=st.floats(-300.0, math.log10(1.0 - 1e-3)), step=st.floats(1e-12, 1e-7))
+    def test_continuous_in_eta(self, g1, g2, log_eta, step):
+        """For g1 > 0, a relative change of eta by at most 1e-7 changes kappa
+        by a like relative amount: no jump anywhere on [1e-300, 1 - 1e-3].
+        With g1, g2 >= 1e-3, |ln k| < 7.3, so kappa's relative slope stays
+        below ~200 there."""
+        eta = 10.0**log_eta
+        here, there = kappa(eta, g1, g2), kappa(eta * (1.0 + step), g1, g2)
+        assert abs(there - here) <= 1000.0 * step * abs(here) + 1e-300
 
     def test_fully_stochastic_defined_from_zero(self):
         for g2 in (0.0, 1e-3, 0.4, HALF_PI):
@@ -380,32 +455,27 @@ class TestRestore:
                 part = restore_batch(sched, den, x1s[a:b], cfg, item_offset=a)
                 assert np.array_equal(part, full[a:b])
 
-    def test_generators_built_on_first_draw(self, monkeypatch):
-        """restore_batch builds its per-item generators only when a step
-        draws: a batch the denoiser rejects, and one boot step from g = 0
-        (kappa = 0), build none; a drawing run builds one per item."""
+    def test_streams_seeded_only_when_a_run_draws(self, monkeypatch):
+        """restore_batch seeds its per-item streams once, at the run's first
+        draw, for exactly the batch's item ids: a batch the denoiser rejects,
+        one boot step from g = 0 (kappa = 0), and an empty batch seed none."""
         sched = GvpSchedule(0.5, 1.0)
         den = MlpDenoiser(dim=2, hidden=8, emb_dim=4)
-        built = []
-        real = np.random.default_rng
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        seeded = _spy_item_noise(monkeypatch)
         traj = Elliptical(phi=sched.phi, delta=math.pi / 8.0)
-        x1s = np.ones((3, 2))
         with pytest.raises(DimensionMismatch):
             restore_batch(sched, den, np.ones((1, 3)),
                           SamplerConfig(trajectory=traj, n_steps=10))
-        assert built == []
         one = SamplerConfig(trajectory=traj, n_steps=1, eta=1.0)
-        assert np.all(np.isfinite(restore_batch(sched, den, x1s, one)))
-        assert built == []
-        restore_batch(sched, den, x1s, SamplerConfig(trajectory=traj, n_steps=3),
-                      item_offset=5)
-        assert built == [([0, 5],), ([0, 6],), ([0, 7],)]
+        assert np.all(np.isfinite(restore_batch(sched, den, np.ones((3, 2)), one)))
+        assert seeded == []
+        assert restore_batch(sched, den, np.ones((0, 2)), SamplerConfig(trajectory=traj)).size == 0
+        assert all(ids == [] for ids in seeded)
+        for rows, offset in ((3, 5), (40, 2**32 - 20)):
+            seeded.clear()
+            cfg = SamplerConfig(trajectory=traj, n_steps=6, eta=0.5, seed=2**32 - 1)
+            restore_batch(sched, den, np.ones((rows, 2)), cfg, item_offset=offset)
+            assert seeded == [list(range(offset, offset + rows))]
 
     def test_non_finite_output_rejected(self):
         """A denoiser whose prediction for the last row is NaN makes every
@@ -446,6 +516,23 @@ class TestRestore:
             SamplerConfig(trajectory=traj, n_steps=2, eta=1.2)
         with pytest.raises(ConfigError):
             SamplerConfig(trajectory=traj, n_steps=2, boot_epsilon=0.0)
+
+    def test_seed_and_item_offset_validation(self):
+        """A seed or item_offset that is negative, not an integer, or a bool
+        raises ConfigError; numpy integers and seeds of 2**32 and above are
+        accepted."""
+        traj = Elliptical(phi=0.5, delta=0.3)
+        for seed in (-1, 1.5, 2.0, True, "3", np.int64(-2)):
+            with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+                SamplerConfig(trajectory=traj, seed=seed)
+        for seed in (0, np.uint32(4), np.int64(5), np.uint64(2**40), 2**70):
+            assert SamplerConfig(trajectory=traj, seed=seed).seed == seed
+        sched = GvpSchedule(0.5, 1.0)
+        cfg = SamplerConfig(trajectory=Elliptical(phi=sched.phi, delta=0.3), n_steps=3)
+        for offset in (-1, 0.5, np.int64(-3)):
+            with pytest.raises(ConfigError, match="item_offset"):
+                restore_batch(sched, GaussianOracle(rho=0.5), np.ones((2, 2)), cfg,
+                              item_offset=offset)
 
 
 def _oracle_points(traj, cfg):
@@ -562,6 +649,92 @@ class TestNoiseContract:
         assert np.array_equal(from_rng, from_list)
 
 
+def _default_rng_block(seed, first, n_draws, shape, sigma_d):
+    """The noise contract, spelled out: item i's draws come from
+    default_rng([seed, first + i])."""
+    block = np.empty((n_draws, *shape))
+    for i in range(shape[0]):
+        gen = np.random.default_rng([seed, first + i])
+        block[:, i] = gen.normal(0.0, sigma_d, size=(n_draws, *shape[1:]))
+    return block
+
+
+# Ids and seeds on both sides of 2**32, where the vectorized seeding stops.
+_ids = st.one_of(st.integers(0, 2**33), st.integers(2**32 - 40, 2**32 + 40),
+                 st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]))
+_int_types = st.sampled_from([int, np.int64, np.uint64])
+
+
+class TestNoiseStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_ids, first=_ids, n=st.integers(0, 24), as_type=_int_types)
+    def test_computed_states_equal_numpys(self, seed, first, n, as_type):
+        """Where restore_batch's noise computes PCG64 states itself, each
+        (state, inc) equals PCG64(SeedSequence([seed, item])).state: it does
+        so only for a seed and items below 2**32, and the block equals the
+        default_rng one either way, for numpy-integer seeds too."""
+        assume(as_type is int or seed < 2**63)
+        calls = []
+        real = sampler._pcg64_states
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "_pcg64_states", spy)
+            got = sampler._item_noise(as_type(seed), first, 2, (n, 2), 0.7)
+        assert got.tobytes() == _default_rng_block(seed, first, 2, (n, 2), 0.7).tobytes()
+        for call_seed, call_first, call_n in calls:
+            assert type(call_seed) is int and call_seed < 2**32
+            assert call_first + call_n <= 2**32
+            for j, (state, inc) in enumerate(real(call_seed, call_first, call_n)):
+                want = np.random.PCG64(np.random.SeedSequence([call_seed, call_first + j])).state
+                assert want["state"] == {"state": state, "inc": inc}
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), first=st.integers(0, 2**32 - 1))
+    def test_one_item_state(self, seed, first):
+        (state, inc), = sampler._pcg64_states(seed, first, 1)
+        want = np.random.PCG64(np.random.SeedSequence([seed, first])).state["state"]
+        assert (state, inc) == (want["state"], want["inc"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_ids, offset=_ids, rows=st.sampled_from([1, 5, 7, 8, 9, 30]),
+           eta=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_batch_equals_default_rng_oracle(self, seed, offset, rows, eta):
+        """restore_batch equals, byte for byte, sequential restores each fed
+        default_rng([seed, offset + i]), for batches of 1 row, below the
+        fast-seeding crossover, above it, and straddling 2**32."""
+        sched = GvpSchedule(0.5, 1.0)
+        den = GaussianOracle(rho=0.5)
+        cfg = SamplerConfig(trajectory=Elliptical(phi=sched.phi, delta=0.5), n_steps=5,
+                            eta=eta, seed=seed)
+        x1s = np.random.default_rng(rows).normal(size=(rows, 2))
+        want = np.stack([
+            restore(sched, den, x1s[i], cfg, rng=np.random.default_rng([seed, offset + i]))
+            for i in range(rows)
+        ])
+        got = restore_batch(sched, den, x1s, cfg, item_offset=offset)
+        assert got.tobytes() == want.tobytes()
+
+    def test_seeding_runs_under_warnings_as_errors(self):
+        """Importing the sampler and seeding batches across 2**32, at the
+        largest seed the fast path takes, raises no numpy overflow warning
+        under -W error, and the seeding's self-check passes."""
+        code = (
+            "import numpy as np\n"
+            "from rgflow import sampler\n"
+            "for seed, first in ((2**32 - 1, 2**32 - 30), (0, 0), (2**32 - 1, 2**32 - 1)):\n"
+            "    sampler._item_noise(seed, first, 3, (40, 2), 1.0)\n"
+            "    sampler._pcg64_states(seed, min(first, 2**32 - 1), 1)\n"
+            "assert sampler._seeding_matches_numpy()\n"
+        )
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
 class TestPlan:
     @settings(max_examples=80, deadline=None)
     @given(**_run_settings)
@@ -671,6 +844,7 @@ class TestPlan:
         built = []
         real = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
+        seeded = _spy_item_noise(monkeypatch)
 
         class Spy:
             calls = 0
@@ -698,8 +872,10 @@ class TestPlan:
                             (np.array([np.nan, 0.0]), DomainError)):
             with pytest.raises(error, match="noise draw 0"):
                 restore(sched, Spy(), x1s[0], cfg, noise=[item])
+        with pytest.raises(ConfigError, match="item_offset"):
+            restore_batch(sched, Spy(), x1s, cfg, item_offset=-1)
         assert Spy.calls == 0
-        assert built == []
+        assert built == [] and seeded == []
 
 
 class TestInputGuards:
@@ -755,10 +931,12 @@ class TestInputGuards:
         sched = GvpSchedule(0.5, 1.0)
         traj = make_trajectory(kind, phi=sched.phi, delta=0.5)
         cfg = SamplerConfig(trajectory=traj, n_steps=5, eta=0.5)
+        seeded = _spy_item_noise(monkeypatch)
         for den in dens:
             out = restore_batch(sched, den, np.zeros((0, 2)), cfg)
             assert out.shape == (0, 2)
         assert built == []
+        assert all(ids == [] for ids in seeded)
 
     def test_non_finite_input_rejected_before_the_run(self, monkeypatch):
         """NaN or inf in x1 raises DomainError counting the bad rows, before
@@ -768,6 +946,7 @@ class TestInputGuards:
         real = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
         sched = GvpSchedule(0.5, 1.0)
+        seeded = _spy_item_noise(monkeypatch)
         x1s = np.ones((4, 2))
         x1s[1, 0] = np.nan
         x1s[3, 1] = -np.inf
@@ -788,4 +967,4 @@ class TestInputGuards:
                         restore(sched, den, x1s[3], cfg, rng=real(0))
                 assert caught == []
         assert calls == []
-        assert built == []
+        assert built == [] and seeded == []

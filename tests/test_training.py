@@ -381,3 +381,6 @@ class TestTrainLoop:
             TrainConfig(ema_decay=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
+        for seed in (-1, 0.5, True):
+            with pytest.raises(ConfigError, match="seed"):
+                TrainConfig(seed=seed)
