@@ -184,7 +184,7 @@ def _cmd_train(args) -> int:
         adaptive_weighting=bool(pick("adaptive_weighting", True)),
         hidden=int(pick("hidden", 128)),
         emb_dim=int(pick("emb_dim", 32)),
-        seed=int(pick("seed", 0)),
+        seed=pick("seed", 0),
     )
     data = pick("data", "scurve")
     n = int(pick("n", 2000))

@@ -1,59 +1,33 @@
 """Analytic hybrid sampler and the restoration loop.
 
-The per-step update from (r1, g1) to (r2, g2), with k = sin(g2)/sin(g1) and
-s = sqrt(1 - eta^2), is
-
-    x2 = k^s x1state + cos(g2) (alpha_r2 x0hat + beta_r2 x1)
-         - k^s cos(g1) (alpha_r1 x0hat + beta_r1 x1) + kappa z,
-
-    kappa = 1[eta != 0] * eta (sin g2 - k^s sin g1) / (1 - s).
-
-It solves the linear part of the two-time flow exactly and freezes the
-denoiser prediction across the step, so large steps stay accurate.  eta
-interpolates from fully deterministic (eta = 0, kappa = 0) to fully
-stochastic (eta = 1, k^s = 1, kappa = sin g2 - sin g1).
-
-The update is undefined from g1 = 0, where k diverges, except at eta = 1:
-there k^0 = 1 and kappa = sin g2 - sin g1 stay finite.  One loop runs every
-path, for exactly n_steps denoiser calls, over a step plan (see `plan`)
-compiled once per schedule and sampler settings.  A noisy path visits the
-start, a boot point at t_start offset by boot_epsilon (paths that start at
-g = 0, i.e. Elliptical, V-path and Bezier, with n_steps > 1), then a
-uniform grid.  The step from g = 0 is that eta = 1 update (boot_step),
-every other step the hybrid update at the configured eta, and a step draws
-noise only where its kappa is nonzero.  So n_steps = 1 from g = 0 is one
-boot step to the clean end (kappa = 0, no draw), and eta < 1 is rejected
-there.  Pure regression paths use the noiseless update
-x2 = x1state + (alpha_r2 - alpha_r1) x0hat + (beta_r2 - beta_r1) x1 instead.
-
-Every step kind folds to four scalars, computed once per plan (_fold):
+Every step, from (r1, g1) to (r2, g2), is one update.  With k = sin(g2)/sin(g1),
+s = sqrt(1 - eta^2) and lam = cos(g),
 
     x2 = k^s x1state + a x0hat + b x1 + kappa z,
     a = lam_2 alpha_r2 - k^s lam_1 alpha_r1,   b = lam_2 beta_r2 - k^s lam_1 beta_r1,
+    kappa = eta (sin g2 - k^s sin g1) / (1 - s),   0 at eta = 0.
 
-with lam = cos(g).  The regression update is the case k^s = 1, lam = 1,
-kappa = 0, so one function (_update) runs every step, and a step with
-kappa = 0 never reads z.
+It solves the linear part of the two-time flow exactly and freezes the
+denoiser prediction across the step, so large steps stay accurate.  eta runs
+from deterministic (eta = 0, kappa = 0) to fully stochastic (eta = 1,
+k^s = 1, kappa = sin g2 - sin g1).  From g1 = 0, where k diverges, only the
+eta = 1 step (boot_step) is defined; along g = 0 it is the regression update,
+k^s = 1 and kappa = 0.  _fold reduces a step to its four scalars and _update
+applies them, for every step kind.
 
-Each run binds the denoiser once, before the first draw, to its input x1 and
-the steps' source times (MlpDenoiser.bind, which hoists everything but the
-state's own first-layer product out of the step loop).  A denoiser without
-bind, or an MlpDenoiser whose predict has been replaced, is called through
-predict at every step, and that prediction is converted to float64 and
-checked against the state's shape; the inputs themselves are checked once,
-where they enter restore and restore_batch.
-
-restore_batch's item i draws from default_rng([seed, item_offset + i]).
-Rather than build that generator per item, it computes every item's PCG64
-state at once (numpy's SeedSequence hash in uint32 arithmetic, then PCG64's
-seeding) and sets each state on one generator local to the call, which
-yields the same stream.  Items whose seed or id is >= 2**32, batches below
-_FAST_SEEDING_MIN_ITEMS rows, and a numpy whose seeding no longer matches
-(checked once per process) take default_rng per item instead.
+One loop runs every path, for exactly n_steps denoiser calls, over a plan
+compiled once per schedule and sampler settings (see `plan`).  A step draws
+noise only where its kappa is nonzero.  Each run binds the denoiser once,
+before the first draw, to x1 and the steps' source times (MlpDenoiser.bind).
+A denoiser without bind, or an MlpDenoiser whose predict has been replaced,
+is called through predict at every step, and that prediction is converted to
+float64 and checked against the state's shape; the inputs themselves are
+checked once, where they enter restore and restore_batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
@@ -126,20 +100,38 @@ def _match(*arrays) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _fold(c1: CoeffSet, c2: CoeffSet, ks: float, kap: float) -> tuple[float, ...]:
-    """(k^s, a, b, kappa) of the step between points with coefficients c1 and
-    c2: a = lam_2 alpha_2 - k^s lam_1 alpha_1, b likewise with beta."""
+@dataclass(frozen=True)
+class Step:
+    """One update, folded: its source point frm (the time the denoiser is
+    queried at), its target point to, and the four scalars of
+    x2 = ks x + a x0hat + b x1 + kappa z."""
+
+    frm: tuple[float, float]
+    to: tuple[float, float]
+    ks: float
+    a: float
+    b: float
+    kappa: float
+
+
+def _fold(sched: GvpSchedule, frm, to, eta: float) -> Step:
+    """The step from point frm to point to at noise level eta."""
+    g1, g2 = frm[1], to[1]
+    # kappa first: it rejects eta outside [0, 1] and g1 <= 0 below eta = 1.
+    kap = kappa(eta, g1, g2)
+    ks = _k_pow_s(eta, g1, g2)
+    c1, c2 = sched.coeffs(*frm), sched.coeffs(*to)
     ks_lam1 = ks * c1.lam
-    return ks, c2.lam * c2.alpha - ks_lam1 * c1.alpha, c2.lam * c2.beta - ks_lam1 * c1.beta, kap
+    a, b = c2.lam * c2.alpha - ks_lam1 * c1.alpha, c2.lam * c2.beta - ks_lam1 * c1.beta
+    return Step(frm, to, ks, a, b, kap)
 
 
-def _update(x, x0hat, x1, ks: float, a: float, b: float, kap: float, z):
-    """k^s x + a x0hat + b x1 + kappa z, with the scalars of _fold: the one
-    update of every step kind, run by the public step functions and the plan
-    loop alike.  z is read only where kappa is nonzero."""
-    out = ks * x + a * x0hat + b * x1
-    if kap != 0.0:
-        out += kap * z
+def _update(step: Step, x, x0hat, x1, z):
+    """k^s x + a x0hat + b x1 + kappa z with the scalars of `step`; z is read
+    only where kappa is nonzero."""
+    out = step.ks * x + step.a * x0hat + step.b * x1
+    if step.kappa != 0.0:
+        out += step.kappa * z
     return out
 
 
@@ -154,12 +146,7 @@ def hybrid_step(
     z,
 ) -> np.ndarray:
     """One hybrid update from (r1, g1) to (r2, g2); g1 > 0 unless eta = 1."""
-    g1, g2 = frm[1], to[1]
-    # kappa first: it rejects eta outside [0, 1] and g1 <= 0 below eta = 1.
-    kap = kappa(eta, g1, g2)
-    x_prev, x0hat, x1, z = _match(x_prev, x0hat, x1, z)
-    fold = _fold(sched.coeffs(*frm), sched.coeffs(*to), _k_pow_s(eta, g1, g2), kap)
-    return _update(x_prev, x0hat, x1, *fold, z)
+    return _update(_fold(sched, frm, to, eta), *_match(x_prev, x0hat, x1, z))
 
 
 def boot_step(
@@ -182,11 +169,9 @@ def boot_step(
 def regression_step(
     sched: GvpSchedule, x_prev, x0hat, x1, r1: float, r2: float
 ) -> np.ndarray:
-    """Noiseless update along g = 0: the fold with k^s = 1 and kappa = 0,
-    where lam = 1 makes a = alpha_r2 - alpha_r1 and b = beta_r2 - beta_r1."""
-    x_prev, x0hat, x1 = _match(x_prev, x0hat, x1)
-    fold = _fold(sched.coeffs(r1, 0.0), sched.coeffs(r2, 0.0), 1.0, 0.0)
-    return _update(x_prev, x0hat, x1, *fold, None)
+    """Noiseless update along g = 0: the boot step from (r1, 0) to (r2, 0),
+    where k^s = 1, kappa = 0, a = alpha_r2 - alpha_r1 and b likewise."""
+    return _update(_fold(sched, (r1, 0.0), (r2, 0.0), 1.0), *_match(x_prev, x0hat, x1), None)
 
 
 def check_seed(value, name: str = "seed") -> int:
@@ -222,20 +207,6 @@ class SamplerConfig:
 
 
 @dataclass(frozen=True)
-class Step:
-    """One update of a plan, folded: its source point frm (the time the
-    denoiser is queried at), its target point to, and the four scalars of
-    x2 = ks x + a x0hat + b x1 + kappa z (see _fold)."""
-
-    frm: tuple[float, float]
-    to: tuple[float, float]
-    ks: float
-    a: float
-    b: float
-    kappa: float
-
-
-@dataclass(frozen=True)
 class Plan:
     """Everything a restoration computes before its first denoiser call:
     the start, every step folded to its scalars, and the draw count.
@@ -251,18 +222,21 @@ class Plan:
     n_draws: int
 
 
-def _is_regressive(traj: Trajectory) -> bool:
-    return isinstance(traj, Regression) or getattr(traj, "delta", None) == 0.0
-
-
-def _points(traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float):
-    """The n_steps + 1 (r, g) points a noisy run visits: the path start, the
-    boot point when the path starts at g = 0 and n_steps > 1, then the
-    uniform grid over the rest of the budget."""
-    boot = traj.starts_noiseless and n_steps > 1
-    if traj.starts_noiseless and not boot and eta != 1.0:
-        raise ConfigError("a path starting at g=0 with n_steps=1 requires eta=1")
-    grid = traj.discretize(n_steps - boot)
+def _points(sched: GvpSchedule, traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float):
+    """The n_steps + 1 (r, g) points a run visits.  A path with no lift (a
+    Regression, or delta = 0) runs the regression segment on g = 0 over
+    sched.phi.  Any other path visits its start, a boot point at t_start
+    offset by boot_epsilon when it starts at g = 0 and n_steps > 1, then the
+    uniform grid over the rest of the budget; from g = 0 with n_steps = 1 its
+    one boot step runs to the clean end, which requires eta = 1."""
+    boot = False
+    if isinstance(traj, Regression) or getattr(traj, "delta", None) == 0.0:
+        grid = Regression(phi=sched.phi).discretize(n_steps)
+    else:
+        boot = traj.starts_noiseless and n_steps > 1
+        if traj.starts_noiseless and not boot and eta != 1.0:
+            raise ConfigError("a path starting at g=0 with n_steps=1 requires eta=1")
+        grid = traj.discretize(n_steps - boot)
     points = [(float(r), float(g)) for r, g in zip(grid.r, grid.g)]
     if boot:
         direction = 1.0 if traj.t_end > traj.t_start else -1.0
@@ -274,27 +248,15 @@ def _points(traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float):
 def _plan(
     sched: GvpSchedule, traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float
 ) -> Plan:
-    regressive = _is_regressive(traj)
-    if regressive:
-        grid = Regression(phi=sched.phi).discretize(n_steps)
-        points = [(float(r), float(g)) for r, g in zip(grid.r, grid.g)]
-    else:
-        points = _points(traj, n_steps, eta, boot_epsilon)
-    coeffs = [sched.coeffs(r, g) for r, g in points]
-    steps = []
-    for frm, to, c1, c2 in zip(points[:-1], points[1:], coeffs[:-1], coeffs[1:]):
-        if regressive:
-            ks, kap = 1.0, 0.0
-        else:
-            # The step from g = 0 is the boot step, the eta = 1 update.
-            step_eta = 1.0 if frm[1] == 0.0 else eta
-            # kappa first: it rejects eta outside [0, 1] and g1 <= 0 below eta = 1.
-            kap = kappa(step_eta, frm[1], to[1])
-            ks = _k_pow_s(step_eta, frm[1], to[1])
-        steps.append(Step(frm, to, *_fold(c1, c2, ks, kap)))
-    start = None if points[0][1] == 0.0 else coeffs[0]
+    points = _points(sched, traj, n_steps, eta, boot_epsilon)
+    # The step from g = 0 is the boot step, the eta = 1 update.
+    steps = tuple(
+        _fold(sched, frm, to, 1.0 if frm[1] == 0.0 else eta)
+        for frm, to in zip(points[:-1], points[1:])
+    )
+    start = None if points[0][1] == 0.0 else sched.coeffs(*points[0])
     n_draws = (start is not None) + sum(s.kappa != 0.0 for s in steps)
-    return Plan(start, tuple(steps), n_draws)
+    return Plan(start, steps, n_draws)
 
 
 def plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan:
@@ -347,7 +309,7 @@ def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
                 noise = draw()
             z = noise[used]
             used += 1
-        x = _update(x, x0hat, x1, step.ks, step.a, step.b, step.kappa, z)
+        x = _update(step, x, x0hat, x1, z)
     return x
 
 
@@ -383,7 +345,9 @@ def restore(
     clean end, kappa = 0) draws none.  The draw count is known from the plan,
     so the run takes all its draws from `rng` in one normal() call, at its
     first draw, leaving `rng` in the state that many sequential draws would.
-    Regression paths draw nothing and build no generator.
+    A run reads exactly its draw count of items from `noise`, so a
+    regression path reads none, and a run that draws nothing builds no
+    generator.
 
     A rejected configuration, a NaN or inf in x1 (DomainError), a `noise`
     sequence too short for the plan (ConfigError), one of its first n_draws
@@ -398,18 +362,17 @@ def restore(
     x1 = np.asarray(x1, dtype=np.float64)
     p = plan(sched, cfg)
     _require_finite(x1, DomainError, _BAD_INPUT)
-    # Regression paths draw nothing and ignore `noise`, as they always did.
-    if noise is None or _is_regressive(cfg.trajectory):
+    if noise is None:
 
         def draw() -> np.ndarray:
             gen = np.random.default_rng(cfg.seed) if rng is None else rng
             return gen.normal(0.0, sched.sigma_d, size=(p.n_draws, *x1.shape))
 
     else:
-        items = [np.asarray(a, dtype=np.float64) for a in noise]
+        items = [np.asarray(a, dtype=np.float64) for a in itertools.islice(noise, p.n_draws)]
         if len(items) < p.n_draws:
             raise ConfigError(f"noise override exhausted at draw {len(items)}")
-        for k, z in enumerate(items[: p.n_draws]):
+        for k, z in enumerate(items):
             if z.shape != x1.shape:
                 raise DimensionMismatch(f"noise draw {k} has shape {z.shape}, x1 {x1.shape}")
             bad_noise = f"noise draw {k} holds NaN or inf in {{bad}} of {{n}} rows"
@@ -437,7 +400,7 @@ def restore_batch(
     an MLP's matmuls may round differently for another row count).  Each
     item takes its draws in one normal() call.  The streams are seeded at
     the run's first draw, all items at once where they fit the vectorized
-    seeding (see the module docstring), so a run that draws nothing (a
+    seeding (see _pcg64_states), so a run that draws nothing (a
     regression path, one boot step with kappa = 0, or an empty batch) seeds
     none.
 
@@ -459,95 +422,73 @@ def restore_batch(
 
 # -- per-item noise streams ------------------------------------------------------
 #
-# default_rng([seed, item]) is PCG64 seeded by SeedSequence([seed, item]).
-# With seed and item below 2**32 that entropy is two 32-bit words, and the
-# seeding below redoes, for many items at once, what numpy's
-# bit_generator.pyx (SeedSequence's mix_entropy into a pool of four words,
-# then generate_state(4, uint64)) and pcg64.c (pcg64_set_seed, PCG's
-# srandom) do for one.  Its hash calls' constants depend on no data, so they
-# are computed here once.  Arrays are uint32, whose products wrap mod 2**32
-# as the C code's do; Python ints are masked to 32 bits instead.
+# default_rng([seed, item]) is PCG64 seeded by SeedSequence([seed, item]).  For
+# seed and item below 2**32, _pcg64_states transcribes that seeding for many
+# items at once from numpy's numpy/random/bit_generator.pyx (hashmix, mix,
+# SeedSequence.mix_entropy and generate_state) and
+# numpy/random/src/pcg64/pcg64.c (pcg64_set_seed, PCG's srandom), and
+# restore_batch sets each state on one generator local to the call, which
+# yields the same stream.  Items whose seed or id is >= 2**32, batches below
+# _FAST_SEEDING_MIN_ITEMS rows, and a numpy whose seeding no longer matches
+# (checked once per process) take default_rng per item instead.
 
 _M32 = 0xFFFF_FFFF
 _M128 = (1 << 128) - 1
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-# Below this many rows default_rng per item is as cheap: measured on one CPU,
-# the vectorized seeding costs a fixed ~50 us and ~4 us an item, default_rng
-# ~14 us an item, crossing at 5-6 rows.
-_FAST_SEEDING_MIN_ITEMS = 8
-
-
-def _hash_calls(const: int, mult: int, n: int) -> list[tuple[int, int]]:
-    """(xor, multiplier) of n successive SeedSequence hashes starting from
-    hash constant `const`: each xors with the constant, advances it by
-    `mult`, then multiplies by the advanced constant."""
-    calls = []
-    for _ in range(n):
-        advanced = const * mult & _M32
-        calls.append((const, advanced))
-        const = advanced
-    return calls
-
-
-# mix_entropy's 16 hashmix calls: one per pool word, then, for each source
-# word in turn, one per other word.  generate_state's 8 output words cycle the
-# pool twice, with a hash of their own.
-_MIX_CALLS = _hash_calls(0x43B0D7E5, 0x931E8875, 16)
-_OUT_XOR, _OUT_MULT = (
-    np.array(c, dtype=np.uint32) for c in zip(*_hash_calls(0x8B51F9DD, 0x58F38DED, 8))
-)
-# For source words 1..3, the calls' constants laid out at their destination
-# words; the source's own slot holds a dummy 0 and is restored after the mix.
-_SOURCE_XOR, _SOURCE_MULT = (
-    np.array(
-        [[0 if dst == src else _MIX_CALLS[4 + 3 * src + dst - (dst > src)][part]
-          for dst in range(4)] for src in range(4)],
-        dtype=np.uint32,
-    )
-    for part in (0, 1)
-)
-
-
-def _hashmix(value, call: int):
-    """SeedSequence's hashmix with the constants of mix_entropy's call
-    `call`, on a Python int or a uint32 array."""
-    xor, mult = _MIX_CALLS[call]
-    value = (value ^ xor) * mult & _M32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of words x and y, Python ints or uint32 arrays."""
-    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
-    return r ^ r >> 16
+# Below this many rows default_rng per item is as cheap.  Measured on one CPU
+# of a 2-core shared host (Python 3.11, numpy 2.4, 15 draws an item): the
+# vectorized seeding costs a fixed ~130 us plus ~5 us an item, default_rng
+# ~13-20 us an item, crossing at 14-20 rows.
+_FAST_SEEDING_MIN_ITEMS = 16
 
 
 def _pcg64_states(seed: int, first: int, n: int) -> list[tuple[int, int]]:
     """(state, inc) of PCG64(SeedSequence([seed, item])) for the n items
-    first, first + 1, ...; seed and every item must be below 2**32."""
-    # Until source word 1 mixes in, pool words 0, 2 and 3 depend only on the
-    # seed: that part runs once, on Python ints.
-    w0 = _hashmix(seed, 0)
-    pool = np.empty((n, 4), dtype=np.uint32)
-    pool[:, 0] = w0
-    pool[:, 1] = _mix(_hashmix(np.arange(first, first + n, dtype=np.uint32), 1), _hashmix(w0, 4))
-    pool[:, 2] = _mix(_hashmix(0, 2), _hashmix(w0, 5))
-    pool[:, 3] = _mix(_hashmix(0, 3), _hashmix(w0, 6))
-    for src in (1, 2, 3):
-        h = (pool[:, src : src + 1] ^ _SOURCE_XOR[src]) * _SOURCE_MULT[src]
-        h ^= h >> 16
-        mixed = _MIX_L * pool - _MIX_R * h
-        mixed ^= mixed >> 16
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    out = (np.concatenate((pool, pool), axis=1) ^ _OUT_XOR) * _OUT_MULT
-    out ^= out >> 16
-    # generate_state(4, uint64) pairs the words little-endian.
+    first, first + 1, ...; seed and every item must be below 2**32.  Each
+    pool word is a uint32 array over the items, whose products wrap mod
+    2**32 as the C code's do."""
+    hash_const = 0x43B0D7E5  # INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        # hash_const is a Python int masked to 32 bits, as C's uint32_t
+        # wraps: numpy rejects a larger int against a uint32 array, and
+        # np.uint32 scalars would warn on overflow.
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & _M32  # MULT_A
+        value *= hash_const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = 0xCA01F9DD * x - 0x4973F715 * y  # MIX_MULT_L, MIX_MULT_R
+        return result ^ result >> 16
+
+    # mix_entropy: the entropy words [seed, item], padded with zeros to the
+    # pool size of four, each hashed into the pool, then every pool word
+    # mixed into every other.
+    entropy = np.zeros((4, n), dtype=np.uint32)
+    entropy[0] = seed
+    entropy[1] = np.arange(first, first + n, dtype=np.uint32)
+    mixer = [hashmix(word) for word in entropy]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+    # generate_state(4, uint64): eight words cycling the pool, with a hash
+    # of their own, paired little-endian into four 64-bit words.
+    hash_const = 0x8B51F9DD  # INIT_B
+    words = []
+    for data_val in mixer * 2:
+        data_val = data_val ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32  # MULT_B
+        data_val *= hash_const
+        words.append(data_val ^ data_val >> 16)
+    state = np.stack(words, axis=1).astype("<u4").view("<u8")
+    # pcg64_set_seed: words 0-1 are the initial state and 2-3 the stream,
+    # high word first; srandom sets state 0, steps, adds the seed, steps.
     states = []
-    for s_hi, s_lo, i_hi, i_lo in out.astype("<u4").view("<u8").tolist():
+    for s_hi, s_lo, i_hi, i_lo in state.tolist():
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        # srandom: state 0, step, add the seed, step.
         states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128, inc))
     return states
 

@@ -4,7 +4,8 @@ Clouds are standardized so each coordinate has mean 0 and standard deviation
 sigma_d, which is what the variance-preserving schedule assumes.  The
 degradation applied to the S-curve is a fixed shear-and-squash linear map
 plus additive noise; its parameters and seed are kept in the dataset
-provenance so every experiment is reproducible.
+provenance so every experiment is reproducible.  A seed that is not a
+non-negative integer is a ConfigError (sampler.check_seed).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EmptyDataset, InsufficientData
 from .process import PairSample
+from .sampler import check_seed
 
 
 def standardize(cloud: np.ndarray, sigma_d: float = 1.0) -> np.ndarray:
@@ -73,7 +75,7 @@ def make_scurve(
         raise DomainError(f"n must be >= 2, got {n}")
     if jitter < 0.0:
         raise DomainError(f"jitter must be >= 0, got {jitter}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     u = rng.uniform(0.0, 1.0, size=n)
     pts = np.empty((n, 2))
     upper = u < 0.5
@@ -109,7 +111,7 @@ def degrade(
     clean = np.asarray(clean, dtype=np.float64)
     if clean.ndim != 2 or clean.shape[1] != 2:
         raise DimensionMismatch(f"shear degradation expects (n, 2), got {clean.shape}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     shear = np.array([[1.0, strength], [0.0, 1.0 - strength / 2.0]])
     out = clean @ shear.T
     if noise > 0.0:
@@ -164,7 +166,7 @@ def make_gaussian_pairs(
         raise DomainError(f"rho must lie in (-1, 1), got {rho}")
     if n < 1 or dim < 1:
         raise DomainError("n and dim must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     x0 = rng.normal(0.0, sigma_d, size=(n, dim))
     u = rng.normal(0.0, sigma_d, size=(n, dim))
     x1 = rho * x0 + math.sqrt(1.0 - rho * rho) * u

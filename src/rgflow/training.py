@@ -23,8 +23,8 @@ from .denoiser import (
     _check_sizes,
     _dense_backward,
     _dense_forward,
+    _time_pairs,
     _weighted_error,
-    time_embed,
 )
 from .errors import ConfigError, EmptyDataset, NonFiniteLoss
 from .process import forward_state
@@ -140,11 +140,8 @@ class AdaptiveWeight:
         }
 
     def features(self, r, g) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-        g = np.atleast_1d(np.asarray(g, dtype=np.float64))
-        return np.concatenate(
-            [time_embed(r, self.emb_dim), time_embed(g, self.emb_dim)], axis=1
-        )
+        """[embed(r), embed(g)], one row per time: (n, 2 emb_dim)."""
+        return _time_pairs(np.stack(np.atleast_1d(r, g), axis=-1), self.emb_dim)
 
     def forward(self, r, g) -> tuple[np.ndarray, tuple]:
         out, cache = _dense_forward(self.params, _WEIGHT_LAYERS, self.features(r, g))

@@ -344,6 +344,14 @@ class TestSeedRejected:
         conf.write_text(json.dumps({"n": 50, "steps": 5, "seed": -3}))
         assert_rejected(capsys, tmp_path / "ck.json", "train", "--config", conf)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_train_config_file_non_integer(self, tmp_path, capsys, seed):
+        """A --config seed that is a float or a bool is rejected, not
+        truncated or read as 1."""
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"n": 50, "steps": 5, "seed": seed}))
+        assert_rejected(capsys, tmp_path / "ck.json", "train", "--config", conf)
+
     def test_sweep(self, toy_dataset, tmp_path, capsys):
         data, _ = toy_dataset
         assert_rejected(capsys, tmp_path / "x.csv", "sweep", "--data", data,

@@ -648,6 +648,32 @@ class TestNoiseContract:
         from_rng = restore(sched, den, x1, cfg, rng=np.random.default_rng(seed))
         assert np.array_equal(from_rng, from_list)
 
+    def test_noise_read_up_to_the_draw_count(self):
+        """restore reads exactly the plan's draw count of items from a
+        `noise=` generator that raises past that point, and a regression path
+        reads none; the result equals a run drawing from `rng`."""
+        sched = GvpSchedule(0.5, 1.0)
+        den = GaussianOracle(rho=0.5)
+        x1 = np.array([0.3, -0.2])
+
+        def items(n):
+            rng = np.random.default_rng(3)
+            for _ in range(n):
+                yield rng.normal(0.0, sched.sigma_d, size=2)
+            raise AssertionError(f"noise read past draw {n}")
+
+        for traj, eta, noisy in (
+            (Elliptical(phi=sched.phi, delta=0.6), 0.5, True),
+            (Linear(phi=sched.phi, delta=0.6), 0.0, True),
+            (Regression(phi=sched.phi), 0.5, False),
+        ):
+            cfg = SamplerConfig(trajectory=traj, n_steps=10, eta=eta, seed=4)
+            n = sampler.plan(sched, cfg).n_draws
+            assert (n > 0) == noisy
+            got = restore(sched, den, x1, cfg, noise=items(n))
+            want = restore(sched, den, x1, cfg, rng=np.random.default_rng(3))
+            assert got.tobytes() == want.tobytes()
+
 
 def _default_rng_block(seed, first, n_draws, shape, sigma_d):
     """The noise contract, spelled out: item i's draws come from
@@ -671,8 +697,9 @@ class TestNoiseStreams:
     def test_computed_states_equal_numpys(self, seed, first, n, as_type):
         """Where restore_batch's noise computes PCG64 states itself, each
         (state, inc) equals PCG64(SeedSequence([seed, item])).state: it does
-        so only for a seed and items below 2**32, and the block equals the
-        default_rng one either way, for numpy-integer seeds too."""
+        so for a seed and at least _FAST_SEEDING_MIN_ITEMS items below 2**32,
+        and only there, and the block equals the default_rng one either way,
+        for numpy-integer seeds too."""
         assume(as_type is int or seed < 2**63)
         calls = []
         real = sampler._pcg64_states
@@ -685,6 +712,8 @@ class TestNoiseStreams:
             mp.setattr(sampler, "_pcg64_states", spy)
             got = sampler._item_noise(as_type(seed), first, 2, (n, 2), 0.7)
         assert got.tobytes() == _default_rng_block(seed, first, 2, (n, 2), 0.7).tobytes()
+        fits = min(n, 2**32 - first) >= sampler._FAST_SEEDING_MIN_ITEMS and seed < 2**32
+        assert bool(calls) == fits
         for call_seed, call_first, call_n in calls:
             assert type(call_seed) is int and call_seed < 2**32
             assert call_first + call_n <= 2**32
@@ -700,7 +729,9 @@ class TestNoiseStreams:
         assert (state, inc) == (want["state"], want["inc"])
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=_ids, offset=_ids, rows=st.sampled_from([1, 5, 7, 8, 9, 30]),
+    @given(seed=_ids, offset=_ids,
+           rows=st.sampled_from([1, 5, 7, 8, 9, 30, sampler._FAST_SEEDING_MIN_ITEMS - 1,
+                                 sampler._FAST_SEEDING_MIN_ITEMS]),
            eta=st.sampled_from([0.0, 0.5, 1.0]))
     def test_batch_equals_default_rng_oracle(self, seed, offset, rows, eta):
         """restore_batch equals, byte for byte, sequential restores each fed
@@ -792,10 +823,10 @@ class TestPlan:
         ]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
-    def test_kappa_called_once_per_noisy_step_then_cached(self, monkeypatch):
-        """Building a plan calls kappa once per step off the regression line;
-        a second restore with an equal config reuses the plan and calls it
-        not at all."""
+    def test_kappa_called_once_per_step_then_cached(self, monkeypatch):
+        """Building a plan calls kappa once per step, on every path (along
+        g = 0 it is the eta = 1 step's, exactly 0); a second restore with an
+        equal config reuses the plan and calls it not at all."""
         calls = []
         real = sampler.kappa
 
@@ -808,15 +839,15 @@ class TestPlan:
         sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         x1 = np.array([0.3, -0.2])
-        for traj, noisy_steps in (
-            (Elliptical(phi=sched.phi, delta=0.6), 12),
-            (Linear(phi=sched.phi, delta=0.6), 12),
-            (Regression(phi=sched.phi), 0),
+        for traj in (
+            Elliptical(phi=sched.phi, delta=0.6),
+            Linear(phi=sched.phi, delta=0.6),
+            Regression(phi=sched.phi),
         ):
             cfg = SamplerConfig(trajectory=traj, n_steps=12, eta=0.5, seed=1)
             calls.clear()
             restore(sched, den, x1, cfg)
-            assert len(calls) == noisy_steps
+            assert len(calls) == 12
             calls.clear()
             restore(sched, den, x1, SamplerConfig(trajectory=traj, n_steps=12, eta=0.5, seed=2))
             restore_batch(sched, den, np.ones((3, 2)), cfg)

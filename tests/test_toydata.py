@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rgflow import (
+    ConfigError,
     DimensionMismatch,
     DomainError,
     InsufficientData,
@@ -106,6 +107,21 @@ class TestGaussianPairs:
     def test_rejects_degenerate_rho(self):
         with pytest.raises(DomainError):
             make_gaussian_pairs(1.0, 10)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0)])
+def test_bad_seed_is_config_error(seed):
+    """Every generator rejects a seed that is not a non-negative integer
+    with ConfigError, before numpy sees it."""
+    clean = make_scurve(10, seed=0)
+    for make in (
+        lambda: make_scurve(10, seed=seed),
+        lambda: degrade(clean, seed=seed),
+        lambda: make_gaussian_pairs(0.5, 10, seed=seed),
+        lambda: make_scurve_dataset(10, seed=seed),
+    ):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            make()
 
 
 class TestEstimateRho:
