@@ -1,0 +1,142 @@
+"""Fixed-seed outputs of an rgflow tree, to check that a change keeps them bit for bit.
+
+    python scripts/equivalence.py dump <src> <out.pkl> [--quick]
+    python scripts/equivalence.py compare <a.pkl> <b.pkl>
+
+`dump` imports rgflow from <src>/src, so dump each tree in its own process.
+It pickles entry name -> (dtype, shape, bytes) of a result, or the
+"<Error>: <message>" of a rejection: restore and restore_batch over the GRID
+(QUICK with --quick) and every path kind, with an MLP of random weights;
+predict and bound steps; the step functions; and rejected calls.  `compare`
+prints the entries that differ, or that one dump lacks, and their count.
+"""
+
+import math
+import pickle
+import sys
+from pathlib import Path
+
+import numpy as np
+
+GRID = {"etas": (0.0, 0.5, 1.0), "n_steps": (1, 2, 10, 15), "rows": (1, 257, 258, 2000),
+        "sigma_ds": (1.0, 0.7)}
+QUICK = {"etas": (0.0, 0.5), "n_steps": (1, 10), "rows": (1, 258), "sigma_ds": (1.0, 0.7)}
+
+
+def _value(fn):
+    try:
+        a = np.asarray(fn())
+        return a.dtype.str, a.shape, a.tobytes()
+    except Exception as exc:  # a rejection is an output too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _mlp(rg, sigma_d: float, seed: int = 7):
+    """An MLP with random weights in every layer, so its outputs vary."""
+    net = rg.MlpDenoiser(dim=2, hidden=32, emb_dim=8, sigma_d=sigma_d, params={})
+    rng = np.random.default_rng(seed)
+    net.reinit(rng)
+    for key in ("W3", "b1", "b3"):
+        net.params[key] = rng.normal(0.0, 0.3, size=net.params[key].shape)
+    return net
+
+
+def dump(src, out=None, quick: bool = False) -> dict:
+    """The entries of the tree at `src`; pickled to `out` when given."""
+    sys.path.insert(0, str(Path(src).resolve() / "src"))
+    import rgflow as rg
+    from rgflow.trajectory import TRAJECTORY_KINDS, make_trajectory
+
+    grid = QUICK if quick else GRID
+    x1 = np.random.default_rng(11).normal(size=(max(grid["rows"]), 2))
+    vecs = np.random.default_rng(13).normal(size=(4, 5, 2))
+    entries = {}
+
+    def put(name, fn):
+        entries[name] = _value(fn)
+
+    for sd in grid["sigma_ds"]:
+        sched, net = rg.GvpSchedule(rho=0.6, sigma_d=sd), _mlp(rg, sd)
+        for kind in TRAJECTORY_KINDS:
+            traj = make_trajectory(kind, sched.phi, delta=math.pi / 8)
+            for eta in grid["etas"]:
+                for n in grid["n_steps"]:
+                    cfg = rg.SamplerConfig(trajectory=traj, n_steps=n, eta=eta, seed=3)
+                    tag = f"sd={sd} {kind} eta={eta} n={n}"
+                    put(f"restore {tag}", lambda: rg.restore(sched, net, x1[0], cfg))
+                    for rows in grid["rows"]:
+                        put(f"restore_batch {tag} rows={rows}",
+                            lambda: rg.restore_batch(sched, net, x1[:rows], cfg, item_offset=5))
+            oracle = rg.GaussianOracle(rho=0.6, sigma_d=sd)
+            cfg = rg.SamplerConfig(trajectory=traj, n_steps=10, eta=0.5, seed=4)
+            put(f"oracle sd={sd} {kind}", lambda: rg.restore_batch(sched, oracle, x1[:16], cfg))
+        times = [(0.3, 0.1), (1.2, 0.0), (0.0, 1.5)]
+        rs, gs = np.random.default_rng(12).uniform(0.0, 1.5, size=(2, max(grid["rows"])))
+        for rows in grid["rows"]:
+            x, y = x1[:rows][::-1] * 0.5, x1[:rows]
+            step = net.bind(y, times)
+            for i, (r, g) in enumerate(times):
+                put(f"step sd={sd} rows={rows} i={i}", lambda: step(x, i))
+                put(f"predict sd={sd} rows={rows} i={i}", lambda: net.predict(x, y, r, g))
+            put(f"predict per-row sd={sd} rows={rows}",
+                lambda: net.predict(x, y, rs[:rows], gs[:rows]))
+        put(f"predict 1-D sd={sd}", lambda: net.predict(x1[1], x1[0], 0.3, 0.1))
+        for eta in (0.0, 1e-150, 0.3, 0.5, 1.0):
+            for frm, to in (((0.1, 0.2), (0.3, 0.5)), ((0.2, 1.0), (0.0, 0.4)),
+                            ((0.4, 0.0), (0.3, 0.3))):
+                put(f"kappa sd={sd} eta={eta} {frm}->{to}", lambda: rg.kappa(eta, frm[1], to[1]))
+                put(f"hybrid_step sd={sd} eta={eta} {frm}->{to}",
+                    lambda: rg.hybrid_step(sched, *vecs[:3], frm, to, eta, vecs[3]))
+        put(f"boot_step sd={sd}",
+            lambda: rg.boot_step(sched, *vecs[:3], (0.1, 0.0), (0.2, 0.3), vecs[3]))
+        put(f"regression_step sd={sd}", lambda: rg.regression_step(sched, *vecs[:3], 0.1, 0.4))
+
+    def hybrid(x0hat, to, eta):
+        return rg.hybrid_step(sched, vecs[0], x0hat, vecs[2], (0.1, 0.2), to, eta, vecs[3])
+
+    ell = rg.SamplerConfig(make_trajectory("elliptical", sched.phi, delta=0.4), 4, 0.5)
+    for name, fn in {
+        "kappa eta>1": lambda: rg.kappa(1.5, 0.2, 0.3),
+        "kappa g1=0": lambda: rg.kappa(0.5, 0.0, 0.3),
+        "hybrid g2<0 eta=0.5": lambda: hybrid(vecs[1], (0.0, -0.3), 0.5),
+        "hybrid g2<0 eta=0": lambda: hybrid(vecs[1], (0.0, -0.3), 0.0),
+        "hybrid shapes": lambda: hybrid(vecs[1][:2], (0.3, 0.5), 0.5),
+        "restore nan": lambda: rg.restore(sched, net, [np.nan, 0.0], ell),
+        "restore width": lambda: rg.restore(sched, net, np.zeros(3), ell),
+        "restore noise short": lambda: rg.restore(sched, net, x1[0], ell, noise=[x1[0]]),
+        "restore noise shape": lambda: rg.restore(sched, net, x1[0], ell, noise=[x1[:2]] * 9),
+        "batch offset": lambda: rg.restore_batch(sched, net, x1[:3], ell, item_offset=-1),
+        "step shape": lambda: net.bind(x1[:3], [(0.3, 0.1)])(x1[:2], 0),
+        "predict times": lambda: net.predict(x1[:3], x1[:3], np.zeros(4), 0.1),
+        "one step from g=0": lambda: rg.restore(sched, net, x1[0], rg.SamplerConfig(
+            ell.trajectory, 1, 0.5)),
+    }.items():
+        put(f"reject {name}", fn)
+    if out is not None:
+        Path(out).write_bytes(pickle.dumps(entries))
+    return entries
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    """Names of the entries that differ between dumps a and b."""
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["dump"] and len(argv) in (3, 4) and argv[3:] in ([], ["--quick"]):
+        print(f"{len(dump(argv[1], argv[2], quick=len(argv) == 4))} entries")
+        return 0
+    if argv[:1] == ["compare"] and len(argv) == 3:
+        a, b = (pickle.loads(Path(p).read_bytes()) for p in argv[1:])
+        names = compare(a, b)
+        for name in names:
+            print(f"differs: {name}")
+        print(f"{len(names)} of {len(a.keys() | b.keys())} entries differ")
+        return 0
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

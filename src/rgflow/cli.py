@@ -159,52 +159,80 @@ _TRAIN_CONFIG_KEYS = {
 }
 
 
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", dict: "a JSON object"}
+
+
+def _json_typed(value, kind: type, name: str):
+    """`value`, parsed from JSON, if its JSON type is `kind`, else
+    ConfigError naming `name`.  int takes only integers (not true/false,
+    not 1.0); float takes integers and reals and returns a float; bool takes
+    only true/false; str and dict take only strings and objects."""
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float") from None
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def _cmd_train(args) -> int:
     conf: dict = {}
     if args.config is not None:
-        conf = json.loads(Path(args.config).read_text())
+        try:
+            conf = json.loads(Path(args.config).read_text())
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ConfigError(f"config {args.config} is not JSON: {exc}") from None
+        _json_typed(conf, dict, f"config {args.config}")
         unknown = set(conf) - _TRAIN_CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(name, default):
+    def pick(name, default, kind):
+        """The flag (typed by argparse), else the config file's value,
+        which must have JSON type `kind`, else `default`."""
         flag = getattr(args, name)
         if flag is not None:
             return flag
-        return conf.get(name, default)
+        if name in conf:
+            return _json_typed(conf[name], kind, f"config {name!r}")
+        return default
 
     # Built first, so that a bad seed is rejected before the data set is drawn.
     cfg = TrainConfig(
-        time_sampler=make_time_sampler(pick("time_sampler", "elliptical")),
-        batch_size=int(pick("batch", 16)),
-        n_steps=int(pick("steps", 20_000)),
-        learning_rate=float(pick("lr", 1e-4)),
-        weight_decay=float(pick("weight_decay", 1e-2)),
-        ema_decay=float(pick("ema_decay", 0.9999)),
-        adaptive_weighting=bool(pick("adaptive_weighting", True)),
-        hidden=int(pick("hidden", 128)),
-        emb_dim=int(pick("emb_dim", 32)),
-        seed=pick("seed", 0),
+        time_sampler=make_time_sampler(pick("time_sampler", "elliptical", str)),
+        batch_size=pick("batch", 16, int),
+        n_steps=pick("steps", 20_000, int),
+        learning_rate=pick("lr", 1e-4, float),
+        weight_decay=pick("weight_decay", 1e-2, float),
+        ema_decay=pick("ema_decay", 0.9999, float),
+        # --adaptive-weighting is 0 or 1, the config file's value a bool.
+        adaptive_weighting=bool(pick("adaptive_weighting", True, bool)),
+        hidden=pick("hidden", 128, int),
+        emb_dim=pick("emb_dim", 32, int),
+        seed=pick("seed", 0, int),
     )
-    data = pick("data", "scurve")
-    n = int(pick("n", 2000))
-    sigma_d = float(pick("sigma_d", 1.0))
+    data = pick("data", "scurve", str)
+    n = pick("n", 2000, int)
+    sigma_d = pick("sigma_d", 1.0, float)
     if data == "scurve":
         ds = make_scurve_dataset(
             n,
-            jitter=float(pick("jitter", 0.05)),
-            strength=float(pick("strength", 1.0)),
-            noise=float(pick("noise", 0.25)),
+            jitter=pick("jitter", 0.05, float),
+            strength=pick("strength", 1.0, float),
+            noise=pick("noise", 0.25, float),
             sigma_d=sigma_d,
             seed=cfg.seed,
         )
     elif data == "gaussian":
         ds = make_gaussian_pairs(
-            float(pick("gaussian_rho", 0.5)),
+            pick("gaussian_rho", 0.5, float),
             n,
             sigma_d=sigma_d,
             seed=cfg.seed,
-            dim=int(pick("dim", 2)),
+            dim=pick("dim", 2, int),
         )
     else:
         raise ConfigError(f"unknown --data {data!r}; expected scurve or gaussian")

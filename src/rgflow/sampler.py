@@ -38,7 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, DomainError, NonFiniteOutput, SingularStart
-from .schedule import CoeffSet, GvpSchedule
+from .schedule import CoeffSet, GvpSchedule, check_g
 from .trajectory import Regression, Trajectory
 
 _HALF_PI = math.pi / 2.0
@@ -49,17 +49,23 @@ def kappa(eta: float, g1: float, g2: float) -> float:
 
     Exactly 0 at eta = 0 and exactly sin(g2) - sin(g1) at eta = 1; computed
     through expm1 in between so the eta -> 0 limit is smooth.  Undefined from
-    g1 <= 0 (SingularStart) except at eta = 1, where the k-ratio drops out.
+    g1 <= 0 (SingularStart) except at eta = 1, where the k-ratio drops out,
+    and for g2 outside the schedule's [0, pi/2] (DomainError).  A g2 inside
+    the schedule's round-off slack below 0 makes k negative, so k^s is
+    undefined there too for 0 < eta < 1 (DomainError).
     """
     if not (0.0 <= eta <= 1.0):
         raise ConfigError(f"eta must lie in [0, 1], got {eta}")
+    if g1 <= 0.0 and eta != 1.0:
+        raise SingularStart(f"kappa undefined from g1={g1} <= 0 unless eta = 1")
+    check_g(g2)
     s1, s2 = math.sin(g1), math.sin(g2)
     if eta == 1.0:
         return s2 - s1
-    if g1 <= 0.0:
-        raise SingularStart(f"kappa undefined from g1={g1} <= 0 unless eta = 1")
     if eta == 0.0:
         return 0.0
+    if s2 < 0.0:
+        raise DomainError(f"kappa undefined from g2={g2} < 0 unless eta is 0 or 1")
     if s2 == 0.0:
         # k = 0 and s > 0, so k^s sin(g1) = 0 and the numerator vanishes.
         return 0.0
@@ -117,7 +123,8 @@ class Step:
 def _fold(sched: GvpSchedule, frm, to, eta: float) -> Step:
     """The step from point frm to point to at noise level eta."""
     g1, g2 = frm[1], to[1]
-    # kappa first: it rejects eta outside [0, 1] and g1 <= 0 below eta = 1.
+    # kappa first: it rejects eta outside [0, 1], g1 <= 0 below eta = 1 and g2
+    # outside the schedule's [0, pi/2].
     kap = kappa(eta, g1, g2)
     ks = _k_pow_s(eta, g1, g2)
     c1, c2 = sched.coeffs(*frm), sched.coeffs(*to)
@@ -127,9 +134,11 @@ def _fold(sched: GvpSchedule, frm, to, eta: float) -> Step:
 
 
 def _update(step: Step, x, x0hat, x1, z):
-    """k^s x + a x0hat + b x1 + kappa z with the scalars of `step`; z is read
-    only where kappa is nonzero."""
-    out = step.ks * x + step.a * x0hat + step.b * x1
+    """k^s x + a x0hat + b x1 + kappa z with the scalars of `step`, summed
+    left to right into a new array; z is read only where kappa is nonzero."""
+    out = step.ks * x
+    out += step.a * x0hat
+    out += step.b * x1
     if step.kappa != 0.0:
         out += step.kappa * z
     return out
@@ -214,12 +223,14 @@ class Plan:
     `start` holds the coefficients of a start at g > 0, whose state is
     lam beta x1 + gamma z, and is None for a start at g = 0, whose state is
     x1.  `n_draws` counts the noise draws: one for a start at g > 0, then
-    one per step whose kappa is nonzero.
+    one per step whose kappa is nonzero.  `times` holds each step's source
+    point, where the denoiser is queried.
     """
 
     start: CoeffSet | None
     steps: tuple[Step, ...]
     n_draws: int
+    times: tuple[tuple[float, float], ...]
 
 
 def _points(sched: GvpSchedule, traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float):
@@ -256,7 +267,7 @@ def _plan(
     )
     start = None if points[0][1] == 0.0 else sched.coeffs(*points[0])
     n_draws = (start is not None) + sum(s.kappa != 0.0 for s in steps)
-    return Plan(start, steps, n_draws)
+    return Plan(start, steps, n_draws, tuple(step.frm for step in steps))
 
 
 def plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan:
@@ -293,7 +304,7 @@ def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
     times once, before the first draw: predict(x, i) is x0hat at x for step
     i.  `draw()` returns the run's p.n_draws noise samples, indexable in
     draw order; it is called once, at the first step that needs noise."""
-    predict = _bind(denoiser, x1, tuple(step.frm for step in p.steps))
+    predict = _bind(denoiser, x1, p.times)
     noise, used = None, 0
     if p.start is None:
         x = np.array(x1, dtype=np.float64, copy=True)

@@ -33,6 +33,12 @@ _HALF_PI = math.pi / 2.0
 _EDGE_TOL = 1e-12
 
 
+def check_g(g: float) -> None:
+    """Raise DomainError unless the generation time g is in [0, pi/2]."""
+    if not (-_EDGE_TOL <= g <= _HALF_PI + _EDGE_TOL):
+        raise DomainError(f"g={g} outside [0, pi/2]")
+
+
 @dataclass(frozen=True)
 class CoeffSet:
     """Schedule coefficients evaluated at one (r, g) point."""
@@ -84,8 +90,7 @@ class GvpSchedule:
         """Raise DomainError unless r is in [-phi, phi] and g in [0, pi/2]."""
         if not (-self.phi - _EDGE_TOL <= r <= self.phi + _EDGE_TOL):
             raise DomainError(f"r={r} outside [-phi, phi] = [{-self.phi}, {self.phi}]")
-        if not (-_EDGE_TOL <= g <= _HALF_PI + _EDGE_TOL):
-            raise DomainError(f"g={g} outside [0, pi/2]")
+        check_g(g)
 
     # -- coefficients --------------------------------------------------------
 

@@ -154,6 +154,75 @@ class TestTrainCli:
                         "--steps", "5", "--hidden", hidden)
 
 
+class TestTrainConfigTypes:
+    """Every value a --config file sets must have its field's JSON type:
+    int fields take only integers, float fields integers or reals,
+    adaptive_weighting only true/false, string fields only strings, and the
+    file must hold one JSON object.  Anything else exits 2 with one error
+    line, never a traceback or a silently converted value."""
+
+    SMALL = {"n": 50, "steps": 2, "hidden": 4, "emb_dim": 2}
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({**SMALL, "hidden": 1.5}),
+        json.dumps({**SMALL, "hidden": 2.0}),
+        json.dumps({**SMALL, "steps": True}),
+        json.dumps({**SMALL, "n": None}),
+        json.dumps({**SMALL, "adaptive_weighting": "false"}),
+        json.dumps({**SMALL, "adaptive_weighting": 0}),
+        json.dumps({**SMALL, "ema_decay": "x"}),
+        json.dumps({**SMALL, "lr": [1e-3]}),
+        json.dumps({**SMALL, "lr": 10**400}),
+        json.dumps({**SMALL, "data": 3}),
+        json.dumps({**SMALL, "time_sampler": None}),
+        "{not json",
+        "",
+        "[1, 2]",
+        "7",
+    ], ids=["int-float", "int-integral-float", "int-bool", "int-null", "bool-string",
+            "bool-int", "float-string", "float-list", "float-overflow", "str-int",
+            "str-null", "not-json", "empty", "list", "number"])
+    def test_bad_value_rejected(self, tmp_path, capsys, text):
+        conf = tmp_path / "conf.json"
+        conf.write_text(text)
+        assert_rejected(capsys, tmp_path / "ck.json", "train", "--config", conf)
+
+    def test_list_is_not_read_as_keys(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text("[1, 2]")
+        assert run("train", "--config", conf, "--out", tmp_path / "ck.json") == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_binary_file_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_bytes(b"\xff\xfe\x00{")
+        assert_rejected(capsys, tmp_path / "ck.json", "train", "--config", conf)
+
+    def test_values_of_their_type_are_used(self, tmp_path, monkeypatch):
+        """An integer in a float field is read as that number, a JSON false
+        turns adaptive weighting off, and a flag still wins over the file."""
+        import rgflow.cli
+
+        seen = []
+        real = rgflow.cli.train
+
+        def spy(ds, cfg):
+            seen.append(cfg)
+            return real(ds, cfg)
+
+        monkeypatch.setattr(rgflow.cli, "train", spy)
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({**self.SMALL, "lr": 1, "adaptive_weighting": False,
+                                    "ema_decay": 0.5, "seed": 4}))
+        assert run("train", "--config", conf, "--out", tmp_path / "a.json") == 0
+        assert run("train", "--config", conf, "--adaptive-weighting", "1",
+                   "--out", tmp_path / "b.json") == 0
+        first, second = seen
+        assert first.learning_rate == 1.0 and type(first.learning_rate) is float
+        assert first.adaptive_weighting is False and second.adaptive_weighting is True
+        assert (first.hidden, first.n_steps, first.ema_decay, first.seed) == (4, 2, 0.5, 4)
+
+
 class TestRestoreCli:
     def test_modes_and_determinism(self, toy_dataset, tmp_path):
         data, ck = toy_dataset

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgflow import (
     CheatDenoiser,
@@ -480,6 +482,93 @@ class TestBlocks:
             step(np.zeros((599, 3)), 0)
         with pytest.raises(DimensionMismatch, match="times"):
             net.predict(np.zeros((600, 3)), np.zeros((600, 3)), np.zeros(601), 0.1)
+
+
+def _reference_step(net, x, x1, r, g):
+    """A bound step written out with every scaling done, as a 2-D batch
+    cut by _row_blocks: x/sigma_d @ W1_x + x1/sigma_d @ W1_x1 + the one-row
+    bias product, the hidden layers, then * sigma_d."""
+    p, d, sd = net.params, net.dim, net.sigma_d
+    xs, x1s = np.atleast_2d(x), np.atleast_2d(x1)
+    bias = _grid_rows(((r, g),), net.emb_dim) @ p["W1"][2 * d :] + p["b1"]
+    out = np.empty_like(xs)
+    for s in _row_blocks(len(xs)):
+        z = (xs[s] / sd) @ p["W1"][:d]
+        z += (x1s / sd)[s] @ p["W1"][d : 2 * d]
+        z += bias[0]
+        for w, b in (("W2", "b2"), ("W3", "b3")):
+            z *= denoiser.ndtr(z)
+            z = z @ p[w]
+            z += p[b]
+        z *= sd
+        out[s] = z
+    return out[0] if np.ndim(x) == 1 else out
+
+
+class TestBoundStepContract:
+    """The bound step's fast path keeps predict's contract bit for bit: its
+    hoisted layout, the skipped unit scaling and the type check change no
+    output and no error."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from([(3,), (1, 3), *[(n, 3) for n in (2, 255, 256, 257, 258, 513)]]),
+           sigma_d=st.sampled_from([1.0, 0.7]), seed=st.integers(0, 2**32 - 1),
+           r=st.floats(-HALF_PI, HALF_PI), g=st.floats(0.0, HALF_PI))
+    def test_bound_step_equals_predict(self, shape, sigma_d, seed, r, g):
+        net = _random_mlp(3, 8, seed=seed % 97)
+        net.sigma_d = sigma_d
+        x, x1 = np.random.default_rng(seed).normal(size=(2, *shape))
+        step = net.bind(x1, [(0.3, 0.1), (r, g)])
+        got = step(x, 1)
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == net.predict(x, x1, r, g).tobytes()
+        assert got.tobytes() == _reference_step(net, x, x1, r, g).tobytes()
+
+    @pytest.mark.parametrize("sigma_d", [1.0, 0.7])
+    def test_state_is_converted(self, sigma_d):
+        net = _random_mlp(3, 8, seed=10)
+        net.sigma_d = sigma_d
+        x, x1 = np.random.default_rng(10).normal(size=(2, 4, 3))
+        step = net.bind(x1, [(0.3, 0.1)])
+        want = step(x, 0).tobytes()
+        assert step(x.tolist(), 0).tobytes() == want
+        assert step(np.asfortranarray(x), 0).tobytes() == want
+        x32 = x.astype(np.float32)
+        assert step(x32, 0).tobytes() == step(x32.astype(np.float64), 0).tobytes()
+        assert step(x.astype(">f8"), 0).tobytes() == want
+        flat = net.bind(x1[0], [(0.3, 0.1)])
+        assert flat(list(x[0]), 0).tobytes() == flat(x[0], 0).tobytes()
+        assert net.predict(x.tolist(), x1.tolist(), 0.3, 0.1).tobytes() == want
+
+    def test_wrong_shape_raises(self):
+        net = _random_mlp(3, 8, seed=11)
+        for x1_shape, bad in (((3,), [(1, 3), (4,), (3, 1), ()]),
+                              ((1, 3), [(3,), (2, 3), (1, 4)]),
+                              ((300, 3), [(299, 3), (300, 4), (900,)])):
+            step = net.bind(np.zeros(x1_shape), [(0.3, 0.1)])
+            for shape in bad:
+                with pytest.raises(DimensionMismatch):
+                    step(np.zeros(shape), 0)
+                with pytest.raises(DimensionMismatch):
+                    net.predict(np.zeros(shape), np.zeros(x1_shape), 0.3, 0.1)
+        for x1 in (np.zeros(()), np.zeros((2, 3, 3))):
+            with pytest.raises(DimensionMismatch):
+                net.bind(x1, [(0.3, 0.1)])
+        # A scalar is neither a vector nor a batch, even for a one-wide net.
+        with pytest.raises(DimensionMismatch):
+            _random_mlp(1, 8, seed=11).bind(np.zeros(()), [(0.3, 0.1)])
+
+    @pytest.mark.parametrize("sigma_d", [1.0, 0.7])
+    def test_inputs_unchanged(self, sigma_d):
+        net = _random_mlp(3, 8, seed=12)
+        net.sigma_d = sigma_d
+        for n in (1, 300):
+            x, x1 = np.random.default_rng(n).normal(size=(2, n, 3))
+            before = x.tobytes(), x1.tobytes()
+            net.bind(x1, [(0.3, 0.1)])(x, 0)
+            net.bind(x1[0], [(0.3, 0.1)])(x[0], 0)
+            net.predict(x, x1, 0.3, 0.1)
+            assert (x.tobytes(), x1.tobytes()) == before
 
 
 class TestGelu:

@@ -156,6 +156,46 @@ class TestKappa:
         with pytest.raises(ConfigError):
             kappa(1.5, 0.2, 0.3)
 
+    @pytest.mark.parametrize("g2", [-0.3, -2e-12, HALF_PI + 2e-12, HALF_PI + 0.1])
+    @pytest.mark.parametrize("eta", [0.0, 1e-150, 0.5, 1.0])
+    def test_target_outside_domain_is_domain_error(self, eta, g2):
+        """A g2 outside the schedule's [0, pi/2] (round-off slack 1e-12) is
+        a DomainError at every eta, from kappa and from hybrid_step."""
+        with pytest.raises(DomainError, match="outside"):
+            kappa(eta, 0.2, g2)
+        z = np.zeros(2)
+        with pytest.raises(DomainError, match="outside"):
+            hybrid_step(GvpSchedule(0.4, 1.0), z, z, z, (0.1, 0.2), (0.0, g2), eta, z)
+
+    @pytest.mark.parametrize("g2", [-1e-300, -1e-13, HALF_PI + 1e-13])
+    @pytest.mark.parametrize("eta", [0.0, 1e-150, 0.5, 1.0])
+    def test_target_in_round_off_slack(self, eta, g2):
+        """kappa accepts the g2 the schedule accepts.  Below 0, sin(g2) < 0
+        makes k negative and k^s undefined for 0 < eta < 1, a DomainError,
+        never a bare ValueError from math.log; at eta = 0 and 1 the step is
+        defined and taken."""
+        sched, z = GvpSchedule(0.4, 1.0), np.full(2, 0.5)
+        if g2 < 0.0 and 0.0 < eta < 1.0:
+            with pytest.raises(DomainError, match="undefined"):
+                kappa(eta, 0.2, g2)
+            with pytest.raises(DomainError, match="undefined"):
+                hybrid_step(sched, z, z, z, (0.1, 0.2), (0.0, g2), eta, z)
+            return
+        got = kappa(eta, 0.2, g2)
+        if eta == 0.0:
+            assert got == 0.0
+        elif eta == 1.0:
+            assert got == math.sin(g2) - math.sin(0.2)
+        assert np.isfinite(got)
+        assert np.isfinite(hybrid_step(sched, z, z, z, (0.1, 0.2), (0.0, g2), eta, z)).all()
+
+    @pytest.mark.parametrize("g2", [0.3, -0.3])
+    def test_negative_start_below_eta_one_is_singular(self, g2):
+        """g1 < 0 is checked before g2, so below eta = 1 it stays SingularStart."""
+        for eta in (0.0, 0.5):
+            with pytest.raises(SingularStart):
+                kappa(eta, -0.1, g2)
+
 
 class TestHybridStep:
     def test_deterministic_step_ignores_noise(self):
@@ -209,6 +249,49 @@ class TestHybridStep:
         # g1 = 0 is singular for every eta < 1
         with pytest.raises(SingularStart):
             hybrid_step(sched, x_prev, x0hat, x1, (sched.phi, 0.0), to, 0.999, z)
+
+
+class TestUpdate:
+    """sampler._update sums k^s x + a x0hat + b x1 + kappa z in place, in the
+    order of that expression, and writes into none of its inputs."""
+
+    _scalar = st.one_of(
+        st.floats(-3.0, 3.0), st.sampled_from([1.0, 0.0, -0.0]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(ks=_scalar, a=_scalar, b=_scalar, kap=_scalar, seed=st.integers(0, 2**32 - 1),
+           zeros=st.lists(st.sampled_from([0.0, -0.0]), min_size=4, max_size=4))
+    def test_equals_the_written_out_sum(self, ks, a, b, kap, seed, zeros):
+        x, x0hat, x1, z = np.random.default_rng(seed).normal(size=(4, 3, 2))
+        for v, zero in zip((x, x0hat, x1, z), zeros):
+            v[0, 0] = zero  # signed zeros, where the order of a sum shows
+        step = sampler.Step((0.1, 0.2), (0.0, 0.3), ks, a, b, kap)
+        want = ks * x + a * x0hat + b * x1
+        if kap != 0.0:
+            want = want + kap * z
+        got = sampler._update(step, x, x0hat, x1, z if kap != 0.0 else None)
+        assert got.tobytes() == want.tobytes()
+
+    def test_unit_ks_and_zero_kappa(self):
+        x, x0hat, x1 = np.random.default_rng(3).normal(size=(3, 5))
+        x[:2] = [-0.0, 0.0]
+        for a in (0.0, -0.0, 0.7):
+            step = sampler.Step((0.1, 0.0), (0.0, 0.0), 1.0, a, -0.2, 0.0)
+            got = sampler._update(step, x, x0hat, x1, None)
+            assert got.tobytes() == (1.0 * x + a * x0hat + -0.2 * x1).tobytes()
+
+    def test_step_functions_leave_inputs_unchanged(self):
+        sched = GvpSchedule(0.4, 1.0)
+        vecs = np.random.default_rng(4).normal(size=(4, 6, 2))
+        before = vecs.tobytes()
+        x, x0hat, x1, z = vecs
+        for eta in (0.0, 0.5, 1.0):
+            hybrid_step(sched, x, x0hat, x1, (0.1, 0.2), (0.0, 0.3), eta, z)
+        boot_step(sched, x, x0hat, x1, (0.1, 0.0), (0.0, 0.3), z)
+        regression_step(sched, x, x0hat, x1, 0.1, 0.2)  # k^s = 1
+        regression_step(sched, x, x0hat, x1, 0.1, 0.1)  # a = b = 0 too
+        assert vecs.tobytes() == before
 
 
 class TestRegressionStep:
