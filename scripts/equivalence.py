@@ -7,7 +7,9 @@
 It pickles entry name -> (dtype, shape, bytes) of a result, or the
 "<Error>: <message>" of a rejection: restore and restore_batch over the GRID
 (QUICK with --quick) and every path kind, with an MLP of random weights;
-predict and bound steps; the step functions; and rejected calls.  `compare`
+predict and bound steps; the step functions; training runs (loss trace,
+final, EMA and weight-net parameters, and the caller's generator state);
+and rejected calls.  `compare`
 prints the entries that differ, or that one dump lacks, and their count.
 """
 
@@ -18,9 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+# A chunk of training steps at batch 16 holds 64 steps (1024 rows), so the
+# train_steps straddle a chunk's end, and a 1500-row batch outgrows a chunk.
+SAMPLERS = ("elliptical", "linear", "regression", "uniform", "lognorm1", "lognorm2")
 GRID = {"etas": (0.0, 0.5, 1.0), "n_steps": (1, 2, 10, 15), "rows": (1, 257, 258, 2000),
-        "sigma_ds": (1.0, 0.7)}
-QUICK = {"etas": (0.0, 0.5), "n_steps": (1, 10), "rows": (1, 258), "sigma_ds": (1.0, 0.7)}
+        "sigma_ds": (1.0, 0.7), "samplers": SAMPLERS, "train_steps": (1, 63, 65, 300)}
+QUICK = {"etas": (0.0, 0.5), "n_steps": (1, 10), "rows": (1, 258), "sigma_ds": (1.0, 0.7),
+         "samplers": ("elliptical", "lognorm2"), "train_steps": (1, 65)}
 
 
 def _value(fn):
@@ -91,6 +97,8 @@ def dump(src, out=None, quick: bool = False) -> dict:
             lambda: rg.boot_step(sched, *vecs[:3], (0.1, 0.0), (0.2, 0.3), vecs[3]))
         put(f"regression_step sd={sd}", lambda: rg.regression_step(sched, *vecs[:3], 0.1, 0.4))
 
+    _train_entries(rg, put, grid)
+
     def hybrid(x0hat, to, eta):
         return rg.hybrid_step(sched, vecs[0], x0hat, vecs[2], (0.1, 0.2), to, eta, vecs[3])
 
@@ -98,6 +106,9 @@ def dump(src, out=None, quick: bool = False) -> dict:
     for name, fn in {
         "kappa eta>1": lambda: rg.kappa(1.5, 0.2, 0.3),
         "kappa g1=0": lambda: rg.kappa(0.5, 0.0, 0.3),
+        "kappa g1>pi/2": lambda: rg.kappa(0.5, 2.0, 0.3),
+        "kappa g1<0 eta=1": lambda: rg.kappa(1.0, -0.3, 0.3),
+        "kappa g1 in slack eta=1": lambda: rg.kappa(1.0, -1e-13, 0.3),
         "hybrid g2<0 eta=0.5": lambda: hybrid(vecs[1], (0.0, -0.3), 0.5),
         "hybrid g2<0 eta=0": lambda: hybrid(vecs[1], (0.0, -0.3), 0.0),
         "hybrid shapes": lambda: hybrid(vecs[1][:2], (0.3, 0.5), 0.5),
@@ -115,6 +126,47 @@ def dump(src, out=None, quick: bool = False) -> dict:
     if out is not None:
         Path(out).write_bytes(pickle.dumps(entries))
     return entries
+
+
+def _train_entries(rg, put, grid) -> None:
+    """Training runs at hidden 16 over every sampler, adaptive weighting on
+    and off, both sigma_ds, dims 1 and 2, the grid's step counts and a batch
+    larger than a chunk; one from a plain pair list; one at the perfbench
+    `train` settings; and a run whose loss turns non-finite."""
+
+    def run(tag, ds, schedule=None, **kw):
+        cfg = rg.TrainConfig(**{"seed": 5, "hidden": 16, "emb_dim": 8, "ema_decay": 0.9, **kw})
+        rng = np.random.default_rng(21)
+        res = rg.train(ds, cfg, rng=rng, schedule=schedule)
+        for part, net in (("params", res.denoiser), ("ema", res.ema_denoiser),
+                          ("weight_net", res.weight_net)):
+            put(f"train {tag} {part}",
+                lambda: np.concatenate([p.ravel() for p in net.params.values()]))
+        put(f"train {tag} trace", lambda: res.loss_trace)
+        put(f"train {tag} rng", lambda: repr(rng.bit_generator.state))
+
+    def pairs(sd, dim):
+        return rg.make_gaussian_pairs(0.6, 400, sigma_d=sd, seed=3, dim=dim)
+
+    for name in grid["samplers"]:
+        for adaptive in (True, False):
+            for sd in grid["sigma_ds"]:
+                run(f"{name} adaptive={adaptive} sd={sd}", pairs(sd, 2), n_steps=65,
+                    time_sampler=rg.make_time_sampler(name), adaptive_weighting=adaptive)
+    for n in grid["train_steps"]:
+        run(f"steps={n}", pairs(1.0, 2), n_steps=n)
+    run("dim=1", pairs(0.7, 1), n_steps=65, time_sampler=rg.make_time_sampler("lognorm2"))
+    run("batch=1500", pairs(1.0, 2), n_steps=3, batch_size=1500)
+    run("pair list", list(pairs(0.7, 2).pairs), schedule=rg.GvpSchedule(0.6, 0.7), n_steps=65)
+    scurve = rg.make_scurve_dataset(2000, jitter=0.05, strength=1.0, noise=0.25, seed=1)
+    run("perfbench", scurve, n_steps=50, seed=1, hidden=128, emb_dim=32, ema_decay=0.9999)
+
+    def blow_up():
+        with np.errstate(all="ignore"):
+            return rg.train(pairs(1.0, 2), rg.TrainConfig(
+                n_steps=20, learning_rate=1e18, seed=0, hidden=8, emb_dim=4))
+
+    put("reject train non-finite loss", blow_up)
 
 
 def compare(a: dict, b: dict) -> list[str]:

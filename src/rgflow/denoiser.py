@@ -169,15 +169,18 @@ def _dense_forward(params: dict, layers, feats: np.ndarray) -> tuple[np.ndarray,
     return z, (inputs, pre, cdfs)
 
 
-def _dense_backward(params: dict, layers, cache: tuple, d_out: np.ndarray) -> dict:
-    """Gradients of sum(d_out * _dense_forward output) for every parameter."""
+def _dense_backward(
+    params: dict, layers, cache: tuple, d_out: np.ndarray, out: dict | None = None
+) -> dict:
+    """Gradients of sum(d_out * _dense_forward output) for every parameter,
+    in a new dict, or written into the arrays of `out` (returned)."""
     inputs, pre, cdfs = cache
-    grads = {}
+    grads = {} if out is None else out
     d = d_out
     for i in range(len(layers) - 1, -1, -1):
         w_key, b_key = layers[i]
-        grads[w_key] = inputs[i].T @ d
-        grads[b_key] = d.sum(axis=0)
+        grads[w_key] = np.matmul(inputs[i].T, d, out=grads.get(w_key))
+        grads[b_key] = d.sum(axis=0, out=grads.get(b_key))
         if i:
             d = (d @ params[w_key].T) * _gelu_grad(pre[i - 1], cdfs[i - 1])
     return grads
@@ -383,9 +386,10 @@ class MlpDenoiser:
         """Core map on pre-built features, without the sigma_d rescale."""
         return _dense_forward(self.params, _LAYERS, feats)
 
-    def backward_batch(self, cache: tuple, d_out: np.ndarray) -> dict:
-        """Gradients of sum(d_out * core_output) for every parameter."""
-        return _dense_backward(self.params, _LAYERS, cache, d_out)
+    def backward_batch(self, cache: tuple, d_out: np.ndarray, out: dict | None = None) -> dict:
+        """Gradients of sum(d_out * core_output) for every parameter, in a
+        new dict or written into `out`'s arrays, as _dense_backward."""
+        return _dense_backward(self.params, _LAYERS, cache, d_out, out)
 
 
 def _weighted_error(net: MlpDenoiser, core, targets, weights):

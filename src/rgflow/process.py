@@ -79,6 +79,14 @@ def interpolate(
     return NoisyState(x=x, r=float(r), g=float(g))
 
 
+def pair_matrices(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d) x0 and x1 matrices of a pair sequence: the read-only ones a
+    ToyDataset holds, or the pairs stacked."""
+    if hasattr(pairs, "x0_matrix"):
+        return pairs.x0_matrix(), pairs.x1_matrix()
+    return np.stack([p.x0 for p in pairs]), np.stack([p.x1 for p in pairs])
+
+
 def sample_noise(rng: np.random.Generator, dim: int, sigma_d: float) -> np.ndarray:
     """Draw z ~ N(0, sigma_d^2 I) of the given dimension."""
     if dim < 1:
@@ -96,7 +104,8 @@ def empirical_variance(
 ) -> float:
     """Monte-Carlo estimate of the per-coordinate Var(x(r, g)).
 
-    Pairs are resampled with replacement and combined with fresh noise; the
+    `dataset` is a ToyDataset or a sequence of PairSample.  Pairs are
+    resampled with replacement and combined with fresh noise; the
     variance is computed per coordinate and averaged.  Work is split into
     fixed-size chunks whose sub-streams are spawned from the caller's
     generator up front, so the estimate is identical no matter how the chunks
@@ -107,8 +116,7 @@ def empirical_variance(
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     sched.check_domain(r, g)
-    x0 = np.stack([p.x0 for p in dataset])
-    x1 = np.stack([p.x1 for p in dataset])
+    x0, x1 = pair_matrices(dataset)
     dim = x0.shape[1]
 
     n_chunks = (n + _CHUNK - 1) // _CHUNK

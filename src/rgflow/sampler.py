@@ -50,14 +50,16 @@ def kappa(eta: float, g1: float, g2: float) -> float:
     Exactly 0 at eta = 0 and exactly sin(g2) - sin(g1) at eta = 1; computed
     through expm1 in between so the eta -> 0 limit is smooth.  Undefined from
     g1 <= 0 (SingularStart) except at eta = 1, where the k-ratio drops out,
-    and for g2 outside the schedule's [0, pi/2] (DomainError).  A g2 inside
-    the schedule's round-off slack below 0 makes k negative, so k^s is
-    undefined there too for 0 < eta < 1 (DomainError).
+    and for g1 or g2 outside the schedule's [0, pi/2], round-off slack
+    included (DomainError): so at eta = 1 a g1 below 0 is accepted only
+    inside that slack.  A g2 inside the slack below 0 makes k negative, so
+    k^s is undefined there too for 0 < eta < 1 (DomainError).
     """
     if not (0.0 <= eta <= 1.0):
         raise ConfigError(f"eta must lie in [0, 1], got {eta}")
     if g1 <= 0.0 and eta != 1.0:
         raise SingularStart(f"kappa undefined from g1={g1} <= 0 unless eta = 1")
+    check_g(g1)
     check_g(g2)
     s1, s2 = math.sin(g1), math.sin(g2)
     if eta == 1.0:

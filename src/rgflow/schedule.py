@@ -39,6 +39,14 @@ def check_g(g: float) -> None:
         raise DomainError(f"g={g} outside [0, pi/2]")
 
 
+def check_sigma_d(sigma_d: float) -> float:
+    """sigma_d as a float; DomainError unless it is finite and > 0."""
+    value = float(sigma_d)
+    if not math.isfinite(value) or value <= 0.0:
+        raise DomainError(f"sigma_d must be > 0, got {sigma_d}")
+    return value
+
+
 @dataclass(frozen=True)
 class CoeffSet:
     """Schedule coefficients evaluated at one (r, g) point."""
@@ -75,11 +83,9 @@ class GvpSchedule:
 
     def __post_init__(self) -> None:
         rho = float(self.rho)
-        sigma_d = float(self.sigma_d)
         if not math.isfinite(rho) or abs(rho) >= 1.0:
             raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
-        if not math.isfinite(sigma_d) or sigma_d <= 0.0:
-            raise DomainError(f"sigma_d must be > 0, got {self.sigma_d}")
+        sigma_d = check_sigma_d(self.sigma_d)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "sigma_d", sigma_d)
         object.__setattr__(self, "phi", math.acos(rho) / 2.0)

@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EmptyDataset, InsufficientData
-from .process import PairSample
+from .process import PairSample, pair_matrices
 from .sampler import check_seed
+from .schedule import check_sigma_d
 
 
 def standardize(cloud: np.ndarray, sigma_d: float = 1.0) -> np.ndarray:
     """Shift/scale each coordinate to mean 0 and std sigma_d."""
+    check_sigma_d(sigma_d)
     cloud = np.asarray(cloud, dtype=np.float64)
     mean = cloud.mean(axis=0)
     std = cloud.std(axis=0)
@@ -35,12 +37,27 @@ def standardize(cloud: np.ndarray, sigma_d: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToyDataset:
-    """Paired clouds plus the statistics the schedule needs."""
+    """Paired clouds plus the statistics the schedule needs.
+
+    The pairs' x0 and x1 are stacked once, at construction, into two
+    read-only (n, d) matrices (`matrices`), which training and the
+    statistics read; later writes into a pair's arrays are not seen there.
+    """
 
     pairs: list[PairSample]
     sigma_d: float
     rho_hat: float
     provenance: dict = field(default_factory=dict)
+    matrices: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if len(self.pairs) == 0:
+            raise EmptyDataset("a ToyDataset needs at least one pair")
+        x0, x1 = pair_matrices(self.pairs)
+        x0.flags.writeable = x1.flags.writeable = False
+        object.__setattr__(self, "matrices", (x0, x1))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -50,10 +67,17 @@ class ToyDataset:
         return self.pairs[0].dim
 
     def x0_matrix(self) -> np.ndarray:
-        return np.stack([p.x0 for p in self.pairs])
+        return self.matrices[0]
 
     def x1_matrix(self) -> np.ndarray:
-        return np.stack([p.x1 for p in self.pairs])
+        return self.matrices[1]
+
+
+def _check_spread(**values: float) -> None:
+    """DomainError naming the first value that is not finite and >= 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise DomainError(f"{name} must be finite and >= 0, got {value}")
 
 
 def make_scurve(
@@ -73,8 +97,7 @@ def make_scurve(
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    if jitter < 0.0:
-        raise DomainError(f"jitter must be >= 0, got {jitter}")
+    _check_spread(jitter=jitter)
     rng = np.random.default_rng(check_seed(seed))
     u = rng.uniform(0.0, 1.0, size=n)
     pts = np.empty((n, 2))
@@ -106,8 +129,7 @@ def degrade(
     The map is S = [[1, strength], [0, 1 - strength/2]]; the output keeps the
     row pairing with `clean` and is re-standardized to sigma_d.
     """
-    if strength < 0.0 or noise < 0.0:
-        raise DomainError("strength and noise must be >= 0")
+    _check_spread(strength=strength, noise=noise)
     clean = np.asarray(clean, dtype=np.float64)
     if clean.ndim != 2 or clean.shape[1] != 2:
         raise DimensionMismatch(f"shear degradation expects (n, 2), got {clean.shape}")
@@ -138,11 +160,10 @@ def make_scurve_dataset(
     degraded = degrade(
         clean, strength=strength, noise=noise, seed=seed + 1, sigma_d=sigma_d
     )
-    pairs = _pairs_from_matrices(clean, degraded)
     return ToyDataset(
-        pairs=pairs,
+        pairs=_pairs_from_matrices(clean, degraded),
         sigma_d=sigma_d,
-        rho_hat=estimate_rho(pairs),
+        rho_hat=_pearson(clean, degraded),
         provenance={
             "kind": "scurve",
             "n": n,
@@ -162,17 +183,17 @@ def make_gaussian_pairs(
     x0 ~ N(0, sigma_d^2) and x1 = rho*x0 + sqrt(1-rho^2)*u with independent
     u ~ N(0, sigma_d^2), so Var(x1) = sigma_d^2 and corr(x0, x1) = rho.
     """
-    if abs(rho) >= 1.0:
+    if not abs(rho) < 1.0:
         raise DomainError(f"rho must lie in (-1, 1), got {rho}")
     if n < 1 or dim < 1:
         raise DomainError("n and dim must be >= 1")
+    check_sigma_d(sigma_d)
     rng = np.random.default_rng(check_seed(seed))
     x0 = rng.normal(0.0, sigma_d, size=(n, dim))
     u = rng.normal(0.0, sigma_d, size=(n, dim))
     x1 = rho * x0 + math.sqrt(1.0 - rho * rho) * u
-    pairs = _pairs_from_matrices(x0, x1)
     return ToyDataset(
-        pairs=pairs,
+        pairs=_pairs_from_matrices(x0, x1),
         sigma_d=sigma_d,
         rho_hat=rho,
         provenance={"kind": "gaussian", "rho": rho, "n": n, "dim": dim, "seed": seed},
@@ -180,11 +201,15 @@ def make_gaussian_pairs(
 
 
 def estimate_rho(pairs) -> float:
-    """Per-coordinate Pearson correlation of the pairs, averaged."""
+    """Per-coordinate Pearson correlation of the pairs (a ToyDataset or a
+    sequence of PairSample), averaged."""
     if len(pairs) < 2:
         raise InsufficientData("estimate_rho needs at least 2 pairs")
-    x0 = np.stack([p.x0 for p in pairs])
-    x1 = np.stack([p.x1 for p in pairs])
+    return _pearson(*pair_matrices(pairs))
+
+
+def _pearson(x0: np.ndarray, x1: np.ndarray) -> float:
+    """estimate_rho on the (n, d) matrices, n >= 2."""
     a = x0 - x0.mean(axis=0)
     b = x1 - x1.mean(axis=0)
     denom = np.sqrt((a * a).sum(axis=0) * (b * b).sum(axis=0))

@@ -27,7 +27,7 @@ from .denoiser import (
     _weighted_error,
 )
 from .errors import ConfigError, EmptyDataset, NonFiniteLoss
-from .process import forward_state
+from .process import forward_state, pair_matrices
 from .sampler import check_seed
 from .schedule import GvpSchedule
 
@@ -143,15 +143,18 @@ class AdaptiveWeight:
         """[embed(r), embed(g)], one row per time: (n, 2 emb_dim)."""
         return _time_pairs(np.stack(np.atleast_1d(r, g), axis=-1), self.emb_dim)
 
-    def forward(self, r, g) -> tuple[np.ndarray, tuple]:
-        out, cache = _dense_forward(self.params, _WEIGHT_LAYERS, self.features(r, g))
+    def forward(self, feats: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """w at feature rows built by `features`, and the cache for backward."""
+        out, cache = _dense_forward(self.params, _WEIGHT_LAYERS, feats)
         return out[:, 0], cache
 
     def __call__(self, r, g) -> np.ndarray:
-        return self.forward(r, g)[0]
+        return self.forward(self.features(r, g))[0]
 
-    def backward(self, cache: tuple, d_w: np.ndarray) -> dict:
-        return _dense_backward(self.params, _WEIGHT_LAYERS, cache, d_w[:, None])
+    def backward(self, cache: tuple, d_w: np.ndarray, out: dict | None = None) -> dict:
+        """Gradients of sum(d_w * w), in a new dict or written into `out`'s
+        arrays, as _dense_backward."""
+        return _dense_backward(self.params, _WEIGHT_LAYERS, cache, d_w[:, None], out)
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -242,8 +245,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not (0.0 <= self.ema_decay < 1.0):
             raise ConfigError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
         if self.batch_size < 1 or self.n_steps < 1:
@@ -261,6 +266,12 @@ class TrainResult:
     loss_trace: np.ndarray
 
 
+# Rows of input that a chunk of training steps builds in one pass, so that its
+# state, feature and draw buffers stay under ~1 MB.  A chunk holds at least
+# one step, so a batch of more rows builds one step at a time.
+_CHUNK_ROWS = 1024
+
+
 def train(
     dataset,
     cfg: TrainConfig,
@@ -271,10 +282,17 @@ def train(
 
     `dataset` is either a ToyDataset (schedule inferred from its rho_hat and
     sigma_d) or a plain sequence of PairSample with an explicit `schedule`.
-    Identical cfg.seed and dataset give bitwise-identical loss traces.
+    Identical cfg.seed and dataset give bitwise-identical loss traces, and
+    the trace of an n-step run is the first n entries of a longer one.
+
+    `rng` (default: default_rng(cfg.seed)) draws the initial weights, then
+    per step, in order, the pair indices, the times (one sample_batch call)
+    and the noise.  The steps run in chunks of about _CHUNK_ROWS rows whose
+    draws are all made before the chunk's first step, so a completed run
+    leaves `rng` as a step-by-step run would, while a NonFiniteLoss may leave
+    it advanced up to the end of the failing chunk.
     """
-    pairs = getattr(dataset, "pairs", dataset)
-    if len(pairs) == 0:
+    if len(dataset) == 0:
         raise EmptyDataset("train needs a nonempty dataset")
     if schedule is None:
         rho = getattr(dataset, "rho_hat", None)
@@ -285,8 +303,7 @@ def train(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    x0_all = np.stack([p.x0 for p in pairs])
-    x1_all = np.stack([p.x1 for p in pairs])
+    x0_all, x1_all = pair_matrices(dataset)
     n_pairs, dim = x0_all.shape
     sd = schedule.sigma_d
 
@@ -296,59 +313,69 @@ def train(
     net.reinit(rng)
     weight_net = AdaptiveWeight(rng=rng)
     # One flat vector holds the denoiser's parameters, then the weight net's;
-    # the params dicts become views into it, and gradients are gathered into
-    # a flat buffer in the same order.  Without adaptive weighting the
-    # optimizer sees only the denoiser's slice.
+    # the params dicts become views into it.  The backward passes write each
+    # gradient into the same place of a flat buffer laid out alike.  Without
+    # adaptive weighting the optimizer sees only the denoiser's slices.
     flat, (net.params, weight_net.params) = _flatten(net.params, weight_net.params)
+    grad, (net_grads, w_grads) = _flatten(net.params, weight_net.params)
     ema, (ema_params,) = _flatten(net.params)
     ema_scratch = np.empty_like(ema)
     net_flat = flat[: ema.size]
-    opt_params = flat if cfg.adaptive_weighting else net_flat
-    grad = np.empty_like(opt_params)
+    adaptive = cfg.adaptive_weighting
+    opt_params = flat if adaptive else net_flat
+    opt_grad = grad if adaptive else grad[: ema.size]
     opt = AdamW(cfg.learning_rate, weight_decay=cfg.weight_decay)
 
     trace = np.empty(cfg.n_steps)
-    batch = cfg.batch_size
+    batch, sampler, phi, decay = cfg.batch_size, cfg.time_sampler, schedule.phi, cfg.ema_decay
+    chunk = max(1, _CHUNK_ROWS // batch)
+    no_weight = np.zeros(batch)
 
-    for step in range(cfg.n_steps):
-        idx = rng.integers(0, n_pairs, size=batch)
-        x0 = x0_all[idx]
-        x1 = x1_all[idx]
-        times = cfg.time_sampler.sample_batch(schedule.phi, rng, batch)
-        r, g = times["r"], times["g"]
-        z = rng.normal(0.0, sd, size=(batch, dim))
-
-        x = forward_state(schedule, x0, x1, z, r, g)
-
-        if cfg.adaptive_weighting:
-            w, w_cache = weight_net.forward(r, g)
-        else:
-            w = np.zeros(batch)
-
+    for first in range(0, cfg.n_steps, chunk):
+        steps = range(first, min(first + chunk, cfg.n_steps))
+        # The chunk's draws, step by step in the order above.
+        idx, r, g, z = [], [], [], []
+        for _ in steps:
+            idx.append(rng.integers(0, n_pairs, size=batch))
+            times = sampler.sample_batch(phi, rng, batch)
+            r.append(times["r"])
+            g.append(times["g"])
+            z.append(rng.normal(0.0, sd, size=(batch, dim)))
+        r, g = np.concatenate(r), np.concatenate(g)
+        idx = np.concatenate(idx)
+        x0, x1 = x0_all[idx], x1_all[idx]
+        # Every input below is built row by row, so building the chunk's at
+        # once gives each step's rows bit for bit.
+        x = forward_state(schedule, x0, x1, np.concatenate(z), r, g)
         feats = net.features(x, x1, r, g)
-        core, cache = net.forward_batch(feats)
-        sq, ew, d_core = _weighted_error(net, core, x0, w)
-        loss = float(np.mean(ew * sq - w))
-        if not math.isfinite(loss):
-            raise NonFiniteLoss(
-                f"loss became {loss} at step {step}; "
-                f"r in [{r.min():.4g}, {r.max():.4g}], "
-                f"g in [{g.min():.4g}, {g.max():.4g}]"
-            )
-        trace[step] = loss
+        w_feats = weight_net.features(r, g) if adaptive else None
 
-        grads = net.backward_batch(cache, d_core)
-        parts = [grads[k] for k in net.params]
-        if cfg.adaptive_weighting:
-            w_grads = weight_net.backward(w_cache, (ew * sq - 1.0) / batch)
-            parts += [w_grads[k] for k in weight_net.params]
-        np.concatenate([p.ravel() for p in parts], out=grad)
-        opt.step(opt_params, grad)
+        for row, step in enumerate(steps):
+            rows = slice(row * batch, (row + 1) * batch)
+            if adaptive:
+                w, w_cache = weight_net.forward(w_feats[rows])
+            else:
+                w = no_weight
+            core, cache = net.forward_batch(feats[rows])
+            sq, ew, d_core = _weighted_error(net, core, x0[rows], w)
+            loss = float(np.mean(ew * sq - w))
+            if not math.isfinite(loss):
+                rs, gs = r[rows], g[rows]
+                raise NonFiniteLoss(
+                    f"loss became {loss} at step {step}; "
+                    f"r in [{rs.min():.4g}, {rs.max():.4g}], "
+                    f"g in [{gs.min():.4g}, {gs.max():.4g}]"
+                )
+            trace[step] = loss
 
-        d = cfg.ema_decay
-        ema *= d
-        np.multiply(net_flat, 1.0 - d, out=ema_scratch)
-        ema += ema_scratch
+            net.backward_batch(cache, d_core, out=net_grads)
+            if adaptive:
+                weight_net.backward(w_cache, (ew * sq - 1.0) / batch, out=w_grads)
+            opt.step(opt_params, opt_grad)
+
+            ema *= decay
+            np.multiply(net_flat, 1.0 - decay, out=ema_scratch)
+            ema += ema_scratch
 
     ema_net = MlpDenoiser(
         dim=dim, hidden=cfg.hidden, emb_dim=cfg.emb_dim, sigma_d=sd, params=ema_params

@@ -77,7 +77,7 @@ def check_gvp_variance() -> CheckResult:
         for r_frac in (-0.5, 0.0, 0.5):
             for g in (0.2, 0.7, 1.2):
                 v = empirical_variance(
-                    sched, ds.pairs, r_frac * sched.phi, g, 100_000, rng
+                    sched, ds, r_frac * sched.phi, g, 100_000, rng
                 )
                 worst = max(worst, abs(v - 1.0))
     return _result(

@@ -153,6 +153,35 @@ class TestTrainCli:
         assert_rejected(capsys, tmp_path / "ck.json", "train", "--n", "50",
                         "--steps", "5", "--hidden", hidden)
 
+    @pytest.mark.parametrize("flags, field", [
+        (("--lr", "nan"), "learning_rate"),
+        (("--lr", "inf"), "learning_rate"),
+        (("--lr", "-1"), "learning_rate"),
+        (("--weight-decay", "nan"), "weight_decay"),
+        (("--weight-decay", "inf"), "weight_decay"),
+        (("--weight-decay", "-1"), "weight_decay"),
+        (("--jitter", "nan"), "jitter"),
+        (("--jitter", "inf"), "jitter"),
+        (("--strength", "nan"), "strength"),
+        (("--noise", "nan"), "noise"),
+        (("--noise=-inf",), "noise"),
+        (("--sigma-d", "nan"), "sigma_d"),
+        (("--sigma-d", "inf"), "sigma_d"),
+        (("--sigma-d", "0"), "sigma_d"),
+        (("--data", "gaussian", "--sigma-d", "nan"), "sigma_d"),
+        (("--data", "gaussian", "--gaussian-rho", "nan"), "rho"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_bad_setting_rejected_by_name(self, tmp_path, capsys, flags, field):
+        """A non-finite or out-of-range setting exits 2 with one error line
+        that names it, before any training."""
+        out = tmp_path / "ck.json"
+        capsys.readouterr()
+        assert run("train", "--n", "50", "--steps", "2", "--hidden", "4",
+                   "--emb-dim", "2", *flags, "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} must ")
+        assert not out.exists()
+
 
 class TestTrainConfigTypes:
     """Every value a --config file sets must have its field's JSON type:

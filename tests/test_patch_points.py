@@ -9,7 +9,7 @@ own tests are not collected with this suite, so this one pins the names here.
 
 import pytest
 
-from rgflow import denoiser, sampler, schedule, training, trajectory
+from rgflow import cli, denoiser, process, sampler, schedule, toydata, training, trajectory
 
 PATCHED = [
     (sampler, name)
@@ -22,9 +22,24 @@ PATCHED = [
     (denoiser.MlpDenoiser, "features"),
     (denoiser.MlpDenoiser, "forward_batch"),
     (denoiser.MlpDenoiser, "backward_batch"),
+    (denoiser, "load_checkpoint"),
+    (denoiser, "save_checkpoint"),
+    (training, "train"),
     (training.AdamW, "step"),
+    (training.AdaptiveWeight, "forward"),
+    (training.AdaptiveWeight, "backward"),
+] + [
+    (cls, "sample_batch")
+    for cls in (*training.TIME_SAMPLERS.values(), training.LogitNormalSampler)
+] + [
+    (toydata, name) for name in ("make_scurve_dataset", "save_dataset", "load_dataset")
+] + [
+    (process, name) for name in ("interpolate", "sample_noise", "empirical_variance")
+] + [
     (trajectory.Trajectory, "discretize"),
     (trajectory.Trajectory, "point"),
+    (cli, "main"),
+    (cli, "save_checkpoint"),
 ]
 
 

@@ -167,6 +167,27 @@ class TestKappa:
         with pytest.raises(DomainError, match="outside"):
             hybrid_step(GvpSchedule(0.4, 1.0), z, z, z, (0.1, 0.2), (0.0, g2), eta, z)
 
+    @pytest.mark.parametrize("g1", [HALF_PI + 2e-12, 2.0, 4.0])
+    @pytest.mark.parametrize("eta", [0.0, 1e-150, 0.5, 1.0])
+    def test_start_outside_domain_is_domain_error(self, eta, g1):
+        """A g1 above pi/2 is a DomainError at every eta, from kappa and
+        from hybrid_step: never a bare ValueError from math.log(sin g1) (at
+        g1 = 4) nor a value (kappa(0.5, 2.0, 0.3) was -0.179)."""
+        with pytest.raises(DomainError, match="outside"):
+            kappa(eta, g1, 0.3)
+        z = np.zeros(2)
+        with pytest.raises(DomainError, match="outside"):
+            hybrid_step(GvpSchedule(0.4, 1.0), z, z, z, (0.1, g1), (0.0, 0.3), eta, z)
+
+    def test_negative_start_at_eta_one(self):
+        """At eta = 1 a g1 below 0 is accepted only inside the schedule's
+        round-off slack: kappa(1.0, -0.3, 0.3) is a DomainError (it was
+        sin 0.3 - sin(-0.3), about 0.59), and g1 = -1e-13 still gives
+        sin g2 - sin g1."""
+        with pytest.raises(DomainError, match="outside"):
+            kappa(1.0, -0.3, 0.3)
+        assert kappa(1.0, -1e-13, 0.3) == math.sin(0.3) - math.sin(-1e-13)
+
     @pytest.mark.parametrize("g2", [-1e-300, -1e-13, HALF_PI + 1e-13])
     @pytest.mark.parametrize("eta", [0.0, 1e-150, 0.5, 1.0])
     def test_target_in_round_off_slack(self, eta, g2):

@@ -30,6 +30,7 @@ from rgflow import (
     restore_batch,
     train,
 )
+from rgflow import training
 from rgflow.denoiser import _weighted_error
 
 HALF_PI = math.pi / 2.0
@@ -140,12 +141,13 @@ class TestAdaptiveWeight:
         r = np.array([0.1, -0.2, 0.3])
         g = np.array([0.5, 1.0, 0.05])
         L = np.array([0.9, 0.1, 2.0])
+        feats = net.features(r, g)
 
         def loss():
-            w, _ = net.forward(r, g)
+            w, _ = net.forward(feats)
             return float(np.mean(np.exp(w) * L - w))
 
-        w, cache = net.forward(r, g)
+        w, cache = net.forward(feats)
         d_w = (np.exp(w) * L - 1.0) / r.size
         grads = net.backward(cache, d_w)
         h = 1e-6
@@ -384,3 +386,85 @@ class TestTrainLoop:
         for seed in (-1, 0.5, True):
             with pytest.raises(ConfigError, match="seed"):
                 TrainConfig(seed=seed)
+
+
+class TestChunkedInputs:
+    """`train` builds the inputs of _CHUNK_ROWS // batch_size steps at once;
+    its outputs must not show where the chunks end."""
+
+    CHUNK = training._CHUNK_ROWS // 16
+
+    @staticmethod
+    def run(n_steps, rng=None, **kw):
+        ds = make_gaussian_pairs(0.5, 300, seed=1, dim=2)
+        cfg = TrainConfig(n_steps=n_steps, seed=9, hidden=16, emb_dim=8, **kw)
+        return train(ds, cfg, rng=rng)
+
+    def test_trace_is_a_prefix_of_a_longer_run(self):
+        """The loss trace of an n-step run is bitwise the first n entries of
+        a 300-step run with the same seed, on either side of a chunk's end."""
+        full = self.run(300).loss_trace
+        for n in (1, 50, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1):
+            assert self.run(n).loss_trace.tobytes() == full[:n].tobytes(), n
+
+    @pytest.mark.parametrize("sampler", [EllipticalSpecialist(), LogitNormalSampler()])
+    @pytest.mark.parametrize("n_steps", [1, CHUNK + 1, 2 * CHUNK])
+    def test_generator_left_as_by_per_step_draws(self, sampler, n_steps):
+        """A completed run leaves the caller's generator in the state of one
+        that drew the initial weights, then each step's pair indices, times
+        and noise, in that order."""
+        rng = np.random.default_rng(3)
+        self.run(n_steps, rng=rng, time_sampler=sampler)
+        ref = np.random.default_rng(3)
+        MlpDenoiser(dim=2, hidden=16, emb_dim=8, params={}).reinit(ref)
+        AdaptiveWeight(rng=ref)
+        phi = GvpSchedule(0.5, 1.0).phi
+        for _ in range(n_steps):
+            ref.integers(0, 300, size=16)
+            sampler.sample_batch(phi, ref, 16)
+            ref.normal(0.0, 1.0, size=(16, 2))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_dataset_matrices_are_read_only_stacked_pairs(self, tmp_path):
+        """A ToyDataset's x0 and x1 matrices, from every generator, from
+        load_dataset and from a bare pair list, equal the stacked pairs and
+        cannot be written."""
+        from rgflow import ToyDataset, load_dataset, make_scurve_dataset, save_dataset
+
+        made = [make_scurve_dataset(50, seed=2), make_gaussian_pairs(0.3, 40, seed=2, dim=3)]
+        path = tmp_path / "d.csv"
+        save_dataset(made[0], path)
+        loaded = load_dataset(path)
+        path.with_suffix(".meta.json").unlink()
+        bare = load_dataset(path)
+        plain = ToyDataset(list(made[1].pairs), 1.0, 0.3)
+        for ds in (*made, loaded, bare, plain):
+            for m, key in ((ds.x0_matrix(), "x0"), (ds.x1_matrix(), "x1")):
+                stacked = np.stack([getattr(p, key) for p in ds.pairs])
+                assert m.tobytes() == stacked.tobytes() and m.shape == stacked.shape
+                assert m.flags.c_contiguous and not m.flags.writeable
+                with pytest.raises(ValueError):
+                    m[0, 0] = 1.0
+
+    def test_backward_into_buffers_equals_new_dicts(self):
+        """The backward passes give the same gradient bits whether they
+        return new arrays or write into the caller's (as `train` has them
+        write into views of one flat buffer), and return `out` itself."""
+        rng = np.random.default_rng(4)
+        net = MlpDenoiser(dim=2, hidden=8, emb_dim=4, params={})
+        net.reinit(rng)
+        w_net = AdaptiveWeight(emb_dim=4, hidden=8, rng=rng)
+        w_net.params["V2"] = rng.normal(size=w_net.params["V2"].shape)
+        r, g = rng.uniform(0.0, 1.0, size=(2, 5))
+        _, cache = net.forward_batch(net.features(rng.normal(size=(5, 2)),
+                                                  rng.normal(size=(5, 2)), r, g))
+        _, w_cache = w_net.forward(w_net.features(r, g))
+        d_core, d_w = rng.normal(size=(5, 2)), rng.normal(size=5)
+        for fresh, fill in ((net.backward_batch(cache, d_core),
+                             lambda out: net.backward_batch(cache, d_core, out=out)),
+                            (w_net.backward(w_cache, d_w),
+                             lambda out: w_net.backward(w_cache, d_w, out=out))):
+            out = {k: np.full_like(v, np.nan) for k, v in fresh.items()}
+            assert fill(out) is out
+            for key, value in fresh.items():
+                assert out[key].tobytes() == value.tobytes(), key
