@@ -5,17 +5,20 @@
 
 `dump` imports rgflow from <src>/src, so dump each tree in its own process.
 It pickles entry name -> (dtype, shape, bytes) of a result, or the
-"<Error>: <message>" of a rejection: restore and restore_batch over the GRID
-(QUICK with --quick) and every path kind, with an MLP of random weights;
-predict and bound steps; the step functions; training runs (loss trace,
-final, EMA and weight-net parameters, and the caller's generator state);
-and rejected calls.  `compare`
-prints the entries that differ, or that one dump lacks, and their count.
+"<Error>: <message>" of a rejection: the schedule's coefficient grid;
+restore and restore_batch over the GRID (QUICK with --quick) and every path
+kind, with an MLP of random weights; predict and bound steps; the step
+functions; training runs (loss trace, final, EMA and weight-net parameters,
+and the caller's generator state); datasets (generated, saved and loaded
+back, with and without their sidecar) and their Monte-Carlo variance; and
+rejected calls.  `compare` prints the entries that differ, or that one dump
+lacks, and their count.
 """
 
 import math
 import pickle
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +54,7 @@ def dump(src, out=None, quick: bool = False) -> dict:
     """The entries of the tree at `src`; pickled to `out` when given."""
     sys.path.insert(0, str(Path(src).resolve() / "src"))
     import rgflow as rg
+    from rgflow.schedule import schedule_grid
     from rgflow.trajectory import TRAJECTORY_KINDS, make_trajectory
 
     grid = QUICK if quick else GRID
@@ -63,6 +67,9 @@ def dump(src, out=None, quick: bool = False) -> dict:
 
     for sd in grid["sigma_ds"]:
         sched, net = rg.GvpSchedule(rho=0.6, sigma_d=sd), _mlp(rg, sd)
+        for rho in (-0.9, 0.0, 0.6, 0.99):
+            put(f"schedule_grid rho={rho} sd={sd}",
+                lambda: schedule_grid(rg.GvpSchedule(rho=rho, sigma_d=sd), 9))
         for kind in TRAJECTORY_KINDS:
             traj = make_trajectory(kind, sched.phi, delta=math.pi / 8)
             for eta in grid["etas"]:
@@ -98,6 +105,7 @@ def dump(src, out=None, quick: bool = False) -> dict:
         put(f"regression_step sd={sd}", lambda: rg.regression_step(sched, *vecs[:3], 0.1, 0.4))
 
     _train_entries(rg, put, grid)
+    _dataset_entries(rg, put)
 
     def hybrid(x0hat, to, eta):
         return rg.hybrid_step(sched, vecs[0], x0hat, vecs[2], (0.1, 0.2), to, eta, vecs[3])
@@ -131,13 +139,13 @@ def dump(src, out=None, quick: bool = False) -> dict:
 def _train_entries(rg, put, grid) -> None:
     """Training runs at hidden 16 over every sampler, adaptive weighting on
     and off, both sigma_ds, dims 1 and 2, the grid's step counts and a batch
-    larger than a chunk; one from a plain pair list; one at the perfbench
-    `train` settings; and a run whose loss turns non-finite."""
+    larger than a chunk; one at the perfbench `train` settings; and a run
+    whose loss turns non-finite."""
 
-    def run(tag, ds, schedule=None, **kw):
+    def run(tag, ds, **kw):
         cfg = rg.TrainConfig(**{"seed": 5, "hidden": 16, "emb_dim": 8, "ema_decay": 0.9, **kw})
         rng = np.random.default_rng(21)
-        res = rg.train(ds, cfg, rng=rng, schedule=schedule)
+        res = rg.train(ds, cfg, rng=rng)
         for part, net in (("params", res.denoiser), ("ema", res.ema_denoiser),
                           ("weight_net", res.weight_net)):
             put(f"train {tag} {part}",
@@ -157,7 +165,6 @@ def _train_entries(rg, put, grid) -> None:
         run(f"steps={n}", pairs(1.0, 2), n_steps=n)
     run("dim=1", pairs(0.7, 1), n_steps=65, time_sampler=rg.make_time_sampler("lognorm2"))
     run("batch=1500", pairs(1.0, 2), n_steps=3, batch_size=1500)
-    run("pair list", list(pairs(0.7, 2).pairs), schedule=rg.GvpSchedule(0.6, 0.7), n_steps=65)
     scurve = rg.make_scurve_dataset(2000, jitter=0.05, strength=1.0, noise=0.25, seed=1)
     run("perfbench", scurve, n_steps=50, seed=1, hidden=128, emb_dim=32, ema_decay=0.9999)
 
@@ -167,6 +174,38 @@ def _train_entries(rg, put, grid) -> None:
                 n_steps=20, learning_rate=1e18, seed=0, hidden=8, emb_dim=4))
 
     put("reject train non-finite loss", blow_up)
+
+
+def _dataset_entries(rg, put) -> None:
+    """Both generators' matrices and rho_hat; the CSV and sidecar bytes that
+    save_dataset writes; load_dataset with the sidecar and without it (which
+    estimates rho_hat and sigma_d from the data); and empirical_variance."""
+
+    def matrices(tag, ds):
+        put(f"{tag} x0", ds.x0_matrix)
+        put(f"{tag} x1", ds.x1_matrix)
+        put(f"{tag} rho_hat", lambda: ds.rho_hat)
+        put(f"{tag} sigma_d", lambda: ds.sigma_d)
+
+    made = {
+        "scurve": rg.make_scurve_dataset(500, jitter=0.05, strength=1.0, noise=0.25,
+                                         sigma_d=0.7, seed=1),
+        "gaussian dim=1": rg.make_gaussian_pairs(0.6, 300, seed=3, dim=1),
+        "gaussian dim=3": rg.make_gaussian_pairs(-0.4, 300, sigma_d=1.3, seed=4, dim=3),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, ds in made.items():
+            matrices(f"dataset {name}", ds)
+            path = Path(tmp) / "data.csv"
+            rg.save_dataset(ds, path)
+            put(f"dataset {name} csv bytes", path.read_bytes)
+            put(f"dataset {name} sidecar bytes", path.with_suffix(".meta.json").read_bytes)
+            matrices(f"dataset {name} loaded", rg.load_dataset(path))
+            path.with_suffix(".meta.json").unlink()
+            matrices(f"dataset {name} loaded bare", rg.load_dataset(path))
+            sched = rg.GvpSchedule(rho=0.6, sigma_d=ds.sigma_d)
+            put(f"dataset {name} empirical_variance", lambda: rg.empirical_variance(
+                sched, ds, 0.2, 0.5, 9000, np.random.default_rng(8)))
 
 
 def compare(a: dict, b: dict) -> list[str]:

@@ -32,8 +32,6 @@ from .errors import (
     SingularTime,
 )
 from .process import (
-    NoisyState,
-    PairSample,
     empirical_variance,
     forward_state,
     interpolate,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .denoiser import CheatDenoiser, GaussianOracle, load_checkpoint, save_checkpoint
 from .dynamics import euler_integrate
-from .errors import ConfigError, RgflowError
+from .errors import ConfigError, RgflowError, json_typed
 from .process import forward_state
 from .sampler import SamplerConfig, check_seed, restore, restore_batch
 from .schedule import GvpSchedule, schedule_grid
@@ -119,9 +119,9 @@ def _cmd_simulate(args) -> int:
     dim = ds.dim
     rows = []
     for t, r, g in zip(grid.t, grid.r, grid.g):
-        pair = ds.pairs[int(rng.integers(0, len(ds)))]
+        i = int(rng.integers(0, len(ds)))
         z = rng.normal(0.0, ds.sigma_d, size=dim)
-        x = forward_state(sched, pair.x0, pair.x1, z, float(r), float(g))
+        x = forward_state(sched, ds.x0[i], ds.x1[i], z, float(r), float(g))
         rows.append([t, r, g, *x])
     header = ["t", "r", "g"] + [f"x_{i + 1}" for i in range(dim)]
     _write_csv(args.out, header, rows)
@@ -159,25 +159,6 @@ _TRAIN_CONFIG_KEYS = {
 }
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", dict: "a JSON object"}
-
-
-def _json_typed(value, kind: type, name: str):
-    """`value`, parsed from JSON, if its JSON type is `kind`, else
-    ConfigError naming `name`.  int takes only integers (not true/false,
-    not 1.0); float takes integers and reals and returns a float; bool takes
-    only true/false; str and dict take only strings and objects."""
-    if kind is float and type(value) is int:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(f"{name} is too large for a float") from None
-    if type(value) is not kind:
-        raise ConfigError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return value
-
-
 def _cmd_train(args) -> int:
     conf: dict = {}
     if args.config is not None:
@@ -185,7 +166,7 @@ def _cmd_train(args) -> int:
             conf = json.loads(Path(args.config).read_text())
         except ValueError as exc:  # not JSON, or not UTF-8 text
             raise ConfigError(f"config {args.config} is not JSON: {exc}") from None
-        _json_typed(conf, dict, f"config {args.config}")
+        json_typed(conf, dict, f"config {args.config}", ConfigError)
         unknown = set(conf) - _TRAIN_CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -197,7 +178,7 @@ def _cmd_train(args) -> int:
         if flag is not None:
             return flag
         if name in conf:
-            return _json_typed(conf[name], kind, f"config {name!r}")
+            return json_typed(conf[name], kind, f"config {name!r}", ConfigError)
         return default
 
     # Built first, so that a bad seed is rejected before the data set is drawn.
@@ -326,7 +307,7 @@ def _cmd_sweep(args) -> int:
     ds = load_dataset(args.data)
     rho = args.rho if args.rho is not None else ds.rho_hat
     sched = GvpSchedule(rho=rho, sigma_d=ds.sigma_d)
-    x0, x1 = ds.x0_matrix(), ds.x1_matrix()
+    x0, x1 = ds.x0, ds.x1
     if args.model is not None:
         den = load_checkpoint(args.model).denoiser(use_ema=not args.no_ema)
     elif args.oracle == "gaussian":

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, json_typed
 from .schedule import GvpSchedule
 
 _EMB_BASE = 1.0e4
@@ -468,7 +468,7 @@ def _params_from_json(obj: dict, widths: list[int], name: str) -> dict:
                 raise DomainError(f"checkpoint {name} lacks tensor {key!r}")
             try:
                 a = np.asarray(obj[key], dtype=np.float64)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise DomainError(
                     f"checkpoint {name}[{key!r}] is not a numeric array"
                 ) from None
@@ -510,12 +510,14 @@ def save_checkpoint(
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
-    Every tensor of `weights` and `ema_weights` must have the shape that
-    `dims`, `emb_dim` and `widths` give it and hold only finite values.
+    `dims` and `emb_dim` must be integers and `sigma_d` and `rho` numbers
+    (DomainError), and `widths` four integers (DimensionMismatch).  Every
+    tensor of `weights` and `ema_weights` must have the shape that `dims`,
+    `emb_dim` and `widths` give it and hold only finite values.
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise DomainError(f"checkpoint {path} is not JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != 1:
         version = doc.get("version") if isinstance(doc, dict) else None
@@ -524,22 +526,29 @@ def load_checkpoint(path) -> Checkpoint:
     if missing:
         raise DomainError(f"checkpoint {path} lacks {missing}")
 
+    def typed(key: str, kind: type, error: type = DomainError):
+        return json_typed(doc[key], kind, f"checkpoint {path} {key!r}", error)
+
+    widths = typed("widths", list, DimensionMismatch)
+    if len(widths) != 4 or any(type(w) is not int for w in widths):
+        raise DimensionMismatch(
+            f"checkpoint {path} 'widths' must be 4 integers, got {widths}"
+        )
+    dims, emb_dim = typed("dims", int), typed("emb_dim", int)
+    sigma_d, rho = typed("sigma_d", float), typed("rho", float)
+
     def load(key: str) -> MlpDenoiser:
         net = MlpDenoiser(
-            dim=doc["dims"],
-            hidden=doc["widths"][1],
-            emb_dim=doc["emb_dim"],
-            sigma_d=doc["sigma_d"],
-            params={},
+            dim=dims, hidden=widths[1], emb_dim=emb_dim, sigma_d=sigma_d, params={}
         )
-        if list(doc["widths"]) != net.widths:
+        if widths != net.widths:
             raise DimensionMismatch(
-                f"checkpoint widths {doc['widths']} do not match dims and emb_dim "
+                f"checkpoint widths {widths} do not match dims and emb_dim "
                 f"{net.widths}"
             )
-        net.params = _params_from_json(doc[key], net.widths, key)
+        net.params = _params_from_json(typed(key, dict), net.widths, key)
         return net
 
     net = load("weights")
     ema_net = load("ema_weights") if "ema_weights" in doc else None
-    return Checkpoint(net=net, ema_net=ema_net, rho=doc["rho"])
+    return Checkpoint(net=net, ema_net=ema_net, rho=rho)

@@ -42,3 +42,22 @@ class NonFiniteLoss(RgflowError, FloatingPointError):
 
 class NonFiniteOutput(RgflowError, FloatingPointError):
     """A restoration result holds NaN/Inf; message counts the bad rows."""
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", list: "a JSON array", dict: "a JSON object"}
+
+
+def json_typed(value, kind: type, name: str, error: type[RgflowError]):
+    """`value`, parsed from JSON, if its JSON type is `kind`, else `error`
+    naming `name`.  int takes only integers (not true/false, not 1.0); float
+    takes integers and reals and returns a float; bool, str, list and dict
+    take only true/false, strings, arrays and objects."""
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise error(f"{name} is too large for a float") from None
+    if type(value) is not kind:
+        raise error(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value

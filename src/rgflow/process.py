@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EmptyDataset
+from .errors import DimensionMismatch, DomainError
 from .schedule import GvpSchedule
 
 _CHUNK = 8192
@@ -18,35 +15,6 @@ def _as_vector(x, name: str) -> np.ndarray:
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"{name} must be a 1-D vector, got shape {v.shape}")
     return v
-
-
-@dataclass(frozen=True)
-class PairSample:
-    """A clean/degraded point pair in sigma_d-standardized units."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-
-    def __post_init__(self) -> None:
-        x0 = _as_vector(self.x0, "x0")
-        x1 = _as_vector(self.x1, "x1")
-        if x0.shape != x1.shape:
-            raise DimensionMismatch(f"x0 {x0.shape} and x1 {x1.shape} differ")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
-
-    @property
-    def dim(self) -> int:
-        return self.x0.size
-
-
-@dataclass(frozen=True)
-class NoisyState:
-    """An interpolated state x(r, g) with its time coordinates."""
-
-    x: np.ndarray
-    r: float
-    g: float
 
 
 def forward_state(sched: GvpSchedule, x0, x1, z, r, g) -> np.ndarray:
@@ -63,28 +31,18 @@ def forward_state(sched: GvpSchedule, x0, x1, z, r, g) -> np.ndarray:
     return np.cos(g) * (sched.alpha(r) * x0 + sched.beta(r) * x1) + np.sin(g) * z
 
 
-def interpolate(
-    sched: GvpSchedule, pair: PairSample, z, r: float, g: float
-) -> NoisyState:
-    """Form x(r, g) = lambda*(alpha*x0 + beta*x1) + gamma*z.
+def interpolate(sched: GvpSchedule, x0, x1, z, r: float, g: float) -> np.ndarray:
+    """Form x(r, g) = lambda*(alpha*x0 + beta*x1) + gamma*z for one point.
 
+    x0, x1 and z must be 1-D vectors of one shape, and (r, g) in the domain.
     At (-phi, 0) this is x0 and at (phi, 0) it is x1 exactly; at g = pi/2
     the data part vanishes and the state equals z.
     """
-    z = _as_vector(z, "z")
-    if z.shape != pair.x0.shape:
-        raise DimensionMismatch(f"z {z.shape} does not match pair dim {pair.x0.shape}")
+    x0, x1, z = _as_vector(x0, "x0"), _as_vector(x1, "x1"), _as_vector(z, "z")
+    if not x0.shape == x1.shape == z.shape:
+        raise DimensionMismatch(f"x0 {x0.shape}, x1 {x1.shape} and z {z.shape} differ")
     sched.check_domain(r, g)
-    x = forward_state(sched, pair.x0, pair.x1, z, r, g)
-    return NoisyState(x=x, r=float(r), g=float(g))
-
-
-def pair_matrices(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, d) x0 and x1 matrices of a pair sequence: the read-only ones a
-    ToyDataset holds, or the pairs stacked."""
-    if hasattr(pairs, "x0_matrix"):
-        return pairs.x0_matrix(), pairs.x1_matrix()
-    return np.stack([p.x0 for p in pairs]), np.stack([p.x1 for p in pairs])
+    return forward_state(sched, x0, x1, z, r, g)
 
 
 def sample_noise(rng: np.random.Generator, dim: int, sigma_d: float) -> np.ndarray:
@@ -96,7 +54,7 @@ def sample_noise(rng: np.random.Generator, dim: int, sigma_d: float) -> np.ndarr
 
 def empirical_variance(
     sched: GvpSchedule,
-    dataset: Sequence[PairSample],
+    dataset,
     r: float,
     g: float,
     n: int,
@@ -104,19 +62,16 @@ def empirical_variance(
 ) -> float:
     """Monte-Carlo estimate of the per-coordinate Var(x(r, g)).
 
-    `dataset` is a ToyDataset or a sequence of PairSample.  Pairs are
-    resampled with replacement and combined with fresh noise; the
-    variance is computed per coordinate and averaged.  Work is split into
-    fixed-size chunks whose sub-streams are spawned from the caller's
-    generator up front, so the estimate is identical no matter how the chunks
-    are later scheduled.
+    Rows of the ToyDataset `dataset` are resampled with replacement and
+    combined with fresh noise; the variance is computed per coordinate and
+    averaged.  Work is split into fixed-size chunks whose sub-streams are
+    spawned from the caller's generator up front, so the estimate is
+    identical no matter how the chunks are later scheduled.
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("empirical_variance needs a nonempty dataset")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     sched.check_domain(r, g)
-    x0, x1 = pair_matrices(dataset)
+    x0, x1 = dataset.x0, dataset.x1
     dim = x0.shape[1]
 
     n_chunks = (n + _CHUNK - 1) // _CHUNK

@@ -80,6 +80,9 @@ class GvpSchedule:
     rho: float
     sigma_d: float
     phi: float = field(init=False)
+    # 1/sqrt(1+rho) and 1/sqrt(1-rho), the scales every coefficient uses.
+    _a: float = field(init=False, repr=False, compare=False)
+    _b: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rho = float(self.rho)
@@ -89,6 +92,8 @@ class GvpSchedule:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "sigma_d", sigma_d)
         object.__setattr__(self, "phi", math.acos(rho) / 2.0)
+        object.__setattr__(self, "_a", 1.0 / math.sqrt(1.0 + rho))
+        object.__setattr__(self, "_b", 1.0 / math.sqrt(1.0 - rho))
 
     # -- domain ------------------------------------------------------------
 
@@ -102,27 +107,19 @@ class GvpSchedule:
 
     def alpha(self, r):
         """Clean-data coefficient alpha(r); accepts scalars or arrays."""
-        a = 1.0 / math.sqrt(1.0 + self.rho)
-        b = 1.0 / math.sqrt(1.0 - self.rho)
-        return (np.cos(r) * a - np.sin(r) * b) / math.sqrt(2.0)
+        return (np.cos(r) * self._a - np.sin(r) * self._b) / math.sqrt(2.0)
 
     def beta(self, r):
         """Degraded-data coefficient beta(r); accepts scalars or arrays."""
-        a = 1.0 / math.sqrt(1.0 + self.rho)
-        b = 1.0 / math.sqrt(1.0 - self.rho)
-        return (np.cos(r) * a + np.sin(r) * b) / math.sqrt(2.0)
+        return (np.cos(r) * self._a + np.sin(r) * self._b) / math.sqrt(2.0)
 
     def dalpha(self, r):
         """d alpha / dr."""
-        a = 1.0 / math.sqrt(1.0 + self.rho)
-        b = 1.0 / math.sqrt(1.0 - self.rho)
-        return (-np.sin(r) * a - np.cos(r) * b) / math.sqrt(2.0)
+        return (-np.sin(r) * self._a - np.cos(r) * self._b) / math.sqrt(2.0)
 
     def dbeta(self, r):
         """d beta / dr."""
-        a = 1.0 / math.sqrt(1.0 + self.rho)
-        b = 1.0 / math.sqrt(1.0 - self.rho)
-        return (-np.sin(r) * a + np.cos(r) * b) / math.sqrt(2.0)
+        return (-np.sin(r) * self._a + np.cos(r) * self._b) / math.sqrt(2.0)
 
     def coeffs(self, r: float, g: float) -> CoeffSet:
         """Evaluate (alpha, beta, lambda, gamma) at an in-domain (r, g)."""

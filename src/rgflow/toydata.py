@@ -18,8 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EmptyDataset, InsufficientData
-from .process import PairSample, pair_matrices
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    EmptyDataset,
+    InsufficientData,
+    json_typed,
+)
 from .sampler import check_seed
 from .schedule import check_sigma_d
 
@@ -39,38 +44,44 @@ def standardize(cloud: np.ndarray, sigma_d: float = 1.0) -> np.ndarray:
 class ToyDataset:
     """Paired clouds plus the statistics the schedule needs.
 
-    The pairs' x0 and x1 are stacked once, at construction, into two
-    read-only (n, d) matrices (`matrices`), which training and the
-    statistics read; later writes into a pair's arrays are not seen there.
+    Row i of the (n, d) matrices x0 and x1 is the clean/degraded pair i.
+    They are stored as read-only copies, so later writes into the arrays
+    given are not seen.
     """
 
-    pairs: list[PairSample]
+    x0: np.ndarray
+    x1: np.ndarray
     sigma_d: float
     rho_hat: float
     provenance: dict = field(default_factory=dict)
-    matrices: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if len(self.pairs) == 0:
+        x0 = np.array(self.x0, dtype=np.float64)
+        x1 = np.array(self.x1, dtype=np.float64)
+        if x0.ndim != 2 or x0.shape != x1.shape or x0.shape[1] < 1:
+            raise DimensionMismatch(
+                f"x0 {x0.shape} and x1 {x1.shape} must be (n, d) matrices of one "
+                "shape with d >= 1"
+            )
+        if len(x0) == 0:
             raise EmptyDataset("a ToyDataset needs at least one pair")
-        x0, x1 = pair_matrices(self.pairs)
         x0.flags.writeable = x1.flags.writeable = False
-        object.__setattr__(self, "matrices", (x0, x1))
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x1", x1)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.x0)
 
     @property
     def dim(self) -> int:
-        return self.pairs[0].dim
+        return self.x0.shape[1]
 
+    # The perfbench harness reads the matrices through these two methods.
     def x0_matrix(self) -> np.ndarray:
-        return self.matrices[0]
+        return self.x0
 
     def x1_matrix(self) -> np.ndarray:
-        return self.matrices[1]
+        return self.x1
 
 
 def _check_spread(**values: float) -> None:
@@ -143,10 +154,6 @@ def degrade(
     return standardize(out, sigma_d)
 
 
-def _pairs_from_matrices(x0: np.ndarray, x1: np.ndarray) -> list[PairSample]:
-    return [PairSample(x0=a, x1=b) for a, b in zip(x0, x1)]
-
-
 def make_scurve_dataset(
     n: int,
     jitter: float = 0.05,
@@ -161,9 +168,10 @@ def make_scurve_dataset(
         clean, strength=strength, noise=noise, seed=seed + 1, sigma_d=sigma_d
     )
     return ToyDataset(
-        pairs=_pairs_from_matrices(clean, degraded),
+        clean,
+        degraded,
         sigma_d=sigma_d,
-        rho_hat=_pearson(clean, degraded),
+        rho_hat=estimate_rho(clean, degraded),
         provenance={
             "kind": "scurve",
             "n": n,
@@ -193,23 +201,22 @@ def make_gaussian_pairs(
     u = rng.normal(0.0, sigma_d, size=(n, dim))
     x1 = rho * x0 + math.sqrt(1.0 - rho * rho) * u
     return ToyDataset(
-        pairs=_pairs_from_matrices(x0, x1),
+        x0,
+        x1,
         sigma_d=sigma_d,
         rho_hat=rho,
         provenance={"kind": "gaussian", "rho": rho, "n": n, "dim": dim, "seed": seed},
     )
 
 
-def estimate_rho(pairs) -> float:
-    """Per-coordinate Pearson correlation of the pairs (a ToyDataset or a
-    sequence of PairSample), averaged."""
-    if len(pairs) < 2:
+def estimate_rho(x0, x1) -> float:
+    """Per-coordinate Pearson correlation of paired (n, d) matrices, averaged."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x0.shape != x1.shape:
+        raise DimensionMismatch(f"paired clouds must match: {x0.shape} vs {x1.shape}")
+    if len(x0) < 2:
         raise InsufficientData("estimate_rho needs at least 2 pairs")
-    return _pearson(*pair_matrices(pairs))
-
-
-def _pearson(x0: np.ndarray, x1: np.ndarray) -> float:
-    """estimate_rho on the (n, d) matrices, n >= 2."""
     a = x0 - x0.mean(axis=0)
     b = x1 - x1.mean(axis=0)
     denom = np.sqrt((a * a).sum(axis=0) * (b * b).sum(axis=0))
@@ -258,10 +265,8 @@ def save_dataset(ds: ToyDataset, path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p in ds.pairs:
-            writer.writerow(
-                [format(v, ".17g") for v in p.x0] + [format(v, ".17g") for v in p.x1]
-            )
+        for row in np.hstack([ds.x0, ds.x1]).tolist():
+            writer.writerow([format(v, ".17g") for v in row])
     meta = {
         "kind": ds.provenance.get("kind", "unknown"),
         "params": {k: v for k, v in ds.provenance.items() if k not in ("kind", "seed")},
@@ -281,11 +286,14 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
 
     Returns the header ([] when the first row is already data) and the data
     rows as a float matrix.  Rejects empty and header-only files
-    (EmptyDataset), ragged rows (DimensionMismatch), and non-numeric or
-    non-finite cells (DomainError).
+    (EmptyDataset), ragged rows (DimensionMismatch), and text that is not
+    UTF-8 CSV or cells that are not finite numbers (DomainError).
     """
-    with Path(path).open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with Path(path).open(newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"{path} is not CSV text: {exc}") from None
     if not rows:
         raise EmptyDataset(f"{path}: no rows")
     header = rows[0]
@@ -313,8 +321,10 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
 
 
 def load_dataset(path) -> ToyDataset:
-    """Read a dataset CSV written by save_dataset (sidecar optional), with
-    the checks of read_matrix."""
+    """Read a dataset CSV written by save_dataset, with the checks of
+    read_matrix.  The sidecar is optional; when present it must be a JSON
+    object with numeric sigma_d and rho_hat and an object params
+    (DomainError)."""
     path = Path(path)
     header, data = read_matrix(path)
     n_x0 = sum(1 for name in header if name.startswith("x0_"))
@@ -322,16 +332,24 @@ def load_dataset(path) -> ToyDataset:
     if n_x0 == 0 or n_x0 != n_x1 or n_x0 + n_x1 != len(header):
         raise DomainError(f"unrecognized dataset header {header!r}")
     x0, x1 = data[:, :n_x0], data[:, n_x0:]
-    pairs = _pairs_from_matrices(x0, x1)
     meta_file = sidecar_path(path)
     if meta_file.exists():
-        meta = json.loads(meta_file.read_text())
-        sigma_d = float(meta["sigma_d"])
-        rho_hat = float(meta["rho_hat"])
+        try:
+            meta = json.loads(meta_file.read_text())
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise DomainError(f"sidecar {meta_file} is not JSON: {exc}") from None
+        json_typed(meta, dict, f"sidecar {meta_file}", DomainError)
+
+        def field_of(key, kind, default=None):
+            value = meta.get(key, default)
+            return json_typed(value, kind, f"sidecar {meta_file} {key!r}", DomainError)
+
+        sigma_d = field_of("sigma_d", float)
+        rho_hat = field_of("rho_hat", float)
         provenance = {"kind": meta.get("kind"), "seed": meta.get("seed")}
-        provenance.update(meta.get("params", {}))
+        provenance.update(field_of("params", dict, {}))
     else:
         sigma_d = float(np.stack([x0, x1]).std(axis=(0, 1)).mean())
-        rho_hat = estimate_rho(pairs)
+        rho_hat = estimate_rho(x0, x1)
         provenance = {"kind": "unknown"}
-    return ToyDataset(pairs=pairs, sigma_d=sigma_d, rho_hat=rho_hat, provenance=provenance)
+    return ToyDataset(x0, x1, sigma_d=sigma_d, rho_hat=rho_hat, provenance=provenance)

@@ -26,10 +26,11 @@ from .denoiser import (
     _time_pairs,
     _weighted_error,
 )
-from .errors import ConfigError, EmptyDataset, NonFiniteLoss
-from .process import forward_state, pair_matrices
+from .errors import ConfigError, NonFiniteLoss
+from .process import forward_state
 from .sampler import check_seed
 from .schedule import GvpSchedule
+from .toydata import ToyDataset
 
 _HALF_PI = math.pi / 2.0
 
@@ -273,15 +274,11 @@ _CHUNK_ROWS = 1024
 
 
 def train(
-    dataset,
-    cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
-    schedule: GvpSchedule | None = None,
+    dataset: ToyDataset, cfg: TrainConfig, rng: np.random.Generator | None = None
 ) -> TrainResult:
     """Fit an MlpDenoiser (and weight net) on a standardized pair dataset.
 
-    `dataset` is either a ToyDataset (schedule inferred from its rho_hat and
-    sigma_d) or a plain sequence of PairSample with an explicit `schedule`.
+    The schedule is GvpSchedule(dataset.rho_hat, dataset.sigma_d).
     Identical cfg.seed and dataset give bitwise-identical loss traces, and
     the trace of an n-step run is the first n entries of a longer one.
 
@@ -292,18 +289,11 @@ def train(
     leaves `rng` as a step-by-step run would, while a NonFiniteLoss may leave
     it advanced up to the end of the failing chunk.
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("train needs a nonempty dataset")
-    if schedule is None:
-        rho = getattr(dataset, "rho_hat", None)
-        sigma_d = getattr(dataset, "sigma_d", None)
-        if rho is None or sigma_d is None:
-            raise ConfigError("plain pair lists need an explicit schedule")
-        schedule = GvpSchedule(rho=rho, sigma_d=sigma_d)
+    schedule = GvpSchedule(rho=dataset.rho_hat, sigma_d=dataset.sigma_d)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    x0_all, x1_all = pair_matrices(dataset)
+    x0_all, x1_all = dataset.x0, dataset.x1
     n_pairs, dim = x0_all.shape
     sd = schedule.sigma_d
 

@@ -23,7 +23,7 @@ from .denoiser import (
     weighted_prediction_loss,
 )
 from .dynamics import euler_integrate
-from .process import PairSample, empirical_variance, interpolate
+from .process import empirical_variance, interpolate
 from .sampler import SamplerConfig, hybrid_step, kappa, restore, restore_batch
 from .schedule import GvpSchedule
 from .sweep import run_sweep
@@ -106,15 +106,15 @@ def check_boundary_exactness() -> CheckResult:
             abs(hi.alpha),
             abs(hi.beta - 1.0),
         )
-        pair = PairSample(x0=rng.normal(size=3), x1=rng.normal(size=3))
+        x0, x1 = rng.normal(size=3), rng.normal(size=3)
         za, zb = rng.normal(size=3), rng.normal(size=3)
-        s_a = interpolate(sched, pair, za, -sched.phi, 0.0)
-        s_b = interpolate(sched, pair, zb, -sched.phi, 0.0)
-        if not np.array_equal(s_a.x, s_b.x):
+        s_a = interpolate(sched, x0, x1, za, -sched.phi, 0.0)
+        s_b = interpolate(sched, x0, x1, zb, -sched.phi, 0.0)
+        if not np.array_equal(s_a, s_b):
             worst = max(worst, 1.0)  # noise leaked through gamma(0)
-        worst = max(worst, float(np.max(np.abs(s_a.x - pair.x0))))
-        s_c = interpolate(sched, pair, za, sched.phi, 0.0)
-        worst = max(worst, float(np.max(np.abs(s_c.x - pair.x1))))
+        worst = max(worst, float(np.max(np.abs(s_a - x0))))
+        s_c = interpolate(sched, x0, x1, za, sched.phi, 0.0)
+        worst = max(worst, float(np.max(np.abs(s_c - x1))))
     return _result(
         "boundary-exactness", worst <= 1e-12, f"max deviation = {worst:.2e}", "<= 1e-12"
     )
@@ -179,16 +179,12 @@ def check_manifold_invariance() -> CheckResult:
             r2, g2 = traj.point(t2)
             if g1 > 1e-3:
                 break
-        pair = PairSample(x0=rng.normal(size=2), x1=rng.normal(size=2))
+        x0, x1 = rng.normal(size=2), rng.normal(size=2)
         z_lat = rng.normal(size=2)
-        x_prev = interpolate(sched, pair, z_lat, r1, g1).x
-        want = interpolate(sched, pair, z_lat, r2, g2).x
-        got0 = hybrid_step(
-            sched, x_prev, pair.x0, pair.x1, (r1, g1), (r2, g2), 0.0, np.zeros(2)
-        )
-        got1 = hybrid_step(
-            sched, x_prev, pair.x0, pair.x1, (r1, g1), (r2, g2), 1.0, z_lat
-        )
+        x_prev = interpolate(sched, x0, x1, z_lat, r1, g1)
+        want = interpolate(sched, x0, x1, z_lat, r2, g2)
+        got0 = hybrid_step(sched, x_prev, x0, x1, (r1, g1), (r2, g2), 0.0, np.zeros(2))
+        got1 = hybrid_step(sched, x_prev, x0, x1, (r1, g1), (r2, g2), 1.0, z_lat)
         worst = max(
             worst,
             float(np.max(np.abs(got0 - want))),
@@ -342,8 +338,7 @@ def check_training_progress() -> CheckResult:
     head = float(result.loss_trace[:100].mean())
     tail = float(result.loss_trace[-100:].mean())
 
-    x0 = holdout.x0_matrix()
-    x1 = holdout.x1_matrix()
+    x0, x1 = holdout.x0, holdout.x1
     reg_cfg = SamplerConfig(trajectory=Regression(phi=sched.phi), n_steps=1, seed=5)
     restored_r = restore_batch(sched, net, x1, reg_cfg)
     mse_model = mse(restored_r, x0)
@@ -375,7 +370,7 @@ def check_sweep_structure() -> CheckResult:
     rho = 0.5
     sched = GvpSchedule(rho=rho, sigma_d=1.0)
     ds = make_gaussian_pairs(rho, 64, seed=77, dim=2)
-    x0, x1 = ds.x0_matrix(), ds.x1_matrix()
+    x0, x1 = ds.x0, ds.x1
     den = CheatDenoiser(x0)
     deltas = (0.0, math.pi / 8.0, math.pi / 4.0, _HALF_PI)
     etas = (0.0, 0.2, 0.5, 1.0)

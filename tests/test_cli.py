@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import rgflow
@@ -25,12 +26,14 @@ def read_csv(path):
 
 
 def assert_rejected(capsys, out, *argv):
-    """The command exits 2 with one `error:` line and writes no output."""
+    """The command exits 2 with one `error:` line, which it returns, and
+    writes no output."""
     capsys.readouterr()
     assert run(*argv, "--out", out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+    return err[0]
 
 
 MALFORMED_DATASETS = pytest.mark.parametrize(
@@ -421,6 +424,65 @@ class TestSweepCli:
         assert_rejected(capsys, tmp_path / "x.csv", "sweep", "--data", bad,
                         "--oracle", "gaussian", "--deltas", "0,pi/8", "--etas", "0",
                         "--nfes", "2")
+
+
+class TestSidecarAndCheckpointTypes:
+    """A dataset sidecar or a checkpoint whose fields lack their JSON type
+    exits 2 with one error line that names the field, never a traceback."""
+
+    SIDECAR = {"kind": "gaussian", "params": {}, "seed": 0, "sigma_d": 1.0, "rho_hat": 0.5}
+
+    @pytest.mark.parametrize("text, field", [
+        ("{not json", "not JSON"),
+        ("[1, 2]", "JSON object"),
+        (json.dumps({k: v for k, v in SIDECAR.items() if k != "rho_hat"}), "rho_hat"),
+        (json.dumps({**SIDECAR, "rho_hat": "x"}), "rho_hat"),
+        (json.dumps({**SIDECAR, "sigma_d": None}), "sigma_d"),
+        (json.dumps({**SIDECAR, "params": 5}), "params"),
+    ], ids=["not-json", "list", "no-rho_hat", "rho_hat-string", "sigma_d-null",
+            "params-number"])
+    def test_bad_sidecar_rejected(self, toy_dataset, tmp_path, capsys, text, field):
+        data, _ = toy_dataset
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data.read_bytes())
+        (tmp_path / "bad.meta.json").write_text(text)
+        err = assert_rejected(capsys, tmp_path / "x.csv", "sweep", "--data", bad,
+                              "--oracle", "gaussian", "--deltas", "0", "--etas", "0",
+                              "--nfes", "1")
+        assert field in err
+
+    def test_saved_sidecars_load(self, tmp_path):
+        """Sidecars as save_dataset writes them load, a null seed and an
+        empty provenance included."""
+        x = np.arange(8.0).reshape(4, 2)
+        for ds in (rgflow.ToyDataset(x, x[::-1], sigma_d=1.0, rho_hat=-0.5),
+                   rgflow.make_gaussian_pairs(0.5, 10, seed=1)):
+            path = tmp_path / "d.csv"
+            rgflow.save_dataset(ds, path)
+            back = rgflow.load_dataset(path)
+            assert (back.sigma_d, back.rho_hat) == (ds.sigma_d, ds.rho_hat)
+            assert back.provenance["seed"] == ds.provenance.get("seed")
+
+    @pytest.mark.parametrize("key, value", [
+        ("rho", "x"),
+        ("sigma_d", "x"),
+        ("dims", "2"),
+        ("dims", True),
+        ("emb_dim", 8.0),
+        ("widths", "abc"),
+        ("widths", [68]),
+        ("weights", 5),
+    ], ids=["rho-string", "sigma_d-string", "dims-string", "dims-bool",
+            "emb_dim-float", "widths-string", "widths-short", "weights-number"])
+    def test_bad_checkpoint_field_rejected(self, toy_dataset, tmp_path, capsys, key, value):
+        data, ck = toy_dataset
+        doc = json.loads(ck.read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        err = assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", bad,
+                              "--input", data, "--mode", "disi-r")
+        assert f"'{key}'" in err
 
 
 class TestSeedRejected:

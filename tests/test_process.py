@@ -8,9 +8,7 @@ import pytest
 from rgflow import (
     DimensionMismatch,
     DomainError,
-    EmptyDataset,
     GvpSchedule,
-    PairSample,
     empirical_variance,
     forward_state,
     interpolate,
@@ -23,7 +21,7 @@ HALF_PI = math.pi / 2.0
 
 @pytest.fixture
 def pair():
-    return PairSample(x0=np.array([1.0, 0.0]), x1=np.array([0.0, 1.0]))
+    return np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
 
 class TestInterpolate:
@@ -31,26 +29,26 @@ class TestInterpolate:
         sched = GvpSchedule(0.3, 1.0)
         za = np.array([5.0, -7.0])
         zb = np.array([-2.0, 9.0])
-        a = interpolate(sched, pair, za, -sched.phi, 0.0)
-        b = interpolate(sched, pair, zb, -sched.phi, 0.0)
-        assert np.array_equal(a.x, b.x)
-        np.testing.assert_allclose(a.x, pair.x0, atol=1e-12)
+        a = interpolate(sched, *pair, za, -sched.phi, 0.0)
+        b = interpolate(sched, *pair, zb, -sched.phi, 0.0)
+        assert np.array_equal(a, b)
+        np.testing.assert_allclose(a, pair[0], atol=1e-12)
 
     def test_degraded_boundary(self, pair):
         sched = GvpSchedule(0.3, 1.0)
-        s = interpolate(sched, pair, np.zeros(2), sched.phi, 0.0)
-        np.testing.assert_allclose(s.x, pair.x1, atol=1e-12)
+        s = interpolate(sched, *pair, np.zeros(2), sched.phi, 0.0)
+        np.testing.assert_allclose(s, pair[1], atol=1e-12)
 
     def test_pure_noise_at_full_generation_time(self, pair):
         sched = GvpSchedule(0.3, 1.0)
         z = np.array([0.7, -1.3])
-        s = interpolate(sched, pair, z, 0.1, HALF_PI)
-        np.testing.assert_allclose(s.x, z, atol=1e-15)
+        s = interpolate(sched, *pair, z, 0.1, HALF_PI)
+        np.testing.assert_allclose(s, z, atol=1e-15)
 
     def test_center_point_uncorrelated(self, pair):
         sched = GvpSchedule(0.0, 1.0)
-        s = interpolate(sched, pair, np.zeros(2), 0.0, 0.0)
-        np.testing.assert_allclose(s.x, [1 / math.sqrt(2)] * 2, atol=1e-15)
+        s = interpolate(sched, *pair, np.zeros(2), 0.0, 0.0)
+        np.testing.assert_allclose(s, [1 / math.sqrt(2)] * 2, atol=1e-15)
 
     def test_linear_in_each_argument(self):
         rng = np.random.default_rng(3)
@@ -58,28 +56,33 @@ class TestInterpolate:
         x0, x1, z = rng.normal(size=(3, 4))
         r = rng.uniform(-sched.phi, sched.phi)
         g = rng.uniform(0.0, HALF_PI)
-        base = interpolate(sched, PairSample(x0, x1), z, r, g).x
+        base = interpolate(sched, x0, x1, z, r, g)
         for c in (2.0, -0.5):
-            scaled_x0 = interpolate(sched, PairSample(c * x0, x1), z, r, g).x
-            delta = interpolate(sched, PairSample((c - 1) * x0, 0 * x1), 0 * z, r, g).x
+            scaled_x0 = interpolate(sched, c * x0, x1, z, r, g)
+            delta = interpolate(sched, (c - 1) * x0, 0 * x1, 0 * z, r, g)
             np.testing.assert_allclose(scaled_x0, base + delta, atol=1e-12)
-            scaled_z = interpolate(sched, PairSample(x0, x1), c * z, r, g).x
-            dz = interpolate(sched, PairSample(0 * x0, 0 * x1), (c - 1) * z, r, g).x
+            scaled_z = interpolate(sched, x0, x1, c * z, r, g)
+            dz = interpolate(sched, 0 * x0, 0 * x1, (c - 1) * z, r, g)
             np.testing.assert_allclose(scaled_z, base + dz, atol=1e-12)
 
-    def test_dimension_mismatch(self, pair):
+    def test_dimension_mismatch(self):
+        """x0, x1 and z must be nonempty 1-D vectors of one shape."""
         sched = GvpSchedule(0.3, 1.0)
-        with pytest.raises(DimensionMismatch):
-            interpolate(sched, pair, np.zeros(3), 0.0, 0.1)
-        with pytest.raises(DimensionMismatch):
-            PairSample(x0=np.zeros(2), x1=np.zeros(3))
-
+        for x0, x1, z in (
+            (np.zeros(2), np.zeros(2), np.zeros(3)),
+            (np.zeros(2), np.zeros(3), np.zeros(2)),
+            (np.zeros(3), np.zeros(2), np.zeros(2)),
+            (np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2))),
+            (np.zeros(0), np.zeros(0), np.zeros(0)),
+        ):
+            with pytest.raises(DimensionMismatch):
+                interpolate(sched, x0, x1, z, 0.0, 0.1)
 
     def test_out_of_domain_times_rejected(self, pair):
         sched = GvpSchedule(0.3, 1.0)
         for r, g in ((sched.phi + 1e-6, 0.1), (0.0, -1e-6), (0.0, HALF_PI + 1e-6)):
             with pytest.raises(DomainError):
-                interpolate(sched, pair, np.zeros(2), r, g)
+                interpolate(sched, *pair, np.zeros(2), r, g)
 
 
 class TestForwardState:
@@ -117,7 +120,7 @@ class TestEmpiricalVariance:
         ds = make_gaussian_pairs(0.5, 50_000, seed=4)
         sched = GvpSchedule(0.5, 1.0)
         v = empirical_variance(
-            sched, ds.pairs, 0.1, 0.4, 100_000, np.random.default_rng(6)
+            sched, ds, 0.1, 0.4, 100_000, np.random.default_rng(6)
         )
         assert v == pytest.approx(1.0, abs=0.02)
 
@@ -125,7 +128,7 @@ class TestEmpiricalVariance:
         ds = make_gaussian_pairs(0.5, 10_000, seed=4)
         sched = GvpSchedule(0.5, 1.0)
         v = empirical_variance(
-            sched, ds.pairs, 0.0, HALF_PI, 100_000, np.random.default_rng(6)
+            sched, ds, 0.0, HALF_PI, 100_000, np.random.default_rng(6)
         )
         assert v == pytest.approx(1.0, abs=0.02)
 
@@ -136,19 +139,21 @@ class TestEmpiricalVariance:
         for rf in (-0.6, 0.0, 0.6):
             for g in (0.2, 0.8, 1.4):
                 v = empirical_variance(
-                    sched, ds.pairs, rf * sched.phi, g, 100_000, rng
+                    sched, ds, rf * sched.phi, g, 100_000, rng
                 )
                 assert v == pytest.approx(1.0, abs=0.02)
 
     def test_deterministic_given_seed(self):
         ds = make_gaussian_pairs(0.5, 1000, seed=4)
         sched = GvpSchedule(0.5, 1.0)
-        a = empirical_variance(sched, ds.pairs, 0.1, 0.4, 20_000, np.random.default_rng(3))
-        b = empirical_variance(sched, ds.pairs, 0.1, 0.4, 20_000, np.random.default_rng(3))
+        a = empirical_variance(sched, ds, 0.1, 0.4, 20_000, np.random.default_rng(3))
+        b = empirical_variance(sched, ds, 0.1, 0.4, 20_000, np.random.default_rng(3))
         assert a == b
 
-    def test_empty_dataset(self):
-        with pytest.raises(EmptyDataset):
-            empirical_variance(
-                GvpSchedule(0.5, 1.0), [], 0.0, 0.4, 100, np.random.default_rng(0)
-            )
+    def test_rejections(self):
+        ds = make_gaussian_pairs(0.5, 10, seed=4)
+        sched, rng = GvpSchedule(0.5, 1.0), np.random.default_rng(0)
+        with pytest.raises(DomainError):
+            empirical_variance(sched, ds, 0.0, 0.4, 1, rng)
+        with pytest.raises(DomainError):
+            empirical_variance(sched, ds, 0.0, -0.1, 100, rng)

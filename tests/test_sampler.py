@@ -21,7 +21,6 @@ from rgflow import (
     Linear,
     MlpDenoiser,
     NonFiniteOutput,
-    PairSample,
     Regression,
     SamplerConfig,
     SingularStart,
@@ -246,15 +245,13 @@ class TestHybridStep:
         for _ in range(200):
             rho = rng.uniform(-0.9, 0.9)
             sched = GvpSchedule(rho, 1.0)
-            pair = PairSample(x0=rng.normal(size=2), x1=rng.normal(size=2))
+            x0, x1 = rng.normal(size=2), rng.normal(size=2)
             z = rng.normal(size=2)
             r1, g1 = rng.uniform(-sched.phi, sched.phi), rng.uniform(0.05, HALF_PI)
             r2, g2 = rng.uniform(-sched.phi, sched.phi), rng.uniform(0.0, HALF_PI)
-            x_prev = interpolate(sched, pair, z, r1, g1).x
-            want = interpolate(sched, pair, z, r2, g2).x
-            got = hybrid_step(
-                sched, x_prev, pair.x0, pair.x1, (r1, g1), (r2, g2), 0.0, np.zeros(2)
-            )
+            x_prev = interpolate(sched, x0, x1, z, r1, g1)
+            want = interpolate(sched, x0, x1, z, r2, g2)
+            got = hybrid_step(sched, x_prev, x0, x1, (r1, g1), (r2, g2), 0.0, np.zeros(2))
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_boot_step_matches_fully_stochastic_step(self):
@@ -401,14 +398,14 @@ class TestFoldProperties:
         t1, t2 = (traj.t_start + s * (traj.t_end - traj.t_start) for s in (s1, s2))
         frm, to = traj.point(t1), traj.point(t2)
         assume(frm[1] == 0.0 or frm[1] >= 1e-3)
-        pair, z = PairSample(x0=vecs[0], x1=vecs[1]), vecs[2]
-        x = interpolate(sched, pair, z, *frm).x
-        want = interpolate(sched, pair, z, *to).x
-        got = [boot_step(sched, x, pair.x0, pair.x1, frm, to, z)]
+        x0, x1, z = vecs[:3]
+        x = interpolate(sched, x0, x1, z, *frm)
+        want = interpolate(sched, x0, x1, z, *to)
+        got = [boot_step(sched, x, x0, x1, frm, to, z)]
         if frm[1] > 0.0:
-            got.append(hybrid_step(sched, x, pair.x0, pair.x1, frm, to, 0.0, np.zeros(2)))
+            got.append(hybrid_step(sched, x, x0, x1, frm, to, 0.0, np.zeros(2)))
         elif to[1] == 0.0:
-            got.append(regression_step(sched, x, pair.x0, pair.x1, frm[0], to[0]))
+            got.append(regression_step(sched, x, x0, x1, frm[0], to[0]))
         for out in got:
             np.testing.assert_allclose(out, want, rtol=0.0, atol=1e-10)
 

@@ -7,8 +7,9 @@ from rgflow import (
     ConfigError,
     DimensionMismatch,
     DomainError,
+    EmptyDataset,
     InsufficientData,
-    PairSample,
+    ToyDataset,
     degrade,
     energy_distance,
     estimate_rho,
@@ -68,14 +69,12 @@ class TestDegrade:
         clean = make_scurve(200, jitter=0.05, seed=2)
         out = degrade(clean, strength=0.0, noise=0.0, seed=0)
         assert np.array_equal(out, clean)
-        pairs = [PairSample(x0=a, x1=b) for a, b in zip(clean, out)]
-        assert estimate_rho(pairs) == pytest.approx(1.0, abs=1e-12)
+        assert estimate_rho(clean, out) == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_degradation_correlation(self):
         clean = make_scurve(5000, jitter=0.05, seed=2)
         out = degrade(clean, strength=0.5, noise=0.1, seed=4)
-        pairs = [PairSample(x0=a, x1=b) for a, b in zip(clean, out)]
-        rho = estimate_rho(pairs)
+        rho = estimate_rho(clean, out)
         assert 0.0 < rho < 1.0
 
     def test_restandardized(self):
@@ -94,15 +93,15 @@ class TestDegrade:
 class TestGaussianPairs:
     def test_uncorrelated(self):
         ds = make_gaussian_pairs(0.0, 100_000, seed=5)
-        assert abs(estimate_rho(ds.pairs)) <= 0.01
+        assert abs(estimate_rho(ds.x0, ds.x1)) <= 0.01
 
     def test_strongly_correlated(self):
         ds = make_gaussian_pairs(0.9, 100_000, seed=5)
-        assert 0.89 <= estimate_rho(ds.pairs) <= 0.91
+        assert 0.89 <= estimate_rho(ds.x0, ds.x1) <= 0.91
 
     def test_anticorrelated(self):
         ds = make_gaussian_pairs(-0.5, 50_000, seed=5)
-        assert estimate_rho(ds.pairs) == pytest.approx(-0.5, abs=0.02)
+        assert estimate_rho(ds.x0, ds.x1) == pytest.approx(-0.5, abs=0.02)
 
     def test_rejects_degenerate_rho(self):
         with pytest.raises(DomainError):
@@ -127,19 +126,21 @@ def test_bad_seed_is_config_error(seed):
 class TestEstimateRho:
     def test_reference_constant_recovered(self):
         ds = make_gaussian_pairs(0.7482, 100_000, seed=6)
-        assert estimate_rho(ds.pairs) == pytest.approx(0.7482, abs=0.01)
+        assert estimate_rho(ds.x0, ds.x1) == pytest.approx(0.7482, abs=0.01)
 
     def test_identical_and_negated_clouds(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(100, 2))
-        same = [PairSample(x0=a, x1=a.copy()) for a in x]
-        flipped = [PairSample(x0=a, x1=-a) for a in x]
-        assert estimate_rho(same) == pytest.approx(1.0, abs=1e-12)
-        assert estimate_rho(flipped) == pytest.approx(-1.0, abs=1e-12)
+        assert estimate_rho(x, x.copy()) == pytest.approx(1.0, abs=1e-12)
+        assert estimate_rho(x, -x) == pytest.approx(-1.0, abs=1e-12)
 
     def test_needs_two_pairs(self):
         with pytest.raises(InsufficientData):
-            estimate_rho([PairSample(x0=np.ones(2), x1=np.ones(2))])
+            estimate_rho(np.ones((1, 2)), np.ones((1, 2)))
+
+    def test_mismatched_matrices_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            estimate_rho(np.ones((5, 2)), np.ones((5, 3)))
 
 
 class TestMetrics:
@@ -172,10 +173,54 @@ class TestMetrics:
         assert energy_distance(a, a + 1.0) > 0.5
 
 
+class TestToyDataset:
+    def test_matrices_are_read_only_copies(self, tmp_path):
+        """A ToyDataset keeps read-only copies of the matrices given: those
+        stay writable, and later writes to them are not seen.  The datasets
+        of every generator and of load_dataset hold read-only matrices too."""
+        x0 = np.arange(6.0).reshape(3, 2)
+        x1 = -x0
+        ds = ToyDataset(x0, x1, sigma_d=1.0, rho_hat=-1.0)
+        x0[0, 0] = x1[0, 0] = 99.0
+        assert ds.x0[0, 0] == 0.0 and ds.x1[0, 0] == 0.0
+        assert len(ds) == 3 and ds.dim == 2
+        assert ds.x0_matrix() is ds.x0 and ds.x1_matrix() is ds.x1
+
+        made = [make_scurve_dataset(50, seed=2), make_gaussian_pairs(0.3, 40, seed=2, dim=3)]
+        path = tmp_path / "d.csv"
+        save_dataset(made[0], path)
+        loaded = load_dataset(path)
+        path.with_suffix(".meta.json").unlink()
+        for d in (ds, *made, loaded, load_dataset(path)):
+            for m in (d.x0, d.x1):
+                assert m.dtype == np.float64 and m.flags.c_contiguous
+                assert not m.flags.writeable
+                with pytest.raises(ValueError):
+                    m[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "x0, x1",
+        [
+            (np.zeros(3), np.zeros(3)),
+            (np.zeros((3, 2)), np.zeros((3, 3))),
+            (np.zeros((3, 2)), np.zeros((4, 2))),
+            (np.zeros((3, 0)), np.zeros((3, 0))),
+        ],
+        ids=["not-2d", "widths-differ", "rows-differ", "no-columns"],
+    )
+    def test_mismatched_matrices_rejected(self, x0, x1):
+        with pytest.raises(DimensionMismatch):
+            ToyDataset(x0, x1, sigma_d=1.0, rho_hat=0.0)
+
+    def test_empty_dataset(self):
+        with pytest.raises(EmptyDataset):
+            ToyDataset(np.zeros((0, 2)), np.zeros((0, 2)), sigma_d=1.0, rho_hat=0.0)
+
+
 class TestScurveDataset:
     def test_both_clouds_standardized(self):
         ds = make_scurve_dataset(3000, jitter=0.05, strength=1.0, noise=0.25, seed=2)
-        for cloud in (ds.x0_matrix(), ds.x1_matrix()):
+        for cloud in (ds.x0, ds.x1):
             np.testing.assert_allclose(cloud.std(axis=0), ds.sigma_d, rtol=0.01)
 
     def test_provenance_recorded(self):
@@ -195,8 +240,8 @@ class TestDatasetIO:
         back = load_dataset(path)
         assert back.sigma_d == ds.sigma_d
         assert back.rho_hat == ds.rho_hat
-        np.testing.assert_array_equal(back.x0_matrix(), ds.x0_matrix())
-        np.testing.assert_array_equal(back.x1_matrix(), ds.x1_matrix())
+        np.testing.assert_array_equal(back.x0, ds.x0)
+        np.testing.assert_array_equal(back.x1, ds.x1)
 
     def test_load_without_sidecar(self, tmp_path):
         ds = make_gaussian_pairs(0.5, 200, seed=1, dim=2)

@@ -425,27 +425,6 @@ class TestChunkedInputs:
             ref.normal(0.0, 1.0, size=(16, 2))
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_dataset_matrices_are_read_only_stacked_pairs(self, tmp_path):
-        """A ToyDataset's x0 and x1 matrices, from every generator, from
-        load_dataset and from a bare pair list, equal the stacked pairs and
-        cannot be written."""
-        from rgflow import ToyDataset, load_dataset, make_scurve_dataset, save_dataset
-
-        made = [make_scurve_dataset(50, seed=2), make_gaussian_pairs(0.3, 40, seed=2, dim=3)]
-        path = tmp_path / "d.csv"
-        save_dataset(made[0], path)
-        loaded = load_dataset(path)
-        path.with_suffix(".meta.json").unlink()
-        bare = load_dataset(path)
-        plain = ToyDataset(list(made[1].pairs), 1.0, 0.3)
-        for ds in (*made, loaded, bare, plain):
-            for m, key in ((ds.x0_matrix(), "x0"), (ds.x1_matrix(), "x1")):
-                stacked = np.stack([getattr(p, key) for p in ds.pairs])
-                assert m.tobytes() == stacked.tobytes() and m.shape == stacked.shape
-                assert m.flags.c_contiguous and not m.flags.writeable
-                with pytest.raises(ValueError):
-                    m[0, 0] = 1.0
-
     def test_backward_into_buffers_equals_new_dicts(self):
         """The backward passes give the same gradient bits whether they
         return new arrays or write into the caller's (as `train` has them
