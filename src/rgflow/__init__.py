@@ -5,89 +5,46 @@ Gaussian noise under two independent time axes; trajectories through the
 (r, g) rectangle trade regression fidelity against generative synthesis; an
 analytic hybrid sampler integrates any such path in few steps.  A toy MLP
 training pipeline and Gaussian closed-form oracles make the whole chain
-verifiable end to end.
+verifiable end to end.  `import rgflow` loads no submodule: each exported
+name and each submodule is imported on first use (PEP 562).
 """
 
-from .denoiser import (
-    CheatDenoiser,
-    Checkpoint,
-    GaussianOracle,
-    MlpDenoiser,
-    load_checkpoint,
-    mlp_backward,
-    save_checkpoint,
-    time_embed,
-)
-from .dynamics import VelocityPair, euler_integrate, velocities, velocity_r
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
-    EmptyDataset,
-    InsufficientData,
-    NonFiniteLoss,
-    NonFiniteOutput,
-    RgflowError,
-    SingularStart,
-    SingularTime,
-)
-from .process import (
-    empirical_variance,
-    forward_state,
-    interpolate,
-    sample_noise,
-)
-from .sampler import (
-    SamplerConfig,
-    boot_step,
-    hybrid_step,
-    kappa,
-    regression_step,
-    restore,
-    restore_batch,
-)
-from .schedule import (
-    CoeffDerivs,
-    CoeffSet,
-    GvpSchedule,
-)
-from .sweep import run_sweep
-from .toydata import (
-    ToyDataset,
-    degrade,
-    energy_distance,
-    estimate_rho,
-    load_dataset,
-    make_gaussian_pairs,
-    make_scurve,
-    make_scurve_dataset,
-    mse,
-    save_dataset,
-    standardize,
-)
-from .training import (
-    AdaptiveWeight,
-    AdamW,
-    EllipticalSpecialist,
-    LinearSpecialist,
-    LogitNormalSampler,
-    RegressionSpecialist,
-    TrainConfig,
-    TrainResult,
-    UniformSampler,
-    make_time_sampler,
-    train,
-)
-from .trajectory import (
-    Elliptical,
-    Linear,
-    QuadBezier,
-    Regression,
-    TimeGrid,
-    Trajectory,
-    VPath,
-    make_trajectory,
-    path_continuity_order,
-)
+import importlib
 
+_EXPORTS = {
+    "denoiser": "CheatDenoiser Checkpoint GaussianOracle MlpDenoiser load_checkpoint "
+                "mlp_backward save_checkpoint time_embed",
+    "dynamics": "VelocityPair euler_integrate velocities velocity_r",
+    "errors": "ConfigError DimensionMismatch DomainError EmptyDataset InsufficientData "
+              "NonFiniteLoss NonFiniteOutput RgflowError SingularStart SingularTime",
+    "process": "empirical_variance forward_state interpolate sample_noise",
+    "sampler": "SamplerConfig boot_step hybrid_step kappa regression_step restore restore_batch",
+    "schedule": "CoeffDerivs CoeffSet GvpSchedule",
+    "sweep": "run_sweep",
+    "toydata": "ToyDataset degrade energy_distance estimate_rho load_dataset make_gaussian_pairs "
+               "make_scurve make_scurve_dataset mse save_dataset standardize",
+    "training": "AdaptiveWeight AdamW EllipticalSpecialist LinearSpecialist LogitNormalSampler "
+                "RegressionSpecialist TrainConfig TrainResult UniformSampler make_time_sampler train",
+    "trajectory": "Elliptical Linear QuadBezier Regression TimeGrid Trajectory VPath "
+                  "make_trajectory path_continuity_order",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "cli", "verify"}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -23,13 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+# Each handler imports the sampler, training, process, dynamics, sweep and
+# verify modules it runs, so a command loads only its own.
 from .denoiser import CheatDenoiser, GaussianOracle, load_checkpoint, save_checkpoint
-from .dynamics import euler_integrate
-from .errors import ConfigError, RgflowError, json_typed
-from .process import forward_state
-from .sampler import SamplerConfig, check_seed, restore, restore_batch
+from .errors import ConfigError, RgflowError, check_seed, json_typed
 from .schedule import GvpSchedule, schedule_grid
-from .sweep import SWEEP_FIELDS, run_sweep
 from .toydata import (
     load_dataset,
     make_gaussian_pairs,
@@ -37,7 +35,6 @@ from .toydata import (
     read_matrix,
     save_dataset,
 )
-from .training import TrainConfig, make_time_sampler, train
 from .trajectory import TRAJECTORY_KINDS, make_trajectory
 
 
@@ -110,6 +107,8 @@ def _cmd_traj(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .process import forward_state
+
     ds = load_dataset(args.pairs)
     rho = args.rho if args.rho is not None else ds.rho_hat
     sched = GvpSchedule(rho=rho, sigma_d=ds.sigma_d)
@@ -129,6 +128,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .dynamics import euler_integrate
+    from .sampler import SamplerConfig, restore
+
     sched = GvpSchedule(rho=args.rho, sigma_d=1.0)
     den = GaussianOracle(rho=args.rho)
     traj = make_trajectory(args.traj, phi=sched.phi, delta=args.delta, p=args.p)
@@ -160,6 +162,8 @@ _TRAIN_CONFIG_KEYS = {
 
 
 def _cmd_train(args) -> int:
+    from .training import TrainConfig, make_time_sampler, train
+
     conf: dict = {}
     if args.config is not None:
         try:
@@ -197,28 +201,28 @@ def _cmd_train(args) -> int:
     )
     data = pick("data", "scurve", str)
     n = pick("n", 2000, int)
-    sigma_d = pick("sigma_d", 1.0, float)
+    settings = {"sigma_d": pick("sigma_d", 1.0, float)}
     if data == "scurve":
-        ds = make_scurve_dataset(
-            n,
-            jitter=pick("jitter", 0.05, float),
-            strength=pick("strength", 1.0, float),
-            noise=pick("noise", 0.25, float),
-            sigma_d=sigma_d,
-            seed=cfg.seed,
-        )
+        make = make_scurve_dataset
+        settings.update(jitter=pick("jitter", 0.05, float),
+                        strength=pick("strength", 1.0, float), noise=pick("noise", 0.25, float))
     elif data == "gaussian":
-        ds = make_gaussian_pairs(
-            pick("gaussian_rho", 0.5, float),
-            n,
-            sigma_d=sigma_d,
-            seed=cfg.seed,
-            dim=pick("dim", 2, int),
-        )
+        make = make_gaussian_pairs
+        settings.update(rho=pick("gaussian_rho", 0.5, float), dim=pick("dim", 2, int))
     else:
         raise ConfigError(f"unknown --data {data!r}; expected scurve or gaussian")
-
-    result = train(ds, cfg)
+    try:
+        # Raised at the first overflow, so that a huge setting is named here
+        # and not by a later check that its NaN or inf trips.
+        with np.errstate(all="raise", under="ignore"):
+            ds = make(n=n, seed=cfg.seed, **settings)
+    except FloatingPointError:
+        shown = ", ".join(f"{k}={v}" for k, v in settings.items())
+        raise ConfigError(f"the {data} data set overflows float64 at {shown}") from None
+    # A non-finite loss surfaces as train's NonFiniteLoss, the one error line,
+    # rather than as numpy warnings.
+    with np.errstate(all="ignore"):
+        result = train(ds, cfg)
     save_checkpoint(
         args.out, result.denoiser, rho=ds.rho_hat,
         ema_params=result.ema_denoiser.params,
@@ -244,6 +248,8 @@ def _load_degraded(path) -> np.ndarray:
 
 
 def _cmd_restore(args) -> int:
+    from .sampler import SamplerConfig, restore_batch
+
     if args.mode == "disi-r":
         args.traj = "regression"
         args.steps = 1
@@ -304,6 +310,8 @@ def _cmd_restore(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import SWEEP_FIELDS, run_sweep
+
     ds = load_dataset(args.data)
     rho = args.rho if args.rho is not None else ds.rho_hat
     sched = GvpSchedule(rho=rho, sigma_d=ds.sigma_d)
@@ -328,7 +336,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # Imported here: only this subcommand runs the checks.
     from .verify import run_checks
 
     results = run_checks(only=args.only)

@@ -510,25 +510,26 @@ def save_checkpoint(
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
-    `dims` and `emb_dim` must be integers and `sigma_d` and `rho` numbers
-    (DomainError), and `widths` four integers (DimensionMismatch).  Every
-    tensor of `weights` and `ema_weights` must have the shape that `dims`,
-    `emb_dim` and `widths` give it and hold only finite values.
+    `version` must be the integer 1, `dims` and `emb_dim` integers and
+    `sigma_d` and `rho` numbers (DomainError), and `widths` four integers
+    (DimensionMismatch).  Every tensor of `weights` and `ema_weights` must
+    have the shape that `dims`, `emb_dim` and `widths` give it and hold only
+    finite values.
     """
     try:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise DomainError(f"checkpoint {path} is not JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        version = doc.get("version") if isinstance(doc, dict) else None
-        raise DomainError(f"unsupported checkpoint version {version!r}")
+    json_typed(doc, dict, f"checkpoint {path}", DomainError)
+
+    def typed(key: str, kind: type, error: type = DomainError):
+        return json_typed(doc.get(key), kind, f"checkpoint {path} {key!r}", error)
+
+    if typed("version", int) != 1:
+        raise DomainError(f"unsupported checkpoint version {doc['version']!r}")
     missing = [k for k in _DOC_KEYS if k not in doc]
     if missing:
         raise DomainError(f"checkpoint {path} lacks {missing}")
-
-    def typed(key: str, kind: type, error: type = DomainError):
-        return json_typed(doc[key], kind, f"checkpoint {path} {key!r}", error)
-
     widths = typed("widths", list, DimensionMismatch)
     if len(widths) != 4 or any(type(w) is not int for w in widths):
         raise DimensionMismatch(

@@ -1,4 +1,8 @@
-"""Semantic exception hierarchy shared by all rgflow modules."""
+"""Semantic exception hierarchy shared by all rgflow modules, and the two
+input checks they share: json_typed for values read from JSON and
+check_seed for seeds."""
+
+import numbers
 
 
 class RgflowError(Exception):
@@ -61,3 +65,13 @@ def json_typed(value, kind: type, name: str, error: type[RgflowError]):
     if type(value) is not kind:
         raise error(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def check_seed(value, name: str = "seed") -> int:
+    """`value` as an int, if it is a non-negative integer (a Python or numpy
+    int, not a bool): the seeds and item ids numpy's seeding accepts.  Else
+    ConfigError, so a bad seed is reported as a configuration error rather
+    than raised by numpy mid-run."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)

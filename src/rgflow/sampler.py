@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,7 +36,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, DomainError, NonFiniteOutput, SingularStart
+from .errors import (
+    ConfigError, DimensionMismatch, DomainError, NonFiniteOutput, SingularStart, check_seed,
+)
 from .schedule import CoeffSet, GvpSchedule, check_g
 from .trajectory import Regression, Trajectory
 
@@ -55,6 +56,13 @@ def kappa(eta: float, g1: float, g2: float) -> float:
     inside that slack.  A g2 inside the slack below 0 makes k negative, so
     k^s is undefined there too for 0 < eta < 1 (DomainError).
     """
+    return _ks_kappa(eta, g1, g2)[1]
+
+
+def _ks_kappa(eta: float, g1: float, g2: float) -> tuple[float, float]:
+    """(k^s, kappa) of the step from g1 to g2, from one evaluation of sin g1,
+    sin g2 and s = sqrt(1 - eta^2), with kappa's rejections; k^s takes the
+    eta = 1 convention k^0 = 1 (also at k = 0)."""
     if not (0.0 <= eta <= 1.0):
         raise ConfigError(f"eta must lie in [0, 1], got {eta}")
     if g1 <= 0.0 and eta != 1.0:
@@ -63,15 +71,16 @@ def kappa(eta: float, g1: float, g2: float) -> float:
     check_g(g2)
     s1, s2 = math.sin(g1), math.sin(g2)
     if eta == 1.0:
-        return s2 - s1
-    if eta == 0.0:
-        return 0.0
-    if s2 < 0.0:
+        return 1.0, s2 - s1
+    if s2 < 0.0 and eta != 0.0:
         raise DomainError(f"kappa undefined from g2={g2} < 0 unless eta is 0 or 1")
     if s2 == 0.0:
-        # k = 0 and s > 0, so k^s sin(g1) = 0 and the numerator vanishes.
-        return 0.0
+        # k = 0 and s > 0, so k^s = 0 and kappa's numerator vanishes.
+        return 0.0, 0.0
     s = math.sqrt((1.0 - eta) * (1.0 + eta))
+    ks = (s2 / s1) ** s
+    if eta == 0.0:
+        return ks, 0.0
     one_minus_s = eta * eta / (1.0 + s)
     log_k = math.log(s2) - math.log(s1)
     x = one_minus_s * log_k
@@ -79,24 +88,13 @@ def kappa(eta: float, g1: float, g2: float) -> float:
         # 1 - e^-x = x (1 - x/2 + ...) is x to double precision, so the
         # ratio below is log_k.  This also covers eta^2 or x underflowing,
         # where the ratio form would lose every digit or divide by zero.
-        return eta * s2 * log_k
+        return ks, eta * s2 * log_k
     # eta * s2 * (1 - k^(s-1)) / (1-s), with 1 - e^x = -expm1(x).
     numerator = eta * s2 * -math.expm1(-x)
     if abs(numerator) < sys.float_info.min:
         # It underflowed (sin g2 near the smallest doubles): divide first.
-        return s2 * (-math.expm1(-x) / one_minus_s) * eta
-    return numerator / one_minus_s
-
-
-def _k_pow_s(eta: float, g1: float, g2: float) -> float:
-    """k^sqrt(1-eta^2) with the eta = 1 convention k^0 = 1 (also at k = 0)."""
-    if eta == 1.0:
-        return 1.0
-    s1, s2 = math.sin(g1), math.sin(g2)
-    if s2 == 0.0:
-        return 0.0
-    s = math.sqrt((1.0 - eta) * (1.0 + eta))
-    return (s2 / s1) ** s
+        return ks, s2 * (-math.expm1(-x) / one_minus_s) * eta
+    return ks, numerator / one_minus_s
 
 
 def _match(*arrays) -> tuple[np.ndarray, ...]:
@@ -124,11 +122,9 @@ class Step:
 
 def _fold(sched: GvpSchedule, frm, to, eta: float) -> Step:
     """The step from point frm to point to at noise level eta."""
-    g1, g2 = frm[1], to[1]
-    # kappa first: it rejects eta outside [0, 1], g1 <= 0 below eta = 1 and g2
-    # outside the schedule's [0, pi/2].
-    kap = kappa(eta, g1, g2)
-    ks = _k_pow_s(eta, g1, g2)
+    # Rejects eta outside [0, 1], g1 <= 0 below eta = 1 and g2 outside the
+    # schedule's [0, pi/2] before any coefficient is computed.
+    ks, kap = _ks_kappa(eta, frm[1], to[1])
     c1, c2 = sched.coeffs(*frm), sched.coeffs(*to)
     ks_lam1 = ks * c1.lam
     a, b = c2.lam * c2.alpha - ks_lam1 * c1.alpha, c2.lam * c2.beta - ks_lam1 * c1.beta
@@ -183,16 +179,6 @@ def regression_step(
     """Noiseless update along g = 0: the boot step from (r1, 0) to (r2, 0),
     where k^s = 1, kappa = 0, a = alpha_r2 - alpha_r1 and b likewise."""
     return _update(_fold(sched, (r1, 0.0), (r2, 0.0), 1.0), *_match(x_prev, x0hat, x1), None)
-
-
-def check_seed(value, name: str = "seed") -> int:
-    """`value` as an int, if it is a non-negative integer (a Python or numpy
-    int, not a bool): the seeds and item ids numpy's seeding accepts.  Else
-    ConfigError, so a bad seed is reported as a configuration error rather
-    than raised by numpy mid-run."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

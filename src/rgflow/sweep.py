@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-from .sampler import SamplerConfig, check_seed, restore_batch
+from .errors import ConfigError, check_seed
+from .sampler import SamplerConfig, restore_batch
 from .schedule import GvpSchedule
 from .toydata import energy_distance, mse
 from .trajectory import Elliptical

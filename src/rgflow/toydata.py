@@ -5,7 +5,7 @@ sigma_d, which is what the variance-preserving schedule assumes.  The
 degradation applied to the S-curve is a fixed shear-and-squash linear map
 plus additive noise; its parameters and seed are kept in the dataset
 provenance so every experiment is reproducible.  A seed that is not a
-non-negative integer is a ConfigError (sampler.check_seed).
+non-negative integer is a ConfigError (errors.check_seed).
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .errors import (
     DomainError,
     EmptyDataset,
     InsufficientData,
+    check_seed,
     json_typed,
 )
-from .sampler import check_seed
 from .schedule import check_sigma_d
 
 
@@ -323,8 +323,8 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
 def load_dataset(path) -> ToyDataset:
     """Read a dataset CSV written by save_dataset, with the checks of
     read_matrix.  The sidecar is optional; when present it must be a JSON
-    object with numeric sigma_d and rho_hat and an object params
-    (DomainError)."""
+    object with an object params, a finite sigma_d > 0 and a rho_hat in
+    (-1, 1) (DomainError)."""
     path = Path(path)
     header, data = read_matrix(path)
     n_x0 = sum(1 for name in header if name.startswith("x0_"))
@@ -346,6 +346,12 @@ def load_dataset(path) -> ToyDataset:
 
         sigma_d = field_of("sigma_d", float)
         rho_hat = field_of("rho_hat", float)
+        if not (math.isfinite(sigma_d) and sigma_d > 0.0):
+            raise DomainError(f"sidecar {meta_file} 'sigma_d' must be finite and > 0, "
+                              f"got {sigma_d}")
+        if not abs(rho_hat) < 1.0:
+            raise DomainError(f"sidecar {meta_file} 'rho_hat' must lie in (-1, 1), "
+                              f"got {rho_hat}")
         provenance = {"kind": meta.get("kind"), "seed": meta.get("seed")}
         provenance.update(field_of("params", dict, {}))
     else:

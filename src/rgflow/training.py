@@ -26,9 +26,8 @@ from .denoiser import (
     _time_pairs,
     _weighted_error,
 )
-from .errors import ConfigError, NonFiniteLoss
+from .errors import ConfigError, NonFiniteLoss, check_seed
 from .process import forward_state
-from .sampler import check_seed
 from .schedule import GvpSchedule
 from .toydata import ToyDataset
 

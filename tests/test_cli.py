@@ -5,10 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rgflow
 from rgflow.cli import main
@@ -186,6 +190,30 @@ class TestTrainCli:
         assert not out.exists()
 
 
+class TestTrainHugeSettings:
+    """A finite setting so large that float64 overflows exits 2 with one
+    error line that names its cause, and prints no numpy warning."""
+
+    @pytest.mark.parametrize("conf, cause", [
+        ({"strength": 1e308}, "strength=1e+308"),
+        ({"jitter": 1e200}, "jitter=1e+200"),
+        ({"noise": 1e308}, "noise=1e+308"),
+        ({"sigma_d": 1e160}, "sigma_d=1e+160"),
+        ({"data": "gaussian", "sigma_d": 1e308}, "sigma_d=1e+308"),
+        ({"lr": 1e308}, "loss became nan"),
+        ({"weight_decay": 1e200}, "loss became nan"),
+    ], ids=["strength", "jitter", "noise", "sigma_d", "gaussian-sigma_d", "lr",
+            "weight_decay"])
+    def test_rejected_by_one_line_naming_the_cause(self, tmp_path, capsys, conf, cause):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"n": 20, "steps": 2, "hidden": 4, "emb_dim": 2, **conf}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = assert_rejected(capsys, tmp_path / "ck.json", "train", "--config", path)
+        assert caught == []
+        assert cause in err and "Warning" not in err
+
+
 class TestTrainConfigTypes:
     """Every value a --config file sets must have its field's JSON type:
     int fields take only integers, float fields integers or reals,
@@ -233,16 +261,16 @@ class TestTrainConfigTypes:
     def test_values_of_their_type_are_used(self, tmp_path, monkeypatch):
         """An integer in a float field is read as that number, a JSON false
         turns adaptive weighting off, and a flag still wins over the file."""
-        import rgflow.cli
+        import rgflow.training
 
         seen = []
-        real = rgflow.cli.train
+        real = rgflow.training.train
 
         def spy(ds, cfg):
             seen.append(cfg)
             return real(ds, cfg)
 
-        monkeypatch.setattr(rgflow.cli, "train", spy)
+        monkeypatch.setattr(rgflow.training, "train", spy)
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({**self.SMALL, "lr": 1, "adaptive_weighting": False,
                                     "ema_decay": 0.5, "seed": 4}))
@@ -326,6 +354,33 @@ class TestRestoreCli:
                     assert one.read_bytes() == two.read_bytes()
         finally:
             sys.setswitchinterval(interval)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        mode=st.sampled_from([("--mode", "disi-r"), ("--mode", "disi-g"),
+                              ("--mode", "disi-g", "--steps", "15", "--eta", "0.5")]),
+        seed=st.integers(0, 2**33),
+        rows=st.sampled_from([1, 255, 256, 257, 513]),
+    )
+    def test_output_independent_of_thread_count(self, toy_dataset, mode, seed, rows):
+        """The bytes of `restore` do not depend on RGFLOW_THREADS, for any
+        mode, seed (both sides of 2**32, where the stream seeding changes)
+        and row count on either side of the 256-row chunk edge."""
+        _, ck = toy_dataset
+        with tempfile.TemporaryDirectory() as tmp:
+            points = os.path.join(tmp, "in.csv")
+            x1 = np.random.default_rng(seed).normal(size=(rows, 2))
+            np.savetxt(points, x1, delimiter=",", header="x_1,x_2", comments="")
+            outputs = []
+            for threads in ("1", "2"):
+                out = os.path.join(tmp, f"out{threads}.csv")
+                with mock.patch.dict(os.environ, {"RGFLOW_THREADS": threads}):
+                    assert run("restore", "--model", ck, "--input", points, *mode,
+                               "--seed", seed, "--out", out) == 0
+                with open(out, "rb") as fh:
+                    outputs.append(fh.read())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == rows + 1
 
     def test_bad_thread_count_rejected(self, toy_dataset, tmp_path, capsys, monkeypatch):
         data, ck = toy_dataset
@@ -451,6 +506,28 @@ class TestSidecarAndCheckpointTypes:
                               "--nfes", "1")
         assert field in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("rho_hat", 5), ("rho_hat", 1.0), ("rho_hat", -1), ("rho_hat", float("nan")),
+        ("sigma_d", 0), ("sigma_d", -1.5), ("sigma_d", float("inf")),
+    ], ids=["rho_hat-5", "rho_hat-1", "rho_hat-minus-1", "rho_hat-nan",
+            "sigma_d-0", "sigma_d-negative", "sigma_d-inf"])
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--traj", "elliptical", "--delta", "pi/4", "--steps", "2", "--pairs"),
+        ("sweep", "--oracle", "gaussian", "--deltas", "0", "--etas", "0", "--nfes", "1",
+         "--data"),
+    ], ids=["simulate", "sweep"])
+    def test_sidecar_out_of_range_rejected(self, toy_dataset, tmp_path, capsys, command,
+                                           field, value):
+        """A sidecar value outside its range is rejected where the sidecar is
+        read, by a line that names the sidecar and the field."""
+        data, _ = toy_dataset
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data.read_bytes())
+        meta = tmp_path / "bad.meta.json"
+        meta.write_text(json.dumps({**self.SIDECAR, field: value}))
+        err = assert_rejected(capsys, tmp_path / "x.csv", *command, bad)
+        assert f"sidecar {meta} '{field}' must " in err
+
     def test_saved_sidecars_load(self, tmp_path):
         """Sidecars as save_dataset writes them load, a null seed and an
         empty provenance included."""
@@ -472,8 +549,11 @@ class TestSidecarAndCheckpointTypes:
         ("widths", "abc"),
         ("widths", [68]),
         ("weights", 5),
+        ("version", True),
+        ("version", 1.0),
     ], ids=["rho-string", "sigma_d-string", "dims-string", "dims-bool",
-            "emb_dim-float", "widths-string", "widths-short", "weights-number"])
+            "emb_dim-float", "widths-string", "widths-short", "weights-number",
+            "version-bool", "version-float"])
     def test_bad_checkpoint_field_rejected(self, toy_dataset, tmp_path, capsys, key, value):
         data, ck = toy_dataset
         doc = json.loads(ck.read_text())
@@ -561,18 +641,19 @@ class TestVerifyCli:
 
 class TestVerifyMutation:
     def test_corrupting_kappa_sign_fails_kappa_and_manifold_checks(self, monkeypatch):
-        """Flipping the noise coefficient's sign must trip exactly the
-        kappa-limit and manifold checks while boundary checks stay green."""
+        """Flipping the noise coefficient's sign where it is computed, for
+        kappa and the steps alike, must trip exactly the kappa-limit and
+        manifold checks while boundary checks stay green."""
         import rgflow.sampler as sampler_mod
         import rgflow.verify as verify_mod
 
-        true_kappa = sampler_mod.kappa
+        true_ks_kappa = sampler_mod._ks_kappa
 
         def flipped(eta, g1, g2):
-            return -true_kappa(eta, g1, g2)
+            ks, kap = true_ks_kappa(eta, g1, g2)
+            return ks, -kap
 
-        monkeypatch.setattr(sampler_mod, "kappa", flipped)
-        monkeypatch.setattr(verify_mod, "kappa", flipped)
+        monkeypatch.setattr(sampler_mod, "_ks_kappa", flipped)
         results = {r.name: r.passed for r in verify_mod.run_checks(only="kappa")}
         results.update(
             {r.name: r.passed for r in verify_mod.run_checks(only="manifold")}
@@ -595,24 +676,88 @@ class TestHelp:
             assert "--" in capsys.readouterr().out
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh interpreter has `module` loaded after `import rgflow.cli`."""
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running `code`."""
     src = os.path.dirname(os.path.dirname(rgflow.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"import sys, rgflow.cli; print({module!r} in sys.modules)"
+    code += "\nimport sys; print(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.strip() == "True"
+    return set(out.splitlines()[-1].split())
+
+
+def _cli_run(*argv) -> str:
+    """Code that runs `rgflow *argv` in-process and requires exit 0."""
+    return f"import rgflow.cli; assert rgflow.cli.main({[str(a) for a in argv]!r}) == 0"
+
+
+# The names `rgflow` exported when it imported every submodule eagerly.
+PARENT_EXPORTS = """
+    AdamW AdaptiveWeight CheatDenoiser Checkpoint CoeffDerivs CoeffSet ConfigError
+    DimensionMismatch DomainError Elliptical EllipticalSpecialist EmptyDataset
+    GaussianOracle GvpSchedule InsufficientData Linear LinearSpecialist LogitNormalSampler
+    MlpDenoiser NonFiniteLoss NonFiniteOutput QuadBezier Regression RegressionSpecialist
+    RgflowError SamplerConfig SingularStart SingularTime TimeGrid ToyDataset TrainConfig
+    TrainResult Trajectory UniformSampler VPath VelocityPair boot_step degrade
+    empirical_variance energy_distance estimate_rho euler_integrate forward_state
+    hybrid_step interpolate kappa load_checkpoint load_dataset make_gaussian_pairs
+    make_scurve make_scurve_dataset make_time_sampler make_trajectory mlp_backward mse
+    path_continuity_order regression_step restore restore_batch run_sweep sample_noise
+    save_checkpoint save_dataset standardize time_embed train velocities velocity_r
+""".split()
 
 
 class TestImport:
     def test_cli_import_skips_scipy_spatial(self):
         """`energy_distance` imports scipy.spatial on first use, so loading
         the CLI (every `rgflow` process) does not pay for it."""
-        assert not _loaded_by_cli_import("scipy.spatial")
+        assert "scipy.spatial" not in _modules_after("import rgflow.cli")
 
     def test_cli_import_skips_verify(self):
         """`rgflow.verify` is imported by the verify subcommand alone, so the
         other subcommands do not load it."""
-        assert not _loaded_by_cli_import("rgflow.verify")
+        assert "rgflow.verify" not in _modules_after("import rgflow.cli")
+
+    def test_package_import_loads_no_submodule(self):
+        assert {m for m in _modules_after("import rgflow") if m.startswith("rgflow")} == {"rgflow"}
+
+    def test_cli_import_skips_what_commands_import(self):
+        loaded = _modules_after("import rgflow.cli")
+        for name in ("training", "sampler", "process", "dynamics", "sweep"):
+            assert f"rgflow.{name}" not in loaded
+
+    def test_restore_and_train_load_only_their_modules(self, tmp_path):
+        points = tmp_path / "in.csv"
+        points.write_text("x_1,x_2\n0.5,-0.25\n")
+        restored = _modules_after(_cli_run(
+            "restore", "--oracle", "gaussian", "--rho", "0.5", "--input", points,
+            "--mode", "disi-r", "--out", tmp_path / "out.csv"))
+        assert "rgflow.sampler" in restored
+        for name in ("training", "process", "dynamics", "sweep", "verify"):
+            assert f"rgflow.{name}" not in restored
+        trained = _modules_after(_cli_run(
+            "train", "--n", "20", "--steps", "2", "--hidden", "4", "--emb-dim", "2",
+            "--out", tmp_path / "ck.json"))
+        assert "rgflow.training" in trained and "rgflow.sampler" not in trained
+
+    def test_submodules_resolve_after_bare_import(self):
+        code = ("import rgflow; assert rgflow.sweep.run_sweep is rgflow.run_sweep; "
+                "assert rgflow.cli.main and rgflow.verify.run_checks")
+        assert {"rgflow.sweep", "rgflow.cli", "rgflow.verify"} <= _modules_after(code)
+
+
+class TestExports:
+    def test_every_parent_name_is_its_modules_object(self):
+        assert sorted(rgflow.__all__) == sorted(PARENT_EXPORTS)
+        assert len(set(PARENT_EXPORTS)) == 68
+        for name in rgflow.__all__:
+            value = getattr(rgflow, name)
+            assert getattr(sys.modules[value.__module__], name) is value, name
+            assert name in dir(rgflow)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            rgflow.no_such_name
+        with pytest.raises(ImportError):
+            from rgflow import no_such_name  # noqa: F401

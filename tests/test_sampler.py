@@ -202,6 +202,7 @@ class TestKappa:
                 hybrid_step(sched, z, z, z, (0.1, 0.2), (0.0, g2), eta, z)
             return
         got = kappa(eta, 0.2, g2)
+        assert all(type(v) is float for v in sampler._ks_kappa(eta, 0.2, g2))
         if eta == 0.0:
             assert got == 0.0
         elif eta == 1.0:
@@ -925,17 +926,18 @@ class TestPlan:
         assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     def test_kappa_called_once_per_step_then_cached(self, monkeypatch):
-        """Building a plan calls kappa once per step, on every path (along
-        g = 0 it is the eta = 1 step's, exactly 0); a second restore with an
-        equal config reuses the plan and calls it not at all."""
+        """Building a plan evaluates each step's k^s and kappa once, on every
+        path (along g = 0 it is the eta = 1 step's, kappa exactly 0); a
+        second restore with an equal config reuses the plan and evaluates
+        them not at all."""
         calls = []
-        real = sampler.kappa
+        real = sampler._ks_kappa
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(sampler, "kappa", counting)
+        monkeypatch.setattr(sampler, "_ks_kappa", counting)
         sampler._plan.cache_clear()
         sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
