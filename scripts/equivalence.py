@@ -10,18 +10,28 @@ restore and restore_batch over the GRID (QUICK with --quick) and every path
 kind, with an MLP of random weights; predict and bound steps; the step
 functions; training runs (loss trace, final, EMA and weight-net parameters,
 and the caller's generator state); datasets (generated, saved and loaded
-back, with and without their sidecar) and their Monte-Carlo variance; and
-rejected calls.  `compare` prints the entries that differ, or that one dump
-lacks, and their count.
+back, with and without their sidecar) and their Monte-Carlo variance;
+rejected calls; and the bytes of the files that `rgflow` subcommands write,
+run in process through rgflow.cli.main.  `compare` prints the entries that
+differ, or that one dump lacks, and their count.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
 import pickle
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread before numpy loads, so that dumps made with different CPU
+# counts agree: a threaded gemm over a 1500-row batch rounds otherwise.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 # A chunk of training steps at batch 16 holds 64 steps (1024 rows), so the
 # train_steps straddle a chunk's end, and a 1500-row batch outgrows a chunk.
@@ -106,6 +116,7 @@ def dump(src, out=None, quick: bool = False) -> dict:
 
     _train_entries(rg, put, grid)
     _dataset_entries(rg, put)
+    _cli_entries(entries)
 
     def hybrid(x0hat, to, eta):
         return rg.hybrid_step(sched, vecs[0], x0hat, vecs[2], (0.1, 0.2), to, eta, vecs[3])
@@ -206,6 +217,83 @@ def _dataset_entries(rg, put) -> None:
             sched = rg.GvpSchedule(rho=0.6, sigma_d=ds.sigma_d)
             put(f"dataset {name} empirical_variance", lambda: rg.empirical_variance(
                 sched, ds, 0.2, 0.5, 9000, np.random.default_rng(8)))
+
+
+# name -> (rgflow arguments, the files the run writes).  Paths are relative to
+# the scratch directory the runs share, so that no entry holds a temporary
+# path; later runs read the checkpoint and the data set that `train` writes.
+CLI_RUNS = {
+    "train": (["train", "--config", "conf.json", "--trace", "trace.csv",
+               "--save-data", "data.csv", "--out", "ck.json"],
+              ["ck.json", "trace.csv", "data.csv", "data.meta.json"]),
+    "train gaussian flags": (["train", "--data", "gaussian", "--dim", "3", "--n", "200",
+                              "--steps", "20", "--hidden", "8", "--emb-dim", "4",
+                              "--adaptive-weighting", "0", "--time-sampler", "lognorm2",
+                              "--out", "ck3.json"], ["ck3.json"]),
+    "restore disi-r": (["restore", "--model", "ck.json", "--input", "data.csv",
+                        "--mode", "disi-r", "--out", "r.csv"], ["r.csv"]),
+    "restore disi-r consistent flags": (["restore", "--model", "ck.json", "--input", "data.csv",
+                                         "--mode", "disi-r", "--traj", "regression",
+                                         "--steps", "1", "--out", "r1.csv"], ["r1.csv"]),
+    "restore disi-g": (["restore", "--model", "ck.json", "--input", "data.csv",
+                        "--mode", "disi-g", "--seed", "5", "--out", "g.csv"], ["g.csv"]),
+    "restore disi-g eta": (["restore", "--model", "ck.json", "--input", "data.csv",
+                            "--mode", "disi-g", "--traj", "elliptical", "--steps", "15",
+                            "--eta", "0.5", "--no-ema", "--out", "ge.csv"], ["ge.csv"]),
+    "restore defaults": (["restore", "--model", "ck.json", "--input", "data.csv",
+                          "--out", "d.csv"], ["d.csv"]),
+    "restore knobs": (["restore", "--model", "ck.json", "--input", "data.csv",
+                       "--traj", "linear", "--delta", "pi/8", "--eta", "1",
+                       "--boot-epsilon", "0.01", "--seed", "7", "--out", "k.csv"], ["k.csv"]),
+    "restore oracle": (["restore", "--oracle", "gaussian", "--rho", "0.5", "--sigma-d", "0.8",
+                        "--input", "data.csv", "--mode", "disi-g", "--out", "o.csv"], ["o.csv"]),
+    "schedule-dump": (["schedule-dump", "--rho", "0.6", "--sigma-d", "0.7", "--grid", "9",
+                       "--out", "sched.csv"], ["sched.csv"]),
+    "traj": (["traj", "--kind", "vpath", "--delta", "pi/8", "--p", "2", "--rho", "0.5",
+              "--steps", "20", "--out", "traj.csv"], ["traj.csv"]),
+    "simulate": (["simulate", "--traj", "elliptical", "--delta", "pi/4", "--pairs", "data.csv",
+                  "--steps", "20", "--seed", "3", "--out", "sim.csv"], ["sim.csv"]),
+    "bench": (["bench", "--euler-steps", "300", "--sampler-steps", "5,10", "--trials", "20",
+               "--out", "bench.csv"], ["bench.csv"]),
+    "sweep": (["sweep", "--data", "data.csv", "--model", "ck.json", "--deltas", "0,pi/8",
+               "--etas", "0,1", "--nfes", "1,2,5", "--out", "sweep.csv"], ["sweep.csv"]),
+    "sweep oracle": (["sweep", "--data", "data.csv", "--oracle", "gaussian", "--deltas", "pi/4",
+                      "--etas", "0.5", "--nfes", "3", "--boot-epsilon", "0.01",
+                      "--out", "sweep_o.csv"], ["sweep_o.csv"]),
+    "reject config type": (["train", "--config", "bad_type.json", "--out", "x.json"], []),
+    "reject config key": (["train", "--config", "bad_key.json", "--out", "x.json"], []),
+    "reject config sampler": (["train", "--config", "bad_sampler.json", "--out", "x.json"], []),
+    "reject restore source": (["restore", "--input", "data.csv", "--out", "x.csv"], []),
+}
+CLI_CONFIGS = {
+    "conf.json": {"n": 300, "steps": 70, "hidden": 16, "emb_dim": 8, "lr": 1e-3,
+                  "ema_decay": 0.9, "seed": 2, "strength": 0.8},
+    "bad_type.json": {"n": 50, "hidden": 1.5},
+    "bad_key.json": {"n": 50, "hiden": 4},
+    "bad_sampler.json": {"time_sampler": "cosine", "batch": "x"},
+}
+
+
+def _cli_entries(entries: dict) -> None:
+    """Each of CLI_RUNS, in order, in one scratch directory: the bytes of
+    each file it writes, and its exit code, stdout and stderr."""
+    from rgflow.cli import main
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, doc in CLI_CONFIGS.items():
+                Path(name).write_text(json.dumps(doc))
+            for name, (argv, files) in CLI_RUNS.items():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                entries[f"cli {name}"] = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+                for file in files:
+                    entries[f"cli {name} {file}"] = Path(file).read_bytes()
+        finally:
+            os.chdir(home)
 
 
 def compare(a: dict, b: dict) -> list[str]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import json
 import math
 import os
@@ -26,32 +25,22 @@ import numpy as np
 # Each handler imports the sampler, training, process, dynamics, sweep and
 # verify modules it runs, so a command loads only its own.
 from .denoiser import CheatDenoiser, GaussianOracle, load_checkpoint, save_checkpoint
-from .errors import ConfigError, RgflowError, check_seed, json_typed
-from .schedule import GvpSchedule, schedule_grid
+from .errors import ConfigError, RgflowError, check_seed, json_field, read_json_object
+from .schedule import _HALF_PI, GvpSchedule, schedule_grid
 from .toydata import (
     load_dataset,
     make_gaussian_pairs,
     make_scurve_dataset,
     read_matrix,
     save_dataset,
+    write_csv,
 )
 from .trajectory import TRAJECTORY_KINDS, make_trajectory
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
-def _write_csv(path, header, rows) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _given(**settings) -> dict:
+    """The settings that were given, so that the others keep the callee's defaults."""
+    return {k: v for k, v in settings.items() if v is not None}
 
 
 def _angle(text: str) -> float:
@@ -90,11 +79,8 @@ def _thread_count() -> int:
 def _cmd_schedule_dump(args) -> int:
     sched = GvpSchedule(rho=args.rho, sigma_d=args.sigma_d)
     table = schedule_grid(sched, args.grid)
-    _write_csv(
-        args.out,
-        ["r", "g", "alpha", "beta", "lambda", "gamma", "dalpha", "dbeta"],
-        table,
-    )
+    header = ["r", "g", "alpha", "beta", "lambda", "gamma", "dalpha", "dbeta"]
+    write_csv(args.out, header, table)
     return 0
 
 
@@ -102,7 +88,7 @@ def _cmd_traj(args) -> int:
     sched = GvpSchedule(rho=args.rho, sigma_d=1.0)
     traj = make_trajectory(args.kind, phi=sched.phi, delta=args.delta, p=args.p)
     grid = traj.discretize(args.steps)
-    _write_csv(args.out, ["t", "r", "g"], zip(grid.t, grid.r, grid.g))
+    write_csv(args.out, ["t", "r", "g"], zip(grid.t, grid.r, grid.g))
     return 0
 
 
@@ -123,7 +109,7 @@ def _cmd_simulate(args) -> int:
         x = forward_state(sched, ds.x0[i], ds.x1[i], z, float(r), float(g))
         rows.append([t, r, g, *x])
     header = ["t", "r", "g"] + [f"x_{i + 1}" for i in range(dim)]
-    _write_csv(args.out, header, rows)
+    write_csv(args.out, header, rows)
     return 0
 
 
@@ -138,7 +124,7 @@ def _cmd_bench(args) -> int:
     x1 = rng.normal(0.0, 1.0, size=args.trials)
     zeros = np.zeros(args.trials)
     euler_end = euler_integrate(
-        sched, traj, den, x1, zeros, args.euler_steps, g_floor=args.g_floor
+        sched, traj, den, x1, zeros, args.euler_steps, **_given(g_floor=args.g_floor)
     )
     rows = []
     for n in args.sampler_steps:
@@ -146,18 +132,22 @@ def _cmd_bench(args) -> int:
         analytic = restore(sched, den, x1, cfg, noise=[zeros] * (n + 1))
         gap = np.abs(analytic - euler_end)
         rows.append([n, args.euler_steps, float(gap.mean()), float(gap.max())])
-    _write_csv(
-        args.out,
-        ["sampler_steps", "euler_steps", "mean_abs_gap", "max_abs_gap"],
-        rows,
-    )
+    header = ["sampler_steps", "euler_steps", "mean_abs_gap", "max_abs_gap"]
+    write_csv(args.out, header, rows)
     return 0
 
 
+# Each `train --config` key, also its flag's dest: the TrainConfig field it
+# sets (None for the data set's keys) and its JSON type.
 _TRAIN_CONFIG_KEYS = {
-    "data", "n", "jitter", "strength", "noise", "gaussian_rho", "dim",
-    "sigma_d", "time_sampler", "steps", "batch", "lr", "weight_decay",
-    "ema_decay", "adaptive_weighting", "hidden", "emb_dim", "seed",
+    "time_sampler": ("time_sampler", str), "batch": ("batch_size", int),
+    "steps": ("n_steps", int), "lr": ("learning_rate", float),
+    "weight_decay": ("weight_decay", float), "ema_decay": ("ema_decay", float),
+    "adaptive_weighting": ("adaptive_weighting", bool), "hidden": ("hidden", int),
+    "emb_dim": ("emb_dim", int), "seed": ("seed", int),
+    "data": (None, str), "n": (None, int), "sigma_d": (None, float),
+    "jitter": (None, float), "strength": (None, float), "noise": (None, float),
+    "gaussian_rho": (None, float), "dim": (None, int),
 }
 
 
@@ -166,49 +156,39 @@ def _cmd_train(args) -> int:
 
     conf: dict = {}
     if args.config is not None:
-        try:
-            conf = json.loads(Path(args.config).read_text())
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise ConfigError(f"config {args.config} is not JSON: {exc}") from None
-        json_typed(conf, dict, f"config {args.config}", ConfigError)
-        unknown = set(conf) - _TRAIN_CONFIG_KEYS
+        conf = read_json_object(args.config, f"config {args.config}", ConfigError)
+        unknown = conf.keys() - _TRAIN_CONFIG_KEYS.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(name, default, kind):
-        """The flag (typed by argparse), else the config file's value,
-        which must have JSON type `kind`, else `default`."""
-        flag = getattr(args, name)
+    def pick(key, default=None):
+        """The flag (typed by argparse), else the config file's value, which
+        must have the key's JSON type, else `default`."""
+        flag = getattr(args, key)
         if flag is not None:
             return flag
-        if name in conf:
-            return json_typed(conf[name], kind, f"config {name!r}", ConfigError)
+        if key in conf:
+            return json_field(conf, key, _TRAIN_CONFIG_KEYS[key][1], "config", ConfigError)
         return default
 
+    # --adaptive-weighting is 0 or 1, the config file's value a bool.
+    convert = {"time_sampler": make_time_sampler, "adaptive_weighting": bool}
+    fields = {}
+    for key, (field, _) in _TRAIN_CONFIG_KEYS.items():
+        if field and (value := pick(key)) is not None:
+            fields[field] = convert[key](value) if key in convert else value
     # Built first, so that a bad seed is rejected before the data set is drawn.
-    cfg = TrainConfig(
-        time_sampler=make_time_sampler(pick("time_sampler", "elliptical", str)),
-        batch_size=pick("batch", 16, int),
-        n_steps=pick("steps", 20_000, int),
-        learning_rate=pick("lr", 1e-4, float),
-        weight_decay=pick("weight_decay", 1e-2, float),
-        ema_decay=pick("ema_decay", 0.9999, float),
-        # --adaptive-weighting is 0 or 1, the config file's value a bool.
-        adaptive_weighting=bool(pick("adaptive_weighting", True, bool)),
-        hidden=pick("hidden", 128, int),
-        emb_dim=pick("emb_dim", 32, int),
-        seed=pick("seed", 0, int),
-    )
-    data = pick("data", "scurve", str)
-    n = pick("n", 2000, int)
-    settings = {"sigma_d": pick("sigma_d", 1.0, float)}
+    cfg = TrainConfig(**fields)
+    data = pick("data", "scurve")
+    n = pick("n", 2000)
+    settings = {"sigma_d": pick("sigma_d", 1.0)}
     if data == "scurve":
         make = make_scurve_dataset
-        settings.update(jitter=pick("jitter", 0.05, float),
-                        strength=pick("strength", 1.0, float), noise=pick("noise", 0.25, float))
+        settings.update(jitter=pick("jitter", 0.05), strength=pick("strength", 1.0),
+                        noise=pick("noise", 0.25))
     elif data == "gaussian":
         make = make_gaussian_pairs
-        settings.update(rho=pick("gaussian_rho", 0.5, float), dim=pick("dim", 2, int))
+        settings.update(rho=pick("gaussian_rho", 0.5), dim=pick("dim", 2))
     else:
         raise ConfigError(f"unknown --data {data!r}; expected scurve or gaussian")
     try:
@@ -228,9 +208,7 @@ def _cmd_train(args) -> int:
         ema_params=result.ema_denoiser.params,
     )
     if args.trace is not None:
-        _write_csv(
-            args.trace, ["step", "loss"], enumerate(result.loss_trace)
-        )
+        write_csv(args.trace, ["step", "loss"], enumerate(result.loss_trace))
     if args.save_data is not None:
         save_dataset(ds, args.save_data)
     print(f"trained {cfg.n_steps} steps; rho_hat={ds.rho_hat:.6f}; wrote {args.out}")
@@ -247,22 +225,26 @@ def _load_degraded(path) -> np.ndarray:
     return data  # bare matrix of degraded points
 
 
+# restore --mode: (the flags it fixes, the defaults it gives).  Flags left
+# unset take the defaults of make_trajectory and SamplerConfig.
+_PRESETS = {
+    None: ({}, {"traj": "elliptical"}),
+    "disi-r": ({"traj": "regression", "steps": 1}, {}),
+    "disi-g": ({"traj": "elliptical"}, {"delta": math.pi / 8.0}),
+}
+
+
 def _cmd_restore(args) -> int:
     from .sampler import SamplerConfig, restore_batch
 
-    if args.mode == "disi-r":
-        args.traj = "regression"
-        args.steps = 1
-    elif args.mode == "disi-g":
-        args.traj = "elliptical"
-        if args.steps is None:
-            args.steps = 10
-        if args.delta is None:
-            args.delta = math.pi / 8.0
-    if args.steps is None:
-        args.steps = 10
-    if args.delta is None:
-        args.delta = 0.0
+    fixed, defaults = _PRESETS[args.mode]
+    for flag, value in fixed.items():
+        if (given := getattr(args, flag)) not in (None, value):
+            raise ConfigError(f"--{flag} {given} contradicts --mode {args.mode}, "
+                              f"which runs --{flag} {value}")
+    for flag, value in {**defaults, **fixed}.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
 
     if args.model is not None:
         ck = load_checkpoint(args.model)
@@ -277,14 +259,9 @@ def _cmd_restore(args) -> int:
         raise ConfigError("restore needs --model or --oracle gaussian")
 
     sched = GvpSchedule(rho=rho, sigma_d=sigma_d)
-    traj = make_trajectory(args.traj, phi=sched.phi, delta=args.delta, p=args.p)
-    cfg = SamplerConfig(
-        trajectory=traj,
-        n_steps=args.steps,
-        eta=args.eta,
-        boot_epsilon=args.boot_epsilon,
-        seed=args.seed,
-    )
+    traj = make_trajectory(args.traj, phi=sched.phi, p=args.p, **_given(delta=args.delta))
+    cfg = SamplerConfig(trajectory=traj, **_given(
+        n_steps=args.steps, eta=args.eta, boot_epsilon=args.boot_epsilon, seed=args.seed))
     x1 = _load_degraded(args.input)
     workers = _thread_count()
     # Fixed chunk boundaries keep the output byte-identical for any worker
@@ -305,7 +282,7 @@ def _cmd_restore(args) -> int:
             parts = list(pool.map(restore_chunk, starts))
     out = np.concatenate(parts)
     header = [f"x_{i + 1}" for i in range(out.shape[1])]
-    _write_csv(args.out, header, out)
+    write_csv(args.out, header, out)
     return 0
 
 
@@ -327,11 +304,9 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(
         sched, den, x0, x1,
         deltas=args.deltas, etas=args.etas, nfes=args.nfes,
-        seed=args.seed, boot_epsilon=args.boot_epsilon,
+        seed=args.seed, **_given(boot_epsilon=args.boot_epsilon),
     )
-    _write_csv(
-        args.out, list(SWEEP_FIELDS), ([row[k] for k in SWEEP_FIELDS] for row in rows)
-    )
+    write_csv(args.out, SWEEP_FIELDS, ([row[k] for k in SWEEP_FIELDS] for row in rows))
     return 0
 
 
@@ -412,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--euler-steps", type=int, default=10_000, dest="euler_steps")
     p.add_argument("--sampler-steps", type=_int_list, default=[10, 20, 50, 100],
                    dest="sampler_steps")
-    p.add_argument("--g-floor", type=float, default=1e-3, dest="g_floor")
+    p.add_argument("--g-floor", type=float, default=None, dest="g_floor")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -457,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None, choices=["disi-r", "disi-g"],
                    help="presets: disi-r = regression/1 step; "
                         "disi-g = elliptical/10 steps with booting")
-    p.add_argument("--traj", default="elliptical",
+    p.add_argument("--traj", default=None,
                    choices=list(TRAJECTORY_KINDS))
     p.add_argument("--delta", type=_angle, default=None)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--boot-epsilon", type=float, default=1e-3, dest="boot_epsilon")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--boot-epsilon", type=float, default=None, dest="boot_epsilon")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_restore)
 
@@ -474,10 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-ema", action="store_true", dest="no_ema")
     p.add_argument("--oracle", default=None, choices=["gaussian", "cheat"])
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--deltas", type=_angle_list, default=[0.0, math.pi / 8, math.pi / 4, math.pi / 2])
+    p.add_argument("--deltas", type=_angle_list, default=[0.0, math.pi / 8, math.pi / 4, _HALF_PI])
     p.add_argument("--etas", type=_angle_list, default=[0.0, 0.2, 0.5, 1.0])
     p.add_argument("--nfes", type=_int_list, default=[1, 2, 5, 15, 50])
-    p.add_argument("--boot-epsilon", type=float, default=1e-3, dest="boot_epsilon")
+    p.add_argument("--boot-epsilon", type=float, default=None, dest="boot_epsilon")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sweep)

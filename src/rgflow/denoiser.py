@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DimensionMismatch, DomainError, json_typed
+from .errors import DimensionMismatch, DomainError, json_field, read_json_object
 from .schedule import GvpSchedule
 
 _EMB_BASE = 1.0e4
@@ -36,7 +36,9 @@ _F64 = np.dtype(np.float64)
 
 @lru_cache(maxsize=None)
 def _frequencies(emb_dim: int) -> np.ndarray:
-    """time_embed's read-only frequency vector for one emb_dim."""
+    """time_embed's read-only frequency vector for one emb_dim, checked
+    once per emb_dim."""
+    _check_sizes(emb_dim)
     omega = _EMB_BASE ** (-2.0 * np.arange(emb_dim // 2) / emb_dim)
     omega.flags.writeable = False
     return omega
@@ -48,10 +50,8 @@ def time_embed(t, emb_dim: int) -> np.ndarray:
     Frequencies omega_j = base^(-2j/emb_dim), base 1e4, j = 0..emb_dim/2-1;
     output is [sin(omega_j t)..., cos(omega_j t)...].
     """
-    if emb_dim % 2 != 0 or emb_dim < 2:
-        raise DomainError(f"emb_dim must be even and >= 2, got {emb_dim}")
-    t = np.asarray(t, dtype=np.float64)
-    phase = t[..., None] * _frequencies(emb_dim)
+    omega = _frequencies(emb_dim)
+    phase = np.asarray(t, dtype=np.float64)[..., None] * omega
     return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 
@@ -189,7 +189,7 @@ def _dense_backward(
 _LAYERS = (("W1", "b1"), ("W2", "b2"), ("W3", "b3"))
 
 
-def _check_sizes(hidden: int, emb_dim: int) -> None:
+def _check_sizes(emb_dim: int, hidden: int = 1) -> None:
     """DomainError unless hidden >= 1 and emb_dim is even and >= 2."""
     if hidden < 1:
         raise DomainError(f"hidden must be >= 1, got {hidden}")
@@ -233,7 +233,7 @@ class MlpDenoiser:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
-        _check_sizes(self.hidden, self.emb_dim)
+        _check_sizes(self.emb_dim, self.hidden)
         if self.params is None:
             self.params = self._init_params(np.random.default_rng(0))
 
@@ -403,33 +403,31 @@ def _weighted_error(net: MlpDenoiser, core, targets, weights):
     return (err * err).sum(axis=1), ew, d_core
 
 
+def _batch_terms(net: MlpDenoiser, inputs, targets, weights, name: str | None = None):
+    """The backward cache and _weighted_error's terms of a batch; with `name`,
+    an empty batch is a DomainError naming it.  weights: a scalar or one a row."""
+    feats = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if name is not None and feats.shape[0] == 0:
+        raise DomainError(f"{name} needs a nonempty batch")
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (feats.shape[0],))
+    core, cache = net.forward_batch(feats)
+    return cache, *_weighted_error(net, core, targets, weights)
+
+
 def mlp_backward(net: MlpDenoiser, inputs, targets, weights) -> dict:
     """Exact gradients of the weighted squared error.
 
     Loss: mean_i exp(w_i) * ||sigma_d * F(in_i) - target_i||^2 over a batch
     of pre-built feature rows.  Gradients are returned for every parameter.
     """
-    feats = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if feats.shape[0] == 0:
-        raise DomainError("mlp_backward needs a nonempty batch")
-    weights = np.broadcast_to(
-        np.asarray(weights, dtype=np.float64), (feats.shape[0],)
-    )
-    core, cache = net.forward_batch(feats)
-    _, _, d_core = _weighted_error(net, core, targets, weights)
+    cache, _, _, d_core = _batch_terms(net, inputs, targets, weights, "mlp_backward")
     return net.backward_batch(cache, d_core)
 
 
 def weighted_prediction_loss(net: MlpDenoiser, inputs, targets, weights) -> float:
     """The scalar loss differentiated by mlp_backward; finite-difference hook."""
-    feats = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    weights = np.broadcast_to(
-        np.asarray(weights, dtype=np.float64), (feats.shape[0],)
-    )
-    core, _ = net.forward_batch(feats)
-    sq, ew, _ = _weighted_error(net, core, targets, weights)
+    _, sq, ew, _ = _batch_terms(net, inputs, targets, weights)
     return float(np.mean(ew * sq))
 
 
@@ -516,21 +514,15 @@ def load_checkpoint(path) -> Checkpoint:
     have the shape that `dims`, `emb_dim` and `widths` give it and hold only
     finite values.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise DomainError(f"checkpoint {path} is not JSON: {exc}") from None
-    json_typed(doc, dict, f"checkpoint {path}", DomainError)
-
-    def typed(key: str, kind: type, error: type = DomainError):
-        return json_typed(doc.get(key), kind, f"checkpoint {path} {key!r}", error)
+    doc = read_json_object(path, f"checkpoint {path}", DomainError)
+    typed = partial(json_field, doc, owner=f"checkpoint {path}", error=DomainError)
 
     if typed("version", int) != 1:
         raise DomainError(f"unsupported checkpoint version {doc['version']!r}")
     missing = [k for k in _DOC_KEYS if k not in doc]
     if missing:
         raise DomainError(f"checkpoint {path} lacks {missing}")
-    widths = typed("widths", list, DimensionMismatch)
+    widths = typed("widths", list, error=DimensionMismatch)
     if len(widths) != 4 or any(type(w) is not int for w in widths):
         raise DimensionMismatch(
             f"checkpoint {path} 'widths' must be 4 integers, got {widths}"

@@ -1,8 +1,10 @@
-"""Semantic exception hierarchy shared by all rgflow modules, and the two
-input checks they share: json_typed for values read from JSON and
-check_seed for seeds."""
+"""Semantic exception hierarchy shared by all rgflow modules, and the input
+checks they share: read_json_object for JSON files, json_typed and
+json_field for values read from JSON, and check_seed for seeds."""
 
+import json
 import numbers
+from pathlib import Path
 
 
 class RgflowError(Exception):
@@ -65,6 +67,22 @@ def json_typed(value, kind: type, name: str, error: type[RgflowError]):
     if type(value) is not kind:
         raise error(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def json_field(doc: dict, key: str, kind: type, owner: str, error: type[RgflowError],
+               default=None):
+    """doc[key] (`default` when absent) as json_typed types it, named `{owner} {key!r}`."""
+    return json_typed(doc.get(key, default), kind, f"{owner} {key!r}", error)
+
+
+def read_json_object(path, name: str, error: type[RgflowError]) -> dict:
+    """The JSON object in the file at `path`, else `error` naming `name` for
+    text that is not UTF-8 JSON, nested too deep to parse, or not an object."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{name} is not JSON: {exc}") from None
+    return json_typed(doc, dict, name, error)
 
 
 def check_seed(value, name: str = "seed") -> int:

@@ -47,6 +47,13 @@ def check_sigma_d(sigma_d: float) -> float:
     return value
 
 
+def check_rho(rho: float) -> float:
+    """rho as a float; DomainError unless it lies in (-1, 1)."""
+    if not abs(rho) < 1.0:
+        raise DomainError(f"rho must lie in (-1, 1), got {rho}")
+    return float(rho)
+
+
 @dataclass(frozen=True)
 class CoeffSet:
     """Schedule coefficients evaluated at one (r, g) point."""
@@ -85,9 +92,7 @@ class GvpSchedule:
     _b: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rho = float(self.rho)
-        if not math.isfinite(rho) or abs(rho) >= 1.0:
-            raise DomainError(f"rho must lie in (-1, 1), got {self.rho}")
+        rho = check_rho(self.rho)
         sigma_d = check_sigma_d(self.sigma_d)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "sigma_d", sigma_d)

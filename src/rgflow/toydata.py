@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,10 @@ from .errors import (
     EmptyDataset,
     InsufficientData,
     check_seed,
-    json_typed,
+    json_field,
+    read_json_object,
 )
-from .schedule import check_sigma_d
+from .schedule import _HALF_PI, check_rho, check_sigma_d
 
 
 def standardize(cloud: np.ndarray, sigma_d: float = 1.0) -> np.ndarray:
@@ -114,11 +116,11 @@ def make_scurve(
     pts = np.empty((n, 2))
     upper = u < 0.5
     # Upper arc swept from (0, 1) to (0, 0).
-    theta = math.pi / 2.0 + 2.0 * math.pi * u[upper]
+    theta = _HALF_PI + 2.0 * math.pi * u[upper]
     pts[upper, 0] = 0.5 * np.cos(theta)
     pts[upper, 1] = 0.5 + 0.5 * np.sin(theta)
     # Lower arc swept from (0, 0) to (0, -1).
-    theta = math.pi / 2.0 - 2.0 * math.pi * (u[~upper] - 0.5)
+    theta = _HALF_PI - 2.0 * math.pi * (u[~upper] - 0.5)
     pts[~upper, 0] = 0.5 * np.cos(theta)
     pts[~upper, 1] = -0.5 + 0.5 * np.sin(theta)
     if jitter > 0.0:
@@ -191,8 +193,7 @@ def make_gaussian_pairs(
     x0 ~ N(0, sigma_d^2) and x1 = rho*x0 + sqrt(1-rho^2)*u with independent
     u ~ N(0, sigma_d^2), so Var(x1) = sigma_d^2 and corr(x0, x1) = rho.
     """
-    if not abs(rho) < 1.0:
-        raise DomainError(f"rho must lie in (-1, 1), got {rho}")
+    check_rho(rho)
     if n < 1 or dim < 1:
         raise DomainError("n and dim must be >= 1")
     check_sigma_d(sigma_d)
@@ -262,11 +263,7 @@ def save_dataset(ds: ToyDataset, path) -> None:
     path = Path(path)
     dim = ds.dim
     header = [f"x0_{i + 1}" for i in range(dim)] + [f"x1_{i + 1}" for i in range(dim)]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in np.hstack([ds.x0, ds.x1]).tolist():
-            writer.writerow([format(v, ".17g") for v in row])
+    write_csv(path, header, np.hstack([ds.x0, ds.x1]).tolist())
     meta = {
         "kind": ds.provenance.get("kind", "unknown"),
         "params": {k: v for k, v in ds.provenance.items() if k not in ("kind", "seed")},
@@ -279,6 +276,25 @@ def save_dataset(ds: ToyDataset, path) -> None:
 
 def sidecar_path(path) -> Path:
     return Path(path).with_suffix(".meta.json")
+
+
+def _cell(v) -> str:
+    if isinstance(v, float):  # numpy's float64 too; the most common cell first
+        return format(float(v), ".17g")
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return v if isinstance(v, str) else format(float(v), ".17g")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV: strings as they are, integers as
+    integers and every other number in 17 significant digits, so that it
+    reads back as the same float."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
 
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
@@ -334,16 +350,8 @@ def load_dataset(path) -> ToyDataset:
     x0, x1 = data[:, :n_x0], data[:, n_x0:]
     meta_file = sidecar_path(path)
     if meta_file.exists():
-        try:
-            meta = json.loads(meta_file.read_text())
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise DomainError(f"sidecar {meta_file} is not JSON: {exc}") from None
-        json_typed(meta, dict, f"sidecar {meta_file}", DomainError)
-
-        def field_of(key, kind, default=None):
-            value = meta.get(key, default)
-            return json_typed(value, kind, f"sidecar {meta_file} {key!r}", DomainError)
-
+        meta = read_json_object(meta_file, f"sidecar {meta_file}", DomainError)
+        field_of = partial(json_field, meta, owner=f"sidecar {meta_file}", error=DomainError)
         sigma_d = field_of("sigma_d", float)
         rho_hat = field_of("rho_hat", float)
         if not (math.isfinite(sigma_d) and sigma_d > 0.0):
@@ -353,7 +361,7 @@ def load_dataset(path) -> ToyDataset:
             raise DomainError(f"sidecar {meta_file} 'rho_hat' must lie in (-1, 1), "
                               f"got {rho_hat}")
         provenance = {"kind": meta.get("kind"), "seed": meta.get("seed")}
-        provenance.update(field_of("params", dict, {}))
+        provenance.update(field_of("params", dict, default={}))
     else:
         sigma_d = float(np.stack([x0, x1]).std(axis=(0, 1)).mean())
         rho_hat = estimate_rho(x0, x1)

@@ -13,7 +13,7 @@ down-weighted automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -28,10 +28,8 @@ from .denoiser import (
 )
 from .errors import ConfigError, NonFiniteLoss, check_seed
 from .process import forward_state
-from .schedule import GvpSchedule
+from .schedule import _HALF_PI, GvpSchedule
 from .toydata import ToyDataset
-
-_HALF_PI = math.pi / 2.0
 
 
 # -- time samplers -------------------------------------------------------------
@@ -127,7 +125,7 @@ class AdaptiveWeight:
     """
 
     def __init__(self, emb_dim: int = 16, hidden: int = 32, rng=None) -> None:
-        _check_sizes(hidden, emb_dim)
+        _check_sizes(emb_dim, hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.emb_dim = emb_dim
         self.hidden = hidden
@@ -286,7 +284,9 @@ def train(
     and the noise.  The steps run in chunks of about _CHUNK_ROWS rows whose
     draws are all made before the chunk's first step, so a completed run
     leaves `rng` as a step-by-step run would, while a NonFiniteLoss may leave
-    it advanced up to the end of the failing chunk.
+    it advanced up to the end of the failing chunk.  Each step's loss is
+    checked before its update, and the last update by the loss of its batch
+    once more, so that no run returns weights whose loss is not finite.
     """
     schedule = GvpSchedule(rho=dataset.rho_hat, sigma_d=dataset.sigma_d)
     if rng is None:
@@ -320,6 +320,22 @@ def train(
     chunk = max(1, _CHUNK_ROWS // batch)
     no_weight = np.zeros(batch)
 
+    def evaluate(rows: slice, when: str, step: int):
+        """The loss terms of the chunk's `rows` at the current weights, or
+        NonFiniteLoss naming `when` `step` if the loss is not finite."""
+        w, w_cache = weight_net.forward(w_feats[rows]) if adaptive else (no_weight, None)
+        core, cache = net.forward_batch(feats[rows])
+        sq, ew, d_core = _weighted_error(net, core, x0[rows], w)
+        loss = float(np.mean(ew * sq - w))
+        if not math.isfinite(loss):
+            rs, gs = r[rows], g[rows]
+            raise NonFiniteLoss(
+                f"loss became {loss} {when} {step}; "
+                f"r in [{rs.min():.4g}, {rs.max():.4g}], "
+                f"g in [{gs.min():.4g}, {gs.max():.4g}]"
+            )
+        return loss, w_cache, cache, sq, ew, d_core
+
     for first in range(0, cfg.n_steps, chunk):
         steps = range(first, min(first + chunk, cfg.n_steps))
         # The chunk's draws, step by step in the order above.
@@ -341,20 +357,7 @@ def train(
 
         for row, step in enumerate(steps):
             rows = slice(row * batch, (row + 1) * batch)
-            if adaptive:
-                w, w_cache = weight_net.forward(w_feats[rows])
-            else:
-                w = no_weight
-            core, cache = net.forward_batch(feats[rows])
-            sq, ew, d_core = _weighted_error(net, core, x0[rows], w)
-            loss = float(np.mean(ew * sq - w))
-            if not math.isfinite(loss):
-                rs, gs = r[rows], g[rows]
-                raise NonFiniteLoss(
-                    f"loss became {loss} at step {step}; "
-                    f"r in [{rs.min():.4g}, {rs.max():.4g}], "
-                    f"g in [{gs.min():.4g}, {gs.max():.4g}]"
-                )
+            loss, w_cache, cache, sq, ew, d_core = evaluate(rows, "at step", step)
             trace[step] = loss
 
             net.backward_batch(cache, d_core, out=net_grads)
@@ -365,10 +368,10 @@ def train(
             ema *= decay
             np.multiply(net_flat, 1.0 - decay, out=ema_scratch)
             ema += ema_scratch
+    # The last update is checked too: its batch once more, with no draw.
+    evaluate(rows, "after step", step)
 
-    ema_net = MlpDenoiser(
-        dim=dim, hidden=cfg.hidden, emb_dim=cfg.emb_dim, sigma_d=sd, params=ema_params
-    )
+    ema_net = replace(net, params=ema_params)
     return TrainResult(
         denoiser=net, ema_denoiser=ema_net, weight_net=weight_net, loss_trace=trace
     )

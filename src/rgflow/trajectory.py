@@ -8,14 +8,12 @@ segment on g = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-
-_HALF_PI = math.pi / 2.0
+from .schedule import _HALF_PI
 
 
 @dataclass(frozen=True)

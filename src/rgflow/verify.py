@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .denoiser import (
 from .dynamics import euler_integrate
 from .process import empirical_variance, interpolate
 from .sampler import SamplerConfig, hybrid_step, kappa, restore, restore_batch
-from .schedule import GvpSchedule
+from .schedule import _HALF_PI, GvpSchedule
 from .sweep import run_sweep
 from .toydata import energy_distance, make_gaussian_pairs, make_scurve_dataset, mse
 from .training import (
@@ -38,8 +38,6 @@ from .training import (
     train,
 )
 from .trajectory import Elliptical, Linear, QuadBezier, Regression, VPath
-
-_HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ def check_sampler_euler_agreement() -> CheckResult:
     zeros = np.zeros(100)
     cfg = SamplerConfig(trajectory=traj, n_steps=100, eta=0.0)
     analytic = restore(sched, den, x1, cfg, noise=[zeros] * 101)
-    euler = euler_integrate(sched, traj, den, x1, zeros, 10_000, g_floor=1e-3)
+    euler = euler_integrate(sched, traj, den, x1, zeros, 10_000)
     gap = float(np.mean(np.abs(analytic - euler)))
     return _result(
         "sampler-euler-agreement", gap <= 1e-3, f"mean endpoint gap = {gap:.2e}", "<= 1e-3"
@@ -638,13 +636,5 @@ def run_checks(only: str | None = None) -> list[CheckResult]:
             continue
         t0 = time.perf_counter()
         res = fn()
-        results.append(
-            CheckResult(
-                name=res.name,
-                passed=res.passed,
-                measured=res.measured,
-                tolerance=res.tolerance,
-                runtime_s=time.perf_counter() - t0,
-            )
-        )
+        results.append(replace(res, runtime_s=time.perf_counter() - t0))
     return results

@@ -202,8 +202,10 @@ class TestTrainHugeSettings:
         ({"data": "gaussian", "sigma_d": 1e308}, "sigma_d=1e+308"),
         ({"lr": 1e308}, "loss became nan"),
         ({"weight_decay": 1e200}, "loss became nan"),
+        # Only the one update overflows, so the run's last check finds it.
+        ({"lr": 1e308, "steps": 1}, "after step 0"),
     ], ids=["strength", "jitter", "noise", "sigma_d", "gaussian-sigma_d", "lr",
-            "weight_decay"])
+            "weight_decay", "lr-last-update"])
     def test_rejected_by_one_line_naming_the_cause(self, tmp_path, capsys, conf, cause):
         path = tmp_path / "conf.json"
         path.write_text(json.dumps({"n": 20, "steps": 2, "hidden": 4, "emb_dim": 2, **conf}))
@@ -298,6 +300,38 @@ class TestRestoreCli:
             assert run("restore", "--model", ck, "--input", data,
                        "--mode", "disi-g", "--seed", "5", "--out", out) == 0
         assert out_g1.read_bytes() == out_g2.read_bytes()
+
+    @pytest.mark.parametrize("mode, flags, expanded", [
+        ("disi-r", [], ["--traj", "regression", "--steps", "1"]),
+        ("disi-r", ["--traj", "regression", "--steps", "1"],
+         ["--traj", "regression", "--steps", "1"]),
+        ("disi-g", [], ["--traj", "elliptical", "--delta", "pi/8", "--steps", "10"]),
+        ("disi-g", ["--steps", "15", "--eta", "0.5"],
+         ["--traj", "elliptical", "--delta", "pi/8", "--steps", "15", "--eta", "0.5"]),
+        ("disi-g", ["--traj", "elliptical", "--delta", "0.3"],
+         ["--traj", "elliptical", "--delta", "0.3", "--steps", "10"]),
+    ], ids=["r", "r-consistent", "g", "g-steps-eta", "g-delta"])
+    def test_mode_equals_its_flags(self, toy_dataset, tmp_path, mode, flags, expanded):
+        """A preset, with flags that agree with it, writes the bytes of the
+        flags it stands for."""
+        data, ck = toy_dataset
+        common = ["restore", "--model", ck, "--input", data, "--seed", "4"]
+        assert run(*common, "--mode", mode, *flags, "--out", tmp_path / "m.csv") == 0
+        assert run(*common, *expanded, "--out", tmp_path / "f.csv") == 0
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode, flags", [
+        ("disi-r", ["--steps", "5"]),
+        ("disi-r", ["--traj", "elliptical"]),
+        ("disi-g", ["--traj", "linear"]),
+        ("disi-g", ["--traj", "regression", "--steps", "1"]),
+    ], ids=["r-steps", "r-traj", "g-traj", "g-regression"])
+    def test_mode_contradicted_by_flag_rejected(self, toy_dataset, tmp_path, capsys, mode,
+                                                flags):
+        data, ck = toy_dataset
+        err = assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
+                              "--input", data, "--mode", mode, *flags)
+        assert f"{flags[0]} {flags[1]} contradicts --mode {mode}" in err
 
     def test_gaussian_oracle_restore(self, toy_dataset, tmp_path):
         data, _ = toy_dataset

@@ -21,6 +21,8 @@ def test_dumps_of_this_tree_agree_and_a_perturbed_entry_is_caught(tmp_path, caps
     assert eq.dump(ROOT, b, quick=True) == first
     assert any(k.startswith("restore_batch") for k in first)
     assert any(k.startswith("reject") and isinstance(v, str) for k, v in first.items())
+    assert first["cli restore disi-g"] == "exit 0\n"
+    assert first["cli restore disi-g g.csv"].startswith(b"x_1,x_2\r\n")
     capsys.readouterr()
     eq.main(["compare", str(a), str(b)])
     assert capsys.readouterr().out.splitlines()[-1] == f"0 of {len(first)} entries differ"

@@ -3,7 +3,8 @@ dataset sidecar and the --config file.
 
 Each test starts from a valid file, drops a key, cell or row, swaps a value
 for one of another type (NaN and huge numbers included), truncates the bytes
-or overwrites one byte, and runs the command in-process.  Every case must
+or overwrites one byte, and runs the command in-process; each JSON reader
+also gets one document nested too deep to parse.  Every case must
 exit 0 or 2, print at most one `error:` line (exactly one on exit 2), and
 raise no exception out of `main`.  On exit 0 the output holds no NaN or inf;
 on exit 2 there is no output file.
@@ -81,9 +82,9 @@ def _csv(rows) -> bytes:
     return buf.getvalue().encode()
 
 
-def _check_run(argv, out):
+def _check_run(argv, out) -> int:
     """Run `main`; it must exit 0 with finite output, or 2 with exactly one
-    error line and no output file."""
+    error line and no output file.  Returns the exit code."""
     out.unlink(missing_ok=True)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -96,6 +97,7 @@ def _check_run(argv, out):
     else:
         written = out.read_bytes().lower()
         assert b"nan" not in written and b"inf" not in written
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +173,31 @@ def test_train_config(files, data):
     _check_run(["train", "--config", bad, "--n", "20", "--steps", "2", "--batch", "4",
                 "--hidden", "2", "--emb-dim", "2", "--dim", "2", "--out", work / "ck_out.json"],
                work / "ck_out.json")
+
+
+# A 100 000-deep array: past the JSON parser's recursion limit.
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("reader", ["checkpoint", "simulate-sidecar", "sweep-sidecar", "config"])
+def test_deeply_nested_document_rejected(files, reader):
+    """Each JSON reader rejects a document nested too deep to parse like
+    any other that is not JSON: exit 2, one error line, no output file."""
+    work = files["work"]
+    out = work / "out.csv"
+    bad = work / "deep.json"
+    bad.write_bytes(DEEP)
+    data = work / "deep_data.csv"
+    data.write_bytes((work / "data.csv").read_bytes())
+    data.with_suffix(".meta.json").write_bytes(DEEP)
+    argv = {
+        "checkpoint": ["restore", "--model", bad, "--input", work / "input.csv",
+                       "--mode", "disi-g", "--steps", "3"],
+        "simulate-sidecar": ["simulate", "--traj", "elliptical", "--delta", "0.3",
+                             "--pairs", data, "--steps", "4"],
+        "sweep-sidecar": ["sweep", "--data", data, "--oracle", "gaussian", "--deltas", "0",
+                          "--nfes", "1"],
+        "config": ["train", "--config", bad, "--n", "20", "--steps", "2", "--hidden", "2",
+                   "--emb-dim", "2"],
+    }[reader]
+    assert _check_run([*argv, "--out", out], out) == 2

@@ -376,6 +376,17 @@ class TestTrainLoop:
             with pytest.raises(NonFiniteLoss, match="step"):
                 train(ds, cfg)
 
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_overflowing_last_update_raises(self, adaptive):
+        """A run whose last update overflows the weights raises, rather than
+        returning weights whose loss is not finite."""
+        ds = make_gaussian_pairs(0.5, 20, seed=0, dim=2)
+        cfg = TrainConfig(n_steps=1, learning_rate=1e308, hidden=4, emb_dim=2,
+                          adaptive_weighting=adaptive)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLoss, match="after step 0"):
+                train(ds, cfg)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
