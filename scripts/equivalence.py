@@ -81,7 +81,8 @@ def dump(src, out=None, quick: bool = False) -> dict:
             put(f"schedule_grid rho={rho} sd={sd}",
                 lambda: schedule_grid(rg.GvpSchedule(rho=rho, sigma_d=sd), 9))
         for kind in TRAJECTORY_KINDS:
-            traj = make_trajectory(kind, sched.phi, delta=math.pi / 8)
+            params = {} if kind == "regression" else {"delta": math.pi / 8}
+            traj = make_trajectory(kind, sched.phi, **params)
             for eta in grid["etas"]:
                 for n in grid["n_steps"]:
                     cfg = rg.SamplerConfig(trajectory=traj, n_steps=n, eta=eta, seed=3)
@@ -94,15 +95,12 @@ def dump(src, out=None, quick: bool = False) -> dict:
             cfg = rg.SamplerConfig(trajectory=traj, n_steps=10, eta=0.5, seed=4)
             put(f"oracle sd={sd} {kind}", lambda: rg.restore_batch(sched, oracle, x1[:16], cfg))
         times = [(0.3, 0.1), (1.2, 0.0), (0.0, 1.5)]
-        rs, gs = np.random.default_rng(12).uniform(0.0, 1.5, size=(2, max(grid["rows"])))
         for rows in grid["rows"]:
             x, y = x1[:rows][::-1] * 0.5, x1[:rows]
             step = net.bind(y, times)
             for i, (r, g) in enumerate(times):
                 put(f"step sd={sd} rows={rows} i={i}", lambda: step(x, i))
                 put(f"predict sd={sd} rows={rows} i={i}", lambda: net.predict(x, y, r, g))
-            put(f"predict per-row sd={sd} rows={rows}",
-                lambda: net.predict(x, y, rs[:rows], gs[:rows]))
         put(f"predict 1-D sd={sd}", lambda: net.predict(x1[1], x1[0], 0.3, 0.1))
         for eta in (0.0, 1e-150, 0.3, 0.5, 1.0):
             for frm, to in (((0.1, 0.2), (0.3, 0.5)), ((0.2, 1.0), (0.0, 0.4)),
@@ -264,6 +262,16 @@ CLI_RUNS = {
     "reject config key": (["train", "--config", "bad_key.json", "--out", "x.json"], []),
     "reject config sampler": (["train", "--config", "bad_sampler.json", "--out", "x.json"], []),
     "reject restore source": (["restore", "--input", "data.csv", "--out", "x.csv"], []),
+    # Path settings that the run would not read.
+    **{f"reject restore {mode} {flag}": (["restore", "--model", "ck.json", "--input", "data.csv",
+                                          "--mode", mode, flag, value, "--out", "x.csv"], [])
+       for mode, flag, value in (("disi-r", "--delta", "0.3"), ("disi-r", "--eta", "0.7"),
+                                 ("disi-r", "--p", "3"), ("disi-r", "--boot-epsilon", "0.2"),
+                                 ("disi-g", "--p", "3"))},
+    "reject traj elliptical --p": (["traj", "--kind", "elliptical", "--p", "3", "--steps", "5",
+                                    "--out", "x.csv"], []),
+    "reject traj regression --delta": (["traj", "--kind", "regression", "--delta", "0.3",
+                                        "--steps", "5", "--out", "x.csv"], []),
 }
 CLI_CONFIGS = {
     "conf.json": {"n": 300, "steps": 70, "hidden": 16, "emb_dim": 8, "lr": 1e-3,

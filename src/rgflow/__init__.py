@@ -26,7 +26,7 @@ _EXPORTS = {
     "training": "AdaptiveWeight AdamW EllipticalSpecialist LinearSpecialist LogitNormalSampler "
                 "RegressionSpecialist TrainConfig TrainResult UniformSampler make_time_sampler train",
     "trajectory": "Elliptical Linear QuadBezier Regression TimeGrid Trajectory VPath "
-                  "make_trajectory path_continuity_order",
+                  "make_trajectory",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "cli", "verify"}

@@ -6,8 +6,9 @@ with the same --seed are byte-identical.  Exit codes: 0 success, 1 check
 failure, 2 usage/config error, 3 I/O error.
 
 No environment variables are read except RGFLOW_THREADS (optional worker
-count for batch restoration; results are identical for any value because
-noise streams are keyed by item index, not by worker).
+count for batch restoration; results are identical for any value, and equal
+restore_batch's on the whole input, because noise streams are keyed by item
+index, not by worker, and the chunks are the MLP's row blocks).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 # Each handler imports the sampler, training, process, dynamics, sweep and
 # verify modules it runs, so a command loads only its own.
-from .denoiser import CheatDenoiser, GaussianOracle, load_checkpoint, save_checkpoint
+from .denoiser import CheatDenoiser, GaussianOracle, _row_blocks, load_checkpoint, save_checkpoint
 from .errors import ConfigError, RgflowError, check_seed, json_field, read_json_object
 from .schedule import _HALF_PI, GvpSchedule, schedule_grid
 from .toydata import (
@@ -41,6 +42,11 @@ from .trajectory import TRAJECTORY_KINDS, make_trajectory
 def _given(**settings) -> dict:
     """The settings that were given, so that the others keep the callee's defaults."""
     return {k: v for k, v in settings.items() if v is not None}
+
+
+def _path(kind: str, phi: float, args):
+    """make_trajectory with the --delta and --p that were given."""
+    return make_trajectory(kind, phi, **_given(delta=args.delta, p=args.p))
 
 
 def _angle(text: str) -> float:
@@ -86,7 +92,7 @@ def _cmd_schedule_dump(args) -> int:
 
 def _cmd_traj(args) -> int:
     sched = GvpSchedule(rho=args.rho, sigma_d=1.0)
-    traj = make_trajectory(args.kind, phi=sched.phi, delta=args.delta, p=args.p)
+    traj = _path(args.kind, sched.phi, args)
     grid = traj.discretize(args.steps)
     write_csv(args.out, ["t", "r", "g"], zip(grid.t, grid.r, grid.g))
     return 0
@@ -98,7 +104,7 @@ def _cmd_simulate(args) -> int:
     ds = load_dataset(args.pairs)
     rho = args.rho if args.rho is not None else ds.rho_hat
     sched = GvpSchedule(rho=rho, sigma_d=ds.sigma_d)
-    traj = make_trajectory(args.traj, phi=sched.phi, delta=args.delta, p=args.p)
+    traj = _path(args.traj, sched.phi, args)
     grid = traj.discretize(args.steps)
     rng = np.random.default_rng(check_seed(args.seed))
     dim = ds.dim
@@ -119,7 +125,7 @@ def _cmd_bench(args) -> int:
 
     sched = GvpSchedule(rho=args.rho, sigma_d=1.0)
     den = GaussianOracle(rho=args.rho)
-    traj = make_trajectory(args.traj, phi=sched.phi, delta=args.delta, p=args.p)
+    traj = _path(args.traj, sched.phi, args)
     rng = np.random.default_rng(check_seed(args.seed))
     x1 = rng.normal(0.0, 1.0, size=args.trials)
     zeros = np.zeros(args.trials)
@@ -226,7 +232,7 @@ def _load_degraded(path) -> np.ndarray:
 
 
 # restore --mode: (the flags it fixes, the defaults it gives).  Flags left
-# unset take the defaults of make_trajectory and SamplerConfig.
+# unset take the defaults of the path's class and of SamplerConfig.
 _PRESETS = {
     None: ({}, {"traj": "elliptical"}),
     "disi-r": ({"traj": "regression", "steps": 1}, {}),
@@ -245,6 +251,11 @@ def _cmd_restore(args) -> int:
     for flag, value in {**defaults, **fixed}.items():
         if getattr(args, flag) is None:
             setattr(args, flag, value)
+    if args.traj == "regression":
+        # It draws no noise and needs no boot step.
+        for flag, value in (("--eta", args.eta), ("--boot-epsilon", args.boot_epsilon)):
+            if value is not None:
+                raise ConfigError(f"{flag} is not read on a regression path")
 
     if args.model is not None:
         ck = load_checkpoint(args.model)
@@ -259,27 +270,27 @@ def _cmd_restore(args) -> int:
         raise ConfigError("restore needs --model or --oracle gaussian")
 
     sched = GvpSchedule(rho=rho, sigma_d=sigma_d)
-    traj = make_trajectory(args.traj, phi=sched.phi, p=args.p, **_given(delta=args.delta))
+    traj = _path(args.traj, sched.phi, args)
     cfg = SamplerConfig(trajectory=traj, **_given(
         n_steps=args.steps, eta=args.eta, boot_epsilon=args.boot_epsilon, seed=args.seed))
     x1 = _load_degraded(args.input)
     workers = _thread_count()
-    # Fixed chunk boundaries keep the output byte-identical for any worker
+    # The chunks are the row blocks a bound step runs, so the output is
+    # restore_batch's on the whole input, byte for byte, for any worker
     # count: threads only schedule chunks, they never reshape the batches.
-    chunk = 256
-    starts = range(0, x1.shape[0], chunk)
+    chunks = _row_blocks(x1.shape[0])
 
-    def restore_chunk(s: int) -> np.ndarray:
+    def restore_chunk(s: slice) -> np.ndarray:
         # An overflow surfaces as restore_batch's NonFiniteOutput, the one
         # error line, rather than as numpy warnings (errstate is per thread).
         with np.errstate(all="ignore"):
-            return restore_batch(sched, den, x1[s : s + chunk], cfg, item_offset=s)
+            return restore_batch(sched, den, x1[s], cfg, item_offset=s.start)
 
     if workers == 1:
-        parts = [restore_chunk(s) for s in starts]
+        parts = [restore_chunk(s) for s in chunks]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(restore_chunk, starts))
+            parts = list(pool.map(restore_chunk, chunks))
     out = np.concatenate(parts)
     header = [f"x_{i + 1}" for i in range(out.shape[1])]
     write_csv(args.out, header, out)
@@ -358,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("traj", help="emit (t, r, g) rows for a trajectory")
     p.add_argument("--kind", required=True,
                    choices=list(TRAJECTORY_KINDS))
-    p.add_argument("--delta", type=_angle, default=0.0)
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--delta", type=_angle, default=None)
+    p.add_argument("--p", type=float, default=None)
     p.add_argument("--rho", type=float, default=0.0, help="sets phi = arccos(rho)/2")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -368,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample forward states along a trajectory")
     p.add_argument("--traj", required=True,
                    choices=list(TRAJECTORY_KINDS))
-    p.add_argument("--delta", type=_angle, default=0.0)
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--delta", type=_angle, default=None)
+    p.add_argument("--p", type=float, default=None)
     p.add_argument("--pairs", required=True, help="dataset CSV (x0_*, x1_* columns)")
     p.add_argument("--rho", type=float, default=None, help="override sidecar rho_hat")
     p.add_argument("--steps", type=int, default=50)
@@ -383,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", default="elliptical",
                    choices=[k for k in TRAJECTORY_KINDS if k != "regression"])
     p.add_argument("--delta", type=_angle, default=math.pi / 4.0)
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--p", type=float, default=None)
     p.add_argument("--euler-steps", type=int, default=10_000, dest="euler_steps")
     p.add_argument("--sampler-steps", type=_int_list, default=[10, 20, 50, 100],
                    dest="sampler_steps")
@@ -435,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", default=None,
                    choices=list(TRAJECTORY_KINDS))
     p.add_argument("--delta", type=_angle, default=None)
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--p", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--boot-epsilon", type=float, default=None, dest="boot_epsilon")

@@ -80,7 +80,7 @@ class CheatDenoiser:
     """Returns the stored true x0 regardless of the queried state.
 
     Batch-coupled: row i of a batch query gets row i of the stored x0, so it
-    must be queried with the whole batch it was built for, never a slice.
+    must be queried with the shape it was built for, never a slice of it.
     """
 
     def __init__(self, x0) -> None:
@@ -88,15 +88,11 @@ class CheatDenoiser:
 
     def predict(self, x, x1, r, g) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if self.x0.shape == x.shape:
-            return self.x0.copy()
-        # A (d,) truth answers (n, d) queries when it broadcasts.
-        try:
-            return np.broadcast_to(self.x0, x.shape).copy()
-        except ValueError:
+        if self.x0.shape != x.shape:
             raise DimensionMismatch(
                 f"stored x0 {self.x0.shape} does not fit the queried batch {x.shape}"
-            ) from None
+            )
+        return self.x0.copy()
 
 
 class GaussianOracle:
@@ -276,13 +272,8 @@ class MlpDenoiser:
         feats = np.empty((n, self.input_dim))
         np.divide(x, self.sigma_d, out=feats[:, :d])
         np.divide(x1, self.sigma_d, out=feats[:, d : 2 * d])
-        feats[:, 2 * d :] = self._times(r, g)
+        feats[:, 2 * d :] = _time_pairs(np.stack(np.broadcast_arrays(r, g), axis=-1), self.emb_dim)
         return feats
-
-    def _times(self, r, g) -> np.ndarray:
-        """[embed(r), embed(g)] for scalar times, (2e,), or one time per
-        row, (n, 2e)."""
-        return _time_pairs(np.stack(np.broadcast_arrays(r, g), axis=-1), self.emb_dim)
 
     def _x1_rows(self, x1: np.ndarray) -> np.ndarray:
         """x1 as rows (n, dim); DimensionMismatch for any other shape."""
@@ -309,34 +300,31 @@ class MlpDenoiser:
         rows = self._x1_rows(x1)
         if getattr(self.predict, "__func__", None) is not MlpDenoiser._predict:
             return None
-        # W1 splits along the input blocks, W1 = [W1_x ; W1_x1 ; W1_t].  Only
-        # x changes within a run, so the x1 block and the bias rows
-        # [embed(r), embed(g)] @ W1_t + b1 are computed here, once.  The bias
-        # rows are a stack of one-row products (gemv), so each rounds as
-        # predict's; a 2-D gemm over the grid would be cheaper but round
-        # otherwise.
-        biases = _grid_rows(tuple(times), self.emb_dim) @ self.params["W1"][2 * self.dim :]
-        return self._step_predictor(x1, rows, biases + self.params["b1"])
+        return self._step_predictor(x1, rows, times)
 
-    def _step_predictor(self, x1: np.ndarray, rows: np.ndarray, biases: np.ndarray):
-        """f(x, i) over first-layer bias rows biases[i]: a row shared by all
-        of x's rows, or one per row (biases.shape[1] > 1).
+    def _step_predictor(self, x1: np.ndarray, rows: np.ndarray, times):
+        """f(x, i): x0hat at state x and times[i], for x shaped like x1.
 
         x's rows run in the blocks of _row_blocks, each through an
         inference-only pass, z = z * Phi(z); z = z @ W + b per hidden layer,
         that keeps nothing for a backward pass, so its activations stay
-        cache-sized; a shared bias row is broadcast to every block, per-row
-        ones are sliced with it.
+        cache-sized.
         """
         d, sd, p = self.dim, self.sigma_d, self.params
         w1 = p["W1"]
         w1_x = w1[:d]
+        # W1 splits along the input blocks, W1 = [W1_x ; W1_x1 ; W1_t].  Only
+        # x changes within a run, so the x1 block and the bias rows
+        # [embed(r), embed(g)] @ W1_t + b1 are computed here, once.  The bias
+        # rows are a stack of one-row products (gemv), each rounding as a
+        # lone row would; a 2-D gemm over the grid would be cheaper but round
+        # otherwise.
+        biases = _grid_rows(tuple(times), self.emb_dim) @ w1[2 * d :] + p["b1"]
         # x / 1.0 and z * 1.0 are exact, so a unit sigma_d (the default of
         # `rgflow train` and of every perfbench workload) skips them.
         unit = sd == 1.0
         x1_part = (rows if unit else rows / sd) @ w1[d : 2 * d]
         hidden = [(p[w_key], p[b_key]) for w_key, b_key in _LAYERS[1:]]
-        per_row = biases.ndim == 3 and biases.shape[1] > 1
         # x1 fixes the state's layout, so a step checks only x's type and shape.
         shape, flat, n = x1.shape, x1.ndim == 1, len(rows)
         blocks = _row_blocks(n) if n > _BLOCK_ROWS + 1 else None
@@ -363,20 +351,21 @@ class MlpDenoiser:
                 return block(x[None], x1_part, bias)[0] if flat else block(x, x1_part, bias)
             out = np.empty((n, d))
             for s in blocks:
-                out[s] = block(x[s], x1_part[s], bias[s] if per_row else bias)
+                out[s] = block(x[s], x1_part[s], bias)
             return out
 
         return step
 
     def predict(self, x, x1, r, g) -> np.ndarray:
-        """x0hat at state x; the one-step case of bind.  r and g are scalars
-        or one value per row."""
+        """x0hat at state x: bind's one-step case, at one scalar (r, g).
+        Times given per row are a DimensionMismatch; per-row inference is
+        forward_batch(features(x, x1, r, g)), as training runs it."""
+        if np.ndim(r) or np.ndim(g):
+            raise DimensionMismatch(
+                f"predict takes one scalar (r, g), got shapes {np.shape(r)} and {np.shape(g)}"
+            )
         x1 = np.asarray(x1, dtype=np.float64)
-        rows = self._x1_rows(x1)
-        bias = self._times(r, g) @ self.params["W1"][2 * self.dim :] + self.params["b1"]
-        if bias.ndim == 2 and len(bias) not in (1, len(rows)):
-            raise DimensionMismatch(f"{len(bias)} times for {len(rows)} rows")
-        return self._step_predictor(x1, rows, bias[None])(x, 0)
+        return self._step_predictor(x1, self._x1_rows(x1), ((float(r), float(g)),))(x, 0)
 
     _predict = predict  # the predict that bind's own step predictor equals
 
@@ -403,11 +392,11 @@ def _weighted_error(net: MlpDenoiser, core, targets, weights):
     return (err * err).sum(axis=1), ew, d_core
 
 
-def _batch_terms(net: MlpDenoiser, inputs, targets, weights, name: str | None = None):
-    """The backward cache and _weighted_error's terms of a batch; with `name`,
-    an empty batch is a DomainError naming it.  weights: a scalar or one a row."""
+def _batch_terms(net: MlpDenoiser, inputs, targets, weights, name: str):
+    """The backward cache and _weighted_error's terms of a batch; an empty
+    batch is a DomainError naming `name`.  weights: a scalar or one a row."""
     feats = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if name is not None and feats.shape[0] == 0:
+    if feats.shape[0] == 0:
         raise DomainError(f"{name} needs a nonempty batch")
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (feats.shape[0],))
@@ -427,7 +416,7 @@ def mlp_backward(net: MlpDenoiser, inputs, targets, weights) -> dict:
 
 def weighted_prediction_loss(net: MlpDenoiser, inputs, targets, weights) -> float:
     """The scalar loss differentiated by mlp_backward; finite-difference hook."""
-    _, sq, ew, _ = _batch_terms(net, inputs, targets, weights)
+    _, sq, ew, _ = _batch_terms(net, inputs, targets, weights, "weighted_prediction_loss")
     return float(np.mean(ew * sq))
 
 

@@ -113,12 +113,8 @@ def _match(*arrays) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class Step:
-    """One update, folded: its source point frm (the time the denoiser is
-    queried at), its target point to, and the four scalars of
-    x2 = ks x + a x0hat + b x1 + kappa z."""
+    """One update, folded to the four scalars of x2 = ks x + a x0hat + b x1 + kappa z."""
 
-    frm: tuple[float, float]
-    to: tuple[float, float]
     ks: float
     a: float
     b: float
@@ -133,7 +129,7 @@ def _fold(sched: GvpSchedule, frm, to, eta: float) -> Step:
     c1, c2 = sched.coeffs(*frm), sched.coeffs(*to)
     ks_lam1 = ks * c1.lam
     a, b = c2.lam * c2.alpha - ks_lam1 * c1.alpha, c2.lam * c2.beta - ks_lam1 * c1.beta
-    return Step(frm, to, ks, a, b, kap)
+    return Step(ks, a, b, kap)
 
 
 def _update(step: Step, x, x0hat, x1, z):
@@ -260,7 +256,7 @@ def _plan(
     )
     start = None if points[0][1] == 0.0 else sched.coeffs(*points[0])
     n_draws = (start is not None) + sum(s.kappa != 0.0 for s in steps)
-    return Plan(start, steps, n_draws, tuple(step.frm for step in steps))
+    return Plan(start, steps, n_draws, tuple(points[:-1]))
 
 
 def plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan:

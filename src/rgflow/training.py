@@ -146,9 +146,6 @@ class AdaptiveWeight:
         out, cache = _dense_forward(self.params, _WEIGHT_LAYERS, feats)
         return out[:, 0], cache
 
-    def __call__(self, r, g) -> np.ndarray:
-        return self.forward(self.features(r, g))[0]
-
     def backward(self, cache: tuple, d_w: np.ndarray, out: dict | None = None) -> dict:
         """Gradients of sum(d_w * w), in a new dict or written into `out`'s
         arrays, as _dense_backward."""

@@ -8,11 +8,11 @@ segment on g = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .schedule import _HALF_PI
 
 
@@ -187,28 +187,6 @@ class QuadBezier(Trajectory):
         return omt**2 * self.phi - t**2 * self.phi, 2.0 * t * omt * self.delta
 
 
-def path_continuity_order(traj: Trajectory) -> str:
-    """Continuity class of the path at its least-smooth point.
-
-    V-paths are classified by the exponent p of g(t) = delta(1 - |t|^p) at
-    t = 0: p = 1 -> "C0", p in (1, 2] -> "C1", p in (2, 3] -> "C2".  The
-    smooth families are "C_inf".
-    """
-    if isinstance(traj, VPath):
-        if traj.p < 1.0 or traj.p > 3.0:
-            raise DomainError(
-                f"continuity classification defined for p in [1, 3], got {traj.p}"
-            )
-        if traj.p == 1.0:
-            return "C0"
-        if traj.p <= 2.0:
-            return "C1"
-        return "C2"
-    if isinstance(traj, (Elliptical, Linear, QuadBezier)):
-        return "C_inf"
-    raise DomainError(f"no continuity classification for {type(traj).__name__}")
-
-
 TRAJECTORY_KINDS = {
     "elliptical": Elliptical,
     "linear": Linear,
@@ -218,18 +196,18 @@ TRAJECTORY_KINDS = {
 }
 
 
-def make_trajectory(
-    kind: str, phi: float, delta: float = 0.0, p: float = 1.0
-) -> Trajectory:
-    """Build a trajectory by name; used by the CLI and config loaders."""
+def make_trajectory(kind: str, phi: float, **params) -> Trajectory:
+    """Build a trajectory by name, with `params` set on the class's fields
+    (delta for every kind but regression, and p for vpath) and the others
+    at their defaults; a parameter the kind lacks is a ConfigError naming it.
+    Used by the CLI."""
     try:
         cls = TRAJECTORY_KINDS[kind]
     except KeyError:
         raise DomainError(
             f"unknown trajectory kind {kind!r}; expected one of {sorted(TRAJECTORY_KINDS)}"
         ) from None
-    if cls is Regression:
-        return Regression(phi=phi)
-    if cls is VPath:
-        return VPath(phi=phi, delta=delta, p=p)
-    return cls(phi=phi, delta=delta)
+    unknown = sorted(params.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"the {kind} path has no parameter {', '.join(unknown)}")
+    return cls(phi=phi, **params)

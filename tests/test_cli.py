@@ -105,6 +105,15 @@ class TestTraj:
                 "--out", out)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--kind", "elliptical", "--p", "3"], "the elliptical path has no parameter p"),
+        (["--kind", "regression", "--delta", "0.3"],
+         "the regression path has no parameter delta"),
+    ], ids=["elliptical-p", "regression-delta"])
+    def test_parameter_the_kind_lacks_rejected(self, tmp_path, capsys, flags, named):
+        err = assert_rejected(capsys, tmp_path / "x.csv", "traj", *flags, "--steps", "5")
+        assert err == f"error: {named}"
+
 
 class TestSimulate:
     def test_states_along_path(self, toy_dataset, tmp_path):
@@ -416,6 +425,48 @@ class TestRestoreCli:
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"\n") == rows + 1
 
+    @pytest.mark.parametrize("rows", [255, 256, 257, 513])
+    def test_output_is_restore_batch_on_the_whole_input(self, toy_dataset, tmp_path,
+                                                        monkeypatch, rows):
+        """The chunks are the bound step's row blocks, so no chunk is a lone
+        row past a block edge: the output is restore_batch's on the whole
+        input, byte for byte, at one and at two threads.  A lone row's gemv
+        rounds otherwise on most inputs, so three inputs are run."""
+        from rgflow import Elliptical, GvpSchedule, SamplerConfig, load_checkpoint, restore_batch
+        from rgflow.toydata import write_csv
+
+        _, ck = toy_dataset
+        ckpt = load_checkpoint(ck)
+        net = ckpt.denoiser()
+        sched = GvpSchedule(rho=ckpt.rho, sigma_d=net.sigma_d)
+        cfg = SamplerConfig(Elliptical(phi=sched.phi, delta=np.pi / 8), n_steps=15, eta=0.5, seed=5)
+        points, want = tmp_path / "in.csv", tmp_path / "want.csv"
+        for k in range(3):
+            x1 = np.random.default_rng([rows, k]).normal(size=(rows, 2))
+            write_csv(points, ["x_1", "x_2"], x1)
+            write_csv(want, ["x_1", "x_2"], restore_batch(sched, net, x1, cfg))
+            for threads in ("1", "2"):
+                monkeypatch.setenv("RGFLOW_THREADS", threads)
+                out = tmp_path / f"out{threads}.csv"
+                assert run("restore", "--model", ck, "--input", points, "--mode", "disi-g",
+                           "--steps", "15", "--eta", "0.5", "--seed", "5", "--out", out) == 0
+                assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--mode", "disi-r", "--delta", "0.3"], "the regression path has no parameter delta"),
+        (["--mode", "disi-r", "--p", "3"], "the regression path has no parameter p"),
+        (["--mode", "disi-r", "--eta", "0.7"], "--eta is not read on a regression path"),
+        (["--mode", "disi-r", "--boot-epsilon", "0.2"],
+         "--boot-epsilon is not read on a regression path"),
+        (["--mode", "disi-g", "--p", "3"], "the elliptical path has no parameter p"),
+    ], ids=["r-delta", "r-p", "r-eta", "r-boot-epsilon", "g-p"])
+    def test_flag_the_path_does_not_read_rejected(self, toy_dataset, tmp_path, capsys, flags,
+                                                  named):
+        data, ck = toy_dataset
+        err = assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
+                              "--input", data, *flags)
+        assert err == f"error: {named}"
+
     def test_bad_thread_count_rejected(self, toy_dataset, tmp_path, capsys, monkeypatch):
         data, ck = toy_dataset
         monkeypatch.setenv("RGFLOW_THREADS", "x")
@@ -726,7 +777,8 @@ def _cli_run(*argv) -> str:
     return f"import rgflow.cli; assert rgflow.cli.main({[str(a) for a in argv]!r}) == 0"
 
 
-# The names `rgflow` exported when it imported every submodule eagerly.
+# The names `rgflow` exported when it imported every submodule eagerly, less
+# path_continuity_order, which is gone.
 PARENT_EXPORTS = """
     AdamW AdaptiveWeight CheatDenoiser Checkpoint CoeffDerivs CoeffSet ConfigError
     DimensionMismatch DomainError Elliptical EllipticalSpecialist EmptyDataset
@@ -737,7 +789,7 @@ PARENT_EXPORTS = """
     empirical_variance energy_distance estimate_rho euler_integrate forward_state
     hybrid_step interpolate kappa load_checkpoint load_dataset make_gaussian_pairs
     make_scurve make_scurve_dataset make_time_sampler make_trajectory mlp_backward mse
-    path_continuity_order regression_step restore restore_batch run_sweep sample_noise
+    regression_step restore restore_batch run_sweep sample_noise
     save_checkpoint save_dataset standardize time_embed train velocities velocity_r
 """.split()
 
@@ -784,7 +836,7 @@ class TestImport:
 class TestExports:
     def test_every_parent_name_is_its_modules_object(self):
         assert sorted(rgflow.__all__) == sorted(PARENT_EXPORTS)
-        assert len(set(PARENT_EXPORTS)) == 68
+        assert len(set(PARENT_EXPORTS)) == 67
         for name in rgflow.__all__:
             value = getattr(rgflow, name)
             assert getattr(sys.modules[value.__module__], name) is value, name

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,17 +83,21 @@ class TestCheatOracle:
         den = CheatDenoiser(x0)
         out = den.predict(np.array([9.0, 9.0]), np.array([0.0, 0.0]), 0.3, 0.9)
         assert np.array_equal(out, x0)
-        batch = den.predict(np.zeros((3, 2)), np.zeros((3, 2)), 0.1, 0.2)
-        assert np.array_equal(batch, np.broadcast_to(x0, (3, 2)))
+        x0s = np.arange(6.0).reshape(3, 2)
+        batch = CheatDenoiser(x0s).predict(np.zeros((3, 2)), np.zeros((3, 2)), 0.1, 0.2)
+        assert np.array_equal(batch, x0s)
 
     def test_mismatched_batch_rejected(self):
-        """A stored batch that neither matches nor broadcasts to the query
-        is a DimensionMismatch, not numpy's bare ValueError."""
+        """A stored x0 not shaped like the query, a (d,) truth against a
+        batch included, is a DimensionMismatch."""
         den = CheatDenoiser(np.zeros((4, 2)))
         for shape in ((3, 2), (4, 3), (2,)):
             with pytest.raises(DimensionMismatch, match="stored x0"):
                 den.predict(np.zeros(shape), np.zeros(shape), 0.1, 0.2)
         assert den.predict(np.zeros((4, 2)), np.zeros((4, 2)), 0.1, 0.2).shape == (4, 2)
+        for shape in ((3, 2), (1, 2)):
+            with pytest.raises(DimensionMismatch, match="stored x0"):
+                CheatDenoiser(np.zeros(2)).predict(np.zeros(shape), np.zeros(shape), 0.1, 0.2)
 
     def test_one_step_restore_recovers_truth(self):
         sched = GvpSchedule(0.4, 1.0)
@@ -219,16 +224,22 @@ class TestMlp:
             net.predict(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)), 0.1, 0.2)
 
     def test_per_item_times(self):
+        """Per-item times run through features and forward_batch, as in
+        training: each row matches predict at its own times.  predict takes
+        one (r, g) and rejects times given per row."""
         net = MlpDenoiser(dim=1, hidden=8, emb_dim=4, params={})
         net.reinit(np.random.default_rng(1))
         net.params["W3"][:] = 0.3
         x = np.zeros((2, 1))
         rs = np.array([0.1, -0.2])
         gs = np.array([0.5, 0.9])
-        batched = net.predict(x, x, rs, gs)
+        batched = net.sigma_d * net.forward_batch(net.features(x, x, rs, gs))[0]
         for i in range(2):
             single = net.predict(x[i], x[i], rs[i], gs[i])
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
+        for r, g in ((rs, gs), (0.1, gs), (rs[:1], 0.5), (np.array(0.1), gs)):
+            with pytest.raises(DimensionMismatch, match="one scalar"):
+                net.predict(x, x, r, g)
 
     @pytest.mark.parametrize("emb_dim", [2, 16, 32])
     def test_scalar_times_match_per_row_times(self, emb_dim):
@@ -298,12 +309,11 @@ class TestBind:
     @pytest.mark.parametrize("emb_dim", [2, 16, 32])
     def test_matches_the_training_path(self, emb_dim):
         """Splitting W1 by input block only reorders the first layer's sums:
-        scalar and per-row times agree with sigma_d * forward_batch(features)."""
+        predict agrees with sigma_d * forward_batch(features)."""
         net = _random_mlp(3, emb_dim, seed=emb_dim + 1)
         rng = np.random.default_rng(emb_dim + 1)
         x, x1 = rng.normal(size=(2, 9, 3))
-        rs, gs = rng.uniform(-HALF_PI, HALF_PI, size=(2, 9))
-        for r, g in ((rs[0], gs[0]), (rs, gs), (rs[0], gs)):
+        for r, g in rng.uniform(-HALF_PI, HALF_PI, size=(3, 2)):
             core, _ = net.forward_batch(net.features(x, x1, r, g))
             np.testing.assert_allclose(
                 net.predict(x, x1, r, g), net.sigma_d * core, rtol=0.0, atol=1e-12
@@ -424,22 +434,19 @@ class TestBlocks:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_blocked_equals_each_block_alone(self, n):
-        """A bound step and predict, with scalar and per-row times, equal bit
-        for bit the same predictor run on each block's slice, and stay within
-        1e-12 of sigma_d * forward_batch(features(...))."""
+        """A bound step and predict equal bit for bit the same predictor run
+        on each block's slice, and stay within 1e-12 of
+        sigma_d * forward_batch(features(...))."""
         net = _random_mlp(3, 8, seed=n)
         rng = np.random.default_rng(n)
         x, x1 = rng.normal(size=(2, n, 3))
-        rs, gs = rng.uniform(-HALF_PI, HALF_PI, size=(2, n))
-        times = [(0.3, 0.1), (rs[0], gs[0])]
+        times = [(0.3, 0.1), tuple(rng.uniform(-HALF_PI, HALF_PI, size=2))]
         step = net.bind(x1, times)
         cases = [(step(x, i), lambda s, i=i: net.bind(x1[s], times)(x[s], i), times[i])
                  for i in range(len(times))]
-        cases += [
-            (net.predict(x, x1, 0.3, 0.1), lambda s: net.predict(x[s], x1[s], 0.3, 0.1), (0.3, 0.1)),
-            (net.predict(x, x1, rs, gs), lambda s: net.predict(x[s], x1[s], rs[s], gs[s]), (rs, gs)),
-            (net.predict(x, x1, 0.3, gs), lambda s: net.predict(x[s], x1[s], 0.3, gs[s]), (0.3, gs)),
-        ]
+        cases.append(
+            (net.predict(x, x1, 0.3, 0.1), lambda s: net.predict(x[s], x1[s], 0.3, 0.1), (0.3, 0.1))
+        )
         for got, alone, (r, g) in cases:
             assert got.shape == (n, 3)
             for s in _row_blocks(n):
@@ -455,18 +462,6 @@ class TestBlocks:
         assert got.tobytes() == net.predict(x[None], x1[None], 0.3, 0.1)[0].tobytes()
         assert got.tobytes() == net.bind(x1, [(0.3, 0.1)])(x, 0).tobytes()
 
-    def test_per_row_times_use_each_rows_bias(self):
-        """Over more than one block, per-row times give each row its own
-        bias row: the result matches row-by-row predict."""
-        net = _random_mlp(3, 8, seed=8)
-        rng = np.random.default_rng(8)
-        n = 600
-        x, x1 = rng.normal(size=(2, n, 3))
-        rs, gs = rng.uniform(-HALF_PI, HALF_PI, size=(2, n))
-        got = net.predict(x, x1, rs, gs)
-        rows = np.stack([net.predict(x[i], x1[i], rs[i], gs[i]) for i in range(n)])
-        np.testing.assert_allclose(got, rows, rtol=0.0, atol=1e-12)
-
     def test_empty_batch_and_wrong_width(self):
         net = _random_mlp(3, 8, seed=9)
         empty = np.zeros((0, 3))
@@ -480,8 +475,9 @@ class TestBlocks:
         step = net.bind(np.zeros((600, 3)), [(0.3, 0.1)])
         with pytest.raises(DimensionMismatch):
             step(np.zeros((599, 3)), 0)
-        with pytest.raises(DimensionMismatch, match="times"):
-            net.predict(np.zeros((600, 3)), np.zeros((600, 3)), np.zeros(601), 0.1)
+        for rows in (600, 601):
+            with pytest.raises(DimensionMismatch, match="one scalar"):
+                net.predict(np.zeros((600, 3)), np.zeros((600, 3)), np.zeros(rows), 0.1)
 
 
 def _reference_step(net, x, x1, r, g):
@@ -634,9 +630,14 @@ class TestMlpBackward:
             assert grads[key][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_empty_batch_rejected(self):
+        """Both the loss and its gradients reject an empty batch by name,
+        before numpy warns about a mean over nothing."""
         net = MlpDenoiser(dim=2, hidden=8, emb_dim=4)
-        with pytest.raises(DomainError):
-            mlp_backward(net, np.zeros((0, net.input_dim)), np.zeros((0, 2)), [])
+        for fn in (mlp_backward, weighted_prediction_loss):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=f"{fn.__name__} needs a nonempty batch"):
+                    fn(net, np.zeros((0, net.input_dim)), np.zeros((0, 2)), [])
 
 
 def _rewritten_checkpoint(tmp_path, mutate):

@@ -1,5 +1,6 @@
 """Hybrid sampler: kappa limits, step identities, full restoration loops."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -37,6 +38,12 @@ from rgflow import (
 from rgflow.trajectory import TRAJECTORY_KINDS
 
 HALF_PI = math.pi / 2.0
+
+
+def _path(kind, phi, **params):
+    """make_trajectory with those of `params` that the kind has."""
+    names = {f.name for f in dataclasses.fields(TRAJECTORY_KINDS[kind])}
+    return make_trajectory(kind, phi, **{k: v for k, v in params.items() if k in names})
 
 
 def _spy_item_noise(monkeypatch) -> list[list[int]]:
@@ -285,7 +292,7 @@ class TestUpdate:
         x, x0hat, x1, z = np.random.default_rng(seed).normal(size=(4, 3, 2))
         for v, zero in zip((x, x0hat, x1, z), zeros):
             v[0, 0] = zero  # signed zeros, where the order of a sum shows
-        step = sampler.Step((0.1, 0.2), (0.0, 0.3), ks, a, b, kap)
+        step = sampler.Step(ks, a, b, kap)
         want = ks * x + a * x0hat + b * x1
         if kap != 0.0:
             want = want + kap * z
@@ -296,7 +303,7 @@ class TestUpdate:
         x, x0hat, x1 = np.random.default_rng(3).normal(size=(3, 5))
         x[:2] = [-0.0, 0.0]
         for a in (0.0, -0.0, 0.7):
-            step = sampler.Step((0.1, 0.0), (0.0, 0.0), 1.0, a, -0.2, 0.0)
+            step = sampler.Step(1.0, a, -0.2, 0.0)
             got = sampler._update(step, x, x0hat, x1, None)
             assert got.tobytes() == (1.0 * x + a * x0hat + -0.2 * x1).tobytes()
 
@@ -395,7 +402,7 @@ class TestFoldProperties:
         From g = 0 only the eta = 1 (boot) step is defined, and along g = 0
         the regression step."""
         sched = GvpSchedule(rho, 1.0)
-        traj = make_trajectory(kind, phi=sched.phi, delta=delta, p=p)
+        traj = _path(kind, sched.phi, delta=delta, p=p)
         t1, t2 = (traj.t_start + s * (traj.t_end - traj.t_start) for s in (s1, s2))
         frm, to = traj.point(t1), traj.point(t2)
         assume(frm[1] == 0.0 or frm[1] >= 1e-3)
@@ -709,7 +716,7 @@ _run_settings = dict(
 
 
 def _config(sched, kind, delta, eta, n_steps, seed):
-    traj = make_trajectory(kind, phi=sched.phi, delta=delta, p=1.5)
+    traj = _path(kind, sched.phi, delta=delta, p=1.5)
     return SamplerConfig(trajectory=traj, n_steps=n_steps, eta=eta, seed=seed)
 
 
@@ -732,7 +739,7 @@ class TestNoiseContract:
     def test_draw_count_and_sources_agree(self, kind, delta, eta, n_steps, seed):
         sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
-        traj = make_trajectory(kind, phi=sched.phi, delta=delta, p=1.5)
+        traj = _path(kind, sched.phi, delta=delta, p=1.5)
         cfg = SamplerConfig(trajectory=traj, n_steps=n_steps, eta=eta, seed=seed)
         x1 = np.random.default_rng(seed).normal(size=2)
         if traj.starts_noiseless and n_steps == 1 and eta != 1.0:
@@ -1063,7 +1070,7 @@ class TestInputGuards:
         real = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
         sched = GvpSchedule(0.5, 1.0)
-        traj = make_trajectory(kind, phi=sched.phi, delta=0.5)
+        traj = _path(kind, sched.phi, delta=0.5)
         cfg = SamplerConfig(trajectory=traj, n_steps=5, eta=0.5)
         seeded = _spy_item_noise(monkeypatch)
         for den in dens:

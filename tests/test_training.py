@@ -129,7 +129,7 @@ class TestAdaptiveWeight:
 
     def test_zero_initialised_output(self):
         w = AdaptiveWeight(rng=np.random.default_rng(0))
-        vals = w(np.array([0.1, -0.3]), np.array([0.2, 1.0]))
+        vals, _ = w.forward(w.features(np.array([0.1, -0.3]), np.array([0.2, 1.0])))
         np.testing.assert_array_equal(vals, 0.0)
 
     def test_weight_gradient_matches_finite_differences(self):
@@ -309,8 +309,8 @@ class TestTrainLoop:
             time_sampler=UniformSampler(),
         )
         result = train(ds, cfg)
-        w_easy = float(result.weight_net(0.0, 0.05)[0])
-        w_hard = float(result.weight_net(0.0, 1.5)[0])
+        net = result.weight_net
+        w_easy, w_hard = net.forward(net.features([0.0, 0.0], [0.05, 1.5]))[0]
         assert w_easy > w_hard
 
     def test_trained_net_approaches_posterior_mean(self):

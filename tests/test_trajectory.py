@@ -1,4 +1,4 @@
-"""Inference paths: geometry, discretization, continuity classes."""
+"""Inference paths: geometry, discretization, smoothness, the factory."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rgflow import (
+    ConfigError,
     DomainError,
     Elliptical,
     Linear,
@@ -13,7 +14,6 @@ from rgflow import (
     Regression,
     VPath,
     make_trajectory,
-    path_continuity_order,
 )
 
 HALF_PI = math.pi / 2.0
@@ -102,12 +102,6 @@ class TestDiscretize:
 
 class TestContinuityOrder:
     @pytest.mark.parametrize(
-        "p,expected", [(1.0, "C0"), (1.5, "C1"), (2.0, "C1"), (2.5, "C2"), (3.0, "C2")]
-    )
-    def test_vpath_classes(self, p, expected):
-        assert path_continuity_order(VPath(phi=PHI, delta=0.3, p=p)) == expected
-
-    @pytest.mark.parametrize(
         "traj",
         [
             Elliptical(phi=PHI, delta=0.3),
@@ -116,13 +110,12 @@ class TestContinuityOrder:
         ],
     )
     def test_smooth_families(self, traj):
-        assert path_continuity_order(traj) == "C_inf"
-
-    def test_unclassified_inputs(self):
-        with pytest.raises(DomainError):
-            path_continuity_order(VPath(phi=PHI, delta=0.3, p=3.5))
-        with pytest.raises(DomainError):
-            path_continuity_order(Regression(phi=PHI))
+        """The smooth families have no kink: at every interior point of the
+        path the one-sided slopes of r and of g agree."""
+        h = 1e-6
+        for t in np.linspace(traj.t_start, traj.t_end, 41)[1:-1]:
+            here, left, right = (np.array(traj.point(float(t + dt))) for dt in (0.0, -h, h))
+            np.testing.assert_allclose((right - here) / h, (here - left) / h, atol=1e-4)
 
     def test_vpath_kink_matches_class(self):
         h = 1e-7
@@ -150,10 +143,20 @@ class TestBezier:
 
 class TestFactoryAndFlags:
     def test_make_trajectory(self):
-        assert isinstance(make_trajectory("elliptical", PHI, 0.2), Elliptical)
-        assert isinstance(make_trajectory("vpath", PHI, 0.2, p=2.0), VPath)
+        assert make_trajectory("elliptical", PHI, delta=0.2) == Elliptical(phi=PHI, delta=0.2)
+        assert make_trajectory("vpath", PHI, delta=0.2, p=2.0) == VPath(phi=PHI, delta=0.2, p=2.0)
+        assert make_trajectory("vpath", PHI) == VPath(phi=PHI)
+        assert make_trajectory("regression", PHI) == Regression(phi=PHI)
         with pytest.raises(DomainError):
             make_trajectory("spiral", PHI)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("regression", {"delta": 0.3}), ("regression", {"p": 2.0}),
+        ("elliptical", {"p": 3.0}), ("linear", {"p": 3.0, "q": 1.0}),
+    ])
+    def test_make_trajectory_rejects_a_parameter_the_kind_lacks(self, kind, params):
+        with pytest.raises(ConfigError, match=f"the {kind} path has no parameter {', '.join(params)}$"):
+            make_trajectory(kind, PHI, **params)
 
     def test_boot_requirement_flags(self):
         assert Elliptical(phi=PHI, delta=0.2).starts_noiseless
