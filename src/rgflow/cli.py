@@ -6,15 +6,15 @@ with the same --seed are byte-identical.  Exit codes: 0 success, 1 check
 failure, 2 usage/config error, 3 I/O error.
 
 No environment variables are read except RGFLOW_THREADS (optional worker
-count for batch restoration; results are identical for any value, and equal
-restore_batch's on the whole input, because noise streams are keyed by item
-index, not by worker, and the chunks are the MLP's row blocks).
+count for batch restoration, an integer >= 1; any other value exits 2).
+Results are identical for any valid value, and equal restore_batch's on the
+whole input, because noise streams are keyed by item index, not by worker,
+and the chunks are the MLP's row blocks.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -24,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 # Each handler imports the sampler, training, process, dynamics, sweep and
-# verify modules it runs, so a command loads only its own.
+# verify modules it runs, so a command loads only its own.  No module imported
+# here loads scipy: scipy.special loads on the first MLP forward pass, and
+# scipy.spatial on the first energy distance.
 from .denoiser import CheatDenoiser, GaussianOracle, _row_blocks, load_checkpoint, save_checkpoint
 from .errors import ConfigError, RgflowError, check_seed, json_field, read_json_object
 from .schedule import _HALF_PI, GvpSchedule, schedule_grid
@@ -74,9 +76,12 @@ def _int_list(text: str) -> list[int]:
 def _thread_count() -> int:
     raw = os.environ.get("RGFLOW_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
         raise ConfigError(f"RGFLOW_THREADS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"RGFLOW_THREADS must be >= 1, got {raw!r}")
+    return workers
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -289,7 +294,9 @@ def _cmd_restore(args) -> int:
     if workers == 1:
         parts = [restore_chunk(s) for s in chunks]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(restore_chunk, chunks))
     out = np.concatenate(parts)
     header = [f"x_{i + 1}" for i in range(out.shape[1])]
@@ -354,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Angles accept floats or 'pi'/'pi/N'.  The only environment "
             "variable read is RGFLOW_THREADS (worker count for batch "
-            "restoration; output is identical for any value)."
+            "restoration, an integer >= 1; output is identical for any value)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

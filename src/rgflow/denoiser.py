@@ -25,7 +25,6 @@ from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DimensionMismatch, DomainError, json_field, read_json_object
 from .schedule import GvpSchedule
@@ -140,6 +139,18 @@ class GaussianOracle:
         return m + (a * s2 / denom) * (y - a * m)
 
 
+@lru_cache(maxsize=None)
+def _ndtr():
+    """scipy's ndtr, Phi(z), for GELU.  Loading scipy.special (and its
+    array-API layer) more than doubles the CLI's start-up, so it loads on the
+    first MLP forward pass rather than with this module.  Each forward pass
+    and each bind looks ndtr up once, never per block; the cache makes that
+    lookup cheaper than the import statement."""
+    from scipy.special import ndtr
+
+    return ndtr
+
+
 def _gelu_grad(z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """GELU'(z) = Phi(z) + z phi(z), given cdf = Phi(z) from the forward pass."""
     return cdf + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
@@ -152,6 +163,7 @@ def _dense_forward(params: dict, layers, feats: np.ndarray) -> tuple[np.ndarray,
     Returns the output and the cache _dense_backward needs: every layer's
     input, every hidden pre-activation z and its Phi(z).
     """
+    ndtr = _ndtr()
     w_key, b_key = layers[0]
     z = feats @ params[w_key] + params[b_key]
     inputs, pre, cdfs = [feats], [], []
@@ -325,6 +337,7 @@ class MlpDenoiser:
         unit = sd == 1.0
         x1_part = (rows if unit else rows / sd) @ w1[d : 2 * d]
         hidden = [(p[w_key], p[b_key]) for w_key, b_key in _LAYERS[1:]]
+        ndtr = _ndtr()
         # x1 fixes the state's layout, so a step checks only x's type and shape.
         shape, flat, n = x1.shape, x1.ndim == 1, len(rows)
         blocks = _row_blocks(n) if n > _BLOCK_ROWS + 1 else None

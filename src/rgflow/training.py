@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .denoiser import (
     MlpDenoiser,
@@ -85,6 +84,10 @@ class LogitNormalSampler:
     s_g: float = 1.0
 
     def sample_batch(self, phi: float, rng: np.random.Generator, n: int) -> dict:
+        # scipy.special loads here, not with this module, so that a rejected
+        # `rgflow train` exits without loading it.
+        from scipy.special import expit
+
         u_r = expit(rng.normal(self.m_r, self.s_r, size=n))
         u_g = expit(rng.normal(self.m_g, self.s_g, size=n))
         return {"r": phi * (2.0 * u_r - 1.0), "g": _HALF_PI * u_g}

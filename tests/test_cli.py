@@ -473,6 +473,15 @@ class TestRestoreCli:
         assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
                         "--input", data, "--mode", "disi-g")
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_rejected(self, toy_dataset, tmp_path, capsys, monkeypatch,
+                                             threads):
+        data, ck = toy_dataset
+        monkeypatch.setenv("RGFLOW_THREADS", threads)
+        err = assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
+                              "--input", data, "--mode", "disi-g")
+        assert err == f"error: RGFLOW_THREADS must be >= 1, got '{threads}'"
+
     def test_misshaped_raw_weights_rejected(self, toy_dataset, tmp_path, capsys):
         data, ck = toy_dataset
         doc = json.loads(ck.read_text())
@@ -772,9 +781,9 @@ def _modules_after(code: str) -> set[str]:
     return set(out.splitlines()[-1].split())
 
 
-def _cli_run(*argv) -> str:
-    """Code that runs `rgflow *argv` in-process and requires exit 0."""
-    return f"import rgflow.cli; assert rgflow.cli.main({[str(a) for a in argv]!r}) == 0"
+def _cli_run(*argv, status: int = 0) -> str:
+    """Code that runs `rgflow *argv` in-process and requires exit `status`."""
+    return f"import rgflow.cli; assert rgflow.cli.main({[str(a) for a in argv]!r}) == {status}"
 
 
 # The names `rgflow` exported when it imported every submodule eagerly, less
@@ -795,10 +804,35 @@ PARENT_EXPORTS = """
 
 
 class TestImport:
-    def test_cli_import_skips_scipy_spatial(self):
-        """`energy_distance` imports scipy.spatial on first use, so loading
-        the CLI (every `rgflow` process) does not pay for it."""
-        assert "scipy.spatial" not in _modules_after("import rgflow.cli")
+    def test_cli_import_skips_scipy(self):
+        """scipy.special loads on the first MLP forward pass and scipy.spatial
+        on the first energy distance, so loading the CLI (every `rgflow`
+        process) loads no scipy module at all."""
+        loaded = _modules_after("import rgflow.cli")
+        assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+    def test_scipy_special_loads_only_for_an_mlp_pass(self, toy_dataset, tmp_path):
+        """Commands that run no MLP forward pass, and inputs rejected before
+        one, exit without loading scipy.special; a model restore loads it."""
+        _, ck = toy_dataset
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("x_1,x_2\n0.5,-0.25\n")
+        bad.write_text("x_1,x_2\n0.5\n")
+        out = tmp_path / "out.csv"
+        without = [
+            _cli_run("restore", "--model", ck, "--input", bad, "--out", out, status=2),
+            _cli_run("restore", "--oracle", "gaussian", "--rho", "0.5", "--input", good,
+                     "--out", out),
+            _cli_run("bench", "--euler-steps", "20", "--sampler-steps", "5", "--trials", "3",
+                     "--out", out),
+            _cli_run("train", "--n", "20", "--steps", "2", "--lr", "nan",
+                     "--out", tmp_path / "ck.json", status=2),
+        ]
+        for code in without:
+            assert "scipy.special" not in _modules_after(code), code
+        restored = _modules_after(_cli_run("restore", "--model", ck, "--input", good,
+                                           "--out", out))
+        assert "scipy.special" in restored
 
     def test_cli_import_skips_verify(self):
         """`rgflow.verify` is imported by the verify subcommand alone, so the

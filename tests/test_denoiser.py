@@ -415,15 +415,17 @@ class TestBlocks:
         assert [(s.start, s.stop) for s in _row_blocks(513)] == [(0, 256), (256, 513)]
 
     def test_step_runs_each_block(self, monkeypatch):
-        """Each hidden layer sees one block at a time, never the whole batch."""
+        """Each hidden layer sees one block at a time, never the whole batch.
+        bind looks ndtr up through denoiser._ndtr, so the spy it returns sees
+        every GELU call of every block."""
         seen = []
-        ndtr = denoiser.ndtr
+        ndtr = denoiser._ndtr()
 
         def spy(z):
             seen.append(len(z))
             return ndtr(z)
 
-        monkeypatch.setattr(denoiser, "ndtr", spy)
+        monkeypatch.setattr(denoiser, "_ndtr", lambda: spy)
         net = _random_mlp(3, 8, seed=6)
         rng = np.random.default_rng(6)
         for n in (*self.SIZES, 1):
@@ -431,6 +433,26 @@ class TestBlocks:
             seen.clear()
             net.bind(x1, [(0.3, 0.1)])(x, 0)
             assert seen == [s.stop - s.start for s in _row_blocks(n) for _ in range(2)]
+
+    def test_ndtr_looked_up_once_per_pass(self, monkeypatch):
+        """bind and forward_batch each look ndtr up once, however many steps
+        and blocks then run."""
+        lookups = []
+        real = denoiser._ndtr
+
+        def counted():
+            lookups.append(1)
+            return real()
+
+        monkeypatch.setattr(denoiser, "_ndtr", counted)
+        net = _random_mlp(3, 8, seed=6)
+        x, x1 = np.random.default_rng(6).normal(size=(2, 600, 3))
+        step = net.bind(x1, [(0.3, 0.1), (0.2, 0.4)])
+        for i in (0, 1, 0):
+            step(x, i)
+        assert len(lookups) == 1
+        net.forward_batch(net.features(x, x1, 0.3, 0.1))
+        assert len(lookups) == 2
 
     @pytest.mark.parametrize("n", SIZES)
     def test_blocked_equals_each_block_alone(self, n):
@@ -487,13 +509,14 @@ def _reference_step(net, x, x1, r, g):
     p, d, sd = net.params, net.dim, net.sigma_d
     xs, x1s = np.atleast_2d(x), np.atleast_2d(x1)
     bias = _grid_rows(((r, g),), net.emb_dim) @ p["W1"][2 * d :] + p["b1"]
+    ndtr = denoiser._ndtr()
     out = np.empty_like(xs)
     for s in _row_blocks(len(xs)):
         z = (xs[s] / sd) @ p["W1"][:d]
         z += (x1s / sd)[s] @ p["W1"][d : 2 * d]
         z += bias[0]
         for w, b in (("W2", "b2"), ("W3", "b3")):
-            z *= denoiser.ndtr(z)
+            z *= ndtr(z)
             z = z @ p[w]
             z += p[b]
         z *= sd
