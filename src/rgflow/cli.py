@@ -25,7 +25,8 @@ import numpy as np
 
 # Each handler imports the sampler, training, process, dynamics, sweep and
 # verify modules it runs, so a command loads only its own.  No module imported
-# here loads scipy: scipy.special loads on the first MLP forward pass, and
+# here loads scipy: scipy.special's compiled ufuncs load on the first MLP
+# forward pass (denoiser._special, without the scipy.special package), and
 # scipy.spatial on the first energy distance.
 from .denoiser import CheatDenoiser, GaussianOracle, _row_blocks, load_checkpoint, save_checkpoint
 from .errors import ConfigError, RgflowError, check_seed, json_field, read_json_object

@@ -20,6 +20,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
+import threading
+import types
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -139,16 +143,59 @@ class GaussianOracle:
         return m + (a * s2 / denom) * (y - a * m)
 
 
+_SPECIAL_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=None)
+def _special():
+    """scipy's special-function ufuncs: a module whose `ndtr` and `expit` are
+    the objects `scipy.special.ndtr` and `scipy.special.expit` are.
+
+    Importing the scipy.special package costs ~250 ms, nearly all of it in
+    its array-API layer, which rgflow never calls.  The compiled
+    scipy.special._ufuncs module holds the same ufuncs and loads in ~10-15 ms
+    under a bare stand-in for its package: the stand-in sits in sys.modules
+    for that one import statement and is then removed, so a later
+    `import scipy.special` loads the real package, which reuses this
+    _ufuncs.  If scipy.special is already loaded, no stand-in is made; if
+    the light import fails, the package is imported.
+
+    The lock serialises first calls from the CLI's worker threads.  Not
+    covered: a foreign thread that imports scipy.special inside that
+    ~10 ms window would get the stand-in.  The real package, once loaded, also
+    lacks the attributes of the private extension submodules loaded under
+    the stand-in (_ufuncs_cxx, _special_ufuncs, _gufuncs, _ellip_harm_2);
+    they stay in sys.modules and importable.
+    """
+    with _SPECIAL_LOCK:
+        if "scipy.special" not in sys.modules:
+            try:
+                import scipy  # before the stand-in goes in, to keep its window short
+
+                stand_in = types.ModuleType("scipy.special")
+                stand_in.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
+                # setdefault, so that a package loaded meanwhile is kept.
+                if sys.modules.setdefault("scipy.special", stand_in) is stand_in:
+                    try:
+                        from scipy.special import _ufuncs
+
+                        return _ufuncs
+                    finally:
+                        if sys.modules.get("scipy.special") is stand_in:
+                            del sys.modules["scipy.special"]
+            except Exception:
+                pass  # the package import below raises any fault of its own
+        import scipy.special
+
+        return scipy.special
+
+
 @lru_cache(maxsize=None)
 def _ndtr():
-    """scipy's ndtr, Phi(z), for GELU.  Loading scipy.special (and its
-    array-API layer) more than doubles the CLI's start-up, so it loads on the
-    first MLP forward pass rather than with this module.  Each forward pass
-    and each bind looks ndtr up once, never per block; the cache makes that
-    lookup cheaper than the import statement."""
-    from scipy.special import ndtr
-
-    return ndtr
+    """scipy's ndtr, Phi(z), for GELU, from _special() on the first MLP
+    forward pass rather than with this module.  Each forward pass and each
+    bind looks ndtr up once, never per block."""
+    return _special().ndtr
 
 
 def _gelu_grad(z: np.ndarray, cdf: np.ndarray) -> np.ndarray:

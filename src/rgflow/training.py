@@ -22,6 +22,7 @@ from .denoiser import (
     _check_sizes,
     _dense_backward,
     _dense_forward,
+    _special,
     _time_pairs,
     _weighted_error,
 )
@@ -84,10 +85,9 @@ class LogitNormalSampler:
     s_g: float = 1.0
 
     def sample_batch(self, phi: float, rng: np.random.Generator, n: int) -> dict:
-        # scipy.special loads here, not with this module, so that a rejected
-        # `rgflow train` exits without loading it.
-        from scipy.special import expit
-
+        # scipy's ufuncs load here, not with this module, so that a rejected
+        # `rgflow train` exits without loading them.
+        expit = _special().expit
         u_r = expit(rng.normal(self.m_r, self.s_r, size=n))
         u_g = expit(rng.normal(self.m_g, self.s_g, size=n))
         return {"r": phi * (2.0 * u_r - 1.0), "g": _HALF_PI * u_g}

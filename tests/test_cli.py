@@ -770,14 +770,21 @@ class TestHelp:
             assert "--" in capsys.readouterr().out
 
 
+def _fresh(code: str, **env: str) -> str:
+    """The standard output of `code` run in a fresh interpreter, with `env`
+    added to the environment; the interpreter must exit 0."""
+    src = os.path.dirname(os.path.dirname(rgflow.__file__))
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def _modules_after(code: str) -> set[str]:
     """The modules a fresh interpreter has loaded after running `code`."""
-    src = os.path.dirname(os.path.dirname(rgflow.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code += "\nimport sys; print(*sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = _fresh(code + "\nimport sys; print(*sys.modules)")
     return set(out.splitlines()[-1].split())
 
 
@@ -805,20 +812,22 @@ PARENT_EXPORTS = """
 
 class TestImport:
     def test_cli_import_skips_scipy(self):
-        """scipy.special loads on the first MLP forward pass and scipy.spatial
-        on the first energy distance, so loading the CLI (every `rgflow`
-        process) loads no scipy module at all."""
+        """scipy's special-function ufuncs load on the first MLP forward pass
+        and scipy.spatial on the first energy distance, so loading the CLI
+        (every `rgflow` process) loads no scipy module at all."""
         loaded = _modules_after("import rgflow.cli")
         assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
     def test_scipy_special_loads_only_for_an_mlp_pass(self, toy_dataset, tmp_path):
         """Commands that run no MLP forward pass, and inputs rejected before
-        one, exit without loading scipy.special; a model restore loads it."""
+        one, exit without loading any of scipy.special; a model restore and
+        a training run (elliptical and logit-normal times) load its compiled
+        _ufuncs module but not the package."""
         _, ck = toy_dataset
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
         good.write_text("x_1,x_2\n0.5,-0.25\n")
         bad.write_text("x_1,x_2\n0.5\n")
-        out = tmp_path / "out.csv"
+        out, trained = tmp_path / "out.csv", tmp_path / "ck.json"
         without = [
             _cli_run("restore", "--model", ck, "--input", bad, "--out", out, status=2),
             _cli_run("restore", "--oracle", "gaussian", "--rho", "0.5", "--input", good,
@@ -826,13 +835,19 @@ class TestImport:
             _cli_run("bench", "--euler-steps", "20", "--sampler-steps", "5", "--trials", "3",
                      "--out", out),
             _cli_run("train", "--n", "20", "--steps", "2", "--lr", "nan",
-                     "--out", tmp_path / "ck.json", status=2),
+                     "--out", trained, status=2),
         ]
         for code in without:
-            assert "scipy.special" not in _modules_after(code), code
-        restored = _modules_after(_cli_run("restore", "--model", ck, "--input", good,
-                                           "--out", out))
-        assert "scipy.special" in restored
+            assert not {m for m in _modules_after(code) if m.startswith("scipy.special")}, code
+        with_pass = [
+            _cli_run("restore", "--model", ck, "--input", good, "--out", out),
+            *(_cli_run("train", "--n", "20", "--steps", "2", "--hidden", "4", "--emb-dim", "2",
+                       "--time-sampler", sampler, "--out", trained)
+              for sampler in ("elliptical", "lognorm1")),
+        ]
+        for code in with_pass:
+            loaded = _modules_after(code)
+            assert "scipy.special._ufuncs" in loaded and "scipy.special" not in loaded, code
 
     def test_cli_import_skips_verify(self):
         """`rgflow.verify` is imported by the verify subcommand alone, so the
@@ -865,6 +880,93 @@ class TestImport:
         code = ("import rgflow; assert rgflow.sweep.run_sweep is rgflow.run_sweep; "
                 "assert rgflow.cli.main and rgflow.verify.run_checks")
         assert {"rgflow.sweep", "rgflow.cli", "rgflow.verify"} <= _modules_after(code)
+
+
+class TestScipyUfuncs:
+    """denoiser._special loads scipy.special._ufuncs under a stand-in for its
+    package, and must hand out the package's own ufuncs in every case."""
+
+    def test_package_imported_later_shares_the_ufuncs(self):
+        _fresh("import sys, rgflow.denoiser as d\n"
+               "ndtr, expit = d._ndtr(), d._special().expit\n"
+               "assert 'scipy.special' not in sys.modules\n"
+               "import scipy, scipy.special\n"
+               "assert scipy.special.__file__.endswith('__init__.py')\n"
+               "assert scipy.special.ndtr is ndtr and scipy.special.expit is expit\n"
+               "assert scipy.special is sys.modules['scipy.special'] and scipy.special.erf(0.5)\n")
+
+    def test_sweep_output_does_not_depend_on_the_package_loaded_first(self, toy_dataset,
+                                                                      tmp_path):
+        """`sweep --model` runs an MLP pass and then scipy.spatial's energy
+        distance, which loads the real scipy.special after the light load."""
+        data, ck = toy_dataset
+        outs = []
+        for first in ("", "import scipy.special\n"):
+            out = tmp_path / f"sweep{len(outs)}.csv"
+            _fresh(first + _cli_run("sweep", "--data", data, "--model", ck, "--deltas", "0,pi/8",
+                                    "--etas", "0,0.5", "--nfes", "2,5", "--seed", "3",
+                                    "--out", out)
+                   + "\nimport sys, rgflow.denoiser as d\n"
+                   "assert sys.modules['scipy.special'].ndtr is d._ndtr()\n")
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and outs[0].count(b"\n") > 1
+
+    def test_failed_light_import_falls_back_to_the_package(self):
+        """A finder that refuses _ufuncs under the stand-in makes the light
+        import raise; _ndtr is then the package's and no stand-in is left."""
+        _fresh("import sys\n"
+               "class Refuse:\n"
+               "    def find_spec(self, name, path, target=None):\n"
+               "        parent = sys.modules.get('scipy.special')\n"
+               "        if name == 'scipy.special._ufuncs' and not hasattr(parent, '__file__'):\n"
+               "            raise ImportError('refused')\n"
+               "sys.meta_path.insert(0, Refuse())\n"
+               "import rgflow.denoiser as d\n"
+               "ndtr = d._ndtr()\n"
+               "import scipy.special\n"
+               "assert sys.modules['scipy.special'].__file__.endswith('__init__.py')\n"
+               "assert ndtr is scipy.special.ndtr and d._special() is scipy.special\n")
+
+    def test_no_stand_in_when_the_package_is_loaded(self):
+        """With scipy.special already imported, _special makes no module."""
+        _fresh("import sys, types, scipy.special\n"
+               "real = sys.modules['scipy.special']\n"
+               "import rgflow.denoiser as d\n"
+               "made = []\n"
+               "class Spy:\n"
+               "    def ModuleType(self, *a):\n"
+               "        made.append(a)\n"
+               "        return types.ModuleType(*a)\n"
+               "d.types = Spy()\n"
+               "assert d._ndtr() is real.ndtr and d._special() is real and not made\n"
+               "assert sys.modules['scipy.special'] is real\n")
+
+    def test_first_load_on_worker_threads(self, toy_dataset, tmp_path):
+        """A 3-worker restore of a 4-block input, with a short switch
+        interval, makes its first _special() calls on the workers, several
+        at once (the spy holds each caller for 50 ms), and still writes the
+        1-worker bytes."""
+        _, ck = toy_dataset
+        points = tmp_path / "in.csv"
+        np.savetxt(points, np.random.default_rng(4).normal(size=(800, 2)), delimiter=",",
+                   header="x_1,x_2", comments="")
+        argv = ("restore", "--model", ck, "--input", points, "--mode", "disi-g", "--seed", "7")
+        one, three = tmp_path / "one.csv", tmp_path / "three.csv"
+        assert run(*argv, "--out", one) == 0
+        _fresh("import sys, threading, time\n"
+               "import rgflow.denoiser as d\n"
+               "sys.setswitchinterval(1e-6)\n"
+               "real, callers = d._special, []\n"
+               "def spy():\n"
+               "    callers.append(threading.current_thread())\n"
+               "    time.sleep(0.05)\n"
+               "    return real()\n"
+               "d._special = spy\n"
+               + _cli_run(*argv, "--out", three) + "\n"
+               "assert len(callers) > 1 and threading.main_thread() not in callers\n"
+               "assert 'scipy.special' not in sys.modules\n",
+               RGFLOW_THREADS="3")
+        assert one.read_bytes() == three.read_bytes()
 
 
 class TestExports:
