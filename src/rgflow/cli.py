@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 # Each handler imports the sampler, training, process, dynamics, sweep and
-# verify modules it runs, so a command loads only its own.  No module imported
-# here loads scipy: scipy.special's compiled ufuncs load on the first MLP
-# forward pass (denoiser._special, without the scipy.special package), and
-# scipy.spatial on the first energy distance.
+# verify modules it runs, so a command loads only its own.  Nothing here loads
+# scipy: denoiser._special loads scipy.special._special_ufuncs from its file on
+# the first MLP pass, and toydata scipy.spatial on the first energy distance.
 from .denoiser import CheatDenoiser, GaussianOracle, _row_blocks, load_checkpoint, save_checkpoint
 from .errors import ConfigError, RgflowError, check_seed, json_field, read_json_object
 from .schedule import _HALF_PI, GvpSchedule, schedule_grid
@@ -53,17 +52,16 @@ def _path(kind: str, phi: float, args):
 
 
 def _angle(text: str) -> float:
-    """Parse a float, or the symbolic forms 'pi' and 'pi/N'."""
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    """Parse a float, or the symbolic forms 'pi' and 'pi/N' for nonzero N."""
     expr = text.replace(" ", "")
-    if expr == "pi":
-        return math.pi
-    if expr.startswith("pi/"):
-        return math.pi / float(expr[3:])
-    raise ConfigError(f"cannot parse angle {text!r}; use a float, 'pi' or 'pi/N'")
+    try:
+        if expr == "pi":
+            return math.pi
+        if expr.startswith("pi/"):
+            return math.pi / float(expr[3:])
+        return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse angle {text!r}; use a float, 'pi' or 'pi/N'") from None
 
 
 def _angle_list(text: str) -> list[float]:
@@ -301,7 +299,7 @@ def _cmd_restore(args) -> int:
             parts = list(pool.map(restore_chunk, chunks))
     out = np.concatenate(parts)
     header = [f"x_{i + 1}" for i in range(out.shape[1])]
-    write_csv(args.out, header, out)
+    write_csv(args.out, header, out.tolist())
     return 0
 
 

@@ -18,12 +18,12 @@ DimensionMismatch, and arguments outside their domain DomainError.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
 import sys
-import threading
-import types
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -143,7 +143,7 @@ class GaussianOracle:
         return m + (a * s2 / denom) * (y - a * m)
 
 
-_SPECIAL_LOCK = threading.Lock()
+_UFUNCS = "scipy.special._special_ufuncs"
 
 
 @lru_cache(maxsize=None)
@@ -151,43 +151,26 @@ def _special():
     """scipy's special-function ufuncs: a module whose `ndtr` and `expit` are
     the objects `scipy.special.ndtr` and `scipy.special.expit` are.
 
-    Importing the scipy.special package costs ~250 ms, nearly all of it in
-    its array-API layer, which rgflow never calls.  The compiled
-    scipy.special._ufuncs module holds the same ufuncs and loads in ~10-15 ms
-    under a bare stand-in for its package: the stand-in sits in sys.modules
-    for that one import statement and is then removed, so a later
-    `import scipy.special` loads the real package, which reuses this
-    _ufuncs.  If scipy.special is already loaded, no stand-in is made; if
-    the light import fails, the package is imported.
-
-    The lock serialises first calls from the CLI's worker threads.  Not
-    covered: a foreign thread that imports scipy.special inside that
-    ~10 ms window would get the stand-in.  The real package, once loaded, also
-    lacks the attributes of the private extension submodules loaded under
-    the stand-in (_ufuncs_cxx, _special_ufuncs, _gufuncs, _ellip_harm_2);
-    they stay in sys.modules and importable.
+    Both live in the compiled scipy.special._special_ufuncs, loaded from its
+    file in ~1 ms, running no scipy __init__ (the package takes ~250 ms), and
+    registered by setdefault: concurrent first calls all return one module,
+    and a later `import scipy.special` reuses it (that package then lacks a
+    _special_ufuncs attribute).  If it is missing, fails to load or lacks a
+    ufunc (older scipy), the package is imported.
     """
-    with _SPECIAL_LOCK:
-        if "scipy.special" not in sys.modules:
-            try:
-                import scipy  # before the stand-in goes in, to keep its window short
-
-                stand_in = types.ModuleType("scipy.special")
-                stand_in.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
-                # setdefault, so that a package loaded meanwhile is kept.
-                if sys.modules.setdefault("scipy.special", stand_in) is stand_in:
-                    try:
-                        from scipy.special import _ufuncs
-
-                        return _ufuncs
-                    finally:
-                        if sys.modules.get("scipy.special") is stand_in:
-                            del sys.modules["scipy.special"]
-            except Exception:
-                pass  # the package import below raises any fault of its own
-        import scipy.special
-
-        return scipy.special
+    module = sys.modules.get(_UFUNCS)
+    if module is None:
+        try:
+            package = importlib.util.find_spec("scipy")
+            dirs = [os.path.join(p, "special") for p in package.submodule_search_locations]
+            spec = importlib.machinery.PathFinder.find_spec(_UFUNCS, dirs)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except Exception:
+            module = None  # the package import below raises any fault of its own
+    if hasattr(module, "ndtr") and hasattr(module, "expit"):
+        return sys.modules.setdefault(_UFUNCS, module)
+    return importlib.import_module("scipy.special")
 
 
 @lru_cache(maxsize=None)

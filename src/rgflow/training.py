@@ -85,8 +85,7 @@ class LogitNormalSampler:
     s_g: float = 1.0
 
     def sample_batch(self, phi: float, rng: np.random.Generator, n: int) -> dict:
-        # scipy's ufuncs load here, not with this module, so that a rejected
-        # `rgflow train` exits without loading them.
+        # scipy.special._special_ufuncs loads here, so a rejected `train` loads no scipy.
         expit = _special().expit
         u_r = expit(rng.normal(self.m_r, self.s_r, size=n))
         u_g = expit(rng.normal(self.m_g, self.s_g, size=n))

@@ -150,8 +150,7 @@ class Regression(Trajectory):
 class VPath(Trajectory):
     """r = phi t, g = delta (1 - |t|^p) on t in [1, -1] (start to end).
 
-    The exponent p sets the continuity class of g at the apex t = 0, which is
-    what this family exists to probe.
+    p > 0 shapes g's apex at t = 0: a cusp for p < 1, a corner at 1, smooth at 2.
     """
 
     delta: float = 0.0

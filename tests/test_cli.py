@@ -115,6 +115,28 @@ class TestTraj:
         assert err == f"error: {named}"
 
 
+class TestAngleArguments:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("traj", "--delta", "pi/0"),
+        ("sweep", "--deltas", "0,pi/0"),
+        ("sweep", "--etas", "pi/0"),
+    ], ids=["traj-delta", "sweep-deltas", "sweep-etas"])
+    def test_zero_divisor_rejected(self, toy_dataset, tmp_path, capsys, command, flag, value):
+        """'pi/0' is an invalid angle: argparse exits 2 naming the argument,
+        and no output is written."""
+        data, _ = toy_dataset
+        rest = {"traj": ("--kind", "elliptical", "--steps", "3"),
+                "sweep": ("--data", data, "--oracle", "gaussian")}[command]
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(command, *rest, flag, value, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"rgflow {command}: error: argument {flag}: invalid ")
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_states_along_path(self, toy_dataset, tmp_path):
         data, _ = toy_dataset
@@ -822,7 +844,7 @@ class TestImport:
         """Commands that run no MLP forward pass, and inputs rejected before
         one, exit without loading any of scipy.special; a model restore and
         a training run (elliptical and logit-normal times) load its compiled
-        _ufuncs module but not the package."""
+        _special_ufuncs module and neither scipy nor scipy.special."""
         _, ck = toy_dataset
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
         good.write_text("x_1,x_2\n0.5,-0.25\n")
@@ -847,7 +869,8 @@ class TestImport:
         ]
         for code in with_pass:
             loaded = _modules_after(code)
-            assert "scipy.special._ufuncs" in loaded and "scipy.special" not in loaded, code
+            assert "scipy.special._special_ufuncs" in loaded, code
+            assert not {"scipy", "scipy.special"} & loaded, code
 
     def test_cli_import_skips_verify(self):
         """`rgflow.verify` is imported by the verify subcommand alone, so the
@@ -882,14 +905,29 @@ class TestImport:
         assert {"rgflow.sweep", "rgflow.cli", "rgflow.verify"} <= _modules_after(code)
 
 
+def _finding_ufuncs(found: str) -> str:
+    """Code that makes PathFinder.find_spec return `found`, an expression in
+    its arguments `name` and `path` and the original `find_spec`, for
+    scipy.special._special_ufuncs while scipy.special is unloaded: that is,
+    for denoiser._special's own lookup, not the package's import."""
+    return ("import importlib.machinery, sys\n"
+            "find_spec = importlib.machinery.PathFinder.find_spec\n"
+            "def wrapped(name, path=None, target=None):\n"
+            "    if name == 'scipy.special._special_ufuncs' and 'scipy.special' not in sys.modules:\n"
+            f"        return {found}\n"
+            "    return find_spec(name, path, target)\n"
+            "importlib.machinery.PathFinder.find_spec = wrapped\n")
+
+
 class TestScipyUfuncs:
-    """denoiser._special loads scipy.special._ufuncs under a stand-in for its
-    package, and must hand out the package's own ufuncs in every case."""
+    """denoiser._special loads scipy.special._special_ufuncs from its file,
+    and must hand out the package's own ufuncs in every case."""
 
     def test_package_imported_later_shares_the_ufuncs(self):
         _fresh("import sys, rgflow.denoiser as d\n"
                "ndtr, expit = d._ndtr(), d._special().expit\n"
-               "assert 'scipy.special' not in sys.modules\n"
+               "assert not {'scipy', 'scipy.special'} & set(sys.modules)\n"
+               "assert sys.modules['scipy.special._special_ufuncs'] is d._special()\n"
                "import scipy, scipy.special\n"
                "assert scipy.special.__file__.endswith('__init__.py')\n"
                "assert scipy.special.ndtr is ndtr and scipy.special.expit is expit\n"
@@ -912,34 +950,38 @@ class TestScipyUfuncs:
         assert outs[0] == outs[1] and outs[0].count(b"\n") > 1
 
     def test_failed_light_import_falls_back_to_the_package(self):
-        """A finder that refuses _ufuncs under the stand-in makes the light
-        import raise; _ndtr is then the package's and no stand-in is left."""
-        _fresh("import sys\n"
-               "class Refuse:\n"
-               "    def find_spec(self, name, path, target=None):\n"
-               "        parent = sys.modules.get('scipy.special')\n"
-               "        if name == 'scipy.special._ufuncs' and not hasattr(parent, '__file__'):\n"
-               "            raise ImportError('refused')\n"
-               "sys.meta_path.insert(0, Refuse())\n"
-               "import rgflow.denoiser as d\n"
-               "ndtr = d._ndtr()\n"
+        """With _special_ufuncs not found, _special is the scipy.special
+        package and _ndtr its ndtr."""
+        _fresh(_finding_ufuncs("None")
+               + "import rgflow.denoiser as d\n"
+               "special, ndtr = d._special(), d._ndtr()\n"
                "import scipy.special\n"
-               "assert sys.modules['scipy.special'].__file__.endswith('__init__.py')\n"
-               "assert ndtr is scipy.special.ndtr and d._special() is scipy.special\n")
+               "assert special is scipy.special and ndtr is scipy.special.ndtr\n")
+
+    def test_module_without_ndtr_falls_back_to_the_package(self, tmp_path):
+        """A _special_ufuncs that lacks ndtr is not used, nor left in
+        sys.modules: _special is the package, whose own submodule loads."""
+        (tmp_path / "_special_ufuncs.py").write_text("expit = None\n")
+        _fresh(_finding_ufuncs(f"find_spec(name, [{str(tmp_path)!r}])")
+               + "import rgflow.denoiser as d\n"
+               "special, ndtr = d._special(), d._ndtr()\n"
+               "import scipy.special\n"
+               "assert special is scipy.special and ndtr is scipy.special.ndtr\n"
+               "assert sys.modules['scipy.special._special_ufuncs'].ndtr is ndtr\n")
 
     def test_no_stand_in_when_the_package_is_loaded(self):
-        """With scipy.special already imported, _special makes no module."""
-        _fresh("import sys, types, scipy.special\n"
-               "real = sys.modules['scipy.special']\n"
+        """With scipy.special already imported, _special looks up no file and
+        returns the package's own _special_ufuncs."""
+        _fresh("import importlib.machinery, sys, scipy.special\n"
+               "find_spec = importlib.machinery.PathFinder.find_spec\n"
+               "def refuse(name, path=None, target=None):\n"
+               "    assert not name.startswith('scipy'), name\n"
+               "    return find_spec(name, path, target)\n"
+               "importlib.machinery.PathFinder.find_spec = refuse\n"
                "import rgflow.denoiser as d\n"
-               "made = []\n"
-               "class Spy:\n"
-               "    def ModuleType(self, *a):\n"
-               "        made.append(a)\n"
-               "        return types.ModuleType(*a)\n"
-               "d.types = Spy()\n"
-               "assert d._ndtr() is real.ndtr and d._special() is real and not made\n"
-               "assert sys.modules['scipy.special'] is real\n")
+               "assert d._special() is sys.modules['scipy.special._special_ufuncs']\n"
+               "assert d._ndtr() is scipy.special.ndtr\n"
+               "assert d._special().expit is scipy.special.expit\n")
 
     def test_first_load_on_worker_threads(self, toy_dataset, tmp_path):
         """A 3-worker restore of a 4-block input, with a short switch
