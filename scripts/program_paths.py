@@ -7,9 +7,8 @@ sys.settrace and threading.settrace in one process, and runs:
 
 * every `rgflow` subcommand on small inputs, in process through
   rgflow.cli.main: train on both data kinds (flags and a config file), each
-  restore mode (also on two threads, and on malformed input), schedule-dump,
-  traj, simulate, bench, and sweep with --model, --oracle gaussian and
-  --oracle cheat;
+  restore mode (also on malformed input), schedule-dump, traj, simulate,
+  bench, and sweep with --model, --oracle gaussian and --oracle cheat;
 * every `verify` check except training-progress, whose calls the train runs
   above make;
 * perfbench's call shapes: restore_batch per mode on a multi-block batch, a
@@ -91,11 +90,6 @@ def _cli_runs(main) -> None:
         Path(f"{name}.csv").write_text(text)
     for argv in runs:
         main(argv)
-    os.environ["RGFLOW_THREADS"] = "2"
-    try:
-        main([*restore, "--mode", "disi-g", "--out", "t.csv"])
-    finally:
-        del os.environ["RGFLOW_THREADS"]
     from rgflow.verify import CHECKS
 
     for name, _ in CHECKS:

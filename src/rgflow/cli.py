@@ -3,13 +3,8 @@
 Subcommands: schedule-dump, traj, simulate, bench, train, restore, sweep,
 verify.  All numeric CSV output uses 17-significant-digit decimals so reruns
 with the same --seed are byte-identical.  Exit codes: 0 success, 1 check
-failure, 2 usage/config error, 3 I/O error.
-
-No environment variables are read except RGFLOW_THREADS (optional worker
-count for batch restoration, an integer >= 1; any other value exits 2).
-Results are identical for any valid value, and equal restore_batch's on the
-whole input, because noise streams are keyed by item index, not by worker,
-and the chunks are the MLP's row blocks.
+failure, 2 usage/config error, 3 I/O error.  No environment variable is
+read.
 """
 
 from __future__ import annotations
@@ -17,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -72,17 +66,6 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RGFLOW_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"RGFLOW_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"RGFLOW_THREADS must be >= 1, got {raw!r}")
-    return workers
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
@@ -127,6 +110,8 @@ def _cmd_bench(args) -> int:
     from .dynamics import euler_integrate
     from .sampler import SamplerConfig, restore
 
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     sched = GvpSchedule(rho=args.rho, sigma_d=1.0)
     den = GaussianOracle(rho=args.rho)
     traj = _path(args.traj, sched.phi, args)
@@ -278,26 +263,13 @@ def _cmd_restore(args) -> int:
     cfg = SamplerConfig(trajectory=traj, **_given(
         n_steps=args.steps, eta=args.eta, boot_epsilon=args.boot_epsilon, seed=args.seed))
     x1 = _load_degraded(args.input)
-    workers = _thread_count()
     # The chunks are the row blocks a bound step runs, so the output is
-    # restore_batch's on the whole input, byte for byte, for any worker
-    # count: threads only schedule chunks, they never reshape the batches.
-    chunks = _row_blocks(x1.shape[0])
-
-    def restore_chunk(s: slice) -> np.ndarray:
-        # An overflow surfaces as restore_batch's NonFiniteOutput, the one
-        # error line, rather than as numpy warnings (errstate is per thread).
-        with np.errstate(all="ignore"):
-            return restore_batch(sched, den, x1[s], cfg, item_offset=s.start)
-
-    if workers == 1:
-        parts = [restore_chunk(s) for s in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(restore_chunk, chunks))
-    out = np.concatenate(parts)
+    # restore_batch's on the whole input, byte for byte, while each chunk's
+    # noise block stays small.  An overflow surfaces as restore_batch's
+    # NonFiniteOutput, the one error line, rather than as numpy warnings.
+    with np.errstate(all="ignore"):
+        out = np.concatenate([restore_batch(sched, den, x1[s], cfg, item_offset=s.start)
+                              for s in _row_blocks(x1.shape[0])])
     header = [f"x_{i + 1}" for i in range(out.shape[1])]
     write_csv(args.out, header, out.tolist())
     return 0
@@ -357,11 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
             "inference trajectories, the analytic hybrid sampler, and a toy "
             "training pipeline."
         ),
-        epilog=(
-            "Angles accept floats or 'pi'/'pi/N'.  The only environment "
-            "variable read is RGFLOW_THREADS (worker count for batch "
-            "restoration, an integer >= 1; output is identical for any value)."
-        ),
+        epilog="Angles accept floats or 'pi'/'pi/N'.  No environment variable is read.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -517,7 +517,7 @@ def _item_noise(seed: int, first: int, n_draws: int, shape: tuple, sigma_d: floa
     if n_fast < _FAST_SEEDING_MIN_ITEMS or not _seeding_matches_numpy():
         n_fast = 0
     if n_fast:
-        # Local to the call: the CLI restores chunks on several threads.
+        # Local to the call, so that callers may restore batches on several threads.
         bitgen = np.random.PCG64(0)
         gen = np.random.Generator(bitgen)
         for i, (state, inc) in enumerate(_pcg64_states(seed, first, n_fast)):

@@ -1,9 +1,13 @@
 """Grid sweeps over (delta, eta, NFE) on the elliptical path family.
 
 One row per cell with desk-scale metrics (paired MSE and energy distance to
-the clean cloud).  Cells that are not runnable carry the literal string "NA":
-the delta = 0 row is pure regression (eta not applicable, emitted once per
-NFE), and NFE = 1 with eta < 1 on a path starting at g = 0 is invalid.
+the clean cloud).  "NA" marks two kinds of cell only: the eta of the delta = 0
+row, which is pure regression (eta not read, emitted once per NFE), and the
+metrics of NFE = 1 with eta < 1 on a path starting at g = 0, which has no
+valid plan.  A value that restore rejects (eta outside [0, 1], NFE below 1,
+delta outside [0, pi/2]) or an empty axis raises ConfigError or DomainError
+before the first cell runs.
+
 For eta > 0 the endpoint law does not converge to the target as NFE grows:
 at rho = 0.5 and delta = pi/4 its variance (target 0.75) reads 0.727 at
 eta 0 but 0.058 at eta 1 for NFE 100 (figures in the sampler docstring).
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, check_seed
+from .errors import ConfigError
 from .sampler import SamplerConfig, restore_batch
 from .schedule import GvpSchedule
 from .toydata import energy_distance, mse
@@ -36,33 +40,33 @@ def run_sweep(
     """Evaluate every (delta, eta, NFE) cell; all cells share cfg.seed so the
     per-item noise streams (hence the boot noise) coincide across cells.
 
-    A cell whose configuration is rejected reads "NA"; a bad seed, shared by
-    every cell, raises ConfigError instead."""
-    check_seed(seed)
+    Every cell's configuration is built before the first cell runs, so an
+    empty axis or a value SamplerConfig or the path rejects (a bad seed, eta
+    outside [0, 1], NFE below 1, delta outside [0, pi/2]) raises at once.
+    Only NFE 1 with eta < 1 on a path starting at g = 0 reads "NA"."""
+    if not all(len(axis) for axis in (deltas, etas, nfes)):
+        raise ConfigError("a sweep needs at least one delta, one eta and one NFE")
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
+    cells = [
+        ({"delta": delta, "eta": eta, "nfe": nfe},
+         SamplerConfig(trajectory=Elliptical(phi=sched.phi, delta=float(delta)),
+                       n_steps=int(nfe), eta=0.0 if eta == "NA" else float(eta),
+                       boot_epsilon=boot_epsilon, seed=seed))
+        for delta in deltas
+        for eta in (["NA"] if delta == 0.0 else etas)
+        for nfe in nfes
+    ]
     rows: list[dict] = []
-    for delta in deltas:
-        eta_values = ["NA"] if delta == 0.0 else list(etas)
-        for eta in eta_values:
-            for nfe in nfes:
-                row = {"delta": delta, "eta": eta, "nfe": nfe}
-                traj = Elliptical(phi=sched.phi, delta=float(delta))
-                cfg_eta = 0.0 if eta == "NA" else float(eta)
-                try:
-                    cfg = SamplerConfig(
-                        trajectory=traj,
-                        n_steps=int(nfe),
-                        eta=cfg_eta,
-                        boot_epsilon=boot_epsilon,
-                        seed=seed,
-                    )
-                    restored = restore_batch(sched, denoiser, x1, cfg)
-                except ConfigError:
-                    row["mse"] = "NA"
-                    row["energy_distance"] = "NA"
-                else:
-                    row["mse"] = mse(restored, x0)
-                    row["energy_distance"] = energy_distance(restored, x0)
-                rows.append(row)
+    for row, cfg in cells:
+        try:
+            restored = restore_batch(sched, denoiser, x1, cfg)
+        except ConfigError:
+            if cfg.n_steps > 1 or cfg.eta == 1.0:
+                raise  # not the documented NA cell
+            row["mse"] = row["energy_distance"] = "NA"
+        else:
+            row["mse"] = mse(restored, x0)
+            row["energy_distance"] = energy_distance(restored, x0)
+        rows.append(row)
     return rows

@@ -5,14 +5,10 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import rgflow
 from rgflow.cli import main
@@ -397,63 +393,13 @@ class TestRestoreCli:
         assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
                         "--input", bad)
 
-    def test_thread_count_keeps_output(self, toy_dataset, tmp_path, monkeypatch):
-        """400 rows span two 256-row chunks, so two workers really split them;
-        in the eta = 0.5, 15-step setting each chunk draws 14 blocks per item
-        from its own generator while the other thread does the same.  A short
-        thread switch interval makes the two threads interleave within each
-        chunk's draws, and three two-thread runs give them three chances."""
-        data, ck = toy_dataset
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for name, extra in (("disi-g", ()), ("eta05", ("--steps", "15", "--eta", "0.5"))):
-                one, two = tmp_path / f"one-{name}.csv", tmp_path / f"two-{name}.csv"
-                argv = ("restore", "--model", ck, "--input", data, "--mode", "disi-g",
-                        *extra, "--seed", "5", "--out")
-                monkeypatch.delenv("RGFLOW_THREADS", raising=False)
-                assert run(*argv, one) == 0
-                monkeypatch.setenv("RGFLOW_THREADS", "2")
-                for _ in range(3):
-                    assert run(*argv, two) == 0
-                    assert one.read_bytes() == two.read_bytes()
-        finally:
-            sys.setswitchinterval(interval)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        mode=st.sampled_from([("--mode", "disi-r"), ("--mode", "disi-g"),
-                              ("--mode", "disi-g", "--steps", "15", "--eta", "0.5")]),
-        seed=st.integers(0, 2**33),
-        rows=st.sampled_from([1, 255, 256, 257, 513]),
-    )
-    def test_output_independent_of_thread_count(self, toy_dataset, mode, seed, rows):
-        """The bytes of `restore` do not depend on RGFLOW_THREADS, for any
-        mode, seed (both sides of 2**32, where the stream seeding changes)
-        and row count on either side of the 256-row chunk edge."""
-        _, ck = toy_dataset
-        with tempfile.TemporaryDirectory() as tmp:
-            points = os.path.join(tmp, "in.csv")
-            x1 = np.random.default_rng(seed).normal(size=(rows, 2))
-            np.savetxt(points, x1, delimiter=",", header="x_1,x_2", comments="")
-            outputs = []
-            for threads in ("1", "2"):
-                out = os.path.join(tmp, f"out{threads}.csv")
-                with mock.patch.dict(os.environ, {"RGFLOW_THREADS": threads}):
-                    assert run("restore", "--model", ck, "--input", points, *mode,
-                               "--seed", seed, "--out", out) == 0
-                with open(out, "rb") as fh:
-                    outputs.append(fh.read())
-        assert outputs[0] == outputs[1]
-        assert outputs[0].count(b"\n") == rows + 1
-
-    @pytest.mark.parametrize("rows", [255, 256, 257, 513])
-    def test_output_is_restore_batch_on_the_whole_input(self, toy_dataset, tmp_path,
-                                                        monkeypatch, rows):
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
+    def test_output_is_restore_batch_on_the_whole_input(self, toy_dataset, tmp_path, rows):
         """The chunks are the bound step's row blocks, so no chunk is a lone
         row past a block edge: the output is restore_batch's on the whole
-        input, byte for byte, at one and at two threads.  A lone row's gemv
-        rounds otherwise on most inputs, so three inputs are run."""
+        input, byte for byte.  A lone row's gemv rounds otherwise on most
+        inputs, so three inputs are run, with seeds on both sides of 2**32,
+        where the stream seeding changes."""
         from rgflow import Elliptical, GvpSchedule, SamplerConfig, load_checkpoint, restore_batch
         from rgflow.toydata import write_csv
 
@@ -461,18 +407,16 @@ class TestRestoreCli:
         ckpt = load_checkpoint(ck)
         net = ckpt.denoiser()
         sched = GvpSchedule(rho=ckpt.rho, sigma_d=net.sigma_d)
-        cfg = SamplerConfig(Elliptical(phi=sched.phi, delta=np.pi / 8), n_steps=15, eta=0.5, seed=5)
-        points, want = tmp_path / "in.csv", tmp_path / "want.csv"
-        for k in range(3):
+        points, want, out = tmp_path / "in.csv", tmp_path / "want.csv", tmp_path / "out.csv"
+        for k, seed in enumerate([5, 2**32 - 1, 2**32]):
+            cfg = SamplerConfig(Elliptical(phi=sched.phi, delta=np.pi / 8), n_steps=15,
+                                eta=0.5, seed=seed)
             x1 = np.random.default_rng([rows, k]).normal(size=(rows, 2))
             write_csv(points, ["x_1", "x_2"], x1)
             write_csv(want, ["x_1", "x_2"], restore_batch(sched, net, x1, cfg))
-            for threads in ("1", "2"):
-                monkeypatch.setenv("RGFLOW_THREADS", threads)
-                out = tmp_path / f"out{threads}.csv"
-                assert run("restore", "--model", ck, "--input", points, "--mode", "disi-g",
-                           "--steps", "15", "--eta", "0.5", "--seed", "5", "--out", out) == 0
-                assert out.read_bytes() == want.read_bytes()
+            assert run("restore", "--model", ck, "--input", points, "--mode", "disi-g",
+                       "--steps", "15", "--eta", "0.5", "--seed", seed, "--out", out) == 0
+            assert out.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("flags, named", [
         (["--mode", "disi-r", "--delta", "0.3"], "the regression path has no parameter delta"),
@@ -488,21 +432,6 @@ class TestRestoreCli:
         err = assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
                               "--input", data, *flags)
         assert err == f"error: {named}"
-
-    def test_bad_thread_count_rejected(self, toy_dataset, tmp_path, capsys, monkeypatch):
-        data, ck = toy_dataset
-        monkeypatch.setenv("RGFLOW_THREADS", "x")
-        assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
-                        "--input", data, "--mode", "disi-g")
-
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_thread_count_below_one_rejected(self, toy_dataset, tmp_path, capsys, monkeypatch,
-                                             threads):
-        data, ck = toy_dataset
-        monkeypatch.setenv("RGFLOW_THREADS", threads)
-        err = assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
-                              "--input", data, "--mode", "disi-g")
-        assert err == f"error: RGFLOW_THREADS must be >= 1, got '{threads}'"
 
     def test_misshaped_raw_weights_rejected(self, toy_dataset, tmp_path, capsys):
         data, ck = toy_dataset
@@ -588,6 +517,24 @@ class TestSweepCli:
                    "--out", out) == 0
         _, rows = read_csv(out)
         assert all(r[3] != "NA" for r in rows)
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--etas", "2"], "eta must lie in [0, 1], got 2.0"),
+        (["--etas", "nan"], "eta must lie in [0, 1], got nan"),
+        (["--nfes", "0"], "n_steps must be >= 1, got 0"),
+        (["--nfes", "5,-1"], "n_steps must be >= 1, got -1"),
+        (["--deltas", "pi/8,2"], "delta must lie in [0, pi/2], got 2.0"),
+        (["--deltas", ","], "a sweep needs at least one delta, one eta and one NFE"),
+        (["--etas", ","], "a sweep needs at least one delta, one eta and one NFE"),
+        (["--nfes", ","], "a sweep needs at least one delta, one eta and one NFE"),
+    ], ids=["eta-2", "eta-nan", "nfe-0", "nfe-minus-1", "delta-2", "no-deltas", "no-etas",
+            "no-nfes"])
+    def test_grid_value_restore_rejects(self, toy_dataset, tmp_path, capsys, flags, err):
+        """A grid value outside the sampler's domain, or an empty axis, exits
+        2 with restore's error line and writes no CSV, not NA cells."""
+        data, _ = toy_dataset
+        assert assert_rejected(capsys, tmp_path / "x.csv", "sweep", "--data", data,
+                               "--oracle", "gaussian", *flags) == f"error: {err}"
 
     @MALFORMED_DATASETS
     def test_malformed_data_rejected(self, tmp_path, capsys, text):
@@ -736,6 +683,12 @@ class TestBenchCli:
         assert header == ["sampler_steps", "euler_steps", "mean_abs_gap", "max_abs_gap"]
         assert [r[0] for r in rows] == ["10", "50"]
         assert all(float(r[2]) < 0.02 for r in rows)
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_rejected(self, tmp_path, capsys, trials):
+        err = assert_rejected(capsys, tmp_path / "x.csv", "bench", "--euler-steps", "50",
+                              "--sampler-steps", "5", "--trials", trials)
+        assert err == f"error: --trials must be >= 1, got {trials}"
 
 
 class TestVerifyCli:
@@ -983,32 +936,44 @@ class TestScipyUfuncs:
                "assert d._ndtr() is scipy.special.ndtr\n"
                "assert d._special().expit is scipy.special.expit\n")
 
-    def test_first_load_on_worker_threads(self, toy_dataset, tmp_path):
-        """A 3-worker restore of a 4-block input, with a short switch
-        interval, makes its first _special() calls on the workers, several
-        at once (the spy holds each caller for 50 ms), and still writes the
-        1-worker bytes."""
+    def test_first_load_on_worker_threads(self, toy_dataset):
+        """Four threads, released at once by a barrier with a short switch
+        interval, each make their first _special() call and restore their row
+        block of an 800-row input: every one gets the one _special_ufuncs
+        module, no scipy package loads, and the joined rows are the bytes of
+        a one-thread run."""
         _, ck = toy_dataset
-        points = tmp_path / "in.csv"
-        np.savetxt(points, np.random.default_rng(4).normal(size=(800, 2)), delimiter=",",
-                   header="x_1,x_2", comments="")
-        argv = ("restore", "--model", ck, "--input", points, "--mode", "disi-g", "--seed", "7")
-        one, three = tmp_path / "one.csv", tmp_path / "three.csv"
-        assert run(*argv, "--out", one) == 0
-        _fresh("import sys, threading, time\n"
+        _fresh("import sys, threading\n"
+               "import numpy as np\n"
                "import rgflow.denoiser as d\n"
+               "from rgflow import Elliptical, GvpSchedule, SamplerConfig, restore_batch\n"
+               f"ckpt = d.load_checkpoint({str(ck)!r})\n"
+               "net = ckpt.denoiser()\n"
+               "sched = GvpSchedule(rho=ckpt.rho, sigma_d=net.sigma_d)\n"
+               "cfg = SamplerConfig(Elliptical(phi=sched.phi, delta=np.pi / 8), n_steps=15,\n"
+               "                    eta=0.5, seed=7)\n"
+               "x1 = np.random.default_rng(4).normal(size=(800, 2))\n"
+               "blocks = d._row_blocks(len(x1))\n"
+               "assert len(blocks) == 4 and d._special.cache_info().currsize == 0\n"
+               "barrier = threading.Barrier(len(blocks))\n"
+               "special, parts = [None] * len(blocks), [None] * len(blocks)\n"
+               "def work(i, s):\n"
+               "    barrier.wait(60)\n"
+               "    special[i] = d._special()\n"
+               "    parts[i] = restore_batch(sched, net, x1[s], cfg, item_offset=s.start)\n"
                "sys.setswitchinterval(1e-6)\n"
-               "real, callers = d._special, []\n"
-               "def spy():\n"
-               "    callers.append(threading.current_thread())\n"
-               "    time.sleep(0.05)\n"
-               "    return real()\n"
-               "d._special = spy\n"
-               + _cli_run(*argv, "--out", three) + "\n"
-               "assert len(callers) > 1 and threading.main_thread() not in callers\n"
-               "assert 'scipy.special' not in sys.modules\n",
-               RGFLOW_THREADS="3")
-        assert one.read_bytes() == three.read_bytes()
+               "threads = [threading.Thread(target=work, args=(i, s))\n"
+               "           for i, s in enumerate(blocks)]\n"
+               "for t in threads:\n"
+               "    t.start()\n"
+               "for t in threads:\n"
+               "    t.join(120)\n"
+               "assert not any(t.is_alive() for t in threads)\n"
+               "module = sys.modules['scipy.special._special_ufuncs']\n"
+               "assert all(m is module for m in special) and d._special() is module\n"
+               "assert not {'scipy', 'scipy.special'} & set(sys.modules)\n"
+               "whole = restore_batch(sched, net, x1, cfg)\n"
+               "assert np.concatenate(parts).tobytes() == whole.tobytes()\n")
 
 
 class TestExports:
