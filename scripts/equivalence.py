@@ -9,11 +9,12 @@ It pickles entry name -> (dtype, shape, bytes) of a result, or the
 restore and restore_batch over the GRID (QUICK with --quick) and every path
 kind, with an MLP of random weights; predict and bound steps; the step
 functions; training runs (loss trace, final, EMA and weight-net parameters,
-and the caller's generator state); datasets (generated, saved and loaded
-back, with and without their sidecar) and their Monte-Carlo variance;
-rejected calls; and the bytes of the files that `rgflow` subcommands write,
-run in process through rgflow.cli.main.  `compare` prints the entries that
-differ, or that one dump lacks, and their count.
+and the caller's generator state) and AdamW steps on a fixed vector;
+datasets (generated, saved and loaded back, with and without their sidecar)
+and their Monte-Carlo variance; rejected calls; and the bytes of the files
+that `rgflow` subcommands write, run in process through rgflow.cli.main.
+`compare` prints the entries that differ, or that one dump lacks, and their
+count.
 """
 
 import contextlib
@@ -113,6 +114,7 @@ def dump(src, out=None, quick: bool = False) -> dict:
         put(f"regression_step sd={sd}", lambda: rg.regression_step(sched, *vecs[:3], 0.1, 0.4))
 
     _train_entries(rg, put, grid)
+    _adamw_entry(rg, put)
     _dataset_entries(rg, put)
     _cli_entries(entries)
 
@@ -183,6 +185,20 @@ def _train_entries(rg, put, grid) -> None:
                 n_steps=20, learning_rate=1e18, seed=0, hidden=8, emb_dim=4))
 
     put("reject train non-finite loss", blow_up)
+
+
+def _adamw_entry(rg, put) -> None:
+    """A fixed vector after 60 AdamW steps at the default settings, so that
+    the optimizer's rounding is pinned apart from the training runs."""
+    rng = np.random.default_rng(17)
+    params = rng.normal(size=1000)
+    opt = rg.AdamW()
+    for _ in range(60):
+        opt.step(params, rng.normal(size=params.size))
+    put("adamw", lambda: params)
+    for name, kw in (("lr nan", {"lr": math.nan}), ("beta1=1", {"betas": (1.0, 0.999)}),
+                     ("eps=0", {"eps": 0.0}), ("weight_decay<0", {"weight_decay": -1.0})):
+        put(f"reject adamw {name}", lambda: rg.AdamW(**kw))
 
 
 def _dataset_entries(rg, put) -> None:
@@ -272,6 +288,12 @@ CLI_RUNS = {
                                     "--out", "x.csv"], []),
     "reject traj regression --delta": (["traj", "--kind", "regression", "--delta", "0.3",
                                         "--steps", "5", "--out", "x.csv"], []),
+    "reject traj vpath --p nan": (["traj", "--kind", "vpath", "--steps", "3", "--p", "nan",
+                                   "--out", "x.csv"], []),
+    **{f"reject bench {flag} {value}": (["bench", "--euler-steps", "50", "--trials", "3",
+                                         flag, value, "--out", "x.csv"], [])
+       for flag, value in (("--sampler-steps", ","), ("--sampler-steps", "0,10"),
+                           ("--g-floor", "nan"), ("--g-floor", "inf"), ("--g-floor", "2"))},
 }
 CLI_CONFIGS = {
     "conf.json": {"n": 300, "steps": 70, "hidden": 16, "emb_dim": 8, "lr": 1e-3,

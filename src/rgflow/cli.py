@@ -115,6 +115,11 @@ def _cmd_bench(args) -> int:
     sched = GvpSchedule(rho=args.rho, sigma_d=1.0)
     den = GaussianOracle(rho=args.rho)
     traj = _path(args.traj, sched.phi, args)
+    if not args.sampler_steps:
+        raise ConfigError("bench needs at least one --sampler-steps value")
+    # Every configuration is built before the Euler reference runs, so a bad
+    # step count is rejected at once.
+    cfgs = [SamplerConfig(trajectory=traj, n_steps=n, eta=0.0) for n in args.sampler_steps]
     rng = np.random.default_rng(check_seed(args.seed))
     x1 = rng.normal(0.0, 1.0, size=args.trials)
     zeros = np.zeros(args.trials)
@@ -122,8 +127,7 @@ def _cmd_bench(args) -> int:
         sched, traj, den, x1, zeros, args.euler_steps, **_given(g_floor=args.g_floor)
     )
     rows = []
-    for n in args.sampler_steps:
-        cfg = SamplerConfig(trajectory=traj, n_steps=n, eta=0.0)
+    for n, cfg in zip(args.sampler_steps, cfgs):
         analytic = restore(sched, den, x1, cfg, noise=[zeros] * (n + 1))
         gap = np.abs(analytic - euler_end)
         rows.append([n, args.euler_steps, float(gap.mean()), float(gap.max())])

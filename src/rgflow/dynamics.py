@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, SingularTime
 from .sampler import _bind, _match
-from .schedule import GvpSchedule
+from .schedule import _HALF_PI, GvpSchedule
 from .trajectory import Trajectory
 
 
@@ -67,13 +67,14 @@ def euler_integrate(
     The state starts at cos(g_start)*beta(r_start)*x1 + sin(g_start)*z and is
     advanced with the denoiser's prediction substituted at each grid point;
     the denoiser is bound to x1 and the grid's times once.
-    Steps whose source has g below g_floor advance by v_r alone.
+    Steps whose source has g below g_floor, which lies in (0, pi/2), advance
+    by v_r alone.
     """
     x1, z = _match(x1, z)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    if g_floor <= 0.0:
-        raise DomainError(f"g_floor must be > 0, got {g_floor}")
+    if not (0.0 < g_floor < _HALF_PI):
+        raise DomainError(f"g_floor must lie in (0, pi/2), got {g_floor}")
     grid = traj.discretize(n_steps)
     r0, g0 = grid.r[0], grid.g[0]
     c0 = sched.coeffs(r0, g0)

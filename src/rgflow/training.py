@@ -160,9 +160,19 @@ class AdaptiveWeight:
 class AdamW:
     """Adam with decoupled weight decay over one flat parameter vector.
 
-    `step` updates the vector in place.  Its moments and two scratch buffers
-    are allocated on the first step; every later step runs each operation
-    with `out=` or in place and allocates no array.
+    Step t updates the moments m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2,
+    then the parameters by
+
+        p = (1 - lr wd) p - lr_t m / (sqrt(v) + eps_t),
+        lr_t = lr sqrt(1 - b2^t) / (1 - b1^t),  eps_t = eps sqrt(1 - b2^t),
+
+    which is p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p) with both bias
+    corrections folded into the scalars lr_t and eps_t (Kingma & Ba's efficient
+    order) and the decay applied as a scale: the same update in exact
+    arithmetic, rounded otherwise.  `step` updates the vector in place.  Its
+    moments and two scratch buffers are allocated on the first step; every
+    later step runs each operation with `out=` or in place and allocates no
+    array.
     """
 
     def __init__(
@@ -172,8 +182,17 @@ class AdamW:
         eps: float = 1e-8,
         weight_decay: float = 1e-2,
     ) -> None:
+        b1, b2 = betas
+        if not (math.isfinite(lr) and lr > 0.0):
+            raise ConfigError(f"lr must be finite and > 0, got {lr}")
+        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
+            raise ConfigError(f"betas must lie in [0, 1), got {betas}")
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ConfigError(f"eps must be finite and > 0, got {eps}")
+        if not (math.isfinite(weight_decay) and weight_decay >= 0.0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {weight_decay}")
         self.lr = lr
-        self.b1, self.b2 = betas
+        self.b1, self.b2 = b1, b2
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
@@ -197,15 +216,13 @@ class AdamW:
         np.multiply(grads, 1.0 - b2, out=s1)
         s1 *= grads
         v += s1
-        # p -= lr (m_hat / (sqrt(v_hat) + eps) + weight_decay p)
-        np.divide(m, 1.0 - b1**self.t, out=s1)
-        np.divide(v, 1.0 - b2**self.t, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += self.eps
-        s1 /= s2
-        np.multiply(params, self.weight_decay, out=s2)
-        s1 += s2
-        s1 *= self.lr
+        # p = (1 - lr wd) p - lr_t m / (sqrt(v) + eps_t)
+        root_c2 = math.sqrt(1.0 - b2**self.t)
+        np.sqrt(v, out=s2)
+        s2 += self.eps * root_c2
+        np.divide(m, s2, out=s1)
+        s1 *= self.lr * root_c2 / (1.0 - b1**self.t)
+        params *= 1.0 - self.lr * self.weight_decay
         params -= s1
 
 

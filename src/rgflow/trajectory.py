@@ -8,6 +8,7 @@ segment on g = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -150,7 +151,7 @@ class Regression(Trajectory):
 class VPath(Trajectory):
     """r = phi t, g = delta (1 - |t|^p) on t in [1, -1] (start to end).
 
-    p > 0 shapes g's apex at t = 0: a cusp for p < 1, a corner at 1, smooth at 2.
+    p (finite, > 0) shapes g's apex at t = 0: a cusp for p < 1, a corner at 1, smooth at 2.
     """
 
     delta: float = 0.0
@@ -160,8 +161,8 @@ class VPath(Trajectory):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.p <= 0.0:
-            raise DomainError(f"p must be > 0, got {self.p}")
+        if not (0.0 < self.p < math.inf):
+            raise DomainError(f"p must be finite and > 0, got {self.p}")
 
     def _raw_point(self, t):
         t = np.asarray(t, dtype=np.float64)

@@ -110,6 +110,12 @@ class TestTraj:
         err = assert_rejected(capsys, tmp_path / "x.csv", "traj", *flags, "--steps", "5")
         assert err == f"error: {named}"
 
+    @pytest.mark.parametrize("p", ["nan", "inf", "0"])
+    def test_vpath_p_outside_range_rejected(self, tmp_path, capsys, p):
+        err = assert_rejected(capsys, tmp_path / "x.csv", "traj", "--kind", "vpath",
+                              "--steps", "3", "--p", p)
+        assert err == f"error: p must be finite and > 0, got {float(p)}"
+
 
 class TestAngleArguments:
     @pytest.mark.parametrize("command, flag, value", [
@@ -689,6 +695,26 @@ class TestBenchCli:
         err = assert_rejected(capsys, tmp_path / "x.csv", "bench", "--euler-steps", "50",
                               "--sampler-steps", "5", "--trials", trials)
         assert err == f"error: --trials must be >= 1, got {trials}"
+
+    @pytest.mark.parametrize("steps, named", [
+        (",", "bench needs at least one --sampler-steps value"),
+        ("0,10", "n_steps must be >= 1, got 0"),
+    ], ids=["empty", "zero"])
+    def test_bad_sampler_steps_rejected_before_euler(self, tmp_path, capsys, monkeypatch,
+                                                     steps, named):
+        def unreached(*args, **kwargs):
+            raise AssertionError("the Euler reference ran")
+
+        monkeypatch.setattr(rgflow.dynamics, "euler_integrate", unreached)
+        err = assert_rejected(capsys, tmp_path / "x.csv", "bench", "--euler-steps", "50",
+                              "--sampler-steps", steps, "--trials", "3")
+        assert err == f"error: {named}"
+
+    @pytest.mark.parametrize("g_floor", ["nan", "inf", "2", "0"])
+    def test_g_floor_outside_range_rejected(self, tmp_path, capsys, g_floor):
+        err = assert_rejected(capsys, tmp_path / "x.csv", "bench", "--euler-steps", "50",
+                              "--sampler-steps", "5", "--trials", "3", "--g-floor", g_floor)
+        assert err.startswith("error: g_floor must lie in (0, pi/2)")
 
 
 class TestVerifyCli:

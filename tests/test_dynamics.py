@@ -164,8 +164,9 @@ class TestEulerIntegrate:
         traj = Elliptical(phi=sched.phi, delta=0.3)
         with pytest.raises(DomainError):
             euler_integrate(sched, traj, den, np.ones(2), np.zeros(2), 0)
-        with pytest.raises(DomainError):
-            euler_integrate(sched, traj, den, np.ones(2), np.zeros(2), 10, g_floor=0.0)
+        for g_floor in (0.0, math.nan, math.inf, math.pi / 2.0, 2.0):
+            with pytest.raises(DomainError, match="g_floor"):
+                euler_integrate(sched, traj, den, np.ones(2), np.zeros(2), 10, g_floor=g_floor)
 
     def test_linear_path_consumes_initial_noise(self):
         """A path starting at g = delta > 0 mixes the provided z into the

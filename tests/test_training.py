@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgflow import (
     AdamW,
@@ -167,9 +169,9 @@ class TestAdaptiveWeight:
 class TestAdamW:
     SHAPES = {"W1": (40, 32), "b1": (32,), "W2": (32, 3), "b2": (3,)}
 
-    def test_flat_step_matches_per_key_formula(self):
-        """Five steps on one flat vector equal, bitwise, AdamW written out
-        per parameter tensor with its own moments."""
+    def test_flat_step_matches_per_key_folded_formula(self):
+        """Five steps on one flat vector equal, bitwise, the folded AdamW
+        update written out per parameter tensor with its own moments."""
         rng = np.random.default_rng(0)
         params = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
         flat = np.concatenate([p.ravel() for p in params.values()])
@@ -179,19 +181,45 @@ class TestAdamW:
         v = {k: np.zeros_like(p) for k, p in params.items()}
         for t in range(1, 6):
             grads = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
+            root_c2 = math.sqrt(1.0 - b2**t)
             for key, p in params.items():
                 gr = grads[key]
                 m[key] *= b1
                 m[key] += (1.0 - b1) * gr
                 v[key] *= b2
                 v[key] += (1.0 - b2) * gr * gr
-                m_hat = m[key] / (1.0 - b1**t)
-                v_hat = v[key] / (1.0 - b2**t)
-                p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p)
+                p *= 1.0 - lr * wd
+                p -= lr * root_c2 / (1.0 - b1**t) * (m[key] / (np.sqrt(v[key]) + eps * root_c2))
             opt.step(flat, np.concatenate([grads[k].ravel() for k in params]))
             assert np.array_equal(
                 flat, np.concatenate([p.ravel() for p in params.values()])
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lr=st.floats(1e-6, 0.1),
+        b1=st.floats(0.0, 0.99),
+        b2=st.floats(0.9, 0.9999),
+        eps=st.floats(1e-12, 1e-3),
+        wd=st.floats(0.0, 0.1),
+        grad_scale=st.floats(1e-4, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_agrees_with_textbook_formula(self, lr, b1, b2, eps, wd, grad_scale, seed):
+        """Over 200 steps the folded update stays within rounding of
+        p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)."""
+        rng = np.random.default_rng(seed)
+        flat = rng.normal(size=64)
+        ref, m, v = flat.copy(), np.zeros(64), np.zeros(64)
+        opt = AdamW(lr, (b1, b2), eps, wd)
+        for t in range(1, 201):
+            grads = grad_scale * rng.normal(size=64)
+            m = b1 * m + (1.0 - b1) * grads
+            v = b2 * v + (1.0 - b2) * grads * grads
+            m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+            ref = ref - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref)
+            opt.step(flat, grads)
+        np.testing.assert_allclose(flat, ref, rtol=1e-10, atol=1e-12)
 
     def test_step_allocates_no_parameter_sized_array(self):
         """After the first step has allocated the moments and scratch
@@ -210,6 +238,30 @@ class TestAdamW:
         finally:
             tracemalloc.stop()
         assert peak - base < params.nbytes
+
+    BAD_SETTINGS = {
+        "lr=0": ("lr", 0.0), "lr<0": ("lr", -1e-3), "lr=nan": ("lr", math.nan),
+        "lr=inf": ("lr", math.inf), "beta1=1": ("betas", (1.0, 0.999)),
+        "beta2=1": ("betas", (0.9, 1.0)), "beta1<0": ("betas", (-0.1, 0.999)),
+        "beta2=nan": ("betas", (0.9, math.nan)), "eps=0": ("eps", 0.0),
+        "eps=nan": ("eps", math.nan), "eps=inf": ("eps", math.inf),
+        "wd<0": ("weight_decay", -1e-2), "wd=nan": ("weight_decay", math.nan),
+        "wd=inf": ("weight_decay", math.inf),
+    }
+
+    @pytest.mark.parametrize("name, value", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+    def test_bad_settings_rejected(self, name, value):
+        """Each of these would fill the parameters with NaN or raise
+        ZeroDivisionError at the first step."""
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            AdamW(**{name: value})
+
+    def test_edge_settings_step_finitely(self):
+        params = np.ones(4)
+        opt = AdamW(betas=(0.0, 0.0), weight_decay=0.0)
+        opt.step(params, np.zeros(4))
+        opt.step(params, np.array([1.0, -1.0, 0.0, 2.0]))
+        assert np.all(np.isfinite(params))
 
 
 class TestTrainLoop:

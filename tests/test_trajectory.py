@@ -174,7 +174,8 @@ class TestFactoryAndFlags:
             VPath(phi=PHI, delta=-0.1, p=2.0)
         with pytest.raises(DomainError):
             QuadBezier(phi=PHI, delta=HALF_PI + 0.1)
-        with pytest.raises(DomainError):
-            VPath(phi=PHI, delta=0.2, p=0.0)
+        for p in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="p must be"):
+                VPath(phi=PHI, delta=0.2, p=p)
         with pytest.raises(DomainError):
             Elliptical(phi=0.0, delta=0.2)
