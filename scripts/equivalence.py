@@ -7,9 +7,11 @@
 It pickles entry name -> (dtype, shape, bytes) of a result, or the
 "<Error>: <message>" of a rejection: the schedule's coefficient grid;
 restore and restore_batch over the GRID (QUICK with --quick) and every path
-kind, with an MLP of random weights; predict and bound steps; the step
-functions; training runs (loss trace, final, EMA and weight-net parameters,
-and the caller's generator state) and AdamW steps on a fixed vector;
+kind, with an MLP of random weights; each perfbench mode restored twice,
+one-point and over 258 rows, through that MLP as load_checkpoint returns it,
+and the checkpoint fields load_checkpoint rejects; predict and bound steps;
+the step functions; training runs (loss trace, final, EMA and weight-net
+parameters, and the caller's generator state) and AdamW steps on a fixed vector;
 datasets (generated, saved and loaded back, with and without their sidecar)
 and their Monte-Carlo variance; rejected calls; and the bytes of the files
 that `rgflow` subcommands write, run in process through rgflow.cli.main.
@@ -113,6 +115,7 @@ def dump(src, out=None, quick: bool = False) -> dict:
             lambda: rg.boot_step(sched, *vecs[:3], (0.1, 0.0), (0.2, 0.3), vecs[3]))
         put(f"regression_step sd={sd}", lambda: rg.regression_step(sched, *vecs[:3], 0.1, 0.4))
 
+    _loaded_entries(rg, put, grid, x1)
     _train_entries(rg, put, grid)
     _adamw_entry(rg, put)
     _dataset_entries(rg, put)
@@ -145,6 +148,39 @@ def dump(src, out=None, quick: bool = False) -> dict:
     if out is not None:
         Path(out).write_bytes(pickle.dumps(entries))
     return entries
+
+
+def _loaded_entries(rg, put, grid, x1) -> None:
+    """Each perfbench mode restored twice, one-point and over 258 rows,
+    through a loaded checkpoint of _mlp, whose bind reuses the first
+    calls' first-layer rows; and the rho of checkpoints whose sigma_d or rho
+    is out of range, or load_checkpoint's rejection of them."""
+    from rgflow.trajectory import Elliptical, Regression
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # so that the rejections name a relative path
+        try:
+            for sd in grid["sigma_ds"]:
+                rg.save_checkpoint("ck.json", _mlp(rg, sd), rho=0.6)
+                net = rg.load_checkpoint("ck.json").denoiser()
+                sched = rg.GvpSchedule(rho=0.6, sigma_d=sd)
+                lifted = Elliptical(phi=sched.phi, delta=math.pi / 8)
+                for mode, traj, n, eta in (("disi-r", Regression(phi=sched.phi), 1, 0.0),
+                                           ("disi-g", lifted, 10, 0.0),
+                                           ("eta05", lifted, 15, 0.5)):
+                    cfg = rg.SamplerConfig(trajectory=traj, n_steps=n, eta=eta, seed=3)
+                    for call in (1, 2):
+                        tag = f"loaded sd={sd} {mode} call={call}"
+                        put(f"restore {tag}", lambda: rg.restore(sched, net, x1[0], cfg))
+                        put(f"restore_batch {tag} rows=258",
+                            lambda: rg.restore_batch(sched, net, x1[:258], cfg))
+            doc = json.loads(Path("ck.json").read_text())
+            for key, value in (("sigma_d", -1.0), ("sigma_d", 0.0), ("rho", 1.5)):
+                Path("bad.json").write_text(json.dumps({**doc, key: value}))
+                put(f"reject checkpoint {key}={value}", lambda: rg.load_checkpoint("bad.json").rho)
+        finally:
+            os.chdir(home)
 
 
 def _train_entries(rg, put, grid) -> None:

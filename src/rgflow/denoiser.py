@@ -14,6 +14,11 @@ in the state's shape, as float64.  Results are deterministic: the same
 inputs and weights give the same bytes, and MlpDenoiser.bind's step
 predictor equals predict bit for bit.  Shapes that do not line up raise
 DimensionMismatch, and arguments outside their domain DomainError.
+
+load_checkpoint returns nets of read-only tensors, so a loaded model cannot
+be changed by an in-place write, and its bind reuses the first-layer rows of
+each time grid it has bound before.  Nets holding writable tensors (every net
+training returns) recompute them at each bind, so in-place updates are seen.
 """
 
 from __future__ import annotations
@@ -24,14 +29,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, json_field, read_json_object
-from .schedule import GvpSchedule
+from .schedule import GvpSchedule, check_rho, check_sigma_d
 
 _EMB_BASE = 1.0e4
 _F64 = np.dtype(np.float64)
@@ -64,12 +70,18 @@ def _time_pairs(t: np.ndarray, emb_dim: int) -> np.ndarray:
     return time_embed(t, emb_dim).reshape(*t.shape[:-1], 2 * emb_dim)
 
 
-# The embedding rows of a time grid hold no weights, so they stay valid when
-# a net's params change and can be cached per grid: the sampler binds over
-# the grid of a cached plan, and the 256 entries match the plan cache
-# (sampler._plan).  Nothing derived from the weights is cached, so an
-# in-place update of params is seen by the next bind.
-@lru_cache(maxsize=256)
+# The sampler binds over the grid of a cached plan, so a grid recurs, and the
+# caches keyed by one hold _GRIDS entries, as the plan cache (sampler._plan)
+# does.  The embedding rows of a grid hold no weights, so they are cached here
+# for every net.  The first-layer rows computed from them and a net's W1 and
+# b1 are cached per net, and only while those tensors are immutable
+# (MlpDenoiser._first_rows).  Threads may bind one net at once: a lookup
+# needs no lock, and _ROWS_LOCK keeps a net's store within _GRIDS entries.
+_GRIDS = 256
+_ROWS_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=_GRIDS)
 def _grid_rows(times: tuple, emb_dim: int) -> np.ndarray:
     """_time_pairs of a time grid, a tuple of scalar (r, g) pairs, as one
     read-only (k, 1, 2 emb_dim) block."""
@@ -253,6 +265,12 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0, *stops], [*stops, n])]
 
 
+def _immutable(a) -> bool:
+    """Whether a is a read-only ndarray that owns its data, so that nothing
+    writes into it short of setting its writeable flag back."""
+    return isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
+
+
 @dataclass
 class MlpDenoiser:
     """Two-hidden-layer MLP predictor with joint sinusoidal time features.
@@ -267,11 +285,14 @@ class MlpDenoiser:
     emb_dim: int = 32
     sigma_d: float = 1.0
     params: dict | None = None
+    # times -> (W1, b1, first-layer rows); see _first_rows.
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
         _check_sizes(self.emb_dim, self.hidden)
+        check_sigma_d(self.sigma_d)
         if self.params is None:
             self.params = self._init_params(np.random.default_rng(0))
 
@@ -331,7 +352,11 @@ class MlpDenoiser:
         The returned f(x, i) equals predict(x, x1, *times[i]) for a state x
         shaped like x1.  bind checks x1's width (DimensionMismatch) at once.
         The weights are read when bind is called, so update params between
-        runs.
+        runs.  The first layer's rows of the grid are kept on the net while
+        params["W1"] and params["b1"] are read-only arrays that own their
+        data, as load_checkpoint gives them, and reused by each later bind
+        over that grid while params holds those same two arrays; writable
+        weights are read afresh at every bind (see _first_rows).
 
         When predict has been replaced (a subclass override, or a wrapper
         set on the class or the instance), bind returns None after checking
@@ -342,10 +367,37 @@ class MlpDenoiser:
         rows = self._x1_rows(x1)
         if getattr(self.predict, "__func__", None) is not MlpDenoiser._predict:
             return None
-        return self._step_predictor(x1, rows, times)
+        return self._step_predictor(x1, rows, self._first_rows(tuple(times), keep=True))
 
-    def _step_predictor(self, x1: np.ndarray, rows: np.ndarray, times):
-        """f(x, i): x0hat at state x and times[i], for x shaped like x1.
+    def _first_rows(self, times: tuple, keep: bool) -> np.ndarray:
+        """The first layer's rows of the points of `times`,
+        [embed(r), embed(g)] @ W1_t + b1, read-only, shape (k, 1, hidden).
+
+        They are a stack of one-row products (gemv), each rounding as a lone
+        row would; a 2-D gemm over the grid would be cheaper but round
+        otherwise.  With `keep`, and while W1 and b1 are _immutable, the
+        stack is kept per grid (at most _GRIDS grids) and returned again for
+        as long as params holds those same two array objects.
+        """
+        p = self.params
+        w1, b1 = p["W1"], p["b1"]
+        keep = keep and _immutable(w1) and _immutable(b1)
+        if keep:
+            entry = self._rows.get(times)
+            if entry is not None and entry[0] is w1 and entry[1] is b1:
+                return entry[2]
+        out = _grid_rows(times, self.emb_dim) @ w1[2 * self.dim :] + b1
+        out.flags.writeable = False
+        if keep:
+            with _ROWS_LOCK:
+                if len(self._rows) >= _GRIDS:
+                    self._rows.clear()
+                self._rows[times] = (w1, b1, out)
+        return out
+
+    def _step_predictor(self, x1: np.ndarray, rows: np.ndarray, biases: np.ndarray):
+        """f(x, i): x0hat at state x and the point of biases[i], the first
+        layer's rows (_first_rows) of a time grid, for x shaped like x1.
 
         x's rows run in the blocks of _row_blocks, each through an
         inference-only pass, z = z * Phi(z); z = z @ W + b per hidden layer,
@@ -356,12 +408,8 @@ class MlpDenoiser:
         w1 = p["W1"]
         w1_x = w1[:d]
         # W1 splits along the input blocks, W1 = [W1_x ; W1_x1 ; W1_t].  Only
-        # x changes within a run, so the x1 block and the bias rows
-        # [embed(r), embed(g)] @ W1_t + b1 are computed here, once.  The bias
-        # rows are a stack of one-row products (gemv), each rounding as a
-        # lone row would; a 2-D gemm over the grid would be cheaper but round
-        # otherwise.
-        biases = _grid_rows(tuple(times), self.emb_dim) @ w1[2 * d :] + p["b1"]
+        # x changes within a run, so the x1 block is computed here, once, and
+        # the time block comes in `biases`.
         # x / 1.0 and z * 1.0 are exact, so a unit sigma_d (the default of
         # `rgflow train` and of every perfbench workload) skips them.
         unit = sd == 1.0
@@ -408,7 +456,8 @@ class MlpDenoiser:
                 f"predict takes one scalar (r, g), got shapes {np.shape(r)} and {np.shape(g)}"
             )
         x1 = np.asarray(x1, dtype=np.float64)
-        return self._step_predictor(x1, self._x1_rows(x1), ((float(r), float(g)),))(x, 0)
+        biases = self._first_rows(((float(r), float(g)),), keep=False)
+        return self._step_predictor(x1, self._x1_rows(x1), biases)(x, 0)
 
     _predict = predict  # the predict that bind's own step predictor equals
 
@@ -489,7 +538,8 @@ def _params_to_json(params: dict) -> dict:
 
 
 def _params_from_json(obj: dict, widths: list[int], name: str) -> dict:
-    """Tensors of one weight set, each checked against the layer widths."""
+    """Read-only tensors of one weight set, each checked against the layer
+    widths."""
     params = {}
     for i, (k_w, k_b) in enumerate(_LAYERS):
         d_in, d_out = widths[i], widths[i + 1]
@@ -508,6 +558,7 @@ def _params_from_json(obj: dict, widths: list[int], name: str) -> dict:
                 )
             if not np.all(np.isfinite(a)):
                 raise DomainError(f"checkpoint {name}[{key!r}] holds non-finite values")
+            a.flags.writeable = False
             params[key] = a
     return params
 
@@ -540,11 +591,13 @@ def save_checkpoint(
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
-    `version` must be the integer 1, `dims` and `emb_dim` integers and
-    `sigma_d` and `rho` numbers (DomainError), and `widths` four integers
-    (DimensionMismatch).  Every tensor of `weights` and `ema_weights` must
-    have the shape that `dims`, `emb_dim` and `widths` give it and hold only
-    finite values.
+    `version` must be the integer 1, `dims` and `emb_dim` integers, `sigma_d`
+    a number > 0 and `rho` a number in (-1, 1) (DomainError), and `widths`
+    four integers (DimensionMismatch).  Every tensor of `weights` and
+    `ema_weights` must have the shape that `dims`, `emb_dim` and `widths`
+    give it and hold only finite values.  The nets hold read-only tensors:
+    a loaded model is immutable (an in-place write raises numpy's
+    ValueError), and its bind keeps each time grid's first-layer rows.
     """
     doc = read_json_object(path, f"checkpoint {path}", DomainError)
     typed = partial(json_field, doc, owner=f"checkpoint {path}", error=DomainError)
@@ -561,6 +614,11 @@ def load_checkpoint(path) -> Checkpoint:
         )
     dims, emb_dim = typed("dims", int), typed("emb_dim", int)
     sigma_d, rho = typed("sigma_d", float), typed("rho", float)
+    for key, value, check in (("sigma_d", sigma_d, check_sigma_d), ("rho", rho, check_rho)):
+        try:
+            check(value)
+        except DomainError as exc:
+            raise DomainError(f"checkpoint {path} {key!r}: {exc}") from None
 
     def load(key: str) -> MlpDenoiser:
         net = MlpDenoiser(

@@ -132,12 +132,14 @@ def _fold(sched: GvpSchedule, frm, to, eta: float) -> Step:
     return Step(ks, a, b, kap)
 
 
-def _update(step: Step, x, x0hat, x1, z):
+def _update(step: Step, x, x0hat, b_x1, z):
     """k^s x + a x0hat + b x1 + kappa z with the scalars of `step`, summed
-    left to right into a new array; z is read only where kappa is nonzero."""
+    left to right into a new array.  The caller forms the term b_x1 = b x1
+    (a run forms all its steps' in one product); z is read only where kappa
+    is nonzero."""
     out = step.ks * x
     out += step.a * x0hat
-    out += step.b * x1
+    out += b_x1
     if step.kappa != 0.0:
         out += step.kappa * z
     return out
@@ -154,7 +156,9 @@ def hybrid_step(
     z,
 ) -> np.ndarray:
     """One hybrid update from (r1, g1) to (r2, g2); g1 > 0 unless eta = 1."""
-    return _update(_fold(sched, frm, to, eta), *_match(x_prev, x0hat, x1, z))
+    step = _fold(sched, frm, to, eta)
+    x_prev, x0hat, x1, z = _match(x_prev, x0hat, x1, z)
+    return _update(step, x_prev, x0hat, step.b * x1, z)
 
 
 def boot_step(
@@ -179,7 +183,9 @@ def regression_step(
 ) -> np.ndarray:
     """Noiseless update along g = 0: the boot step from (r1, 0) to (r2, 0),
     where k^s = 1, kappa = 0, a = alpha_r2 - alpha_r1 and b likewise."""
-    return _update(_fold(sched, (r1, 0.0), (r2, 0.0), 1.0), *_match(x_prev, x0hat, x1), None)
+    step = _fold(sched, (r1, 0.0), (r2, 0.0), 1.0)
+    x_prev, x0hat, x1 = _match(x_prev, x0hat, x1)
+    return _update(step, x_prev, x0hat, step.b * x1, None)
 
 
 @dataclass(frozen=True)
@@ -292,8 +298,10 @@ def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
     """Run plan `p` from x1.  The denoiser is bound to x1 and the steps'
     times once, before the first draw: predict(x, i) is x0hat at x for step
     i.  `draw()` returns the run's p.n_draws noise samples, indexable in
-    draw order; it is called once, at the first step that needs noise."""
+    draw order; it is called once, at the first step that needs noise.
+    Every step's b x1 term is formed up front, in one product."""
     predict = _bind(denoiser, x1, p.times)
+    b_x1 = np.multiply.outer([step.b for step in p.steps], x1)
     noise, used = None, 0
     if p.start is None:
         x = np.array(x1, dtype=np.float64, copy=True)
@@ -309,7 +317,7 @@ def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
                 noise = draw()
             z = noise[used]
             used += 1
-        x = _update(step, x, x0hat, x1, z)
+        x = _update(step, x, x0hat, b_x1[i], z)
     return x
 
 

@@ -633,6 +633,32 @@ class TestSidecarAndCheckpointTypes:
                               "--input", data, "--mode", "disi-r")
         assert f"'{key}'" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_d", -1.0), ("sigma_d", 0), ("sigma_d", float("inf")),
+        ("rho", 1.5), ("rho", -1.0), ("rho", float("nan")),
+    ], ids=["sigma_d-negative", "sigma_d-0", "sigma_d-inf", "rho-1.5", "rho-minus-1",
+            "rho-nan"])
+    @pytest.mark.parametrize("command", [
+        ("sweep", "--deltas", "pi/8", "--etas", "0", "--nfes", "10", "--data"),
+        ("restore", "--mode", "disi-g", "--input"),
+    ], ids=["sweep", "restore"])
+    def test_checkpoint_field_out_of_range_rejected(self, toy_dataset, tmp_path, capsys,
+                                                    command, key, value):
+        """A checkpoint sigma_d <= 0 or rho outside (-1, 1) is rejected on
+        load, without a warning, by one line that names the checkpoint and
+        the field.  (The schedule of `sweep` comes from the data set, so the
+        checkpoint's rho was never read there, and a negative sigma_d ran a
+        sign-flipped net.)"""
+        data, ck = toy_dataset
+        doc = json.loads(ck.read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = assert_rejected(capsys, tmp_path / "x.csv", *command, data, "--model", bad)
+        assert f"checkpoint {bad} '{key}': " in err
+
 
 class TestSeedRejected:
     """A negative seed exits 2 with one error line before any draw, in

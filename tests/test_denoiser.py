@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from rgflow import (
     CheatDenoiser,
     DimensionMismatch,
     DomainError,
+    Elliptical,
     GaussianOracle,
     GvpSchedule,
     Linear,
@@ -266,6 +269,11 @@ def _random_mlp(dim, emb_dim, seed):
 
 
 class TestMlpValidation:
+    @pytest.mark.parametrize("sigma_d", [0.0, -1.0, math.inf, math.nan])
+    def test_sigma_d_outside_domain_rejected(self, sigma_d):
+        with pytest.raises(DomainError, match="sigma_d"):
+            MlpDenoiser(dim=2, hidden=4, emb_dim=4, sigma_d=sigma_d)
+
     @pytest.mark.parametrize("hidden", [0, -4])
     def test_hidden_below_one_rejected(self, hidden):
         for params in (None, {}):
@@ -336,8 +344,9 @@ class TestBind:
             restore_batch(sched, net, np.zeros((2, 3)), cfg)
 
     def test_in_place_weight_update_is_seen(self):
-        """Nothing derived from the weights outlives a run: after an in-place
-        update, a restore equals that of a fresh net holding the new weights."""
+        """Nothing derived from writable weights outlives a run: after an
+        in-place update, a restore equals that of a fresh net holding the new
+        weights."""
         net = _random_mlp(2, 8, seed=4)
         sched = GvpSchedule(0.5, 1.0)
         cfg = SamplerConfig(trajectory=Linear(phi=sched.phi, delta=0.5), n_steps=5, eta=0.3)
@@ -393,6 +402,169 @@ class TestBind:
             assert np.array_equal(row[0], np.concatenate([time_embed(r, 8), time_embed(g, 8)]))
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 0, 0] = 1.0
+
+
+# The perfbench restore modes: (trajectory kind, n_steps, eta).
+_MODES = {"disi-r": ("regression", 1, 0.0), "disi-g": ("elliptical", 10, 0.0),
+          "eta05": ("elliptical", 15, 0.5)}
+
+
+def _mode_config(sched, mode):
+    kind, n_steps, eta = _MODES[mode]
+    traj = (Regression(phi=sched.phi) if kind == "regression"
+            else Elliptical(phi=sched.phi, delta=math.pi / 8))
+    return SamplerConfig(trajectory=traj, n_steps=n_steps, eta=eta, seed=6)
+
+
+def _loaded(tmp_path, seed=21, sigma_d=1.3, name="ck.json"):
+    """A checkpoint of a random MLP, with EMA weights, as load_checkpoint
+    returns it."""
+    net = _random_mlp(2, 8, seed=seed)
+    net.sigma_d = sigma_d
+    path = tmp_path / name
+    save_checkpoint(path, net, rho=0.5, ema_params=net.params)
+    return load_checkpoint(path)
+
+
+def _writable_copy(net):
+    return MlpDenoiser(dim=net.dim, hidden=net.hidden, emb_dim=net.emb_dim,
+                       sigma_d=net.sigma_d, params={k: v.copy() for k, v in net.params.items()})
+
+
+class TestLoadedNet:
+    """A loaded net holds read-only tensors, and its bind keeps each time
+    grid's first-layer rows while params holds those same immutable W1 and b1."""
+
+    def test_every_tensor_is_read_only(self, tmp_path):
+        ck = _loaded(tmp_path)
+        for net in (ck.net, ck.ema_net):
+            assert set(net.params) == {"W1", "b1", "W2", "b2", "W3", "b3"}
+            for a in net.params.values():
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a *= 2.0
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 1.0
+
+    @pytest.mark.parametrize("sigma_d", [1.0, 1.3])
+    def test_restores_equal_a_writable_copy(self, tmp_path, sigma_d):
+        """Byte-equal results in every perfbench mode, one-point and batched,
+        on the first call over a grid and on later ones, with the modes'
+        grids interleaved."""
+        net = _loaded(tmp_path, sigma_d=sigma_d).denoiser()
+        copy = _writable_copy(net)
+        sched = GvpSchedule(0.5, sigma_d)
+        x1 = np.random.default_rng(22).normal(size=(2000, 2)) * sigma_d
+        for _ in range(3):
+            for mode in _MODES:
+                cfg = _mode_config(sched, mode)
+                got, want = (restore(sched, n, x1[7], cfg) for n in (net, copy))
+                assert got.shape == (2,) and got.tobytes() == want.tobytes()
+                for rows in (1, 257, 2000):
+                    got, want = (restore_batch(sched, n, x1[:rows], cfg) for n in (net, copy))
+                    assert got.shape == (rows, 2) and got.tobytes() == want.tobytes()
+
+    def test_rows_computed_once_per_grid_only_for_immutable_weights(self, tmp_path,
+                                                                     monkeypatch):
+        """Ten binds over one grid embed it once on a loaded net and ten
+        times on a writable one, or on one whose W1 is a read-only view of a
+        writable array; predict keeps nothing."""
+        loaded = _loaded(tmp_path).net
+        writable = _writable_copy(loaded)
+        viewed = _writable_copy(loaded)
+        viewed.params["W1"] = viewed.params["W1"].view()
+        viewed.params["W1"].flags.writeable = False
+        viewed.params["b1"] = loaded.params["b1"]
+        calls = []
+        grid_rows = denoiser._grid_rows
+
+        def spy(times, emb_dim):
+            calls.append(times)
+            return grid_rows(times, emb_dim)
+
+        monkeypatch.setattr(denoiser, "_grid_rows", spy)
+        times = [(0.3, 0.1), (0.2, 0.4)]
+        x1 = np.zeros(2)
+        for net, want in ((loaded, 1), (writable, 10), (viewed, 10)):
+            calls.clear()
+            steps = [net.bind(x1, times) for _ in range(10)]
+            assert len(calls) == want
+            assert {s(x1, 1).tobytes() for s in steps} == {net.predict(x1, x1, 0.2, 0.4).tobytes()}
+        fresh = _loaded(tmp_path, name="fresh.json").net
+        fresh.predict(x1, x1, 0.3, 0.1)
+        calls.clear()
+        fresh.bind(x1, [(0.3, 0.1)])
+        assert len(calls) == 1
+
+    def test_new_weights_are_seen(self, tmp_path):
+        """New read-only arrays under params["W1"] or params["b1"], or a
+        whole new params dict, are read by the next bind: the restore equals
+        that of a fresh net holding the same arrays."""
+        ck = _loaded(tmp_path)
+        net = ck.net
+        other = _loaded(tmp_path, seed=23, name="other.json").net.params
+        sched = GvpSchedule(0.5, net.sigma_d)
+        cfg = _mode_config(sched, "eta05")
+        x1 = np.random.default_rng(24).normal(size=(5, 2))
+        results = []
+
+        def check():
+            got = restore_batch(sched, net, x1, cfg)
+            assert got.tobytes() == restore_batch(sched, _writable_copy(net), x1, cfg).tobytes()
+            results.append(got.tobytes())
+
+        check()
+        for key in ("W1", "b1"):
+            net.params[key] = other[key]
+            check()
+        net.params = dict(ck.ema_net.params)  # the first weights again
+        check()
+        net.params = other
+        check()
+        assert results[3] == results[0]
+        assert len(set(results)) == 4
+
+    def test_kept_grids_are_bounded(self, tmp_path, monkeypatch):
+        """Of 300 distinct grids a net keeps at most 256, the last one among
+        them."""
+        net = _loaded(tmp_path).net
+        x1 = np.zeros(2)
+        for k in range(300):
+            net.bind(x1, [(0.001 * k, 0.2)])
+            assert 0 < len(net._rows) <= 256
+        monkeypatch.setattr(denoiser, "_grid_rows", None)  # any embedding would fail
+        net.bind(x1, [(0.001 * 299, 0.2)])
+
+    def test_threads_binding_one_net(self, tmp_path):
+        """Six threads binding one loaded net over 100 grids each, under a
+        short switch interval, leave it within 256 grids, and every bound
+        step equals predict."""
+        net = _loaded(tmp_path).net
+        x1 = np.array([0.4, -0.3])
+        wrong = []
+
+        def work(first):
+            for k in range(first, first + 100):
+                r = 0.001 * k
+                got = net.bind(x1, [(r, 0.2)])(x1, 0)
+                if got.tobytes() != net.predict(x1, x1, r, 0.2).tobytes():
+                    wrong.append(r)
+                if len(net._rows) > 256:
+                    wrong.append(len(net._rows))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(50 * i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert 0 < len(net._rows) <= 256
 
 
 class TestBlocks:
@@ -710,6 +882,17 @@ class TestCheckpoint:
 
         with pytest.raises(DomainError):
             load_checkpoint(_rewritten_checkpoint(tmp_path, mutate))
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_d", -1.0), ("sigma_d", 0.0), ("rho", 1.5), ("rho", -1.0),
+    ])
+    def test_out_of_range_field_rejected(self, tmp_path, key, value):
+        def mutate(doc):
+            doc[key] = value
+
+        path = _rewritten_checkpoint(tmp_path, mutate)
+        with pytest.raises(DomainError, match=f"checkpoint {path} '{key}': "):
+            load_checkpoint(path)
 
     def test_missing_tensor_rejected(self, tmp_path):
         def mutate(doc):

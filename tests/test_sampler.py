@@ -279,7 +279,13 @@ class TestHybridStep:
 
 class TestUpdate:
     """sampler._update sums k^s x + a x0hat + b x1 + kappa z in place, in the
-    order of that expression, and writes into none of its inputs."""
+    order of that expression, and writes into none of its inputs.  It is
+    given the term b x1 as sampler._run forms it, one row of an outer
+    product over the steps' b, which rounds as b * x1 does."""
+
+    @staticmethod
+    def _b_x1(b, x1):
+        return np.multiply.outer([0.5, b], x1)[1]
 
     _scalar = st.one_of(
         st.floats(-3.0, 3.0), st.sampled_from([1.0, 0.0, -0.0]),
@@ -296,7 +302,7 @@ class TestUpdate:
         want = ks * x + a * x0hat + b * x1
         if kap != 0.0:
             want = want + kap * z
-        got = sampler._update(step, x, x0hat, x1, z if kap != 0.0 else None)
+        got = sampler._update(step, x, x0hat, self._b_x1(b, x1), z if kap != 0.0 else None)
         assert got.tobytes() == want.tobytes()
 
     def test_unit_ks_and_zero_kappa(self):
@@ -304,7 +310,7 @@ class TestUpdate:
         x[:2] = [-0.0, 0.0]
         for a in (0.0, -0.0, 0.7):
             step = sampler.Step(1.0, a, -0.2, 0.0)
-            got = sampler._update(step, x, x0hat, x1, None)
+            got = sampler._update(step, x, x0hat, self._b_x1(-0.2, x1), None)
             assert got.tobytes() == (1.0 * x + a * x0hat + -0.2 * x1).tobytes()
 
     def test_step_functions_leave_inputs_unchanged(self):
