@@ -9,7 +9,8 @@ It pickles entry name -> (dtype, shape, bytes) of a result, or the
 restore and restore_batch over the GRID (QUICK with --quick) and every path
 kind, with an MLP of random weights; each perfbench mode restored twice,
 one-point and over 258 rows, through that MLP as load_checkpoint returns it,
-and the checkpoint fields load_checkpoint rejects; predict and bound steps;
+and the checkpoint and sidecar fields load_checkpoint and load_dataset
+reject; predict and bound steps;
 the step functions; training runs (loss trace, final, EMA and weight-net
 parameters, and the caller's generator state) and AdamW steps on a fixed vector;
 datasets (generated, saved and loaded back, with and without their sidecar)
@@ -145,6 +146,17 @@ def dump(src, out=None, quick: bool = False) -> dict:
             ell.trajectory, 1, 0.5)),
     }.items():
         put(f"reject {name}", fn)
+    # Paths narrower and wider than the schedule.
+    for kind in ("elliptical", "regression"):
+        for phi in (sched.phi / 2, 1.5 * sched.phi):
+            params = {} if kind == "regression" else {"delta": 0.4}
+            traj = make_trajectory(kind, phi, **params)
+            cfg = rg.SamplerConfig(traj, 4, 0.5)
+            tag = f"{kind} phi={phi}"
+            put(f"reject restore {tag}", lambda: rg.restore(sched, net, x1[0], cfg))
+            put(f"reject restore_batch {tag}", lambda: rg.restore_batch(sched, net, x1[:3], cfg))
+            put(f"reject euler_integrate {tag}",
+                lambda: rg.euler_integrate(sched, traj, net, x1[:3], x1[3:6], 4))
     if out is not None:
         Path(out).write_bytes(pickle.dumps(entries))
     return entries
@@ -153,8 +165,9 @@ def dump(src, out=None, quick: bool = False) -> dict:
 def _loaded_entries(rg, put, grid, x1) -> None:
     """Each perfbench mode restored twice, one-point and over 258 rows,
     through a loaded checkpoint of _mlp, whose bind reuses the first
-    calls' first-layer rows; and the rho of checkpoints whose sigma_d or rho
-    is out of range, or load_checkpoint's rejection of them."""
+    calls' first-layer rows; the rho of checkpoints whose sigma_d or rho
+    is out of range, or load_checkpoint's rejection of them; and
+    load_dataset's rejection of sidecars whose sigma_d or rho_hat is."""
     from rgflow.trajectory import Elliptical, Regression
 
     home = os.getcwd()
@@ -179,6 +192,12 @@ def _loaded_entries(rg, put, grid, x1) -> None:
             for key, value in (("sigma_d", -1.0), ("sigma_d", 0.0), ("rho", 1.5)):
                 Path("bad.json").write_text(json.dumps({**doc, key: value}))
                 put(f"reject checkpoint {key}={value}", lambda: rg.load_checkpoint("bad.json").rho)
+            rg.save_dataset(rg.make_gaussian_pairs(0.6, 20, seed=3), "data.csv")
+            meta = json.loads(Path("data.meta.json").read_text())
+            for key, value in (("sigma_d", 0.0), ("sigma_d", -1.0), ("sigma_d", math.inf),
+                               ("rho_hat", 1.0), ("rho_hat", -1.0), ("rho_hat", math.nan)):
+                Path("data.meta.json").write_text(json.dumps({**meta, key: value}))
+                put(f"reject sidecar {key}={value}", lambda: rg.load_dataset("data.csv").rho_hat)
         finally:
             os.chdir(home)
 
@@ -314,6 +333,10 @@ CLI_RUNS = {
     "reject config key": (["train", "--config", "bad_key.json", "--out", "x.json"], []),
     "reject config sampler": (["train", "--config", "bad_sampler.json", "--out", "x.json"], []),
     "reject restore source": (["restore", "--input", "data.csv", "--out", "x.csv"], []),
+    # Every prediction overflows, so the error line counts all 600 rows.
+    "reject restore overflow 600 rows": (["restore", "--model", "huge.json", "--input",
+                                          "points.csv", "--mode", "disi-g", "--out", "x.csv"],
+                                         []),
     # Path settings that the run would not read.
     **{f"reject restore {mode} {flag}": (["restore", "--model", "ck.json", "--input", "data.csv",
                                           "--mode", mode, flag, value, "--out", "x.csv"], [])
@@ -343,7 +366,9 @@ CLI_CONFIGS = {
 def _cli_entries(entries: dict) -> None:
     """Each of CLI_RUNS, in order, in one scratch directory: the bytes of
     each file it writes, and its exit code, stdout and stderr."""
+    from rgflow import MlpDenoiser, save_checkpoint
     from rgflow.cli import main
+    from rgflow.toydata import write_csv
 
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -351,6 +376,12 @@ def _cli_entries(entries: dict) -> None:
         try:
             for name, doc in CLI_CONFIGS.items():
                 Path(name).write_text(json.dumps(doc))
+            # Its second hidden layer is GELU(1) everywhere, and its output
+            # 8 * GELU(1) * 1e308 overflows.
+            huge = MlpDenoiser(dim=2, hidden=8, emb_dim=4)
+            huge.params.update(W2=np.zeros((8, 8)), b2=np.ones(8), W3=np.full((8, 2), 1e308))
+            save_checkpoint("huge.json", huge, rho=0.5)
+            write_csv("points.csv", ["x_1", "x_2"], np.random.default_rng(6).normal(size=(600, 2)))
             for name, (argv, files) in CLI_RUNS.items():
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

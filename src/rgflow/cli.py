@@ -21,7 +21,7 @@ import numpy as np
 # verify modules it runs, so a command loads only its own.  Nothing here loads
 # scipy: denoiser._special loads scipy.special._special_ufuncs from its file on
 # the first MLP pass, and toydata scipy.spatial on the first energy distance.
-from .denoiser import CheatDenoiser, GaussianOracle, _row_blocks, load_checkpoint, save_checkpoint
+from .denoiser import CheatDenoiser, GaussianOracle, load_checkpoint, save_checkpoint
 from .errors import ConfigError, RgflowError, check_seed, json_field, read_json_object
 from .schedule import _HALF_PI, GvpSchedule, schedule_grid
 from .toydata import (
@@ -267,13 +267,10 @@ def _cmd_restore(args) -> int:
     cfg = SamplerConfig(trajectory=traj, **_given(
         n_steps=args.steps, eta=args.eta, boot_epsilon=args.boot_epsilon, seed=args.seed))
     x1 = _load_degraded(args.input)
-    # The chunks are the row blocks a bound step runs, so the output is
-    # restore_batch's on the whole input, byte for byte, while each chunk's
-    # noise block stays small.  An overflow surfaces as restore_batch's
-    # NonFiniteOutput, the one error line, rather than as numpy warnings.
+    # An overflow surfaces as restore_batch's NonFiniteOutput, the one error
+    # line, rather than as numpy warnings.
     with np.errstate(all="ignore"):
-        out = np.concatenate([restore_batch(sched, den, x1[s], cfg, item_offset=s.start)
-                              for s in _row_blocks(x1.shape[0])])
+        out = restore_batch(sched, den, x1, cfg)
     header = [f"x_{i + 1}" for i in range(out.shape[1])]
     write_csv(args.out, header, out.tolist())
     return 0

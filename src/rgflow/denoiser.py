@@ -126,21 +126,13 @@ class GaussianOracle:
     def __init__(self, rho: float, sigma_d: float = 1.0) -> None:
         self.sched = GvpSchedule(rho=rho, sigma_d=sigma_d)
 
-    @property
-    def rho(self) -> float:
-        return self.sched.rho
-
-    @property
-    def sigma_d(self) -> float:
-        return self.sched.sigma_d
-
     def predict(self, x, x1, r, g) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         x1 = np.asarray(x1, dtype=np.float64)
         if x.shape != x1.shape:
             raise DimensionMismatch(f"x {x.shape} vs x1 {x1.shape}")
         c = self.sched.coeffs(float(r), float(g))
-        rho, sd = self.rho, self.sigma_d
+        rho, sd = self.sched.rho, self.sched.sigma_d
         m = rho * x1
         s2 = (1.0 - rho * rho) * sd * sd
         a = c.lam * c.alpha
@@ -294,7 +286,7 @@ class MlpDenoiser:
         _check_sizes(self.emb_dim, self.hidden)
         check_sigma_d(self.sigma_d)
         if self.params is None:
-            self.params = self._init_params(np.random.default_rng(0))
+            self.reinit(np.random.default_rng(0))
 
     @property
     def input_dim(self) -> int:
@@ -304,9 +296,10 @@ class MlpDenoiser:
     def widths(self) -> list[int]:
         return [self.input_dim, self.hidden, self.hidden, self.dim]
 
-    def _init_params(self, rng: np.random.Generator) -> dict:
+    def reinit(self, rng: np.random.Generator) -> None:
+        """Redraw hidden-layer weights; output projection stays at zero."""
         d_in, h = self.input_dim, self.hidden
-        return {
+        self.params = {
             "W1": rng.normal(0.0, math.sqrt(2.0 / d_in), size=(d_in, h)),
             "b1": np.zeros(h),
             "W2": rng.normal(0.0, math.sqrt(2.0 / h), size=(h, h)),
@@ -314,10 +307,6 @@ class MlpDenoiser:
             "W3": np.zeros((h, self.dim)),
             "b3": np.zeros(self.dim),
         }
-
-    def reinit(self, rng: np.random.Generator) -> None:
-        """Redraw hidden-layer weights; output projection stays at zero."""
-        self.params = self._init_params(rng)
 
     # -- forward -------------------------------------------------------------
 
@@ -592,8 +581,9 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
     `version` must be the integer 1, `dims` and `emb_dim` integers, `sigma_d`
-    a number > 0 and `rho` a number in (-1, 1) (DomainError), and `widths`
-    four integers (DimensionMismatch).  Every tensor of `weights` and
+    and `rho` numbers that pass the schedule's check_sigma_d and check_rho
+    (DomainError naming the file and the field), and `widths` four integers
+    (DimensionMismatch).  Every tensor of `weights` and
     `ema_weights` must have the shape that `dims`, `emb_dim` and `widths`
     give it and hold only finite values.  The nets hold read-only tensors:
     a loaded model is immutable (an in-place write raises numpy's
@@ -613,12 +603,8 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint {path} 'widths' must be 4 integers, got {widths}"
         )
     dims, emb_dim = typed("dims", int), typed("emb_dim", int)
-    sigma_d, rho = typed("sigma_d", float), typed("rho", float)
-    for key, value, check in (("sigma_d", sigma_d, check_sigma_d), ("rho", rho, check_rho)):
-        try:
-            check(value)
-        except DomainError as exc:
-            raise DomainError(f"checkpoint {path} {key!r}: {exc}") from None
+    sigma_d = typed("sigma_d", float, check=check_sigma_d)
+    rho = typed("rho", float, check=check_rho)
 
     def load(key: str) -> MlpDenoiser:
         net = MlpDenoiser(

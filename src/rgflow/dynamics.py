@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularTime
-from .sampler import _bind, _match
+from .sampler import _bind, _check_phi, _match
 from .schedule import _HALF_PI, GvpSchedule
 from .trajectory import Trajectory
 
@@ -68,11 +68,12 @@ def euler_integrate(
     advanced with the denoiser's prediction substituted at each grid point;
     the denoiser is bound to x1 and the grid's times once.
     Steps whose source has g below g_floor, which lies in (0, pi/2), advance
-    by v_r alone.
+    by v_r alone.  A path whose phi is not the schedule's, a g_floor outside
+    that range (DomainError) and an n_steps that traj.discretize rejects are
+    raised before any denoiser call.
     """
     x1, z = _match(x1, z)
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+    _check_phi(sched, traj)
     if not (0.0 < g_floor < _HALF_PI):
         raise DomainError(f"g_floor must lie in (0, pi/2), got {g_floor}")
     grid = traj.discretize(n_steps)

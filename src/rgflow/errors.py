@@ -1,6 +1,7 @@
 """Semantic exception hierarchy shared by all rgflow modules, and the input
 checks they share: read_json_object for JSON files, json_typed and
-json_field for values read from JSON, and check_seed for seeds."""
+json_field for values read from JSON (json_field also runs a range check
+that another module owns), and check_seed for seeds."""
 
 import json
 import numbers
@@ -70,9 +71,16 @@ def json_typed(value, kind: type, name: str, error: type[RgflowError]):
 
 
 def json_field(doc: dict, key: str, kind: type, owner: str, error: type[RgflowError],
-               default=None):
-    """doc[key] (`default` when absent) as json_typed types it, named `{owner} {key!r}`."""
-    return json_typed(doc.get(key, default), kind, f"{owner} {key!r}", error)
+               default=None, check=None):
+    """doc[key] (`default` when absent) as json_typed types it, named `{owner} {key!r}`.
+    With `check`, the value is what check(value) returns, and a DomainError
+    it raises becomes `error` reading `{owner} {key!r}: <its message>`."""
+    name = f"{owner} {key!r}"
+    value = json_typed(doc.get(key, default), kind, name, error)
+    try:
+        return value if check is None else check(value)
+    except DomainError as exc:
+        raise error(f"{name}: {exc}") from None
 
 
 def read_json_object(path, name: str, error: type[RgflowError]) -> dict:

@@ -265,14 +265,23 @@ def _plan(
     return Plan(start, steps, n_draws, tuple(points[:-1]))
 
 
+def _check_phi(sched: GvpSchedule, traj: Trajectory) -> None:
+    """DomainError unless the path's phi is the schedule's: a narrower path
+    ends short of the clean end r = -phi, and a wider one leaves the
+    schedule's domain."""
+    if traj.phi != sched.phi:
+        raise DomainError(f"the path's phi={traj.phi} is not the schedule's phi={sched.phi}")
+
+
 def plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan:
     """The step plan of a restoration under `sched` and `cfg`.
 
     Built once per (sched, trajectory, n_steps, eta, boot_epsilon) and kept
     in a bounded cache; the seed is not part of the key.  Every rejection of
     the configuration (ConfigError, SingularStart, DomainError from the
-    schedule) is raised here.
+    schedule, or for a path whose phi is not the schedule's) is raised here.
     """
+    _check_phi(sched, cfg.trajectory)
     return _plan(sched, cfg.trajectory, cfg.n_steps, cfg.eta, cfg.boot_epsilon)
 
 

@@ -339,8 +339,9 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
 def load_dataset(path) -> ToyDataset:
     """Read a dataset CSV written by save_dataset, with the checks of
     read_matrix.  The sidecar is optional; when present it must be a JSON
-    object with an object params, a finite sigma_d > 0 and a rho_hat in
-    (-1, 1) (DomainError)."""
+    object with an object params and numbers sigma_d and rho_hat that pass
+    the schedule's check_sigma_d and check_rho (DomainError naming the
+    sidecar and the field)."""
     path = Path(path)
     header, data = read_matrix(path)
     n_x0 = sum(1 for name in header if name.startswith("x0_"))
@@ -352,14 +353,8 @@ def load_dataset(path) -> ToyDataset:
     if meta_file.exists():
         meta = read_json_object(meta_file, f"sidecar {meta_file}", DomainError)
         field_of = partial(json_field, meta, owner=f"sidecar {meta_file}", error=DomainError)
-        sigma_d = field_of("sigma_d", float)
-        rho_hat = field_of("rho_hat", float)
-        if not (math.isfinite(sigma_d) and sigma_d > 0.0):
-            raise DomainError(f"sidecar {meta_file} 'sigma_d' must be finite and > 0, "
-                              f"got {sigma_d}")
-        if not abs(rho_hat) < 1.0:
-            raise DomainError(f"sidecar {meta_file} 'rho_hat' must lie in (-1, 1), "
-                              f"got {rho_hat}")
+        sigma_d = field_of("sigma_d", float, check=check_sigma_d)
+        rho_hat = field_of("rho_hat", float, check=check_rho)
         provenance = {"kind": meta.get("kind"), "seed": meta.get("seed")}
         provenance.update(field_of("params", dict, default={}))
     else:

@@ -401,11 +401,10 @@ class TestRestoreCli:
 
     @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
     def test_output_is_restore_batch_on_the_whole_input(self, toy_dataset, tmp_path, rows):
-        """The chunks are the bound step's row blocks, so no chunk is a lone
-        row past a block edge: the output is restore_batch's on the whole
-        input, byte for byte.  A lone row's gemv rounds otherwise on most
-        inputs, so three inputs are run, with seeds on both sides of 2**32,
-        where the stream seeding changes."""
+        """The output is restore_batch's on the whole input, byte for byte,
+        at row counts on both sides of the bound step's block edges, where a
+        lone row's gemv would round otherwise.  Three inputs are run, with
+        seeds on both sides of 2**32, where the stream seeding changes."""
         from rgflow import Elliptical, GvpSchedule, SamplerConfig, load_checkpoint, restore_batch
         from rgflow.toydata import write_csv
 
@@ -469,6 +468,23 @@ class TestRestoreCli:
             assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", bad,
                             "--input", data, "--mode", mode)
         assert caught == []
+
+    def test_error_line_counts_the_whole_input(self, toy_dataset, tmp_path, capsys):
+        """A 600-row input whose every prediction overflows is reported by
+        one line that counts all 600 rows, not those of one block."""
+        from rgflow.toydata import write_csv
+
+        _, ck = toy_dataset
+        doc = json.loads(ck.read_text())
+        for key in ("weights", "ema_weights"):
+            doc[key]["W3"] = [[1e308] * len(row) for row in doc[key]["W3"]]
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        points = tmp_path / "in.csv"
+        write_csv(points, ["x_1", "x_2"], np.random.default_rng(6).normal(size=(600, 2)))
+        err = assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", bad,
+                              "--input", points, "--mode", "disi-g")
+        assert err == "error: restoration produced non-finite values in 600 of 600 rows"
 
     def test_zero_hidden_checkpoint_rejected(self, toy_dataset, tmp_path, capsys):
         data, ck = toy_dataset
@@ -595,7 +611,7 @@ class TestSidecarAndCheckpointTypes:
         meta = tmp_path / "bad.meta.json"
         meta.write_text(json.dumps({**self.SIDECAR, field: value}))
         err = assert_rejected(capsys, tmp_path / "x.csv", *command, bad)
-        assert f"sidecar {meta} '{field}' must " in err
+        assert f"sidecar {meta} '{field}': " in err
 
     def test_saved_sidecars_load(self, tmp_path):
         """Sidecars as save_dataset writes them load, a null seed and an

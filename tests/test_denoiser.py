@@ -23,11 +23,13 @@ from rgflow import (
     Regression,
     SamplerConfig,
     load_checkpoint,
+    load_dataset,
     make_gaussian_pairs,
     mlp_backward,
     restore,
     restore_batch,
     save_checkpoint,
+    save_dataset,
     time_embed,
 )
 from rgflow import denoiser
@@ -40,6 +42,7 @@ from rgflow.denoiser import (
     _row_blocks,
     weighted_prediction_loss,
 )
+from rgflow.schedule import check_rho, check_sigma_d
 
 HALF_PI = math.pi / 2.0
 
@@ -204,6 +207,18 @@ class TestScaleEquivariance:
 
 
 class TestMlp:
+    def test_default_params_are_reinit_at_seed_0(self):
+        """A net built without params holds the bytes reinit draws from
+        default_rng(0), under the same keys."""
+        for dim, hidden, emb_dim in ((2, 8, 4), (3, 16, 2)):
+            net = MlpDenoiser(dim, hidden, emb_dim)
+            want = MlpDenoiser(dim, hidden, emb_dim, params={})
+            want.reinit(np.random.default_rng(0))
+            assert list(net.params) == list(want.params)
+            for key, value in want.params.items():
+                assert net.params[key].shape == value.shape
+                assert net.params[key].tobytes() == value.tobytes(), key
+
     def test_fresh_net_predicts_zero(self):
         net = MlpDenoiser(dim=2, hidden=8, emb_dim=4)
         rng = np.random.default_rng(0)
@@ -893,6 +908,31 @@ class TestCheckpoint:
         path = _rewritten_checkpoint(tmp_path, mutate)
         with pytest.raises(DomainError, match=f"checkpoint {path} '{key}': "):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_d", 0.0), ("sigma_d", -1.0), ("sigma_d", math.inf),
+        ("rho", 1.0), ("rho", -1.0), ("rho", math.nan),
+    ])
+    def test_checkpoint_and_sidecar_reject_in_one_format(self, tmp_path, key, value):
+        """A checkpoint's sigma_d or rho and a sidecar's sigma_d or rho_hat
+        out of range are rejected by the schedule's own check, in one
+        format: `<file> '<field>': <the check's message>`."""
+        check = {"sigma_d": check_sigma_d, "rho": check_rho}[key]
+        with pytest.raises(DomainError) as owner:
+            check(value)
+        ck = _rewritten_checkpoint(tmp_path, lambda doc: doc.update({key: value}))
+        with pytest.raises(DomainError) as caught:
+            load_checkpoint(ck)
+        assert str(caught.value) == f"checkpoint {ck} '{key}': {owner.value}"
+
+        field = {"sigma_d": "sigma_d", "rho": "rho_hat"}[key]
+        data = tmp_path / "d.csv"
+        save_dataset(make_gaussian_pairs(0.5, 10, seed=1), data)
+        meta = data.with_suffix(".meta.json")
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), field: value}))
+        with pytest.raises(DomainError) as caught:
+            load_dataset(data)
+        assert str(caught.value) == f"sidecar {meta} '{field}': {owner.value}"
 
     def test_missing_tensor_rejected(self, tmp_path):
         def mutate(doc):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -26,6 +27,7 @@ from rgflow import (
     SamplerConfig,
     SingularStart,
     boot_step,
+    euler_integrate,
     hybrid_step,
     interpolate,
     kappa,
@@ -1021,6 +1023,40 @@ class TestPlan:
                 restore(sched, Spy(), x1s[0], cfg, noise=[item])
         with pytest.raises(ConfigError, match="item_offset"):
             restore_batch(sched, Spy(), x1s, cfg, item_offset=-1)
+        assert Spy.calls == 0
+        assert built == [] and seeded == []
+
+    @pytest.mark.parametrize("kind", sorted(TRAJECTORY_KINDS))
+    def test_path_of_another_phi_rejected_before_any_call_or_draw(self, monkeypatch, kind):
+        """A path narrower or wider than its schedule, by half or by one ulp,
+        is a DomainError that names both phis, from restore, restore_batch
+        and euler_integrate, before the denoiser runs or a generator is
+        built.  (A narrower path used to end at r = -phi/2, not at the clean
+        end, and a Regression's phi was replaced by the schedule's.)"""
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
+        seeded = _spy_item_noise(monkeypatch)
+
+        class Spy:
+            calls = 0
+
+            def predict(self, x, x1, r, g):
+                Spy.calls += 1
+                return np.zeros(np.shape(x))
+
+        sched = GvpSchedule(0.5, 1.0)
+        x1s = np.ones((3, 2))
+        for phi in (sched.phi / 2, np.nextafter(sched.phi, 0.0),
+                    np.nextafter(sched.phi, 1.0), 1.5 * sched.phi):
+            traj = _path(kind, phi, delta=math.pi / 8, p=2.0)
+            cfg = SamplerConfig(trajectory=traj, n_steps=10, eta=0.5)
+            named = f"phi={phi} is not the schedule's phi={sched.phi}"
+            for run in (lambda: restore(sched, Spy(), x1s[0], cfg),
+                        lambda: restore_batch(sched, Spy(), x1s, cfg),
+                        lambda: euler_integrate(sched, traj, Spy(), x1s, x1s, 10)):
+                with pytest.raises(DomainError, match=re.escape(named)):
+                    run()
         assert Spy.calls == 0
         assert built == [] and seeded == []
 
