@@ -116,6 +116,9 @@ def dump(src, out=None, quick: bool = False) -> dict:
             lambda: rg.boot_step(sched, *vecs[:3], (0.1, 0.0), (0.2, 0.3), vecs[3]))
         put(f"regression_step sd={sd}", lambda: rg.regression_step(sched, *vecs[:3], 0.1, 0.4))
 
+    # A target g2 near the smallest doubles just below eta = 1, where k^(s-1) overflows.
+    put("kappa eta=1-2**-53 g1=1 g2=2.225073858507203e-309",
+        lambda: rg.kappa(1.0 - 2.0**-53, 1.0, 2.225073858507203e-309))
     _loaded_entries(rg, put, grid, x1)
     _train_entries(rg, put, grid)
     _adamw_entry(rg, put)
@@ -343,6 +346,28 @@ CLI_RUNS = {
        for mode, flag, value in (("disi-r", "--delta", "0.3"), ("disi-r", "--eta", "0.7"),
                                  ("disi-r", "--p", "3"), ("disi-r", "--boot-epsilon", "0.2"),
                                  ("disi-g", "--p", "3"))},
+    # At delta = 0 a path takes the regression segment, which reads no eta or boot offset.
+    **{f"reject restore {name} delta=0 {flags[-2]}": (
+        ["restore", "--model", "ck.json", "--input", "data.csv", *flags, "--out", "x.csv"], [])
+       for name, flags in (
+           ("elliptical", ["--traj", "elliptical", "--delta", "0", "--steps", "1", "--eta", "0.5"]),
+           ("disi-g", ["--mode", "disi-g", "--delta", "0", "--eta", "0.7"]),
+           ("linear", ["--traj", "linear", "--delta", "0", "--boot-epsilon", "0.2"]))},
+    # Predictor flags that the run would not read.
+    **{f"reject restore {' '.join(flags)}": (
+        ["restore", "--input", "data.csv", *flags, "--out", "x.csv"], [])
+       for flags in (["--model", "ck.json", "--rho", "0.3"],
+                     ["--model", "ck.json", "--sigma-d", "5"],
+                     ["--model", "ck.json", "--oracle", "gaussian", "--rho", "0.2"],
+                     ["--oracle", "gaussian", "--rho", "0.5", "--no-ema"])},
+    **{f"reject sweep {' '.join(flags)}": (
+        ["sweep", "--data", "data.csv", *flags, "--deltas", "0", "--etas", "0", "--nfes", "1",
+         "--out", "x.csv"], [])
+       for flags in (["--model", "ck.json", "--oracle", "cheat"],
+                     ["--oracle", "gaussian", "--no-ema"])},
+    "sweep model rho": (["sweep", "--data", "data.csv", "--model", "ck.json", "--rho", "0.3",
+                         "--deltas", "pi/8", "--etas", "0", "--nfes", "2",
+                         "--out", "sweep_r.csv"], ["sweep_r.csv"]),
     "reject traj elliptical --p": (["traj", "--kind", "elliptical", "--p", "3", "--steps", "5",
                                     "--out", "x.csv"], []),
     "reject traj regression --delta": (["traj", "--kind", "regression", "--delta", "0.3",

@@ -45,6 +45,13 @@ def _path(kind: str, phi: float, args):
     return make_trajectory(kind, phi, **_given(delta=args.delta, p=args.p))
 
 
+def _reject_given(where: str, flags: dict) -> None:
+    """ConfigError naming the first of `flags` (flag: value) that was given."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise ConfigError(f"{flag} is not read {where}")
+
+
 def _angle(text: str) -> float:
     """Parse a float, or the symbolic forms 'pi' and 'pi/N' for nonzero N."""
     expr = text.replace(" ", "")
@@ -244,26 +251,29 @@ def _cmd_restore(args) -> int:
     for flag, value in {**defaults, **fixed}.items():
         if getattr(args, flag) is None:
             setattr(args, flag, value)
-    if args.traj == "regression":
-        # It draws no noise and needs no boot step.
-        for flag, value in (("--eta", args.eta), ("--boot-epsilon", args.boot_epsilon)):
-            if value is not None:
-                raise ConfigError(f"{flag} is not read on a regression path")
 
     if args.model is not None:
+        # The checkpoint sets rho and sigma_d.
+        _reject_given("with --model", {"--oracle": args.oracle, "--rho": args.rho,
+                                       "--sigma-d": args.sigma_d})
         ck = load_checkpoint(args.model)
         den = ck.denoiser(use_ema=not args.no_ema)
-        rho, sigma_d = ck.rho, den.sigma_d
+        sched = GvpSchedule(rho=ck.rho, sigma_d=den.sigma_d)
+    elif args.no_ema:
+        raise ConfigError("--no-ema is not read without --model")
     elif args.oracle == "gaussian":
         if args.rho is None:
             raise ConfigError("--oracle gaussian needs --rho")
-        den = GaussianOracle(rho=args.rho, sigma_d=args.sigma_d)
-        rho, sigma_d = args.rho, args.sigma_d
+        den = GaussianOracle(rho=args.rho, **_given(sigma_d=args.sigma_d))
+        sched = den.sched
     else:
         raise ConfigError("restore needs --model or --oracle gaussian")
 
-    sched = GvpSchedule(rho=rho, sigma_d=sigma_d)
     traj = _path(args.traj, sched.phi, args)
+    if not traj.lifts:
+        # It draws no noise and needs no boot step.
+        _reject_given("on a regression path", {"--eta": args.eta,
+                                               "--boot-epsilon": args.boot_epsilon})
     cfg = SamplerConfig(trajectory=traj, **_given(
         n_steps=args.steps, eta=args.eta, boot_epsilon=args.boot_epsilon, seed=args.seed))
     x1 = _load_degraded(args.input)
@@ -284,7 +294,10 @@ def _cmd_sweep(args) -> int:
     sched = GvpSchedule(rho=rho, sigma_d=ds.sigma_d)
     x0, x1 = ds.x0, ds.x1
     if args.model is not None:
+        _reject_given("with --model", {"--oracle": args.oracle})
         den = load_checkpoint(args.model).denoiser(use_ema=not args.no_ema)
+    elif args.no_ema:
+        raise ConfigError("--no-ema is not read without --model")
     elif args.oracle == "gaussian":
         den = GaussianOracle(rho=rho, sigma_d=ds.sigma_d)
     elif args.oracle == "cheat":
@@ -413,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use raw weights instead of the EMA weights")
     p.add_argument("--oracle", default=None, choices=["gaussian"])
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--sigma-d", type=float, default=1.0, dest="sigma_d")
+    p.add_argument("--sigma-d", type=float, default=None, dest="sigma_d")
     p.add_argument("--input", required=True, help="CSV of degraded points")
     p.add_argument("--mode", default=None, choices=["disi-r", "disi-g"],
                    help="presets: disi-r = regression/1 step; "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularTime
-from .sampler import _bind, _check_phi, _match
+from .sampler import _begin, _bind, _check_phi, _match, _start
 from .schedule import _HALF_PI, GvpSchedule
 from .trajectory import Trajectory
 
@@ -64,9 +64,10 @@ def euler_integrate(
 ) -> np.ndarray:
     """First-order reference integration of dx = v_r dr + v_g dg.
 
-    The state starts at cos(g_start)*beta(r_start)*x1 + sin(g_start)*z and is
-    advanced with the denoiser's prediction substituted at each grid point;
-    the denoiser is bound to x1 and the grid's times once.
+    The state starts as the sampler's does (sampler._start), at x1 on a path
+    from g = 0, else at cos(g_start)*beta(r_start)*x1 + sin(g_start)*z, and
+    is advanced with the denoiser's prediction substituted at each grid
+    point; the denoiser is bound to x1 and the grid's times once.
     Steps whose source has g below g_floor, which lies in (0, pi/2), advance
     by v_r alone.  A path whose phi is not the schedule's, a g_floor outside
     that range (DomainError) and an n_steps that traj.discretize rejects are
@@ -77,9 +78,7 @@ def euler_integrate(
     if not (0.0 < g_floor < _HALF_PI):
         raise DomainError(f"g_floor must lie in (0, pi/2), got {g_floor}")
     grid = traj.discretize(n_steps)
-    r0, g0 = grid.r[0], grid.g[0]
-    c0 = sched.coeffs(r0, g0)
-    x = c0.lam * c0.beta * x1 + c0.gamma * z
+    x = _begin(_start(sched, traj.start_rg), x1, z)
     r, g = grid.r.tolist(), grid.g.tolist()
     predict = _bind(denoiser, x1, tuple(zip(r[:-1], g[:-1])))
     for i in range(len(grid) - 1):

@@ -7,8 +7,6 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError
 from .schedule import GvpSchedule
 
-_CHUNK = 8192
-
 
 def _as_vector(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
@@ -62,32 +60,15 @@ def empirical_variance(
 ) -> float:
     """Monte-Carlo estimate of the per-coordinate Var(x(r, g)).
 
-    Rows of the ToyDataset `dataset` are resampled with replacement and
-    combined with fresh noise; the variance is computed per coordinate and
-    averaged.  Work is split into fixed-size chunks whose sub-streams are
-    spawned from the caller's generator up front, so the estimate is
-    identical no matter how the chunks are later scheduled.
+    n rows of the ToyDataset `dataset` are resampled with replacement and
+    combined with fresh noise, both drawn from `rng` in one pass (the row
+    indices, then the noise); the variance is computed per coordinate and
+    averaged.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     sched.check_domain(r, g)
-    x0, x1 = dataset.x0, dataset.x1
-    dim = x0.shape[1]
-
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    streams = rng.spawn(n_chunks)
-
-    # Accumulate sum and sum of squares per coordinate across chunks.
-    s1 = np.zeros(dim)
-    s2 = np.zeros(dim)
-    remaining = n
-    for stream in streams:
-        m = min(_CHUNK, remaining)
-        remaining -= m
-        idx = stream.integers(0, len(dataset), size=m)
-        z = stream.normal(0.0, sched.sigma_d, size=(m, dim))
-        x = forward_state(sched, x0[idx], x1[idx], z, r, g)
-        s1 += x.sum(axis=0)
-        s2 += (x * x).sum(axis=0)
-    var = s2 / n - (s1 / n) ** 2
-    return float(var.mean())
+    idx = rng.integers(0, len(dataset), size=n)
+    z = rng.normal(0.0, sched.sigma_d, size=(n, dataset.x0.shape[1]))
+    x = forward_state(sched, dataset.x0[idx], dataset.x1[idx], z, r, g)
+    return float(x.var(axis=0).mean())

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import (
     ConfigError, DimensionMismatch, DomainError, NonFiniteOutput, SingularStart, check_seed,
 )
-from .schedule import _HALF_PI, CoeffSet, GvpSchedule, check_g
+from .schedule import _HALF_PI, GvpSchedule, check_g
 from .trajectory import Regression, Trajectory
 
 
@@ -94,8 +94,9 @@ def _ks_kappa(eta: float, g1: float, g2: float) -> tuple[float, float]:
         # ratio below is log_k.  This also covers eta^2 or x underflowing,
         # where the ratio form would lose every digit or divide by zero.
         return ks, eta * s2 * log_k
-    # eta * s2 * (1 - k^(s-1)) / (1-s), with 1 - e^x = -expm1(x).
-    numerator = eta * s2 * -math.expm1(-x)
+    # eta * s2 * (1 - k^(s-1)) / (1-s), with 1 - e^x = -expm1(x).  Where k^(s-1)
+    # overflows, s2 k^(s-1) = k^s s1 does not, and s2 is too small beside it to cancel.
+    numerator = eta * (s2 - ks * s1) if -x > 709.0 else eta * s2 * -math.expm1(-x)
     if abs(numerator) < sys.float_info.min:
         # It underflowed (sin g2 near the smallest doubles): divide first.
         return ks, s2 * (-math.expm1(-x) / one_minus_s) * eta
@@ -212,37 +213,50 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Plan:
-    """Everything a restoration computes before its first denoiser call:
-    the start, every step folded to its scalars, and the draw count.
+    """Everything a restoration computes before its first denoiser call.
 
-    `start` holds the coefficients of a start at g > 0, whose state is
-    lam beta x1 + gamma z, and is None for a start at g = 0, whose state is
-    x1.  `n_draws` counts the noise draws: one for a start at g > 0, then
-    one per step whose kappa is nonzero.  `times` holds each step's source
-    point, where the denoiser is queried.
+    `start` gives the first state, b x1 + kappa z (see _start), and `steps`
+    the updates; `n_draws` counts those of them whose kappa is nonzero, one
+    draw each, in that order.  `times` holds each step's source point,
+    where the denoiser is queried.
     """
 
-    start: CoeffSet | None
+    start: Step
     steps: tuple[Step, ...]
     n_draws: int
     times: tuple[tuple[float, float], ...]
 
 
+def _start(sched: GvpSchedule, point) -> Step:
+    """The state at a run's first point as a Step x = b x1 + kappa z: (b, kappa)
+    is (1, 0) at g = 0, so x1 exactly, and (lam beta, gamma) above."""
+    if point[1] == 0.0:
+        return Step(0.0, 0.0, 1.0, 0.0)
+    c = sched.coeffs(*point)
+    return Step(0.0, 0.0, c.lam * c.beta, c.gamma)
+
+
+def _begin(start: Step, x1, z) -> np.ndarray:
+    """start.b x1 + start.kappa z in a new array; z is read only where kappa is nonzero."""
+    x = start.b * x1
+    if start.kappa != 0.0:
+        x += start.kappa * z
+    return x
+
+
 def _points(sched: GvpSchedule, traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float):
-    """The n_steps + 1 (r, g) points a run visits.  A path with no lift (a
-    Regression, or delta = 0) runs the regression segment on g = 0 over
+    """The n_steps + 1 (r, g) points a run visits.  A path that never
+    leaves g = 0 (not traj.lifts) runs the regression segment on g = 0 over
     sched.phi.  Any other path visits its start, a boot point at t_start
     offset by boot_epsilon when it starts at g = 0 and n_steps > 1, then the
     uniform grid over the rest of the budget; from g = 0 with n_steps = 1 its
     one boot step runs to the clean end, which requires eta = 1."""
-    boot = False
-    if isinstance(traj, Regression) or getattr(traj, "delta", None) == 0.0:
-        grid = Regression(phi=sched.phi).discretize(n_steps)
-    else:
-        boot = traj.starts_noiseless and n_steps > 1
-        if traj.starts_noiseless and not boot and eta != 1.0:
-            raise ConfigError("a path starting at g=0 with n_steps=1 requires eta=1")
-        grid = traj.discretize(n_steps - boot)
+    if not traj.lifts:
+        return [(float(r), 0.0) for r in Regression(phi=sched.phi).discretize(n_steps).r]
+    boot = traj.starts_noiseless and n_steps > 1
+    if traj.starts_noiseless and not boot and eta != 1.0:
+        raise ConfigError("a path starting at g=0 with n_steps=1 requires eta=1")
+    grid = traj.discretize(n_steps - boot)
     points = [(float(r), float(g)) for r, g in zip(grid.r, grid.g)]
     if boot:
         direction = 1.0 if traj.t_end > traj.t_start else -1.0
@@ -260,8 +274,8 @@ def _plan(
         _fold(sched, frm, to, 1.0 if frm[1] == 0.0 else eta)
         for frm, to in zip(points[:-1], points[1:])
     )
-    start = None if points[0][1] == 0.0 else sched.coeffs(*points[0])
-    n_draws = (start is not None) + sum(s.kappa != 0.0 for s in steps)
+    start = _start(sched, points[0])
+    n_draws = sum(s.kappa != 0.0 for s in (start, *steps))
     return Plan(start, steps, n_draws, tuple(points[:-1]))
 
 
@@ -303,30 +317,18 @@ def _bind(denoiser, x1, times):
     return predict
 
 
-def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
+def _run(p: Plan, denoiser, x1: np.ndarray, zs) -> np.ndarray:
     """Run plan `p` from x1.  The denoiser is bound to x1 and the steps'
     times once, before the first draw: predict(x, i) is x0hat at x for step
-    i.  `draw()` returns the run's p.n_draws noise samples, indexable in
-    draw order; it is called once, at the first step that needs noise.
-    Every step's b x1 term is formed up front, in one product."""
+    i.  `zs` yields the run's p.n_draws noise samples in draw order; it is
+    advanced where the start or a step needs noise, so a generator that
+    draws them all at its first next() draws nothing for a run without
+    noise.  Every step's b x1 term is formed up front, in one product."""
     predict = _bind(denoiser, x1, p.times)
     b_x1 = np.multiply.outer([step.b for step in p.steps], x1)
-    noise, used = None, 0
-    if p.start is None:
-        x = np.array(x1, dtype=np.float64, copy=True)
-    else:
-        noise, used = draw(), 1
-        c0 = p.start
-        x = c0.lam * c0.beta * x1 + c0.gamma * noise[0]
+    x = _begin(p.start, x1, next(zs) if p.start.kappa != 0.0 else None)
     for i, step in enumerate(p.steps):
-        x0hat = predict(x, i)
-        z = None
-        if step.kappa != 0.0:
-            if noise is None:
-                noise = draw()
-            z = noise[used]
-            used += 1
-        x = _update(step, x, x0hat, b_x1[i], z)
+        x = _update(step, x, predict(x, i), b_x1[i], next(zs) if step.kappa != 0.0 else None)
     return x
 
 
@@ -381,10 +383,11 @@ def restore(
     _require_finite(x1, DomainError, _BAD_INPUT)
     if noise is None:
 
-        def draw() -> np.ndarray:
+        def draws():
             gen = np.random.default_rng(cfg.seed) if rng is None else rng
-            return gen.normal(0.0, sched.sigma_d, size=(p.n_draws, *x1.shape))
+            yield from gen.normal(0.0, sched.sigma_d, size=(p.n_draws, *x1.shape))
 
+        zs = draws()
     else:
         items = [np.asarray(a, dtype=np.float64) for a in itertools.islice(noise, p.n_draws)]
         if len(items) < p.n_draws:
@@ -394,11 +397,8 @@ def restore(
                 raise DimensionMismatch(f"noise draw {k} has shape {z.shape}, x1 {x1.shape}")
             bad_noise = f"noise draw {k} holds NaN or inf in {{bad}} of {{n}} rows"
             _require_finite(z, DomainError, bad_noise)
-
-        def draw() -> list[np.ndarray]:
-            return items
-
-    return _require_finite(_run(p, denoiser, x1, draw), NonFiniteOutput, _BAD_OUTPUT)
+        zs = iter(items)
+    return _require_finite(_run(p, denoiser, x1, zs), NonFiniteOutput, _BAD_OUTPUT)
 
 
 def restore_batch(
@@ -431,10 +431,10 @@ def restore_batch(
     p = plan(sched, cfg)
     _require_finite(x1_batch, DomainError, _BAD_INPUT)
 
-    def draw() -> np.ndarray:
-        return _item_noise(cfg.seed, item_offset, p.n_draws, x1_batch.shape, sched.sigma_d)
+    def draws():
+        yield from _item_noise(cfg.seed, item_offset, p.n_draws, x1_batch.shape, sched.sigma_d)
 
-    return _require_finite(_run(p, denoiser, x1_batch, draw), NonFiniteOutput, _BAD_OUTPUT)
+    return _require_finite(_run(p, denoiser, x1_batch, draws()), NonFiniteOutput, _BAD_OUTPUT)
 
 
 # -- per-item noise streams ------------------------------------------------------

@@ -43,7 +43,7 @@ def check_sigma_d(sigma_d: float) -> float:
     """sigma_d as a float; DomainError unless it is finite and > 0."""
     value = float(sigma_d)
     if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"sigma_d must be > 0, got {sigma_d}")
+        raise DomainError(f"sigma_d must be finite and > 0, got {sigma_d}")
     return value
 
 

@@ -50,11 +50,10 @@ def run_sweep(
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     cells = [
         ({"delta": delta, "eta": eta, "nfe": nfe},
-         SamplerConfig(trajectory=Elliptical(phi=sched.phi, delta=float(delta)),
-                       n_steps=int(nfe), eta=0.0 if eta == "NA" else float(eta),
+         SamplerConfig(trajectory=traj, n_steps=int(nfe), eta=0.0 if eta == "NA" else float(eta),
                        boot_epsilon=boot_epsilon, seed=seed))
-        for delta in deltas
-        for eta in (["NA"] if delta == 0.0 else etas)
+        for delta, traj in ((d, Elliptical(phi=sched.phi, delta=float(d))) for d in deltas)
+        for eta in (etas if traj.lifts else ["NA"])
         for nfe in nfes
     ]
     rows: list[dict] = []

@@ -62,6 +62,11 @@ class Trajectory:
         return (-self.phi, 0.0)
 
     @property
+    def lifts(self) -> bool:
+        """Whether the path leaves g = 0: False for a Regression and at delta = 0."""
+        return getattr(self, "delta", 0.0) != 0.0
+
+    @property
     def starts_noiseless(self) -> bool:
         """True when the path begins at g = 0 and needs a booting step."""
         return self.start_rg[1] == 0.0

@@ -430,12 +430,45 @@ class TestRestoreCli:
         (["--mode", "disi-r", "--boot-epsilon", "0.2"],
          "--boot-epsilon is not read on a regression path"),
         (["--mode", "disi-g", "--p", "3"], "the elliptical path has no parameter p"),
-    ], ids=["r-delta", "r-p", "r-eta", "r-boot-epsilon", "g-p"])
+        # delta = 0 takes the regression segment, as --traj regression does.
+        (["--traj", "elliptical", "--delta", "0", "--steps", "1", "--eta", "0.5"],
+         "--eta is not read on a regression path"),
+        (["--mode", "disi-g", "--delta", "0", "--eta", "0.7"],
+         "--eta is not read on a regression path"),
+        (["--traj", "linear", "--delta", "0", "--boot-epsilon", "0.2"],
+         "--boot-epsilon is not read on a regression path"),
+    ], ids=["r-delta", "r-p", "r-eta", "r-boot-epsilon", "g-p", "delta0-eta",
+            "g-delta0-eta", "linear-delta0-boot-epsilon"])
     def test_flag_the_path_does_not_read_rejected(self, toy_dataset, tmp_path, capsys, flags,
                                                   named):
         data, ck = toy_dataset
         err = assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
                               "--input", data, *flags)
+        assert err == f"error: {named}"
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("restore", ["--model", "CK", "--rho", "0.3"],
+         "--rho is not read with --model"),
+        ("restore", ["--model", "CK", "--sigma-d", "5"],
+         "--sigma-d is not read with --model"),
+        ("restore", ["--model", "CK", "--oracle", "gaussian", "--rho", "0.2"],
+         "--oracle is not read with --model"),
+        ("restore", ["--oracle", "gaussian", "--rho", "0.5", "--no-ema"],
+         "--no-ema is not read without --model"),
+        ("sweep", ["--model", "CK", "--oracle", "cheat"],
+         "--oracle is not read with --model"),
+        ("sweep", ["--oracle", "gaussian", "--no-ema"], "--no-ema is not read without --model"),
+    ], ids=["restore-model-rho", "restore-model-sigma-d", "restore-model-oracle",
+            "restore-oracle-no-ema", "sweep-model-oracle", "sweep-oracle-no-ema"])
+    def test_predictor_flag_the_run_does_not_read_rejected(self, toy_dataset, tmp_path, capsys,
+                                                           command, flags, named):
+        """A flag for a denoiser the run does not use exits 2 with one error
+        line and writes nothing, before any restoration."""
+        data, ck = toy_dataset
+        source = ["--input", data] if command == "restore" else ["--data", data]
+        flags = [ck if f == "CK" else f for f in flags]
+        err = assert_rejected(capsys, tmp_path / "x.csv", command, *source, *flags,
+                              *(["--nfes", "1"] if command == "sweep" else []))
         assert err == f"error: {named}"
 
     def test_misshaped_raw_weights_rejected(self, toy_dataset, tmp_path, capsys):

@@ -15,6 +15,7 @@ from rgflow import (
     Regression,
     SingularTime,
     euler_integrate,
+    make_trajectory,
     velocities,
     velocity_r,
 )
@@ -157,6 +158,26 @@ class TestEulerIntegrate:
         assert got.tobytes() == euler_integrate(sched, traj, counted, x1, z, 40).tobytes()
         grid = traj.discretize(40)
         assert calls == list(zip(grid.r[:-1].tolist(), grid.g[:-1].tolist()))
+
+    @pytest.mark.parametrize("kind", ["elliptical", "regression", "vpath", "bezier"])
+    def test_start_at_g0_is_x1_bit_for_bit(self, kind):
+        """On a path that starts at g = 0 the first state the denoiser sees
+        is x1 itself, as the analytic sampler's is, whatever z holds; at
+        rho = 0.5 lam*beta(phi) x1 would round away from it."""
+        seen = []
+
+        class Recorder:  # no bind, so predict is called at every step
+            def predict(self, x, x1, r, g):
+                seen.append(np.array(x, copy=True))
+                return np.zeros_like(x)
+
+        sched = GvpSchedule(0.5, 1.0)
+        params = {} if kind == "regression" else {"delta": math.pi / 4.0}
+        traj = make_trajectory(kind, sched.phi, **params)
+        x1, z = np.random.default_rng(5).normal(size=(2, 64))
+        assert np.any(sched.beta(sched.phi) * x1 != x1)
+        euler_integrate(sched, traj, Recorder(), x1, z, 4)
+        assert seen[0].tobytes() == x1.tobytes()
 
     def test_validation(self):
         sched = GvpSchedule(0.5, 1.0)

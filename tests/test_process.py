@@ -150,6 +150,20 @@ class TestEmpiricalVariance:
         b = empirical_variance(sched, ds, 0.1, 0.4, 20_000, np.random.default_rng(3))
         assert a == b
 
+    def test_one_pass_over_the_callers_draws(self):
+        """The estimate is the mean per-coordinate variance of the states
+        formed from n row indices, then n noise rows, drawn from the
+        caller's generator, which is left just past those two draws."""
+        ds = make_gaussian_pairs(-0.4, 300, sigma_d=1.3, seed=4, dim=3)
+        sched = GvpSchedule(0.6, 1.3)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        v = empirical_variance(sched, ds, 0.2, 0.5, 9000, rng)
+        idx = ref.integers(0, len(ds), size=9000)
+        z = ref.normal(0.0, 1.3, size=(9000, 3))
+        x = forward_state(sched, ds.x0[idx], ds.x1[idx], z, 0.2, 0.5)
+        assert v == pytest.approx(x.var(axis=0).mean(), rel=1e-12)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_rejections(self):
         ds = make_gaussian_pairs(0.5, 10, seed=4)
         sched, rng = GvpSchedule(0.5, 1.0), np.random.default_rng(0)

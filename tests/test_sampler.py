@@ -154,6 +154,17 @@ class TestKappa:
         here, there = kappa(eta, g1, g2), kappa(eta * (1.0 + step), g1, g2)
         assert abs(there - here) <= 1000.0 * step * abs(here) + 1e-300
 
+    @pytest.mark.parametrize("g2", [2.225073858507203e-309, 5e-324, 1e-300])
+    def test_tiny_target_just_below_eta_one(self, g2):
+        """k^(s-1) overflows where sin g2 is near the smallest doubles and eta
+        is near 1, but kappa stays finite and within the eta -> 1 rate of
+        its eta = 1 value sin g2 - sin g1."""
+        for eta in (1.0 - 2.0**-53, 1.0 - 1e-12):
+            s = math.sqrt((1.0 - eta) * (1.0 + eta))
+            log_k = math.log(math.sin(g2)) - math.log(math.sin(1.0))
+            bound = 2.0 * s * (math.sin(1.0) * (1.0 + abs(log_k)) + 1.0)
+            assert abs(kappa(eta, 1.0, g2) - (math.sin(g2) - math.sin(1.0))) <= bound
+
     def test_fully_stochastic_defined_from_zero(self):
         for g2 in (0.0, 1e-3, 0.4, HALF_PI):
             assert kappa(1.0, 0.0, g2) == math.sin(g2)
@@ -379,6 +390,8 @@ class TestFoldProperties:
     @settings(max_examples=300, deadline=None)
     @given(rho=_rho, u1=_unit, u2=_unit, g1=st.floats(1e-3, HALF_PI),
            g2=st.floats(0.0, HALF_PI), eta=st.floats(0.0, 1.0), vecs=_vectors)
+    @example(rho=0.0, u1=0.0, u2=0.0, g1=1.0, g2=2.225073858507203e-309,
+             eta=0.9999999999999999, vecs=np.zeros((4, 2)))  # kappa's expm1 overflowed
     def test_hybrid_step_equals_unfolded_update(self, rho, u1, u2, g1, g2, eta, vecs):
         sched = GvpSchedule(rho, 1.0)
         frm, to = (u1 * sched.phi, g1), (u2 * sched.phi, g2)
@@ -970,6 +983,24 @@ class TestPlan:
             restore(sched, den, x1, SamplerConfig(trajectory=traj, n_steps=12, eta=0.5, seed=2))
             restore_batch(sched, den, np.ones((3, 2)), cfg)
             assert calls == []
+
+    @pytest.mark.parametrize("kind", sorted(TRAJECTORY_KINDS))
+    @pytest.mark.parametrize("delta", [0.0, math.pi / 8, HALF_PI])
+    def test_start_state_is_the_interpolant_at_the_start_point(self, kind, delta):
+        """The plan's start state b x1 + kappa z is the forward map at the
+        run's first point with the same z (x0's weight alpha(phi) is 0 to
+        rounding), and a start draws exactly when its g is above 0."""
+        for rho, sd in ((0.5, 1.0), (-0.3, 0.7), (0.9, 1.3)):
+            sched = GvpSchedule(rho, sd)
+            cfg = SamplerConfig(_path(kind, sched.phi, delta=delta, p=2.0), n_steps=6, eta=1.0)
+            p = sampler.plan(sched, cfg)
+            x0, x1, z = np.random.default_rng(9).normal(0.0, sd, size=(3, 4))
+            got = sampler._begin(p.start, x1, z)
+            np.testing.assert_allclose(got, interpolate(sched, x0, x1, z, *p.times[0]),
+                                       rtol=0.0, atol=1e-12)
+            assert (p.start.kappa != 0.0) == (p.times[0][1] > 0.0)
+            if p.times[0][1] == 0.0:
+                assert got.tobytes() == x1.tobytes()
 
     def test_passed_rng_advances_by_exactly_the_draw_count(self):
         sched = GvpSchedule(0.5, 1.0)

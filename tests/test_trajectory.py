@@ -165,6 +165,16 @@ class TestFactoryAndFlags:
         assert Regression(phi=PHI).starts_noiseless
         assert not Linear(phi=PHI, delta=0.2).starts_noiseless
 
+    @pytest.mark.parametrize("kind", ["elliptical", "linear", "vpath", "bezier"])
+    def test_lifts_unless_delta_is_zero(self, kind):
+        """A path leaves g = 0 at every delta above 0, the smallest double
+        included, and not at delta = 0."""
+        for delta in (0.0, 5e-324, 1e-3, HALF_PI):
+            assert make_trajectory(kind, PHI, delta=delta).lifts == (delta != 0.0)
+
+    def test_regression_does_not_lift(self):
+        assert not Regression(phi=PHI).lifts
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             Elliptical(phi=PHI, delta=-0.1)
