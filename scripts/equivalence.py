@@ -314,9 +314,14 @@ CLI_RUNS = {
                             "--eta", "0.5", "--no-ema", "--out", "ge.csv"], ["ge.csv"]),
     "restore defaults": (["restore", "--model", "ck.json", "--input", "data.csv",
                           "--out", "d.csv"], ["d.csv"]),
+    # A linear path starts above g = 0, so it visits no boot point and reads
+    # no --boot-epsilon: the run without it writes the same bytes.
     "restore knobs": (["restore", "--model", "ck.json", "--input", "data.csv",
                        "--traj", "linear", "--delta", "pi/8", "--eta", "1",
-                       "--boot-epsilon", "0.01", "--seed", "7", "--out", "k.csv"], ["k.csv"]),
+                       "--boot-epsilon", "0.01", "--seed", "7", "--out", "k.csv"], []),
+    "restore knobs linear": (["restore", "--model", "ck.json", "--input", "data.csv",
+                              "--traj", "linear", "--delta", "pi/8", "--eta", "1",
+                              "--seed", "7", "--out", "kl.csv"], ["kl.csv"]),
     "restore oracle": (["restore", "--oracle", "gaussian", "--rho", "0.5", "--sigma-d", "0.8",
                         "--input", "data.csv", "--mode", "disi-g", "--out", "o.csv"], ["o.csv"]),
     "schedule-dump": (["schedule-dump", "--rho", "0.6", "--sigma-d", "0.7", "--grid", "9",
@@ -353,6 +358,17 @@ CLI_RUNS = {
            ("elliptical", ["--traj", "elliptical", "--delta", "0", "--steps", "1", "--eta", "0.5"]),
            ("disi-g", ["--mode", "disi-g", "--delta", "0", "--eta", "0.7"]),
            ("linear", ["--traj", "linear", "--delta", "0", "--boot-epsilon", "0.2"]))},
+    # A run without a boot point reads no boot offset, and one that draws no noise no seed.
+    **{f"reject restore {' '.join(flags)}": (
+        ["restore", "--model", "ck.json", "--input", "data.csv", *flags, "--out", "x.csv"], [])
+       for flags in (["--mode", "disi-r", "--seed", "5"],
+                     ["--traj", "elliptical", "--delta", "0", "--steps", "3", "--seed", "5"],
+                     ["--traj", "elliptical", "--delta", "0.3", "--steps", "1", "--eta", "1",
+                      "--seed", "5"],
+                     ["--traj", "elliptical", "--delta", "0.3", "--steps", "1", "--eta", "1",
+                      "--boot-epsilon", "0.2"],
+                     ["--traj", "linear", "--delta", "0.5", "--steps", "4",
+                      "--boot-epsilon", "0.3"])},
     # Predictor flags that the run would not read.
     **{f"reject restore {' '.join(flags)}": (
         ["restore", "--input", "data.csv", *flags, "--out", "x.csv"], [])
@@ -364,10 +380,23 @@ CLI_RUNS = {
         ["sweep", "--data", "data.csv", *flags, "--deltas", "0", "--etas", "0", "--nfes", "1",
          "--out", "x.csv"], [])
        for flags in (["--model", "ck.json", "--oracle", "cheat"],
+                     ["--model", "ck.json", "--rho", "0.3"],
                      ["--oracle", "gaussian", "--no-ema"])},
+    # A sweep whose every delta is 0 runs only the regression segment.
+    **{f"reject sweep delta=0 {flag}": (
+        ["sweep", "--data", "data.csv", "--oracle", "gaussian", "--deltas", "0", "--nfes", "1,2",
+         flag, value, "--out", "x.csv"], [])
+       for flag, value in (("--etas", "0.5"), ("--boot-epsilon", "0.01"), ("--seed", "3"))},
+    # The checkpoint sets rho and sigma_d, so --rho is not read.
     "sweep model rho": (["sweep", "--data", "data.csv", "--model", "ck.json", "--rho", "0.3",
                          "--deltas", "pi/8", "--etas", "0", "--nfes", "2",
-                         "--out", "sweep_r.csv"], ["sweep_r.csv"]),
+                         "--out", "sweep_r.csv"], []),
+    # On a held-out set, whose rho_hat is not the checkpoint's rho.
+    "sweep model held-out": (["sweep", "--data", "held.csv", "--model", "ck.json",
+                              "--deltas", "0,pi/8", "--etas", "0,1", "--nfes", "1,2",
+                              "--out", "sweep_h.csv"], ["sweep_h.csv"]),
+    "sweep delta=0": (["sweep", "--data", "data.csv", "--oracle", "gaussian", "--deltas", "0",
+                       "--nfes", "1,2", "--out", "sweep_0.csv"], ["sweep_0.csv"]),
     "reject traj elliptical --p": (["traj", "--kind", "elliptical", "--p", "3", "--steps", "5",
                                     "--out", "x.csv"], []),
     "reject traj regression --delta": (["traj", "--kind", "regression", "--delta", "0.3",
@@ -391,7 +420,7 @@ CLI_CONFIGS = {
 def _cli_entries(entries: dict) -> None:
     """Each of CLI_RUNS, in order, in one scratch directory: the bytes of
     each file it writes, and its exit code, stdout and stderr."""
-    from rgflow import MlpDenoiser, save_checkpoint
+    from rgflow import MlpDenoiser, make_scurve_dataset, save_checkpoint, save_dataset
     from rgflow.cli import main
     from rgflow.toydata import write_csv
 
@@ -407,6 +436,9 @@ def _cli_entries(entries: dict) -> None:
             huge.params.update(W2=np.zeros((8, 8)), b2=np.ones(8), W3=np.full((8, 2), 1e308))
             save_checkpoint("huge.json", huge, rho=0.5)
             write_csv("points.csv", ["x_1", "x_2"], np.random.default_rng(6).normal(size=(600, 2)))
+            # Drawn as conf.json's training set, from another seed.
+            save_dataset(make_scurve_dataset(300, jitter=0.05, strength=0.8, noise=0.25, seed=9),
+                         "held.csv")
             for name, (argv, files) in CLI_RUNS.items():
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

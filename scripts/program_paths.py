@@ -8,7 +8,8 @@ sys.settrace and threading.settrace in one process, and runs:
 * every `rgflow` subcommand on small inputs, in process through
   rgflow.cli.main: train on both data kinds (flags and a config file), each
   restore mode (also on malformed input), schedule-dump, traj, simulate,
-  bench, and sweep with --model, --oracle gaussian and --oracle cheat;
+  bench, and sweep with --model, --oracle gaussian and --oracle cheat, and
+  at delta 0 alone;
 * every `verify` check except training-progress, whose calls the train runs
   above make;
 * perfbench's call shapes: restore_batch per mode on a multi-block batch, a
@@ -62,8 +63,7 @@ def _cli_runs(main) -> None:
         [*restore, "--mode", "disi-g", "--steps", "15", "--eta", "0.5", "--no-ema",
          "--out", "e.csv"],
         [*restore, "--out", "d.csv"],
-        [*restore, "--traj", "linear", "--delta", "pi/8", "--eta", "1", "--boot-epsilon", "0.01",
-         "--out", "k.csv"],
+        [*restore, "--traj", "linear", "--delta", "pi/8", "--eta", "1", "--out", "k.csv"],
         ["restore", "--oracle", "gaussian", "--rho", "0.5", "--sigma-d", "0.8",
          "--input", "data.csv", "--mode", "disi-g", "--out", "o.csv"],
         *([*restore[:4], f"{name}.csv", "--mode", "disi-g", "--out", "x.csv"]
@@ -83,6 +83,8 @@ def _cli_runs(main) -> None:
          "--etas", "0.5", "--nfes", "3", "--boot-epsilon", "0.01", "--out", "sweep_o.csv"],
         ["sweep", "--data", "data.csv", "--oracle", "cheat", "--deltas", "0,pi/4",
          "--etas", "0,0.5", "--nfes", "1,3", "--out", "sweep_c.csv"],
+        ["sweep", "--data", "data.csv", "--oracle", "gaussian", "--deltas", "0", "--nfes", "1,2",
+         "--out", "sweep_0.csv"],
     ]
     Path("conf.json").write_text(json.dumps({"n": 200, "steps": 20, "hidden": 8, "emb_dim": 4,
                                              "data": "scurve", "strength": 0.8, "seed": 1}))

@@ -143,18 +143,22 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-# Each `train --config` key, also its flag's dest: the TrainConfig field it
-# sets (None for the data set's keys) and its JSON type.
-_TRAIN_CONFIG_KEYS = {
-    "time_sampler": ("time_sampler", str), "batch": ("batch_size", int),
-    "steps": ("n_steps", int), "lr": ("learning_rate", float),
-    "weight_decay": ("weight_decay", float), "ema_decay": ("ema_decay", float),
-    "adaptive_weighting": ("adaptive_weighting", bool), "hidden": ("hidden", int),
-    "emb_dim": ("emb_dim", int), "seed": ("seed", int),
-    "data": (None, str), "n": (None, int), "sigma_d": (None, float),
-    "jitter": (None, float), "strength": (None, float), "noise": (None, float),
-    "gaussian_rho": (None, float), "dim": (None, int),
+# Each `train` setting, keyed by its flag's dest, which is also its --config
+# key: the TrainConfig field it sets (None for a data-set setting), its JSON
+# type (a bool flag takes 0 or 1) and the data set's default.
+_TRAIN_SETTINGS = {
+    "data": (None, str, "scurve"), "n": (None, int, 2000), "jitter": (None, float, 0.05),
+    "strength": (None, float, 1.0), "noise": (None, float, 0.25),
+    "gaussian_rho": (None, float, 0.5), "dim": (None, int, 2), "sigma_d": (None, float, 1.0),
+    "time_sampler": ("time_sampler", str, None), "batch": ("batch_size", int, None),
+    "steps": ("n_steps", int, None), "lr": ("learning_rate", float, None),
+    "weight_decay": ("weight_decay", float, None), "ema_decay": ("ema_decay", float, None),
+    "adaptive_weighting": ("adaptive_weighting", bool, None), "hidden": ("hidden", int, None),
+    "emb_dim": ("emb_dim", int, None), "seed": ("seed", int, None),
 }
+# What argparse shows or checks of a `train` flag beyond its type.
+_TRAIN_FLAGS = {"data": {"choices": ["scurve", "gaussian"]}, "n": {"help": "dataset size"},
+                "time_sampler": {"help": "elliptical|linear|regression|uniform|lognorm1|lognorm2"}}
 
 
 def _cmd_train(args) -> int:
@@ -163,38 +167,33 @@ def _cmd_train(args) -> int:
     conf: dict = {}
     if args.config is not None:
         conf = read_json_object(args.config, f"config {args.config}", ConfigError)
-        unknown = conf.keys() - _TRAIN_CONFIG_KEYS.keys()
+        unknown = conf.keys() - _TRAIN_SETTINGS.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(key, default=None):
+    def pick(key):
         """The flag (typed by argparse), else the config file's value, which
-        must have the key's JSON type, else `default`."""
-        flag = getattr(args, key)
-        if flag is not None:
+        must have the key's JSON type, else the key's default."""
+        _, kind, default = _TRAIN_SETTINGS[key]
+        if (flag := getattr(args, key)) is not None:
             return flag
-        if key in conf:
-            return json_field(conf, key, _TRAIN_CONFIG_KEYS[key][1], "config", ConfigError)
-        return default
+        return json_field(conf, key, kind, "config", ConfigError) if key in conf else default
 
-    # --adaptive-weighting is 0 or 1, the config file's value a bool.
-    convert = {"time_sampler": make_time_sampler, "adaptive_weighting": bool}
+    # Each field is converted as it is read, so that the first bad one is
+    # named; kind(value) makes --adaptive-weighting's 0 or 1 a bool.
     fields = {}
-    for key, (field, _) in _TRAIN_CONFIG_KEYS.items():
+    for key, (field, kind, _) in _TRAIN_SETTINGS.items():
         if field and (value := pick(key)) is not None:
-            fields[field] = convert[key](value) if key in convert else value
+            fields[field] = make_time_sampler(value) if key == "time_sampler" else kind(value)
     # Built first, so that a bad seed is rejected before the data set is drawn.
     cfg = TrainConfig(**fields)
-    data = pick("data", "scurve")
-    n = pick("n", 2000)
-    settings = {"sigma_d": pick("sigma_d", 1.0)}
+    data, n, settings = pick("data"), pick("n"), {"sigma_d": pick("sigma_d")}
     if data == "scurve":
         make = make_scurve_dataset
-        settings.update(jitter=pick("jitter", 0.05), strength=pick("strength", 1.0),
-                        noise=pick("noise", 0.25))
+        settings.update({key: pick(key) for key in ("jitter", "strength", "noise")})
     elif data == "gaussian":
         make = make_gaussian_pairs
-        settings.update(rho=pick("gaussian_rho", 0.5), dim=pick("dim", 2))
+        settings.update(rho=pick("gaussian_rho"), dim=pick("dim"))
     else:
         raise ConfigError(f"unknown --data {data!r}; expected scurve or gaussian")
     try:
@@ -240,8 +239,34 @@ _PRESETS = {
 }
 
 
+def _predictor(args, data=None):
+    """(denoiser, schedule) of --model, else of --oracle.  A checkpoint sets
+    rho and sigma_d.  An oracle takes --rho and --sigma-d (restore), or, with
+    the data set `data` (sweep), --rho else its rho_hat, and its sigma_d."""
+    rho, sigma_d = args.rho, vars(args).get("sigma_d")
+    if args.model is not None:
+        _reject_given("with --model", {"--oracle": args.oracle, "--rho": rho,
+                                       "--sigma-d": sigma_d})
+        ck = load_checkpoint(args.model)
+        den = ck.denoiser(use_ema=not args.no_ema)
+        return den, GvpSchedule(rho=ck.rho, sigma_d=den.sigma_d)
+    if args.no_ema:
+        raise ConfigError("--no-ema is not read without --model")
+    if args.oracle is None:
+        raise ConfigError(f"{args.command} needs --model or --oracle "
+                          + ("gaussian" if data is None else "gaussian|cheat"))
+    if data is not None:
+        rho, sigma_d = data.rho_hat if rho is None else rho, data.sigma_d
+    elif rho is None:
+        raise ConfigError("--oracle gaussian needs --rho")
+    if args.oracle == "cheat":
+        return CheatDenoiser(data.x0), GvpSchedule(rho=rho, sigma_d=sigma_d)
+    den = GaussianOracle(rho=rho, **_given(sigma_d=sigma_d))
+    return den, den.sched
+
+
 def _cmd_restore(args) -> int:
-    from .sampler import SamplerConfig, restore_batch
+    from .sampler import SamplerConfig, plan, restore_batch, visits_boot_point
 
     fixed, defaults = _PRESETS[args.mode]
     for flag, value in fixed.items():
@@ -252,23 +277,7 @@ def _cmd_restore(args) -> int:
         if getattr(args, flag) is None:
             setattr(args, flag, value)
 
-    if args.model is not None:
-        # The checkpoint sets rho and sigma_d.
-        _reject_given("with --model", {"--oracle": args.oracle, "--rho": args.rho,
-                                       "--sigma-d": args.sigma_d})
-        ck = load_checkpoint(args.model)
-        den = ck.denoiser(use_ema=not args.no_ema)
-        sched = GvpSchedule(rho=ck.rho, sigma_d=den.sigma_d)
-    elif args.no_ema:
-        raise ConfigError("--no-ema is not read without --model")
-    elif args.oracle == "gaussian":
-        if args.rho is None:
-            raise ConfigError("--oracle gaussian needs --rho")
-        den = GaussianOracle(rho=args.rho, **_given(sigma_d=args.sigma_d))
-        sched = den.sched
-    else:
-        raise ConfigError("restore needs --model or --oracle gaussian")
-
+    den, sched = _predictor(args)
     traj = _path(args.traj, sched.phi, args)
     if not traj.lifts:
         # It draws no noise and needs no boot step.
@@ -276,6 +285,10 @@ def _cmd_restore(args) -> int:
                                                "--boot-epsilon": args.boot_epsilon})
     cfg = SamplerConfig(trajectory=traj, **_given(
         n_steps=args.steps, eta=args.eta, boot_epsilon=args.boot_epsilon, seed=args.seed))
+    if not visits_boot_point(traj, cfg.n_steps):
+        _reject_given("without a boot point", {"--boot-epsilon": args.boot_epsilon})
+    if args.seed is not None and plan(sched, cfg).n_draws == 0:
+        raise ConfigError("--seed is not read on a run that draws no noise")
     x1 = _load_degraded(args.input)
     # An overflow surfaces as restore_batch's NonFiniteOutput, the one error
     # line, rather than as numpy warnings.
@@ -287,28 +300,18 @@ def _cmd_restore(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import SWEEP_FIELDS, run_sweep
+    from .sweep import SWEEP_FIELDS, run_cells, sweep_cells
 
     ds = load_dataset(args.data)
-    rho = args.rho if args.rho is not None else ds.rho_hat
-    sched = GvpSchedule(rho=rho, sigma_d=ds.sigma_d)
-    x0, x1 = ds.x0, ds.x1
-    if args.model is not None:
-        _reject_given("with --model", {"--oracle": args.oracle})
-        den = load_checkpoint(args.model).denoiser(use_ema=not args.no_ema)
-    elif args.no_ema:
-        raise ConfigError("--no-ema is not read without --model")
-    elif args.oracle == "gaussian":
-        den = GaussianOracle(rho=rho, sigma_d=ds.sigma_d)
-    elif args.oracle == "cheat":
-        den = CheatDenoiser(x0)
-    else:
-        raise ConfigError("sweep needs --model or --oracle gaussian|cheat")
-    rows = run_sweep(
-        sched, den, x0, x1,
-        deltas=args.deltas, etas=args.etas, nfes=args.nfes,
-        seed=args.seed, **_given(boot_epsilon=args.boot_epsilon),
-    )
+    den, sched = _predictor(args, ds)
+    etas = [0.0, 0.2, 0.5, 1.0] if args.etas is None else args.etas
+    cells = sweep_cells(sched, args.deltas, etas, args.nfes,
+                        **_given(seed=args.seed, boot_epsilon=args.boot_epsilon))
+    if not any(cfg.trajectory.lifts for _, cfg in cells):
+        # Every cell runs the regression segment, which draws no noise.
+        _reject_given("when every --deltas value is 0", {
+            "--etas": args.etas, "--boot-epsilon": args.boot_epsilon, "--seed": args.seed})
+    rows = run_cells(sched, den, ds.x0, ds.x1, cells)
     write_csv(args.out, SWEEP_FIELDS, ([row[k] for k in SWEEP_FIELDS] for row in rows))
     return 0
 
@@ -335,6 +338,23 @@ def _cmd_verify(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+def _path_flags(p, flag: str, kinds=TRAJECTORY_KINDS, delta=None, **options) -> None:
+    """Declare a path's kind flag (one of `kinds`, with `options`) and the
+    --delta and --p that _path reads."""
+    p.add_argument(flag, choices=list(kinds), **options)
+    p.add_argument("--delta", type=_angle, default=delta)
+    p.add_argument("--p", type=float)
+
+
+def _predictor_flags(p, oracles: list[str]) -> None:
+    """Declare the --model, --no-ema, --oracle and --rho that _predictor reads."""
+    p.add_argument("--model", help="checkpoint JSON")
+    p.add_argument("--no-ema", action="store_true",
+                   help="use raw weights instead of the EMA weights")
+    p.add_argument("--oracle", choices=oracles)
+    p.add_argument("--rho", type=float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rgflow",
@@ -349,28 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule-dump", help="tabulate schedule coefficients to CSV")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--sigma-d", type=float, default=1.0, dest="sigma_d")
+    p.add_argument("--sigma-d", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_schedule_dump)
 
     p = sub.add_parser("traj", help="emit (t, r, g) rows for a trajectory")
-    p.add_argument("--kind", required=True,
-                   choices=list(TRAJECTORY_KINDS))
-    p.add_argument("--delta", type=_angle, default=None)
-    p.add_argument("--p", type=float, default=None)
+    _path_flags(p, "--kind", required=True)
     p.add_argument("--rho", type=float, default=0.0, help="sets phi = arccos(rho)/2")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_traj)
 
     p = sub.add_parser("simulate", help="sample forward states along a trajectory")
-    p.add_argument("--traj", required=True,
-                   choices=list(TRAJECTORY_KINDS))
-    p.add_argument("--delta", type=_angle, default=None)
-    p.add_argument("--p", type=float, default=None)
+    _path_flags(p, "--traj", required=True)
     p.add_argument("--pairs", required=True, help="dataset CSV (x0_*, x1_* columns)")
-    p.add_argument("--rho", type=float, default=None, help="override sidecar rho_hat")
+    p.add_argument("--rho", type=float, help="override sidecar rho_hat")
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -379,86 +393,55 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="analytic sampler vs Euler convergence table")
     p.add_argument("--oracle", default="gaussian", choices=["gaussian"])
     p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--traj", default="elliptical",
-                   choices=[k for k in TRAJECTORY_KINDS if k != "regression"])
-    p.add_argument("--delta", type=_angle, default=math.pi / 4.0)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--euler-steps", type=int, default=10_000, dest="euler_steps")
-    p.add_argument("--sampler-steps", type=_int_list, default=[10, 20, 50, 100],
-                   dest="sampler_steps")
-    p.add_argument("--g-floor", type=float, default=None, dest="g_floor")
+    _path_flags(p, "--traj", [k for k in TRAJECTORY_KINDS if k != "regression"],
+                math.pi / 4.0, default="elliptical")
+    p.add_argument("--euler-steps", type=int, default=10_000)
+    p.add_argument("--sampler-steps", type=_int_list, default=[10, 20, 50, 100])
+    p.add_argument("--g-floor", type=float)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("train", help="train the toy MLP denoiser")
-    p.add_argument("--config", default=None, help="JSON config; flags override")
-    p.add_argument("--data", default=None, choices=["scurve", "gaussian"])
-    p.add_argument("--n", type=int, default=None, help="dataset size")
-    p.add_argument("--jitter", type=float, default=None)
-    p.add_argument("--strength", type=float, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--gaussian-rho", type=float, default=None, dest="gaussian_rho")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--sigma-d", type=float, default=None, dest="sigma_d")
-    p.add_argument("--time-sampler", default=None, dest="time_sampler",
-                   help="elliptical|linear|regression|uniform|lognorm1|lognorm2")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None, dest="weight_decay")
-    p.add_argument("--ema-decay", type=float, default=None, dest="ema_decay")
-    p.add_argument("--adaptive-weighting", type=int, default=None, choices=[0, 1],
-                   dest="adaptive_weighting")
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--emb-dim", type=int, default=None, dest="emb_dim")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--config", help="JSON config; flags override")
+    for key, (_, kind, _) in _TRAIN_SETTINGS.items():
+        typed = {"type": int, "choices": [0, 1]} if kind is bool else {"type": kind}
+        p.add_argument("--" + key.replace("_", "-"), **typed, **_TRAIN_FLAGS.get(key, {}))
     p.add_argument("--out", required=True, help="checkpoint JSON path")
-    p.add_argument("--trace", default=None, help="loss trace CSV path")
-    p.add_argument("--save-data", default=None, dest="save_data",
-                   help="also write the generated dataset CSV here")
+    p.add_argument("--trace", help="loss trace CSV path")
+    p.add_argument("--save-data", help="also write the generated dataset CSV here")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("restore", help="restore degraded points")
-    p.add_argument("--model", default=None, help="checkpoint JSON")
-    p.add_argument("--no-ema", action="store_true", dest="no_ema",
-                   help="use raw weights instead of the EMA weights")
-    p.add_argument("--oracle", default=None, choices=["gaussian"])
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--sigma-d", type=float, default=None, dest="sigma_d")
+    _predictor_flags(p, ["gaussian"])
+    p.add_argument("--sigma-d", type=float)
     p.add_argument("--input", required=True, help="CSV of degraded points")
-    p.add_argument("--mode", default=None, choices=["disi-r", "disi-g"],
+    p.add_argument("--mode", choices=["disi-r", "disi-g"],
                    help="presets: disi-r = regression/1 step; "
                         "disi-g = elliptical/10 steps with booting")
-    p.add_argument("--traj", default=None,
-                   choices=list(TRAJECTORY_KINDS))
-    p.add_argument("--delta", type=_angle, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--boot-epsilon", type=float, default=None, dest="boot_epsilon")
-    p.add_argument("--seed", type=int, default=None)
+    _path_flags(p, "--traj")
+    p.add_argument("--steps", type=int)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--boot-epsilon", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_restore)
 
     p = sub.add_parser("sweep", help="(delta, eta, NFE) grid with MSE/energy distance")
     p.add_argument("--data", required=True, help="paired dataset CSV")
-    p.add_argument("--model", default=None)
-    p.add_argument("--no-ema", action="store_true", dest="no_ema")
-    p.add_argument("--oracle", default=None, choices=["gaussian", "cheat"])
-    p.add_argument("--rho", type=float, default=None)
+    _predictor_flags(p, ["gaussian", "cheat"])
     p.add_argument("--deltas", type=_angle_list, default=[0.0, math.pi / 8, math.pi / 4, _HALF_PI])
-    p.add_argument("--etas", type=_angle_list, default=[0.0, 0.2, 0.5, 1.0])
+    p.add_argument("--etas", type=_angle_list)
     p.add_argument("--nfes", type=_int_list, default=[1, 2, 5, 15, 50])
-    p.add_argument("--boot-epsilon", type=float, default=None, dest="boot_epsilon")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--boot-epsilon", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--only", default=None, help="substring filter on check names")
-    p.add_argument("--json", default=None, help="write the JSON report here")
+    p.add_argument("--only", help="substring filter on check names")
+    p.add_argument("--json", help="write the JSON report here")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -244,16 +244,23 @@ def _begin(start: Step, x1, z) -> np.ndarray:
     return x
 
 
+def visits_boot_point(traj: Trajectory, n_steps: int) -> bool:
+    """Whether a run of n_steps on traj visits a boot point, the point that
+    boot_epsilon places: on a path that lifts from a start at g = 0, given
+    more than one step."""
+    return traj.lifts and traj.starts_noiseless and n_steps > 1
+
+
 def _points(sched: GvpSchedule, traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float):
     """The n_steps + 1 (r, g) points a run visits.  A path that never
     leaves g = 0 (not traj.lifts) runs the regression segment on g = 0 over
     sched.phi.  Any other path visits its start, a boot point at t_start
-    offset by boot_epsilon when it starts at g = 0 and n_steps > 1, then the
-    uniform grid over the rest of the budget; from g = 0 with n_steps = 1 its
-    one boot step runs to the clean end, which requires eta = 1."""
+    offset by boot_epsilon (see visits_boot_point), then the uniform grid
+    over the rest of the budget; from g = 0 with n_steps = 1 its one boot
+    step runs to the clean end, which requires eta = 1."""
     if not traj.lifts:
         return [(float(r), 0.0) for r in Regression(phi=sched.phi).discretize(n_steps).r]
-    boot = traj.starts_noiseless and n_steps > 1
+    boot = visits_boot_point(traj, n_steps)
     if traj.starts_noiseless and not boot and eta != 1.0:
         raise ConfigError("a path starting at g=0 with n_steps=1 requires eta=1")
     grid = traj.discretize(n_steps - boot)

@@ -26,29 +26,19 @@ from .trajectory import Elliptical
 SWEEP_FIELDS = ("delta", "eta", "nfe", "mse", "energy_distance")
 
 
-def run_sweep(
-    sched: GvpSchedule,
-    denoiser,
-    x0: np.ndarray,
-    x1: np.ndarray,
-    deltas=(0.0,),
-    etas=(0.0, 1.0),
-    nfes=(1, 2, 5),
-    seed: int = 0,
+def sweep_cells(
+    sched: GvpSchedule, deltas=(0.0,), etas=(0.0, 1.0), nfes=(1, 2, 5), seed: int = 0,
     boot_epsilon: float = SamplerConfig.boot_epsilon,
-) -> list[dict]:
-    """Evaluate every (delta, eta, NFE) cell; all cells share cfg.seed so the
-    per-item noise streams (hence the boot noise) coincide across cells.
-
-    Every cell's configuration is built before the first cell runs, so an
-    empty axis or a value SamplerConfig or the path rejects (a bad seed, eta
-    outside [0, 1], NFE below 1, delta outside [0, pi/2]) raises at once.
-    Only NFE 1 with eta < 1 on a path starting at g = 0 reads "NA"."""
+) -> list[tuple[dict, SamplerConfig]]:
+    """Each (delta, eta, NFE) cell's row and configuration.  A delta that
+    does not lift the path reads eta "NA", once per NFE; all cells share
+    `seed`, so the per-item noise streams (hence the boot noise) coincide
+    across cells.  Every configuration is built here, so an empty axis or a
+    value SamplerConfig or the path rejects (a bad seed, eta outside [0, 1],
+    NFE below 1, delta outside [0, pi/2]) raises before any cell runs."""
     if not all(len(axis) for axis in (deltas, etas, nfes)):
         raise ConfigError("a sweep needs at least one delta, one eta and one NFE")
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    cells = [
+    return [
         ({"delta": delta, "eta": eta, "nfe": nfe},
          SamplerConfig(trajectory=traj, n_steps=int(nfe), eta=0.0 if eta == "NA" else float(eta),
                        boot_epsilon=boot_epsilon, seed=seed))
@@ -56,6 +46,14 @@ def run_sweep(
         for eta in (etas if traj.lifts else ["NA"])
         for nfe in nfes
     ]
+
+
+def run_cells(sched: GvpSchedule, denoiser, x0: np.ndarray, x1: np.ndarray, cells) -> list[dict]:
+    """The rows of `cells` (from sweep_cells) with the MSE and energy
+    distance of each cell's restoration of x1 against x0.  Only NFE 1 with
+    eta < 1 on a path starting at g = 0 reads "NA"."""
+    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
+    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     rows: list[dict] = []
     for row, cfg in cells:
         try:
@@ -69,3 +67,8 @@ def run_sweep(
             row["energy_distance"] = energy_distance(restored, x0)
         rows.append(row)
     return rows
+
+
+def run_sweep(sched: GvpSchedule, denoiser, x0, x1, *grid, **settings) -> list[dict]:
+    """Every cell's row: run_cells over sweep_cells(sched, *grid, **settings)."""
+    return run_cells(sched, denoiser, x0, x1, sweep_cells(sched, *grid, **settings))

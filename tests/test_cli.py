@@ -346,9 +346,10 @@ class TestRestoreCli:
     ], ids=["r", "r-consistent", "g", "g-steps-eta", "g-delta"])
     def test_mode_equals_its_flags(self, toy_dataset, tmp_path, mode, flags, expanded):
         """A preset, with flags that agree with it, writes the bytes of the
-        flags it stands for."""
+        flags it stands for.  disi-r draws no noise, so it takes no --seed."""
         data, ck = toy_dataset
-        common = ["restore", "--model", ck, "--input", data, "--seed", "4"]
+        seed = ["--seed", "4"] if mode == "disi-g" else []
+        common = ["restore", "--model", ck, "--input", data, *seed]
         assert run(*common, "--mode", mode, *flags, "--out", tmp_path / "m.csv") == 0
         assert run(*common, *expanded, "--out", tmp_path / "f.csv") == 0
         assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
@@ -437,8 +438,21 @@ class TestRestoreCli:
          "--eta is not read on a regression path"),
         (["--traj", "linear", "--delta", "0", "--boot-epsilon", "0.2"],
          "--boot-epsilon is not read on a regression path"),
+        # A linear path starts above g = 0, and one step from g = 0 runs
+        # to the clean end: neither visits a boot point.
+        (["--traj", "linear", "--delta", "0.5", "--steps", "4", "--boot-epsilon", "0.3"],
+         "--boot-epsilon is not read without a boot point"),
+        (["--traj", "elliptical", "--delta", "0.3", "--steps", "1", "--eta", "1",
+          "--boot-epsilon", "0.2"], "--boot-epsilon is not read without a boot point"),
+        # Nor do these runs draw noise.
+        (["--mode", "disi-r", "--seed", "5"], "--seed is not read on a run that draws no noise"),
+        (["--traj", "elliptical", "--delta", "0", "--steps", "3", "--seed", "5"],
+         "--seed is not read on a run that draws no noise"),
+        (["--traj", "elliptical", "--delta", "0.3", "--steps", "1", "--eta", "1", "--seed", "5"],
+         "--seed is not read on a run that draws no noise"),
     ], ids=["r-delta", "r-p", "r-eta", "r-boot-epsilon", "g-p", "delta0-eta",
-            "g-delta0-eta", "linear-delta0-boot-epsilon"])
+            "g-delta0-eta", "linear-delta0-boot-epsilon", "linear-boot-epsilon",
+            "one-boot-step-boot-epsilon", "r-seed", "delta0-seed", "one-boot-step-seed"])
     def test_flag_the_path_does_not_read_rejected(self, toy_dataset, tmp_path, capsys, flags,
                                                   named):
         data, ck = toy_dataset
@@ -457,9 +471,11 @@ class TestRestoreCli:
          "--no-ema is not read without --model"),
         ("sweep", ["--model", "CK", "--oracle", "cheat"],
          "--oracle is not read with --model"),
+        ("sweep", ["--model", "CK", "--rho", "0.3"], "--rho is not read with --model"),
         ("sweep", ["--oracle", "gaussian", "--no-ema"], "--no-ema is not read without --model"),
     ], ids=["restore-model-rho", "restore-model-sigma-d", "restore-model-oracle",
-            "restore-oracle-no-ema", "sweep-model-oracle", "sweep-oracle-no-ema"])
+            "restore-oracle-no-ema", "sweep-model-oracle", "sweep-model-rho",
+            "sweep-oracle-no-ema"])
     def test_predictor_flag_the_run_does_not_read_rejected(self, toy_dataset, tmp_path, capsys,
                                                            command, flags, named):
         """A flag for a denoiser the run does not use exits 2 with one error
@@ -591,6 +607,40 @@ class TestSweepCli:
         assert assert_rejected(capsys, tmp_path / "x.csv", "sweep", "--data", data,
                                "--oracle", "gaussian", *flags) == f"error: {err}"
 
+    @pytest.mark.parametrize("flags, err", [
+        (["--etas", "0.5"], "--etas is not read when every --deltas value is 0"),
+        (["--boot-epsilon", "0.01"], "--boot-epsilon is not read when every --deltas value is 0"),
+        (["--seed", "3"], "--seed is not read when every --deltas value is 0"),
+        # The grid values are checked first.
+        (["--etas", "0.5", "--nfes", "0"], "n_steps must be >= 1, got 0"),
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    ], ids=["etas", "boot-epsilon", "seed", "nfe-0-etas", "seed-minus-1"])
+    def test_flag_no_cell_reads_at_delta_0_rejected(self, toy_dataset, tmp_path, capsys,
+                                                    flags, err):
+        """At delta = 0 every cell runs the regression segment, which reads
+        no eta or boot offset and draws no noise; without those flags the
+        sweep runs."""
+        data, _ = toy_dataset
+        sweep = ["sweep", "--data", data, "--oracle", "gaussian", "--deltas", "0"]
+        assert assert_rejected(capsys, tmp_path / "x.csv", *sweep, *flags) == f"error: {err}"
+        assert run(*sweep, "--nfes", "1,2", "--out", tmp_path / "ok.csv") == 0
+
+    def test_model_runs_on_restores_schedule(self, toy_dataset, tmp_path):
+        """On a held-out set whose rho_hat is not the checkpoint's rho, the
+        delta-0, NFE-1 cell's MSE is that of `restore --mode disi-r`, bit
+        for bit: both run the net on the checkpoint's schedule."""
+        _, ck = toy_dataset
+        held = tmp_path / "held.csv"
+        rgflow.save_dataset(rgflow.make_gaussian_pairs(0.3, 300, seed=9, dim=2), held)
+        assert rgflow.load_dataset(held).rho_hat != rgflow.load_checkpoint(ck).rho
+        assert run("sweep", "--data", held, "--model", ck, "--deltas", "0", "--nfes", "1",
+                   "--out", tmp_path / "sweep.csv") == 0
+        assert run("restore", "--model", ck, "--input", held, "--mode", "disi-r",
+                   "--out", tmp_path / "r.csv") == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        restored = np.array(read_csv(tmp_path / "r.csv")[1], dtype=float)
+        assert float(rows[0][3]) == rgflow.mse(restored, rgflow.load_dataset(held).x0)
+
     @MALFORMED_DATASETS
     def test_malformed_data_rejected(self, tmp_path, capsys, text):
         bad = malformed_dataset(tmp_path, text)
@@ -695,9 +745,7 @@ class TestSidecarAndCheckpointTypes:
                                                     command, key, value):
         """A checkpoint sigma_d <= 0 or rho outside (-1, 1) is rejected on
         load, without a warning, by one line that names the checkpoint and
-        the field.  (The schedule of `sweep` comes from the data set, so the
-        checkpoint's rho was never read there, and a negative sigma_d ran a
-        sign-flipped net.)"""
+        the field: both commands run on the checkpoint's schedule."""
         data, ck = toy_dataset
         doc = json.loads(ck.read_text())
         doc[key] = value
@@ -844,6 +892,32 @@ class TestHelp:
                 main([cmd, "--help"])
             assert exc.value.code == 0
             assert "--" in capsys.readouterr().out
+
+    def test_option_strings_are_unchanged(self):
+        """Each subcommand takes exactly the options it always has, however
+        its parser declares them; train's flags are its --config keys."""
+        import argparse
+
+        from rgflow.cli import build_parser
+
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        options = {name: sorted(o for a in p._actions for o in a.option_strings if o != "-h")
+                   for name, p in subs.choices.items()}
+        assert options == {name: sorted(f"--{o}" for o in names.split()) for name, names in {
+            "schedule-dump": "grid help out rho sigma-d",
+            "traj": "delta help kind out p rho steps",
+            "simulate": "delta help out p pairs rho seed steps traj",
+            "bench": "delta euler-steps g-floor help oracle out p rho sampler-steps seed traj "
+                     "trials",
+            "train": "adaptive-weighting batch config data dim ema-decay emb-dim gaussian-rho "
+                     "help hidden jitter lr n noise out save-data seed sigma-d steps strength "
+                     "time-sampler trace weight-decay",
+            "restore": "boot-epsilon delta eta help input mode model no-ema oracle out p rho "
+                       "seed sigma-d steps traj",
+            "sweep": "boot-epsilon data deltas etas help model nfes no-ema oracle out rho seed",
+            "verify": "help json only",
+        }.items()}
 
 
 def _fresh(code: str, **env: str) -> str:
