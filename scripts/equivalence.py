@@ -9,10 +9,12 @@ It pickles entry name -> (dtype, shape, bytes) of a result, or the
 restore and restore_batch over the GRID (QUICK with --quick) and every path
 kind, with an MLP of random weights; each perfbench mode restored twice,
 one-point and over 258 rows, through that MLP as load_checkpoint returns it,
-and the checkpoint and sidecar fields load_checkpoint and load_dataset
-reject; predict and bound steps;
-the step functions; training runs (loss trace, final, EMA and weight-net
-parameters, and the caller's generator state) and AdamW steps on a fixed vector;
+and one-point and over one row through a loaded MLP of perfbench's size
+(hidden 128, emb 32, whose products take other BLAS kernels); the
+checkpoint and sidecar fields load_checkpoint and load_dataset reject;
+predict and bound steps; the step functions; training runs (loss trace,
+final, EMA and weight-net parameters, and the caller's generator state) and
+AdamW steps on a fixed vector;
 datasets (generated, saved and loaded back, with and without their sidecar)
 and their Monte-Carlo variance; rejected calls; and the bytes of the files
 that `rgflow` subcommands write, run in process through rgflow.cli.main.
@@ -54,9 +56,9 @@ def _value(fn):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _mlp(rg, sigma_d: float, seed: int = 7):
+def _mlp(rg, sigma_d: float, seed: int = 7, hidden: int = 32, emb_dim: int = 8):
     """An MLP with random weights in every layer, so its outputs vary."""
-    net = rg.MlpDenoiser(dim=2, hidden=32, emb_dim=8, sigma_d=sigma_d, params={})
+    net = rg.MlpDenoiser(dim=2, hidden=hidden, emb_dim=emb_dim, sigma_d=sigma_d, params={})
     rng = np.random.default_rng(seed)
     net.reinit(rng)
     for key in ("W3", "b1", "b3"):
@@ -168,8 +170,9 @@ def dump(src, out=None, quick: bool = False) -> dict:
 def _loaded_entries(rg, put, grid, x1) -> None:
     """Each perfbench mode restored twice, one-point and over 258 rows,
     through a loaded checkpoint of _mlp, whose bind reuses the first
-    calls' first-layer rows; the rho of checkpoints whose sigma_d or rho
-    is out of range, or load_checkpoint's rejection of them; and
+    calls' first-layer rows, and one-point and over one row through a
+    loaded _mlp of perfbench's size, hidden 128 and emb 32; the rho of
+    checkpoints whose sigma_d or rho is out of range, or load_checkpoint's rejection of them; and
     load_dataset's rejection of sidecars whose sigma_d or rho_hat is."""
     from rgflow.trajectory import Elliptical, Regression
 
@@ -178,19 +181,23 @@ def _loaded_entries(rg, put, grid, x1) -> None:
         os.chdir(tmp)  # so that the rejections name a relative path
         try:
             for sd in grid["sigma_ds"]:
-                rg.save_checkpoint("ck.json", _mlp(rg, sd), rho=0.6)
-                net = rg.load_checkpoint("ck.json").denoiser()
                 sched = rg.GvpSchedule(rho=0.6, sigma_d=sd)
                 lifted = Elliptical(phi=sched.phi, delta=math.pi / 8)
-                for mode, traj, n, eta in (("disi-r", Regression(phi=sched.phi), 1, 0.0),
-                                           ("disi-g", lifted, 10, 0.0),
-                                           ("eta05", lifted, 15, 0.5)):
-                    cfg = rg.SamplerConfig(trajectory=traj, n_steps=n, eta=eta, seed=3)
-                    for call in (1, 2):
-                        tag = f"loaded sd={sd} {mode} call={call}"
-                        put(f"restore {tag}", lambda: rg.restore(sched, net, x1[0], cfg))
-                        put(f"restore_batch {tag} rows=258",
-                            lambda: rg.restore_batch(sched, net, x1[:258], cfg))
+                # The hidden-32 checkpoint is written last, for the rejections below.
+                for size, hidden, emb_dim, rows in (("hidden=128 ", 128, 32, 1),
+                                                    ("", 32, 8, 258)):
+                    mlp = _mlp(rg, sd, hidden=hidden, emb_dim=emb_dim)
+                    rg.save_checkpoint("ck.json", mlp, rho=0.6)
+                    net = rg.load_checkpoint("ck.json").denoiser()
+                    for mode, traj, n, eta in (("disi-r", Regression(phi=sched.phi), 1, 0.0),
+                                               ("disi-g", lifted, 10, 0.0),
+                                               ("eta05", lifted, 15, 0.5)):
+                        cfg = rg.SamplerConfig(trajectory=traj, n_steps=n, eta=eta, seed=3)
+                        for call in (1, 2):
+                            tag = f"loaded {size}sd={sd} {mode} call={call}"
+                            put(f"restore {tag}", lambda: rg.restore(sched, net, x1[0], cfg))
+                            put(f"restore_batch {tag} rows={rows}",
+                                lambda: rg.restore_batch(sched, net, x1[:rows], cfg))
             doc = json.loads(Path("ck.json").read_text())
             for key, value in (("sigma_d", -1.0), ("sigma_d", 0.0), ("rho", 1.5)):
                 Path("bad.json").write_text(json.dumps({**doc, key: value}))
@@ -340,6 +347,13 @@ CLI_RUNS = {
     "reject config type": (["train", "--config", "bad_type.json", "--out", "x.json"], []),
     "reject config key": (["train", "--config", "bad_key.json", "--out", "x.json"], []),
     "reject config sampler": (["train", "--config", "bad_sampler.json", "--out", "x.json"], []),
+    "reject config other kind": (["train", "--config", "bad_kind.json", "--out", "x.json"], []),
+    # Data settings that the drawn data kind would not read.
+    **{f"reject train {' '.join(flags)}": (["train", "--n", "50", "--steps", "2", *flags,
+                                           "--out", "x.json"], [])
+       for flags in (["--data", "gaussian", "--jitter", "0.3"],
+                     ["--data", "gaussian", "--noise", "5"],
+                     ["--data", "scurve", "--gaussian-rho", "0.9"], ["--dim", "5"])},
     "reject restore source": (["restore", "--input", "data.csv", "--out", "x.csv"], []),
     # Every prediction overflows, so the error line counts all 600 rows.
     "reject restore overflow 600 rows": (["restore", "--model", "huge.json", "--input",
@@ -406,7 +420,8 @@ CLI_RUNS = {
     **{f"reject bench {flag} {value}": (["bench", "--euler-steps", "50", "--trials", "3",
                                          flag, value, "--out", "x.csv"], [])
        for flag, value in (("--sampler-steps", ","), ("--sampler-steps", "0,10"),
-                           ("--g-floor", "nan"), ("--g-floor", "inf"), ("--g-floor", "2"))},
+                           ("--g-floor", "nan"), ("--g-floor", "inf"), ("--g-floor", "2"),
+                           ("--oracle", "gaussian"))},
 }
 CLI_CONFIGS = {
     "conf.json": {"n": 300, "steps": 70, "hidden": 16, "emb_dim": 8, "lr": 1e-3,
@@ -414,12 +429,14 @@ CLI_CONFIGS = {
     "bad_type.json": {"n": 50, "hidden": 1.5},
     "bad_key.json": {"n": 50, "hiden": 4},
     "bad_sampler.json": {"time_sampler": "cosine", "batch": "x"},
+    "bad_kind.json": {"data": "gaussian", "n": 50, "steps": 2, "jitter": 0.3},
 }
 
 
 def _cli_entries(entries: dict) -> None:
     """Each of CLI_RUNS, in order, in one scratch directory: the bytes of
-    each file it writes, and its exit code, stdout and stderr."""
+    each file it writes, and its exit code (argparse's, for an option it
+    rejects), stdout and stderr."""
     from rgflow import MlpDenoiser, make_scurve_dataset, save_checkpoint, save_dataset
     from rgflow.cli import main
     from rgflow.toydata import write_csv
@@ -442,7 +459,10 @@ def _cli_entries(entries: dict) -> None:
             for name, (argv, files) in CLI_RUNS.items():
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
                 entries[f"cli {name}"] = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
                 for file in files:
                     entries[f"cli {name} {file}"] = Path(file).read_bytes()

@@ -144,20 +144,27 @@ def _cmd_bench(args) -> int:
 
 
 # Each `train` setting, keyed by its flag's dest, which is also its --config
-# key: the TrainConfig field it sets (None for a data-set setting), its JSON
-# type (a bool flag takes 0 or 1) and the data set's default.
+# key: the data kind that alone reads it (None: every run does), the keyword
+# it sets (a TrainConfig field, that data kind's generator's keyword, or None
+# for a setting read by name), its JSON type (a bool flag takes 0 or 1) and
+# the data set's default.
 _TRAIN_SETTINGS = {
-    "data": (None, str, "scurve"), "n": (None, int, 2000), "jitter": (None, float, 0.05),
-    "strength": (None, float, 1.0), "noise": (None, float, 0.25),
-    "gaussian_rho": (None, float, 0.5), "dim": (None, int, 2), "sigma_d": (None, float, 1.0),
-    "time_sampler": ("time_sampler", str, None), "batch": ("batch_size", int, None),
-    "steps": ("n_steps", int, None), "lr": ("learning_rate", float, None),
-    "weight_decay": ("weight_decay", float, None), "ema_decay": ("ema_decay", float, None),
-    "adaptive_weighting": ("adaptive_weighting", bool, None), "hidden": ("hidden", int, None),
-    "emb_dim": ("emb_dim", int, None), "seed": ("seed", int, None),
+    "data": (None, None, str, "scurve"), "n": (None, None, int, 2000),
+    "jitter": ("scurve", "jitter", float, 0.05), "strength": ("scurve", "strength", float, 1.0),
+    "noise": ("scurve", "noise", float, 0.25),
+    "gaussian_rho": ("gaussian", "rho", float, 0.5), "dim": ("gaussian", "dim", int, 2),
+    "sigma_d": (None, None, float, 1.0),
+    "time_sampler": (None, "time_sampler", str, None), "batch": (None, "batch_size", int, None),
+    "steps": (None, "n_steps", int, None), "lr": (None, "learning_rate", float, None),
+    "weight_decay": (None, "weight_decay", float, None),
+    "ema_decay": (None, "ema_decay", float, None),
+    "adaptive_weighting": (None, "adaptive_weighting", bool, None),
+    "hidden": (None, "hidden", int, None), "emb_dim": (None, "emb_dim", int, None),
+    "seed": (None, "seed", int, None),
 }
+_DATA_KINDS = {"scurve": make_scurve_dataset, "gaussian": make_gaussian_pairs}
 # What argparse shows or checks of a `train` flag beyond its type.
-_TRAIN_FLAGS = {"data": {"choices": ["scurve", "gaussian"]}, "n": {"help": "dataset size"},
+_TRAIN_FLAGS = {"data": {"choices": list(_DATA_KINDS)}, "n": {"help": "dataset size"},
                 "time_sampler": {"help": "elliptical|linear|regression|uniform|lognorm1|lognorm2"}}
 
 
@@ -174,7 +181,7 @@ def _cmd_train(args) -> int:
     def pick(key):
         """The flag (typed by argparse), else the config file's value, which
         must have the key's JSON type, else the key's default."""
-        _, kind, default = _TRAIN_SETTINGS[key]
+        *_, kind, default = _TRAIN_SETTINGS[key]
         if (flag := getattr(args, key)) is not None:
             return flag
         return json_field(conf, key, kind, "config", ConfigError) if key in conf else default
@@ -182,25 +189,26 @@ def _cmd_train(args) -> int:
     # Each field is converted as it is read, so that the first bad one is
     # named; kind(value) makes --adaptive-weighting's 0 or 1 a bool.
     fields = {}
-    for key, (field, kind, _) in _TRAIN_SETTINGS.items():
-        if field and (value := pick(key)) is not None:
+    for key, (reader, field, kind, _) in _TRAIN_SETTINGS.items():
+        if reader is None and field and (value := pick(key)) is not None:
             fields[field] = make_time_sampler(value) if key == "time_sampler" else kind(value)
     # Built first, so that a bad seed is rejected before the data set is drawn.
     cfg = TrainConfig(**fields)
     data, n, settings = pick("data"), pick("n"), {"sigma_d": pick("sigma_d")}
-    if data == "scurve":
-        make = make_scurve_dataset
-        settings.update({key: pick(key) for key in ("jitter", "strength", "noise")})
-    elif data == "gaussian":
-        make = make_gaussian_pairs
-        settings.update(rho=pick("gaussian_rho"), dim=pick("dim"))
-    else:
+    if data not in _DATA_KINDS:
         raise ConfigError(f"unknown --data {data!r}; expected scurve or gaussian")
+    for key, (reader, field, _, _) in _TRAIN_SETTINGS.items():
+        if reader == data:
+            settings[field] = pick(key)
+        elif reader is not None and getattr(args, key) is not None:
+            raise ConfigError(f"--{key.replace('_', '-')} is not read on {data} data")
+        elif reader is not None and key in conf:
+            raise ConfigError(f"config key {key!r} is not read on {data} data")
     try:
         # Raised at the first overflow, so that a huge setting is named here
         # and not by a later check that its NaN or inf trips.
         with np.errstate(all="raise", under="ignore"):
-            ds = make(n=n, seed=cfg.seed, **settings)
+            ds = _DATA_KINDS[data](n=n, seed=cfg.seed, **settings)
     except FloatingPointError:
         shown = ", ".join(f"{k}={v}" for k, v in settings.items())
         raise ConfigError(f"the {data} data set overflows float64 at {shown}") from None
@@ -391,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("bench", help="analytic sampler vs Euler convergence table")
-    p.add_argument("--oracle", default="gaussian", choices=["gaussian"])
     p.add_argument("--rho", type=float, default=0.5)
     _path_flags(p, "--traj", [k for k in TRAJECTORY_KINDS if k != "regression"],
                 math.pi / 4.0, default="elliptical")
@@ -405,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the toy MLP denoiser")
     p.add_argument("--config", help="JSON config; flags override")
-    for key, (_, kind, _) in _TRAIN_SETTINGS.items():
+    for key, (*_, kind, _) in _TRAIN_SETTINGS.items():
         typed = {"type": int, "choices": [0, 1]} if kind is bool else {"type": kind}
         p.add_argument("--" + key.replace("_", "-"), **typed, **_TRAIN_FLAGS.get(key, {}))
     p.add_argument("--out", required=True, help="checkpoint JSON path")

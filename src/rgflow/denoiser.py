@@ -243,8 +243,8 @@ def _check_sizes(emb_dim: int, hidden: int = 1) -> None:
 # activations take 256 KB each and stay in a core's L2 cache, where a whole
 # 2000-row batch's do not.  numpy's gemm rounds a row alike whatever rows
 # surround it, so running a batch in blocks gives its whole-batch output bit
-# for bit; a one-row product goes through gemv and rounds otherwise, hence
-# no block of one row (unless the batch is one row).
+# for bit.  A one-row batch goes through gemv, as a 1-D state does, and
+# rounds otherwise, hence no block of one row (unless the batch is one row).
 _BLOCK_ROWS = 256
 
 
@@ -327,12 +327,13 @@ class MlpDenoiser:
         feats[:, 2 * d :] = _time_pairs(np.stack(np.broadcast_arrays(r, g), axis=-1), self.emb_dim)
         return feats
 
-    def _x1_rows(self, x1: np.ndarray) -> np.ndarray:
-        """x1 as rows (n, dim); DimensionMismatch for any other shape."""
-        rows = x1[None] if x1.ndim == 1 else x1
-        if rows.ndim != 2 or rows.shape[1] != self.dim:
+    def _as_x1(self, x1) -> np.ndarray:
+        """x1 as float64, a vector (dim,) or rows (n, dim); DimensionMismatch
+        for any other shape."""
+        x1 = np.asarray(x1, dtype=np.float64)
+        if x1.ndim not in (1, 2) or x1.shape[-1] != self.dim:
             raise DimensionMismatch(f"x1 {x1.shape} incompatible with dim={self.dim}")
-        return rows
+        return x1
 
     def bind(self, x1, times):
         """Step predictor of one restoration from x1 over `times`, a
@@ -352,21 +353,21 @@ class MlpDenoiser:
         x1, and the sampler calls that predict at every step, so the
         replacement sees every call.
         """
-        x1 = np.asarray(x1, dtype=np.float64)
-        rows = self._x1_rows(x1)
+        x1 = self._as_x1(x1)
         if getattr(self.predict, "__func__", None) is not MlpDenoiser._predict:
             return None
-        return self._step_predictor(x1, rows, self._first_rows(tuple(times), keep=True))
+        return self._step_predictor(x1, self._first_rows(tuple(times), keep=True))
 
     def _first_rows(self, times: tuple, keep: bool) -> np.ndarray:
         """The first layer's rows of the points of `times`,
-        [embed(r), embed(g)] @ W1_t + b1, read-only, shape (k, 1, hidden).
+        [embed(r), embed(g)] @ W1_t + b1, read-only, shape (k, hidden).
 
         They are a stack of one-row products (gemv), each rounding as a lone
-        row would; a 2-D gemm over the grid would be cheaper but round
-        otherwise.  With `keep`, and while W1 and b1 are _immutable, the
-        stack is kept per grid (at most _GRIDS grids) and returned again for
-        as long as params holds those same two array objects.
+        row or a 1-D state's product would; a 2-D gemm over the grid would be
+        cheaper but round otherwise.  With `keep`, and while W1 and b1 are
+        _immutable, the stack is kept per grid (at most _GRIDS grids) and
+        returned again for as long as params holds those same two array
+        objects.
         """
         p = self.params
         w1, b1 = p["W1"], p["b1"]
@@ -375,7 +376,7 @@ class MlpDenoiser:
             entry = self._rows.get(times)
             if entry is not None and entry[0] is w1 and entry[1] is b1:
                 return entry[2]
-        out = _grid_rows(times, self.emb_dim) @ w1[2 * self.dim :] + b1
+        out = (_grid_rows(times, self.emb_dim) @ w1[2 * self.dim :] + b1)[:, 0]
         out.flags.writeable = False
         if keep:
             with _ROWS_LOCK:
@@ -384,14 +385,15 @@ class MlpDenoiser:
                 self._rows[times] = (w1, b1, out)
         return out
 
-    def _step_predictor(self, x1: np.ndarray, rows: np.ndarray, biases: np.ndarray):
+    def _step_predictor(self, x1: np.ndarray, biases: np.ndarray):
         """f(x, i): x0hat at state x and the point of biases[i], the first
         layer's rows (_first_rows) of a time grid, for x shaped like x1.
 
-        x's rows run in the blocks of _row_blocks, each through an
-        inference-only pass, z = z * Phi(z); z = z @ W + b per hidden layer,
-        that keeps nothing for a backward pass, so its activations stay
-        cache-sized.
+        One inference-only pass, z = z * Phi(z); z = np.dot(z, W) + b per
+        hidden layer, serves every shape and keeps nothing for a backward
+        pass.  A 1-D state runs as a vector, each product a gemv, with no
+        reshape to a one-row batch; a batch's rows run in the blocks of
+        _row_blocks, so that its activations stay cache-sized.
         """
         d, sd, p = self.dim, self.sigma_d, self.params
         w1 = p["W1"]
@@ -402,20 +404,24 @@ class MlpDenoiser:
         # x / 1.0 and z * 1.0 are exact, so a unit sigma_d (the default of
         # `rgflow train` and of every perfbench workload) skips them.
         unit = sd == 1.0
-        x1_part = (rows if unit else rows / sd) @ w1[d : 2 * d]
+        # np.dot dispatches fastest on a vector, while on a batch matmul forms
+        # the x and x1 products, whose inner width is dim, faster (~10 against
+        # ~15 us for 256 rows at dim 2, hidden 128); both give the same bits.
+        narrow = np.dot if x1.ndim == 1 else np.matmul
+        x1_part = narrow(x1 if unit else x1 / sd, w1[d : 2 * d])
         hidden = [(p[w_key], p[b_key]) for w_key, b_key in _LAYERS[1:]]
         ndtr = _ndtr()
         # x1 fixes the state's layout, so a step checks only x's type and shape.
-        shape, flat, n = x1.shape, x1.ndim == 1, len(rows)
-        blocks = _row_blocks(n) if n > _BLOCK_ROWS + 1 else None
+        shape = x1.shape
+        blocks = _row_blocks(len(x1)) if x1.ndim == 2 and len(x1) > _BLOCK_ROWS + 1 else None
 
-        def block(x, x1_rows, bias):
-            z = (x if unit else x / sd) @ w1_x
-            z += x1_rows
+        def block(x, x1_term, bias):
+            z = narrow(x if unit else x / sd, w1_x)
+            z += x1_term
             z += bias
             for w, b in hidden:
                 z *= ndtr(z)
-                z = z @ w
+                z = np.dot(z, w)
                 z += b
             if not unit:
                 z *= sd
@@ -428,8 +434,8 @@ class MlpDenoiser:
                 raise DimensionMismatch(f"x {x.shape} / x1 {shape} incompatible with dim={d}")
             bias = biases[i]
             if blocks is None:
-                return block(x[None], x1_part, bias)[0] if flat else block(x, x1_part, bias)
-            out = np.empty((n, d))
+                return block(x, x1_part, bias)
+            out = np.empty(shape)
             for s in blocks:
                 out[s] = block(x[s], x1_part[s], bias)
             return out
@@ -444,9 +450,9 @@ class MlpDenoiser:
             raise DimensionMismatch(
                 f"predict takes one scalar (r, g), got shapes {np.shape(r)} and {np.shape(g)}"
             )
-        x1 = np.asarray(x1, dtype=np.float64)
+        x1 = self._as_x1(x1)
         biases = self._first_rows(((float(r), float(g)),), keep=False)
-        return self._step_predictor(x1, self._x1_rows(x1), biases)(x, 0)
+        return self._step_predictor(x1, biases)(x, 0)
 
     _predict = predict  # the predict that bind's own step predictor equals
 

@@ -223,6 +223,53 @@ class TestTrainCli:
         assert not out.exists()
 
 
+class TestTrainOtherDataKind:
+    """A setting that only the other data kind reads, as a flag or as a
+    --config key, exits 2 with one error line naming it, before any data is
+    drawn; a flag names the flag even when the file also sets the key."""
+
+    @pytest.mark.parametrize("data, flag, value", [
+        ("gaussian", "--jitter", "0.3"), ("gaussian", "--strength", "2"),
+        ("gaussian", "--noise", "5"), ("scurve", "--gaussian-rho", "0.9"),
+        ("scurve", "--dim", "5"),
+    ])
+    def test_flag_rejected(self, tmp_path, capsys, data, flag, value):
+        err = assert_rejected(capsys, tmp_path / "ck.json", "train", "--data", data,
+                              "--n", "50", "--steps", "2", flag, value)
+        assert err == f"error: {flag} is not read on {data} data"
+
+    @pytest.mark.parametrize("conf, key", [
+        ({"data": "gaussian", "jitter": 0.3}, "jitter"),
+        ({"data": "gaussian", "noise": None}, "noise"),
+        ({"data": "gaussian", "strength": "x"}, "strength"),
+        ({"gaussian_rho": 0.9}, "gaussian_rho"),
+        ({"data": "scurve", "dim": 5}, "dim"),
+    ])
+    def test_config_key_rejected(self, tmp_path, capsys, conf, key):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"n": 50, "steps": 2, **conf}))
+        err = assert_rejected(capsys, tmp_path / "ck.json", "train", "--config", path)
+        data = conf.get("data", "scurve")
+        assert err == f"error: config key {key!r} is not read on {data} data"
+
+    def test_flag_named_before_config_key(self, tmp_path, capsys):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"n": 50, "steps": 2, "dim": 3}))
+        err = assert_rejected(capsys, tmp_path / "ck.json", "train", "--config", path,
+                              "--dim", "3")
+        assert err == "error: --dim is not read on scurve data"
+
+    def test_data_kind_from_the_file_decides(self, tmp_path, capsys):
+        """The kind the run draws, from a flag over the file, sets which
+        settings it reads."""
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"n": 50, "steps": 2, "data": "gaussian", "dim": 1}))
+        assert run("train", "--config", path, "--out", tmp_path / "a.json") == 0
+        err = assert_rejected(capsys, tmp_path / "b.json", "train", "--config", path,
+                              "--data", "scurve")
+        assert err == "error: config key 'dim' is not read on scurve data"
+
+
 class TestTrainHugeSettings:
     """A finite setting so large that float64 overflows exits 2 with one
     error line that names its cause, and prints no numpy warning."""
@@ -908,8 +955,7 @@ class TestHelp:
             "schedule-dump": "grid help out rho sigma-d",
             "traj": "delta help kind out p rho steps",
             "simulate": "delta help out p pairs rho seed steps traj",
-            "bench": "delta euler-steps g-floor help oracle out p rho sampler-steps seed traj "
-                     "trials",
+            "bench": "delta euler-steps g-floor help out p rho sampler-steps seed traj trials",
             "train": "adaptive-weighting batch config data dim ema-decay emb-dim gaussian-rho "
                      "help hidden jitter lr n noise out save-data seed sigma-d steps strength "
                      "time-sampler trace weight-decay",

@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
 import sys
+import tempfile
 import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from functools import lru_cache
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rgflow import (
@@ -424,11 +428,11 @@ _MODES = {"disi-r": ("regression", 1, 0.0), "disi-g": ("elliptical", 10, 0.0),
           "eta05": ("elliptical", 15, 0.5)}
 
 
-def _mode_config(sched, mode):
+def _mode_config(sched, mode, seed=6):
     kind, n_steps, eta = _MODES[mode]
     traj = (Regression(phi=sched.phi) if kind == "regression"
             else Elliptical(phi=sched.phi, delta=math.pi / 8))
-    return SamplerConfig(trajectory=traj, n_steps=n_steps, eta=eta, seed=6)
+    return SamplerConfig(trajectory=traj, n_steps=n_steps, eta=eta, seed=seed)
 
 
 def _loaded(tmp_path, seed=21, sigma_d=1.3, name="ck.json"):
@@ -439,6 +443,21 @@ def _loaded(tmp_path, seed=21, sigma_d=1.3, name="ck.json"):
     path = tmp_path / name
     save_checkpoint(path, net, rho=0.5, ema_params=net.params)
     return load_checkpoint(path)
+
+
+@lru_cache(maxsize=None)
+def _loaded_bench_size(dim, sigma_d):
+    """load_checkpoint's net for a random MLP of perfbench's size, hidden
+    128 and emb 32, whose products take the benchmark's BLAS kernels."""
+    rng = np.random.default_rng(dim)
+    net = MlpDenoiser(dim=dim, hidden=128, emb_dim=32, sigma_d=sigma_d, params={})
+    net.reinit(rng)
+    for key in ("W3", "b1", "b3"):
+        net.params[key] = rng.normal(0.0, 0.3, size=net.params[key].shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.json")
+        save_checkpoint(path, net, rho=0.5)
+        return load_checkpoint(path).net
 
 
 def _writable_copy(net):
@@ -549,6 +568,24 @@ class TestLoadedNet:
             assert 0 < len(net._rows) <= 256
         monkeypatch.setattr(denoiser, "_grid_rows", None)  # any embedding would fail
         net.bind(x1, [(0.001 * 299, 0.2)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(sorted(_MODES)), sigma_d=st.sampled_from([1.0, 0.7]),
+           dim=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+           item=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 10.0))
+    def test_one_point_equals_its_one_row_batch(self, mode, sigma_d, dim, seed, item, scale):
+        """Determinism under batching through a loaded net of perfbench's
+        size: restore of item i's point on its own stream equals
+        restore_batch of that one row at item_offset i, bit for bit, so the
+        vector path rounds as the one-row batch does."""
+        net = _loaded_bench_size(dim, sigma_d)
+        sched = GvpSchedule(0.5, sigma_d)
+        cfg = _mode_config(sched, mode, seed=seed)
+        x1 = np.random.default_rng([seed, item]).normal(0.0, scale, size=dim)
+        got = restore(sched, net, x1, cfg, rng=np.random.default_rng([seed, item]))
+        want = restore_batch(sched, net, x1[None], cfg, item_offset=item)
+        assert got.shape == (dim,) and want.shape == (1, dim)
+        assert got.tobytes() == want[0].tobytes()
 
     def test_threads_binding_one_net(self, tmp_path):
         """Six threads binding one loaded net over 100 grids each, under a
@@ -716,19 +753,33 @@ class TestBoundStepContract:
     hoisted layout, the skipped unit scaling and the type check change no
     output and no error."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(shape=st.sampled_from([(3,), (1, 3), *[(n, 3) for n in (2, 255, 256, 257, 258, 513)]]),
            sigma_d=st.sampled_from([1.0, 0.7]), seed=st.integers(0, 2**32 - 1),
-           r=st.floats(-HALF_PI, HALF_PI), g=st.floats(0.0, HALF_PI))
-    def test_bound_step_equals_predict(self, shape, sigma_d, seed, r, g):
+           r=st.floats(-HALF_PI, HALF_PI), g=st.floats(0.0, HALF_PI),
+           read_only=st.booleans())
+    @example(shape=(3,), sigma_d=0.7, seed=1, r=0.4, g=0.2, read_only=True)
+    @example(shape=(1, 3), sigma_d=1.0, seed=2, r=-0.4, g=1.2, read_only=True)
+    def test_bound_step_equals_predict(self, shape, sigma_d, seed, r, g, read_only):
+        """Also for read-only tensors, as load_checkpoint gives them, whose
+        first-layer rows a later bind over the grid takes from the net's
+        store."""
         net = _random_mlp(3, 8, seed=seed % 97)
         net.sigma_d = sigma_d
+        if read_only:
+            for key, a in net.params.items():
+                net.params[key] = a = a.copy()
+                a.flags.writeable = False
         x, x1 = np.random.default_rng(seed).normal(size=(2, *shape))
-        step = net.bind(x1, [(0.3, 0.1), (r, g)])
-        got = step(x, 1)
-        assert got.shape == shape and got.dtype == np.float64
-        assert got.tobytes() == net.predict(x, x1, r, g).tobytes()
-        assert got.tobytes() == _reference_step(net, x, x1, r, g).tobytes()
+        times = [(0.3, 0.1), (r, g)]
+        steps = [net.bind(x1, times) for _ in range(2)]
+        assert (tuple(times) in net._rows) == read_only
+        want = _reference_step(net, x, x1, r, g).tobytes()
+        for step in steps:
+            got = step(x, 1)
+            assert got.shape == shape and got.dtype == np.float64
+            assert got.tobytes() == net.predict(x, x1, r, g).tobytes()
+            assert got.tobytes() == want
 
     @pytest.mark.parametrize("sigma_d", [1.0, 0.7])
     def test_state_is_converted(self, sigma_d):
