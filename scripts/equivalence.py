@@ -9,8 +9,8 @@ It pickles entry name -> (dtype, shape, bytes) of a result, or the
 restore and restore_batch over the GRID (QUICK with --quick) and every path
 kind, with an MLP of random weights; each perfbench mode restored twice,
 one-point and over 258 rows, through that MLP as load_checkpoint returns it,
-and one-point and over one row through a loaded MLP of perfbench's size
-(hidden 128, emb 32, whose products take other BLAS kernels); the
+and one-point and over one and two rows through a loaded MLP of perfbench's
+size (hidden 128, emb 32, whose products take other BLAS kernels); the
 checkpoint and sidecar fields load_checkpoint and load_dataset reject;
 predict and bound steps; the step functions; training runs (loss trace,
 final, EMA and weight-net parameters, and the caller's generator state) and
@@ -170,8 +170,9 @@ def dump(src, out=None, quick: bool = False) -> dict:
 def _loaded_entries(rg, put, grid, x1) -> None:
     """Each perfbench mode restored twice, one-point and over 258 rows,
     through a loaded checkpoint of _mlp, whose bind reuses the first
-    calls' first-layer rows, and one-point and over one row through a
-    loaded _mlp of perfbench's size, hidden 128 and emb 32; the rho of
+    calls' first-layer rows, and one-point and over one and two rows
+    (the vector and the batch GELU kernels) through a loaded _mlp of
+    perfbench's size, hidden 128 and emb 32; the rho of
     checkpoints whose sigma_d or rho is out of range, or load_checkpoint's rejection of them; and
     load_dataset's rejection of sidecars whose sigma_d or rho_hat is."""
     from rgflow.trajectory import Elliptical, Regression
@@ -184,8 +185,8 @@ def _loaded_entries(rg, put, grid, x1) -> None:
                 sched = rg.GvpSchedule(rho=0.6, sigma_d=sd)
                 lifted = Elliptical(phi=sched.phi, delta=math.pi / 8)
                 # The hidden-32 checkpoint is written last, for the rejections below.
-                for size, hidden, emb_dim, rows in (("hidden=128 ", 128, 32, 1),
-                                                    ("", 32, 8, 258)):
+                for size, hidden, emb_dim, batches in (("hidden=128 ", 128, 32, (1, 2)),
+                                                       ("", 32, 8, (258,))):
                     mlp = _mlp(rg, sd, hidden=hidden, emb_dim=emb_dim)
                     rg.save_checkpoint("ck.json", mlp, rho=0.6)
                     net = rg.load_checkpoint("ck.json").denoiser()
@@ -196,8 +197,9 @@ def _loaded_entries(rg, put, grid, x1) -> None:
                         for call in (1, 2):
                             tag = f"loaded {size}sd={sd} {mode} call={call}"
                             put(f"restore {tag}", lambda: rg.restore(sched, net, x1[0], cfg))
-                            put(f"restore_batch {tag} rows={rows}",
-                                lambda: rg.restore_batch(sched, net, x1[:rows], cfg))
+                            for rows in batches:
+                                put(f"restore_batch {tag} rows={rows}",
+                                    lambda: rg.restore_batch(sched, net, x1[:rows], cfg))
             doc = json.loads(Path("ck.json").read_text())
             for key, value in (("sigma_d", -1.0), ("sigma_d", 0.0), ("rho", 1.5)):
                 Path("bad.json").write_text(json.dumps({**doc, key: value}))

@@ -15,6 +15,11 @@ inputs and weights give the same bytes, and MlpDenoiser.bind's step
 predictor equals predict bit for bit.  Shapes that do not line up raise
 DimensionMismatch, and arguments outside their domain DomainError.
 
+The MLP's GELU runs as z * Phi(z) with scipy's ndtr in training's passes and
+for a vector or one row, and through scipy's erf, with its 1/sqrt 2 input
+scale folded into the weights, for two or more rows; the two agree to
+~1e-13, so a row of a larger batch rounds otherwise than the same row alone.
+
 load_checkpoint returns nets of read-only tensors, so a loaded model cannot
 be changed by an in-place write, and its bind reuses the first-layer rows of
 each time grid it has bound before.  Nets holding writable tensors (every net
@@ -41,6 +46,7 @@ from .schedule import GvpSchedule, check_rho, check_sigma_d
 
 _EMB_BASE = 1.0e4
 _F64 = np.dtype(np.float64)
+_C = 1.0 / math.sqrt(2.0)  # the erf GELU's input scale; see MlpDenoiser._step_predictor
 
 
 @lru_cache(maxsize=None)
@@ -152,15 +158,16 @@ _UFUNCS = "scipy.special._special_ufuncs"
 
 @lru_cache(maxsize=None)
 def _special():
-    """scipy's special-function ufuncs: a module whose `ndtr` and `expit` are
-    the objects `scipy.special.ndtr` and `scipy.special.expit` are.
+    """scipy's special-function ufuncs: a module whose `ndtr`, `erf` and
+    `expit` are the objects `scipy.special.ndtr`, `scipy.special.erf` and
+    `scipy.special.expit` are.
 
-    Both live in the compiled scipy.special._special_ufuncs, loaded from its
-    file in ~1 ms, running no scipy __init__ (the package takes ~250 ms), and
-    registered by setdefault: concurrent first calls all return one module,
-    and a later `import scipy.special` reuses it (that package then lacks a
-    _special_ufuncs attribute).  If it is missing, fails to load or lacks a
-    ufunc (older scipy), the package is imported.
+    All three live in the compiled scipy.special._special_ufuncs, loaded from
+    its file in ~1 ms, running no scipy __init__ (the package takes ~250 ms),
+    and registered by setdefault: concurrent first calls all return one
+    module, and a later `import scipy.special` reuses it (that package then
+    lacks a _special_ufuncs attribute).  If it is missing, fails to load or
+    lacks one of the three (older scipy), the package is imported.
     """
     module = sys.modules.get(_UFUNCS)
     if module is None:
@@ -172,17 +179,26 @@ def _special():
             spec.loader.exec_module(module)
         except Exception:
             module = None  # the package import below raises any fault of its own
-    if hasattr(module, "ndtr") and hasattr(module, "expit"):
+    if all(hasattr(module, name) for name in ("ndtr", "erf", "expit")):
         return sys.modules.setdefault(_UFUNCS, module)
     return importlib.import_module("scipy.special")
 
 
 @lru_cache(maxsize=None)
 def _ndtr():
-    """scipy's ndtr, Phi(z), for GELU, from _special() on the first MLP
-    forward pass rather than with this module.  Each forward pass and each
-    bind looks ndtr up once, never per block."""
+    """scipy's ndtr, Phi(z), for the GELU z * Phi(z) of training's passes and
+    of a step predictor over a vector or one row, from _special() on first
+    use rather than with this module.  Each forward pass and each such bind
+    looks ndtr up once, never per block."""
     return _special().ndtr
+
+
+@lru_cache(maxsize=None)
+def _erf():
+    """scipy's erf, for the GELU of a step predictor over two or more rows
+    (see MlpDenoiser._step_predictor), from _special() on first use.  Each
+    such bind looks erf up once, never per block."""
+    return _special().erf
 
 
 def _gelu_grad(z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -389,15 +405,27 @@ class MlpDenoiser:
         """f(x, i): x0hat at state x and the point of biases[i], the first
         layer's rows (_first_rows) of a time grid, for x shaped like x1.
 
-        One inference-only pass, z = z * Phi(z); z = np.dot(z, W) + b per
-        hidden layer, serves every shape and keeps nothing for a backward
-        pass.  A 1-D state runs as a vector, each product a gemv, with no
-        reshape to a one-row batch; a batch's rows run in the blocks of
-        _row_blocks, so that its activations stay cache-sized.
+        One inference-only pass per step keeps nothing for a backward pass.
+        A 1-D state runs as a vector, each product a gemv, with no reshape to
+        a one-row batch; a batch's rows run in the blocks of _row_blocks, so
+        that its activations stay cache-sized.
+
+        The GELU takes one of two kernels, chosen from x1's shape.  A vector
+        or a one-row batch runs z = z * Phi(z) with ndtr, as training does,
+        so that a one-point restore equals its one-row batch bit for bit.
+        Two or more rows run GELU(z) = z (1 + erf(z / sqrt 2)) / 2 on
+        pre-activations scaled by C = 1/sqrt 2, with every scale folded into
+        the weights at bind time: for z' = C z the layer's output is
+        C z' (1 + erf(z')), so C goes into W1's x, x1 and time blocks, C into
+        b2, C^2 = 1/2 into W2 (exact) and C into W3.  One erf, a `+ 1` and a
+        product per layer beat ndtr on a block; on a 128-wide vector the
+        extra `+ 1` call costs more than erf saves.  The two kernels agree
+        to ~1e-13, not bit for bit.
         """
         d, sd, p = self.dim, self.sigma_d, self.params
         w1 = p["W1"]
-        w1_x = w1[:d]
+        w1_x, w1_x1 = w1[:d], w1[d : 2 * d]
+        hidden = [(p[w_key], p[b_key]) for w_key, b_key in _LAYERS[1:]]
         # W1 splits along the input blocks, W1 = [W1_x ; W1_x1 ; W1_t].  Only
         # x changes within a run, so the x1 block is computed here, once, and
         # the time block comes in `biases`.
@@ -408,9 +436,14 @@ class MlpDenoiser:
         # the x and x1 products, whose inner width is dim, faster (~10 against
         # ~15 us for 256 rows at dim 2, hidden 128); both give the same bits.
         narrow = np.dot if x1.ndim == 1 else np.matmul
-        x1_part = narrow(x1 if unit else x1 / sd, w1[d : 2 * d])
-        hidden = [(p[w_key], p[b_key]) for w_key, b_key in _LAYERS[1:]]
-        ndtr = _ndtr()
+        erf = ndtr = None
+        if x1.ndim == 2 and len(x1) > 1:
+            erf = _erf()
+            w1_x, w1_x1, biases = w1_x * _C, w1_x1 * _C, biases * _C
+            hidden = [(p["W2"] * 0.5, p["b2"] * _C), (p["W3"] * _C, p["b3"])]
+        else:
+            ndtr = _ndtr()
+        x1_part = narrow(x1 if unit else x1 / sd, w1_x1)
         # x1 fixes the state's layout, so a step checks only x's type and shape.
         shape = x1.shape
         blocks = _row_blocks(len(x1)) if x1.ndim == 2 and len(x1) > _BLOCK_ROWS + 1 else None
@@ -420,7 +453,12 @@ class MlpDenoiser:
             z += x1_term
             z += bias
             for w, b in hidden:
-                z *= ndtr(z)
+                if erf is None:
+                    z *= ndtr(z)
+                else:
+                    e = erf(z)
+                    e += 1.0
+                    z *= e
                 z = np.dot(z, w)
                 z += b
             if not unit:

@@ -533,10 +533,15 @@ def _seeding_matches_numpy() -> bool:
 
 def _item_noise(seed: int, first: int, n_draws: int, shape: tuple, sigma_d: float) -> np.ndarray:
     """The noise block of a batch of shape `shape`: block[:, i] is
-    default_rng([seed, first + i]).normal(0, sigma_d, (n_draws, *shape[1:]))."""
+    default_rng([seed, first + i]).normal(0, sigma_d, (n_draws, *shape[1:])).
+
+    Each item's draws are filled by standard_normal into its own contiguous
+    slab of an item-major block, whose (n_draws, n, ...) view is returned.
+    numpy's normal(0, s) is 0 + s * standard_normal, so scaling the whole
+    block by sigma_d and adding 0.0 (which turns -0.0 into 0.0) gives its
+    bits."""
     seed = int(seed)
-    block = np.empty((n_draws, *shape))
-    size = (n_draws, *shape[1:])
+    items = np.empty((shape[0], n_draws, *shape[1:]))
     n_fast = min(shape[0], max(0, 2**32 - first)) if seed < 2**32 else 0
     if n_fast < _FAST_SEEDING_MIN_ITEMS or not _seeding_matches_numpy():
         n_fast = 0
@@ -544,10 +549,15 @@ def _item_noise(seed: int, first: int, n_draws: int, shape: tuple, sigma_d: floa
         # Local to the call, so that callers may restore batches on several threads.
         bitgen = np.random.PCG64(0)
         gen = np.random.Generator(bitgen)
+        # One state dict, its 128-bit words set in place for each item.
+        item_state = _pcg64_state(0, 0)
+        words = item_state["state"]
         for i, (state, inc) in enumerate(_pcg64_states(seed, first, n_fast)):
-            bitgen.state = _pcg64_state(state, inc)
-            block[:, i] = gen.normal(0.0, sigma_d, size=size)
+            words["state"], words["inc"] = state, inc
+            bitgen.state = item_state
+            gen.standard_normal(out=items[i])
     for i in range(n_fast, shape[0]):
-        gen = np.random.default_rng([seed, first + i])
-        block[:, i] = gen.normal(0.0, sigma_d, size=size)
-    return block
+        np.random.default_rng([seed, first + i]).standard_normal(out=items[i])
+    items *= sigma_d
+    items += 0.0
+    return items.swapaxes(0, 1)

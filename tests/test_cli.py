@@ -1133,15 +1133,21 @@ class TestScipyUfuncs:
                "assert special is scipy.special and ndtr is scipy.special.ndtr\n")
 
     def test_module_without_ndtr_falls_back_to_the_package(self, tmp_path):
-        """A _special_ufuncs that lacks ndtr is not used, nor left in
-        sys.modules: _special is the package, whose own submodule loads."""
-        (tmp_path / "_special_ufuncs.py").write_text("expit = None\n")
-        _fresh(_finding_ufuncs(f"find_spec(name, [{str(tmp_path)!r}])")
-               + "import rgflow.denoiser as d\n"
-               "special, ndtr = d._special(), d._ndtr()\n"
-               "import scipy.special\n"
-               "assert special is scipy.special and ndtr is scipy.special.ndtr\n"
-               "assert sys.modules['scipy.special._special_ufuncs'].ndtr is ndtr\n")
+        """A _special_ufuncs that lacks ndtr, or has ndtr and expit but lacks
+        erf (as an older scipy's may), is not used, nor left in sys.modules:
+        _special is the package, whose own submodule loads."""
+        for name, stand_in in (("no_ndtr", "expit = None\n"),
+                               ("no_erf", "ndtr = expit = None\n")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "_special_ufuncs.py").write_text(stand_in)
+            _fresh(_finding_ufuncs(f"find_spec(name, [{str(tmp_path / name)!r}])")
+                   + "import rgflow.denoiser as d\n"
+                   "special, ndtr, erf = d._special(), d._ndtr(), d._erf()\n"
+                   "import scipy.special\n"
+                   "assert special is scipy.special and ndtr is scipy.special.ndtr\n"
+                   "assert erf is scipy.special.erf\n"
+                   "assert sys.modules['scipy.special._special_ufuncs'].ndtr is ndtr\n"
+                   "assert sys.modules['scipy.special._special_ufuncs'].erf is erf\n")
 
     def test_no_stand_in_when_the_package_is_loaded(self):
         """With scipy.special already imported, _special looks up no file and

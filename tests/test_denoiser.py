@@ -24,6 +24,7 @@ from rgflow import (
     GvpSchedule,
     Linear,
     MlpDenoiser,
+    NonFiniteOutput,
     Regression,
     SamplerConfig,
     load_checkpoint,
@@ -577,7 +578,8 @@ class TestLoadedNet:
         """Determinism under batching through a loaded net of perfbench's
         size: restore of item i's point on its own stream equals
         restore_batch of that one row at item_offset i, bit for bit, so the
-        vector path rounds as the one-row batch does."""
+        vector path rounds as the one-row batch does.  The point as the
+        first of two rows, which take the erf GELU, agrees within 1e-9."""
         net = _loaded_bench_size(dim, sigma_d)
         sched = GvpSchedule(0.5, sigma_d)
         cfg = _mode_config(sched, mode, seed=seed)
@@ -586,6 +588,8 @@ class TestLoadedNet:
         want = restore_batch(sched, net, x1[None], cfg, item_offset=item)
         assert got.shape == (dim,) and want.shape == (1, dim)
         assert got.tobytes() == want[0].tobytes()
+        pair = restore_batch(sched, net, np.stack([x1, -x1]), cfg, item_offset=item)
+        np.testing.assert_allclose(pair[0], got, rtol=1e-9, atol=1e-9)
 
     def test_threads_binding_one_net(self, tmp_path):
         """Six threads binding one loaded net over 100 grids each, under a
@@ -640,43 +644,57 @@ class TestBlocks:
 
     def test_step_runs_each_block(self, monkeypatch):
         """Each hidden layer sees one block at a time, never the whole batch.
-        bind looks ndtr up through denoiser._ndtr, so the spy it returns sees
-        every GELU call of every block."""
-        seen = []
-        ndtr = denoiser._ndtr()
+        bind looks its GELU's ufunc up through denoiser._erf for two or more
+        rows and through denoiser._ndtr for one row or a vector, so the spies
+        they return see every GELU call of every block, and the other
+        kernel's spy sees none."""
+        seen = {"_erf": [], "_ndtr": []}
+        for name, calls in seen.items():
+            real = getattr(denoiser, name)()
 
-        def spy(z):
-            seen.append(len(z))
-            return ndtr(z)
+            def spy(z, real=real, calls=calls):
+                calls.append(z.shape)
+                return real(z)
 
-        monkeypatch.setattr(denoiser, "_ndtr", lambda: spy)
+            monkeypatch.setattr(denoiser, name, lambda spy=spy: spy)
         net = _random_mlp(3, 8, seed=6)
         rng = np.random.default_rng(6)
-        for n in (*self.SIZES, 1):
-            x, x1 = rng.normal(size=(2, n, 3))
-            seen.clear()
+        for shape in (*[(n, 3) for n in self.SIZES], (1, 3), (3,)):
+            x, x1 = rng.normal(size=(2, *shape))
+            for calls in seen.values():
+                calls.clear()
             net.bind(x1, [(0.3, 0.1)])(x, 0)
-            assert seen == [s.stop - s.start for s in _row_blocks(n) for _ in range(2)]
+            kernel, other = ("_erf", "_ndtr") if len(shape) == 2 and shape[0] > 1 else ("_ndtr", "_erf")
+            if len(shape) == 1:
+                want = [(net.hidden,)] * 2
+            else:
+                want = [(s.stop - s.start, net.hidden) for s in _row_blocks(shape[0]) for _ in range(2)]
+            assert seen[kernel] == want and seen[other] == []
 
     def test_ndtr_looked_up_once_per_pass(self, monkeypatch):
-        """bind and forward_batch each look ndtr up once, however many steps
-        and blocks then run."""
+        """A bind looks its kernel's ufunc up once (erf for two or more rows,
+        ndtr for one row or a vector), and forward_batch ndtr once, however
+        many steps and blocks then run."""
         lookups = []
-        real = denoiser._ndtr
+        for name in ("_erf", "_ndtr"):
+            real = getattr(denoiser, name)
 
-        def counted():
-            lookups.append(1)
-            return real()
+            def counted(name=name, real=real):
+                lookups.append(name)
+                return real()
 
-        monkeypatch.setattr(denoiser, "_ndtr", counted)
+            monkeypatch.setattr(denoiser, name, counted)
         net = _random_mlp(3, 8, seed=6)
         x, x1 = np.random.default_rng(6).normal(size=(2, 600, 3))
-        step = net.bind(x1, [(0.3, 0.1), (0.2, 0.4)])
-        for i in (0, 1, 0):
-            step(x, i)
-        assert len(lookups) == 1
+        for rows, want in ((x1, "_erf"), (x1[:1], "_ndtr"), (x1[0], "_ndtr")):
+            lookups.clear()
+            step = net.bind(rows, [(0.3, 0.1), (0.2, 0.4)])
+            for i in (0, 1, 0):
+                step(x[: len(rows)] if rows.ndim == 2 else x[0], i)
+            assert lookups == [want]
+        lookups.clear()
         net.forward_batch(net.features(x, x1, 0.3, 0.1))
-        assert len(lookups) == 2
+        assert lookups == ["_ndtr"]
 
     @pytest.mark.parametrize("n", SIZES)
     def test_blocked_equals_each_block_alone(self, n):
@@ -729,20 +747,33 @@ class TestBlocks:
 def _reference_step(net, x, x1, r, g):
     """A bound step written out with every scaling done, as a 2-D batch
     cut by _row_blocks: x/sigma_d @ W1_x + x1/sigma_d @ W1_x1 + the one-row
-    bias product, the hidden layers, then * sigma_d."""
+    bias product, the hidden layers, then * sigma_d.  A vector or one row
+    takes the GELU z * ndtr(z).  Two or more rows take z' (1 + erf(z')) on
+    z' = C z, C = 1/sqrt 2, with C folded into W1's blocks and the bias
+    row, C into b2, 1/2 into W2 and C into W3."""
     p, d, sd = net.params, net.dim, net.sigma_d
     xs, x1s = np.atleast_2d(x), np.atleast_2d(x1)
     bias = _grid_rows(((r, g),), net.emb_dim) @ p["W1"][2 * d :] + p["b1"]
-    ndtr = denoiser._ndtr()
+    w1_x, w1_x1 = p["W1"][:d], p["W1"][d : 2 * d]
+    layers = ((p["W2"], p["b2"]), (p["W3"], p["b3"]))
+    ndtr, erf = denoiser._ndtr(), denoiser._erf()
+    folded = len(xs) > 1
+    if folded:
+        c = 1.0 / math.sqrt(2.0)
+        w1_x, w1_x1, bias = w1_x * c, w1_x1 * c, bias * c
+        layers = ((p["W2"] * 0.5, p["b2"] * c), (p["W3"] * c, p["b3"]))
     out = np.empty_like(xs)
     for s in _row_blocks(len(xs)):
-        z = (xs[s] / sd) @ p["W1"][:d]
-        z += (x1s / sd)[s] @ p["W1"][d : 2 * d]
+        z = (xs[s] / sd) @ w1_x
+        z += (x1s / sd)[s] @ w1_x1
         z += bias[0]
-        for w, b in (("W2", "b2"), ("W3", "b3")):
-            z *= ndtr(z)
-            z = z @ p[w]
-            z += p[b]
+        for w, b in layers:
+            if folded:
+                z *= 1.0 + erf(z)
+            else:
+                z *= ndtr(z)
+            z = z @ w
+            z += b
         z *= sd
         out[s] = z
     return out[0] if np.ndim(x) == 1 else out
@@ -780,6 +811,23 @@ class TestBoundStepContract:
             assert got.shape == shape and got.dtype == np.float64
             assert got.tobytes() == net.predict(x, x1, r, g).tobytes()
             assert got.tobytes() == want
+
+    def test_overflowing_net_raises(self):
+        """Weights that overflow the hidden activations make a restore raise
+        NonFiniteOutput through either GELU kernel: a vector, one row, and
+        two or more rows."""
+        net = _random_mlp(3, 8, seed=13)
+        for v in net.params.values():
+            v *= 1e200
+        sched = GvpSchedule(0.5, net.sigma_d)
+        cfg = _mode_config(sched, "disi-g")
+        x1 = np.random.default_rng(13).normal(size=(300, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteOutput):
+                restore(sched, net, x1[0], cfg)
+            for rows in (1, 2, 300):
+                with pytest.raises(NonFiniteOutput):
+                    restore_batch(sched, net, x1[:rows], cfg)
 
     @pytest.mark.parametrize("sigma_d", [1.0, 0.7])
     def test_state_is_converted(self, sigma_d):
@@ -841,6 +889,24 @@ class TestGelu:
         want_grad = 0.5 * (1.0 + erf) + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         assert np.all(np.abs(gelu - want) <= tol)
         assert np.all(np.abs(_gelu_grad(pre[0], cdfs[0]) - want_grad) <= tol)
+
+    @pytest.mark.parametrize("sigma_d", [1.0, 0.7])
+    def test_batch_kernel_matches_erf_reference(self, sigma_d):
+        """A batch's folded erf GELU agrees with 0.5 z (1 + erf(z / sqrt 2))
+        out to |z| = 40, within 1e-12 * max(1, |z|).  The one-unit net's
+        first layer passes z = x / sigma_d; its second adds 100, where the
+        GELU is the identity in floats, and its output layer takes the 100
+        off again."""
+        net = MlpDenoiser(dim=1, hidden=1, emb_dim=2, sigma_d=sigma_d, params={
+            "W1": np.array([[1.0], [0.0], [0.0], [0.0], [0.0], [0.0]]), "b1": np.zeros(1),
+            "W2": np.ones((1, 1)), "b2": np.array([100.0]),
+            "W3": np.ones((1, 1)), "b3": np.array([-100.0])})
+        x = np.linspace(-40.0, 40.0, 16001)[:, None] * sigma_d
+        got = net.predict(x, np.zeros_like(x), 0.3, 0.1)
+        z = x[:, 0] / sigma_d
+        erf = np.array([math.erf(t / math.sqrt(2.0)) for t in z])
+        want = sigma_d * 0.5 * z * (1.0 + erf)
+        assert np.all(np.abs(got[:, 0] - want) <= 1e-12 * np.maximum(1.0, np.abs(z)))
 
 
 class TestMlpBackward:
