@@ -385,6 +385,20 @@ CLI_RUNS = {
                       "--boot-epsilon", "0.2"],
                      ["--traj", "linear", "--delta", "0.5", "--steps", "4",
                       "--boot-epsilon", "0.3"])},
+    # One step from g = 0 reads no delta or p, and a path on g = 0 no p.
+    **{f"reject restore oracle {' '.join(flags)}": (
+        ["restore", "--oracle", "gaussian", "--rho", "0.5", "--input", "data.csv", *flags,
+         "--out", "x.csv"], [])
+       for flags in (["--traj", "elliptical", "--steps", "1", "--eta", "1", "--delta", "0.3"],
+                     ["--traj", "elliptical", "--steps", "1", "--eta", "1", "--delta", "1.2"],
+                     ["--traj", "vpath", "--delta", "0.4", "--p", "3", "--steps", "1",
+                      "--eta", "1"],
+                     ["--traj", "vpath", "--delta", "0", "--steps", "5", "--p", "3"],
+                     ["--traj", "vpath", "--delta", "0", "--steps", "5", "--p", "1.5"])},
+    # A preset's default is never rejected, though this one-step run does not read it.
+    "restore disi-g one step": (["restore", "--model", "ck.json", "--input", "data.csv",
+                                 "--mode", "disi-g", "--steps", "1", "--eta", "1",
+                                 "--out", "g1.csv"], ["g1.csv"]),
     # Predictor flags that the run would not read.
     **{f"reject restore {' '.join(flags)}": (
         ["restore", "--input", "data.csv", *flags, "--out", "x.csv"], [])
@@ -403,6 +417,12 @@ CLI_RUNS = {
         ["sweep", "--data", "data.csv", "--oracle", "gaussian", "--deltas", "0", "--nfes", "1,2",
          flag, value, "--out", "x.csv"], [])
        for flag, value in (("--etas", "0.5"), ("--boot-epsilon", "0.01"), ("--seed", "3"))},
+    # At NFE 1 no cell that runs visits a boot point or draws noise, and an NA cell runs nothing.
+    **{f"reject sweep nfe=1 {' '.join(flags)}": (
+        ["sweep", "--data", "data.csv", "--oracle", "gaussian", "--deltas", "pi/8", "--nfes", "1",
+         *flags, "--out", "x.csv"], [])
+       for flags in (["--etas", "1", "--seed", "3"], ["--etas", "1", "--seed", "4"],
+                     ["--etas", "1", "--boot-epsilon", "0.01"], ["--etas", "0"])},
     # The checkpoint sets rho and sigma_d, so --rho is not read.
     "sweep model rho": (["sweep", "--data", "data.csv", "--model", "ck.json", "--rho", "0.3",
                          "--deltas", "pi/8", "--etas", "0", "--nfes", "2",

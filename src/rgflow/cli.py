@@ -45,13 +45,6 @@ def _path(kind: str, phi: float, args):
     return make_trajectory(kind, phi, **_given(delta=args.delta, p=args.p))
 
 
-def _reject_given(where: str, flags: dict) -> None:
-    """ConfigError naming the first of `flags` (flag: value) that was given."""
-    for flag, value in flags.items():
-        if value is not None:
-            raise ConfigError(f"{flag} is not read {where}")
-
-
 def _angle(text: str) -> float:
     """Parse a float, or the symbolic forms 'pi' and 'pi/N' for nonzero N."""
     expr = text.replace(" ", "")
@@ -253,8 +246,9 @@ def _predictor(args, data=None):
     the data set `data` (sweep), --rho else its rho_hat, and its sigma_d."""
     rho, sigma_d = args.rho, vars(args).get("sigma_d")
     if args.model is not None:
-        _reject_given("with --model", {"--oracle": args.oracle, "--rho": rho,
-                                       "--sigma-d": sigma_d})
+        for flag, value in {"--oracle": args.oracle, "--rho": rho, "--sigma-d": sigma_d}.items():
+            if value is not None:
+                raise ConfigError(f"{flag} is not read with --model")
         ck = load_checkpoint(args.model)
         den = ck.denoiser(use_ema=not args.no_ema)
         return den, GvpSchedule(rho=ck.rho, sigma_d=den.sigma_d)
@@ -274,8 +268,12 @@ def _predictor(args, data=None):
 
 
 def _cmd_restore(args) -> int:
-    from .sampler import SamplerConfig, plan, restore_batch, visits_boot_point
+    from .sampler import SamplerConfig, plan, restore_batch
 
+    # The sampler settings given, in parser order, before the preset fills in
+    # its defaults, which are never rejected.
+    settings = [key for key in ("delta", "p", "eta", "boot_epsilon", "seed")
+                if getattr(args, key) is not None]
     fixed, defaults = _PRESETS[args.mode]
     for flag, value in fixed.items():
         if (given := getattr(args, flag)) not in (None, value):
@@ -287,16 +285,11 @@ def _cmd_restore(args) -> int:
 
     den, sched = _predictor(args)
     traj = _path(args.traj, sched.phi, args)
-    if not traj.lifts:
-        # It draws no noise and needs no boot step.
-        _reject_given("on a regression path", {"--eta": args.eta,
-                                               "--boot-epsilon": args.boot_epsilon})
     cfg = SamplerConfig(trajectory=traj, **_given(
         n_steps=args.steps, eta=args.eta, boot_epsilon=args.boot_epsilon, seed=args.seed))
-    if not visits_boot_point(traj, cfg.n_steps):
-        _reject_given("without a boot point", {"--boot-epsilon": args.boot_epsilon})
-    if args.seed is not None and plan(sched, cfg).n_draws == 0:
-        raise ConfigError("--seed is not read on a run that draws no noise")
+    if unread := [key for key in settings if key not in plan(sched, cfg).reads]:
+        raise ConfigError(f"--{unread[0].replace('_', '-')} is not read by a {cfg.n_steps}-step "
+                          f"{args.traj} run at delta {getattr(traj, 'delta', 0.0):g}")
     x1 = _load_degraded(args.input)
     # An overflow surfaces as restore_batch's NonFiniteOutput, the one error
     # line, rather than as numpy warnings.
@@ -308,17 +301,19 @@ def _cmd_restore(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import SWEEP_FIELDS, run_cells, sweep_cells
+    from .sweep import SWEEP_FIELDS, cell_plan, run_cells, sweep_cells
 
     ds = load_dataset(args.data)
     den, sched = _predictor(args, ds)
     etas = [0.0, 0.2, 0.5, 1.0] if args.etas is None else args.etas
     cells = sweep_cells(sched, args.deltas, etas, args.nfes,
                         **_given(seed=args.seed, boot_epsilon=args.boot_epsilon))
-    if not any(cfg.trajectory.lifts for _, cfg in cells):
-        # Every cell runs the regression segment, which draws no noise.
-        _reject_given("when every --deltas value is 0", {
-            "--etas": args.etas, "--boot-epsilon": args.boot_epsilon, "--seed": args.seed})
+    # An NA cell runs nothing, so it reads nothing.
+    plans = [cell_plan(sched, cfg) for _, cfg in cells]
+    reads = set().union(*(p.reads for p in plans if p is not None))
+    for key, setting in (("etas", "eta"), ("boot_epsilon", "boot_epsilon"), ("seed", "seed")):
+        if getattr(args, key) is not None and setting not in reads:
+            raise ConfigError(f"--{key.replace('_', '-')} is not read by any cell this sweep runs")
     rows = run_cells(sched, den, ds.x0, ds.x1, cells)
     write_csv(args.out, SWEEP_FIELDS, ([row[k] for k in SWEEP_FIELDS] for row in rows))
     return 0

@@ -11,7 +11,8 @@ Three interchangeable implementations:
 
 Each predict takes a single vector (d,) or a batch (n, d) and returns x0hat
 in the state's shape, as float64.  Results are deterministic: the same
-inputs and weights give the same bytes, and MlpDenoiser.bind's step
+inputs and weights give the same bytes at one BLAS thread count and BLAS
+kernel (OpenBLAS picks its kernel per CPU), and MlpDenoiser.bind's step
 predictor equals predict bit for bit.  Shapes that do not line up raise
 DimensionMismatch, and arguments outside their domain DomainError.
 

@@ -218,13 +218,16 @@ class Plan:
     `start` gives the first state, b x1 + kappa z (see _start), and `steps`
     the updates; `n_draws` counts those of them whose kappa is nonzero, one
     draw each, in that order.  `times` holds each step's source point,
-    where the denoiser is queried.
+    where the denoiser is queried.  `reads` names those of delta, p (where
+    the path has them), eta, boot_epsilon and seed that the run reads: no
+    other changes its output.
     """
 
     start: Step
     steps: tuple[Step, ...]
     n_draws: int
     times: tuple[tuple[float, float], ...]
+    reads: frozenset[str]
 
 
 def _start(sched: GvpSchedule, point) -> Step:
@@ -244,38 +247,27 @@ def _begin(start: Step, x1, z) -> np.ndarray:
     return x
 
 
-def visits_boot_point(traj: Trajectory, n_steps: int) -> bool:
-    """Whether a run of n_steps on traj visits a boot point, the point that
-    boot_epsilon places: on a path that lifts from a start at g = 0, given
-    more than one step."""
-    return traj.lifts and traj.starts_noiseless and n_steps > 1
-
-
-def _points(sched: GvpSchedule, traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float):
-    """The n_steps + 1 (r, g) points a run visits.  A path that never
-    leaves g = 0 (not traj.lifts) runs the regression segment on g = 0 over
-    sched.phi.  Any other path visits its start, a boot point at t_start
-    offset by boot_epsilon (see visits_boot_point), then the uniform grid
-    over the rest of the budget; from g = 0 with n_steps = 1 its one boot
-    step runs to the clean end, which requires eta = 1."""
-    if not traj.lifts:
-        return [(float(r), 0.0) for r in Regression(phi=sched.phi).discretize(n_steps).r]
-    boot = visits_boot_point(traj, n_steps)
-    if traj.starts_noiseless and not boot and eta != 1.0:
-        raise ConfigError("a path starting at g=0 with n_steps=1 requires eta=1")
-    grid = traj.discretize(n_steps - boot)
-    points = [(float(r), float(g)) for r, g in zip(grid.r, grid.g)]
-    if boot:
-        direction = 1.0 if traj.t_end > traj.t_start else -1.0
-        points.insert(1, traj.point(traj.t_start + direction * boot_epsilon))
-    return points
-
-
 @lru_cache(maxsize=256, typed=True)
 def _plan(
     sched: GvpSchedule, traj: Trajectory, n_steps: int, eta: float, boot_epsilon: float
 ) -> Plan:
-    points = _points(sched, traj, n_steps, eta, boot_epsilon)
+    """The plan of a run of n_steps on traj.  A path that never leaves g = 0
+    (not traj.lifts) runs the regression segment on g = 0 over sched.phi.
+    Any other path visits its start, then, from a start at g = 0 given more
+    than one step, a boot point at t_start offset by boot_epsilon, then the
+    uniform grid over the rest of the budget; from g = 0 with n_steps = 1
+    its one boot step runs to the clean end, which requires eta = 1."""
+    boot = traj.lifts and traj.starts_noiseless and n_steps > 1
+    if not traj.lifts:
+        points = [(float(r), 0.0) for r in Regression(phi=sched.phi).discretize(n_steps).r]
+    else:
+        if traj.starts_noiseless and not boot and eta != 1.0:
+            raise ConfigError("a path starting at g=0 with n_steps=1 requires eta=1")
+        grid = traj.discretize(n_steps - boot)
+        points = [(float(r), float(g)) for r, g in zip(grid.r, grid.g)]
+        if boot:
+            direction = 1.0 if traj.t_end > traj.t_start else -1.0
+            points.insert(1, traj.point(traj.t_start + direction * boot_epsilon))
     # The step from g = 0 is the boot step, the eta = 1 update.
     steps = tuple(
         _fold(sched, frm, to, 1.0 if frm[1] == 0.0 else eta)
@@ -283,7 +275,14 @@ def _plan(
     )
     start = _start(sched, points[0])
     n_draws = sum(s.kappa != 0.0 for s in (start, *steps))
-    return Plan(start, steps, n_draws, tuple(points[:-1]))
+    # One step from (phi, 0) runs to (-phi, 0) at any delta, unless the kind
+    # starts at delta; only a lifted run of two or more steps visits a point
+    # off g = 0, which p shapes; a lifted one-step run reads eta, which is 1.
+    reads = {"delta": hasattr(traj, "delta") and (n_steps > 1 or traj.starts_at_delta),
+             "p": hasattr(traj, "p") and traj.lifts and n_steps > 1,
+             "eta": traj.lifts, "boot_epsilon": boot, "seed": n_draws > 0}
+    return Plan(start, steps, n_draws, tuple(points[:-1]),
+                frozenset(k for k, read in reads.items() if read))
 
 
 def _check_phi(sched: GvpSchedule, traj: Trajectory) -> None:

@@ -4,9 +4,9 @@ One row per cell with desk-scale metrics (paired MSE and energy distance to
 the clean cloud).  "NA" marks two kinds of cell only: the eta of the delta = 0
 row, which is pure regression (eta not read, emitted once per NFE), and the
 metrics of NFE = 1 with eta < 1 on a path starting at g = 0, which has no
-valid plan.  A value that restore rejects (eta outside [0, 1], NFE below 1,
-delta outside [0, pi/2]) or an empty axis raises ConfigError or DomainError
-before the first cell runs.
+valid plan.  The lifted NFE = 1 cell runs at eta = 1 only: one boot step
+from (phi, 0) straight to the clean end, the regression update, so its
+metrics equal the delta = 0 NFE = 1 row's bit for bit.
 
 For eta > 0 the endpoint law does not converge to the target as NFE grows:
 at rho = 0.5 and delta = pi/4 its variance (target 0.75) reads 0.727 at
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .sampler import SamplerConfig, restore_batch
+from .sampler import Plan, SamplerConfig, plan, restore_batch
 from .schedule import GvpSchedule
 from .toydata import energy_distance, mse
 from .trajectory import Elliptical
@@ -50,23 +50,29 @@ def sweep_cells(
 
 def run_cells(sched: GvpSchedule, denoiser, x0: np.ndarray, x1: np.ndarray, cells) -> list[dict]:
     """The rows of `cells` (from sweep_cells) with the MSE and energy
-    distance of each cell's restoration of x1 against x0.  Only NFE 1 with
-    eta < 1 on a path starting at g = 0 reads "NA"."""
+    distance of each cell's restoration of x1 against x0, or "NA" (see cell_plan)."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     rows: list[dict] = []
     for row, cfg in cells:
-        try:
-            restored = restore_batch(sched, denoiser, x1, cfg)
-        except ConfigError:
-            if cfg.n_steps > 1 or cfg.eta == 1.0:
-                raise  # not the documented NA cell
+        if cell_plan(sched, cfg) is None:
             row["mse"] = row["energy_distance"] = "NA"
         else:
-            row["mse"] = mse(restored, x0)
-            row["energy_distance"] = energy_distance(restored, x0)
+            restored = restore_batch(sched, denoiser, x1, cfg)
+            row["mse"], row["energy_distance"] = mse(restored, x0), energy_distance(restored, x0)
         rows.append(row)
     return rows
+
+
+def cell_plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan | None:
+    """The plan of a cell's configuration, or None for the NA cell (NFE 1
+    with eta < 1 on a path starting at g = 0); any other rejection raises."""
+    try:
+        return plan(sched, cfg)
+    except ConfigError:
+        if cfg.n_steps > 1 or cfg.eta == 1.0:
+            raise  # not the documented NA cell
+        return None
 
 
 def run_sweep(sched: GvpSchedule, denoiser, x0, x1, *grid, **settings) -> list[dict]:

@@ -41,6 +41,7 @@ class Trajectory:
     # Overridden as plain class attributes by subclasses.
     t_start = 0.0
     t_end = 1.0
+    starts_at_delta = False  # whether every path of the kind starts at (phi, delta)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.phi <= _HALF_PI):
@@ -54,8 +55,8 @@ class Trajectory:
 
     @property
     def start_rg(self) -> tuple[float, float]:
-        """The degraded end (phi, 0); paths that start noisy override it."""
-        return (self.phi, 0.0)
+        """The degraded end (phi, 0), or (phi, delta) for a kind that starts_at_delta."""
+        return (self.phi, self.delta if self.starts_at_delta else 0.0)
 
     @property
     def end_rg(self) -> tuple[float, float]:
@@ -131,10 +132,7 @@ class Linear(Trajectory):
     delta: float = 0.0
     t_start = 1.0
     t_end = 0.0
-
-    @property
-    def start_rg(self) -> tuple[float, float]:
-        return (self.phi, self.delta)
+    starts_at_delta = True
 
     def _raw_point(self, t):
         return 2.0 * self.phi * t - self.phi, self.delta * np.asarray(t, dtype=np.float64)

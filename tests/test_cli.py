@@ -474,38 +474,63 @@ class TestRestoreCli:
     @pytest.mark.parametrize("flags, named", [
         (["--mode", "disi-r", "--delta", "0.3"], "the regression path has no parameter delta"),
         (["--mode", "disi-r", "--p", "3"], "the regression path has no parameter p"),
-        (["--mode", "disi-r", "--eta", "0.7"], "--eta is not read on a regression path"),
+        (["--mode", "disi-r", "--eta", "0.7"],
+         "--eta is not read by a 1-step regression run at delta 0"),
         (["--mode", "disi-r", "--boot-epsilon", "0.2"],
-         "--boot-epsilon is not read on a regression path"),
+         "--boot-epsilon is not read by a 1-step regression run at delta 0"),
         (["--mode", "disi-g", "--p", "3"], "the elliptical path has no parameter p"),
-        # delta = 0 takes the regression segment, as --traj regression does.
+        # delta = 0 takes the regression segment, as --traj regression does;
+        # one step from g = 0 reads no delta either, and --delta comes first.
         (["--traj", "elliptical", "--delta", "0", "--steps", "1", "--eta", "0.5"],
-         "--eta is not read on a regression path"),
+         "--delta is not read by a 1-step elliptical run at delta 0"),
         (["--mode", "disi-g", "--delta", "0", "--eta", "0.7"],
-         "--eta is not read on a regression path"),
+         "--eta is not read by a 10-step elliptical run at delta 0"),
         (["--traj", "linear", "--delta", "0", "--boot-epsilon", "0.2"],
-         "--boot-epsilon is not read on a regression path"),
+         "--boot-epsilon is not read by a 10-step linear run at delta 0"),
         # A linear path starts above g = 0, and one step from g = 0 runs
-        # to the clean end: neither visits a boot point.
+        # to the clean end, whatever the delta: neither visits a boot point.
         (["--traj", "linear", "--delta", "0.5", "--steps", "4", "--boot-epsilon", "0.3"],
-         "--boot-epsilon is not read without a boot point"),
+         "--boot-epsilon is not read by a 4-step linear run at delta 0.5"),
         (["--traj", "elliptical", "--delta", "0.3", "--steps", "1", "--eta", "1",
-          "--boot-epsilon", "0.2"], "--boot-epsilon is not read without a boot point"),
+          "--boot-epsilon", "0.2"], "--delta is not read by a 1-step elliptical run at delta 0.3"),
         # Nor do these runs draw noise.
-        (["--mode", "disi-r", "--seed", "5"], "--seed is not read on a run that draws no noise"),
+        (["--mode", "disi-r", "--seed", "5"],
+         "--seed is not read by a 1-step regression run at delta 0"),
         (["--traj", "elliptical", "--delta", "0", "--steps", "3", "--seed", "5"],
-         "--seed is not read on a run that draws no noise"),
+         "--seed is not read by a 3-step elliptical run at delta 0"),
         (["--traj", "elliptical", "--delta", "0.3", "--steps", "1", "--eta", "1", "--seed", "5"],
-         "--seed is not read on a run that draws no noise"),
+         "--delta is not read by a 1-step elliptical run at delta 0.3"),
+        # One step from g = 0 reads neither the path's delta nor its p, and
+        # a path that stays on g = 0 reads no p.
+        (["--traj", "bezier", "--delta", "0.3", "--steps", "1", "--eta", "1"],
+         "--delta is not read by a 1-step bezier run at delta 0.3"),
+        (["--traj", "vpath", "--steps", "1", "--p", "3"],
+         "--p is not read by a 1-step vpath run at delta 0"),
+        (["--traj", "vpath", "--delta", "0", "--steps", "5", "--p", "3"],
+         "--p is not read by a 5-step vpath run at delta 0"),
+        (["--mode", "disi-r", "--boot-epsilon", "0.2", "--seed", "5"],
+         "--boot-epsilon is not read by a 1-step regression run at delta 0"),
     ], ids=["r-delta", "r-p", "r-eta", "r-boot-epsilon", "g-p", "delta0-eta",
             "g-delta0-eta", "linear-delta0-boot-epsilon", "linear-boot-epsilon",
-            "one-boot-step-boot-epsilon", "r-seed", "delta0-seed", "one-boot-step-seed"])
+            "one-boot-step-boot-epsilon", "r-seed", "delta0-seed", "one-boot-step-seed",
+            "one-step-delta", "one-step-p", "delta0-p", "first-in-parser-order"])
     def test_flag_the_path_does_not_read_rejected(self, toy_dataset, tmp_path, capsys, flags,
                                                   named):
         data, ck = toy_dataset
         err = assert_rejected(capsys, tmp_path / "x.csv", "restore", "--model", ck,
                               "--input", data, *flags)
         assert err == f"error: {named}"
+
+    def test_preset_default_the_run_does_not_read_not_rejected(self, toy_dataset, tmp_path):
+        """disi-g's default --delta is not read on one step from g = 0, but
+        only a flag that was given is rejected: the run takes its one boot
+        step, which is disi-r's regression step, bit for bit."""
+        data, ck = toy_dataset
+        common = ["restore", "--model", ck, "--input", data]
+        assert run(*common, "--mode", "disi-g", "--steps", "1", "--eta", "1",
+                   "--out", tmp_path / "g.csv") == 0
+        assert run(*common, "--mode", "disi-r", "--out", tmp_path / "r.csv") == 0
+        assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
     @pytest.mark.parametrize("command, flags, named", [
         ("restore", ["--model", "CK", "--rho", "0.3"],
@@ -655,9 +680,9 @@ class TestSweepCli:
                                "--oracle", "gaussian", *flags) == f"error: {err}"
 
     @pytest.mark.parametrize("flags, err", [
-        (["--etas", "0.5"], "--etas is not read when every --deltas value is 0"),
-        (["--boot-epsilon", "0.01"], "--boot-epsilon is not read when every --deltas value is 0"),
-        (["--seed", "3"], "--seed is not read when every --deltas value is 0"),
+        (["--etas", "0.5"], "--etas is not read by any cell this sweep runs"),
+        (["--boot-epsilon", "0.01"], "--boot-epsilon is not read by any cell this sweep runs"),
+        (["--seed", "3"], "--seed is not read by any cell this sweep runs"),
         # The grid values are checked first.
         (["--etas", "0.5", "--nfes", "0"], "n_steps must be >= 1, got 0"),
         (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
@@ -671,6 +696,24 @@ class TestSweepCli:
         sweep = ["sweep", "--data", data, "--oracle", "gaussian", "--deltas", "0"]
         assert assert_rejected(capsys, tmp_path / "x.csv", *sweep, *flags) == f"error: {err}"
         assert run(*sweep, "--nfes", "1,2", "--out", tmp_path / "ok.csv") == 0
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--seed", "3"], "--seed is not read by any cell this sweep runs"),
+        (["--boot-epsilon", "0.01"], "--boot-epsilon is not read by any cell this sweep runs"),
+        # The only eta a lifted one-step cell runs is 1; the others are NA.
+        (["--etas", "0,0.5"], "--etas is not read by any cell this sweep runs"),
+    ], ids=["seed", "boot-epsilon", "etas-all-na"])
+    def test_flag_no_one_step_cell_reads_rejected(self, toy_dataset, tmp_path, capsys, flags,
+                                                  err):
+        """At NFE 1 each lifted cell takes one boot step to the clean end,
+        which visits no boot point and draws no noise, and an NA cell runs
+        nothing; the cell at eta 1 reads its eta."""
+        data, _ = toy_dataset
+        sweep = ["sweep", "--data", data, "--oracle", "gaussian", "--deltas", "pi/8",
+                 "--nfes", "1"]
+        etas = [] if flags[0] == "--etas" else ["--etas", "1"]
+        assert assert_rejected(capsys, tmp_path / "x.csv", *sweep, *etas, *flags) == f"error: {err}"
+        assert run(*sweep, "--etas", "0,1", "--out", tmp_path / "ok.csv") == 0
 
     def test_model_runs_on_restores_schedule(self, toy_dataset, tmp_path):
         """On a held-out set whose rho_hat is not the checkpoint's rho, the
