@@ -118,6 +118,9 @@ def dump(src, out=None, quick: bool = False) -> dict:
             lambda: rg.boot_step(sched, *vecs[:3], (0.1, 0.0), (0.2, 0.3), vecs[3]))
         put(f"regression_step sd={sd}", lambda: rg.regression_step(sched, *vecs[:3], 0.1, 0.4))
 
+    # From seed 2**96 on, default_rng(seed) is no longer default_rng([seed, 0]).
+    put("restore seed=2**96", lambda: rg.restore(sched, net, x1[0], rg.SamplerConfig(
+        make_trajectory("elliptical", sched.phi, delta=0.4), 4, 0.5, seed=2**96)))
     # A target g2 near the smallest doubles just below eta = 1, where k^(s-1) overflows.
     put("kappa eta=1-2**-53 g1=1 g2=2.225073858507203e-309",
         lambda: rg.kappa(1.0 - 2.0**-53, 1.0, 2.225073858507203e-309))
@@ -142,8 +145,7 @@ def dump(src, out=None, quick: bool = False) -> dict:
         "hybrid shapes": lambda: hybrid(vecs[1][:2], (0.3, 0.5), 0.5),
         "restore nan": lambda: rg.restore(sched, net, [np.nan, 0.0], ell),
         "restore width": lambda: rg.restore(sched, net, np.zeros(3), ell),
-        "restore noise short": lambda: rg.restore(sched, net, x1[0], ell, noise=[x1[0]]),
-        "restore noise shape": lambda: rg.restore(sched, net, x1[0], ell, noise=[x1[:2]] * 9),
+        "restore 2-D": lambda: rg.restore(sched, net, x1[:1], ell),
         "batch offset": lambda: rg.restore_batch(sched, net, x1[:3], ell, item_offset=-1),
         "step shape": lambda: net.bind(x1[:3], [(0.3, 0.1)])(x1[:2], 0),
         "predict times": lambda: net.predict(x1[:3], x1[:3], np.zeros(4), 0.1),
@@ -274,8 +276,8 @@ def _dataset_entries(rg, put) -> None:
     estimates rho_hat and sigma_d from the data); and empirical_variance."""
 
     def matrices(tag, ds):
-        put(f"{tag} x0", ds.x0_matrix)
-        put(f"{tag} x1", ds.x1_matrix)
+        put(f"{tag} x0", lambda: ds.x0)
+        put(f"{tag} x1", lambda: ds.x1)
         put(f"{tag} rho_hat", lambda: ds.rho_hat)
         put(f"{tag} sigma_d", lambda: ds.sigma_d)
 
@@ -439,6 +441,12 @@ CLI_RUNS = {
                                         "--steps", "5", "--out", "x.csv"], []),
     "reject traj vpath --p nan": (["traj", "--kind", "vpath", "--steps", "3", "--p", "nan",
                                    "--out", "x.csv"], []),
+    # At delta = 0 a path stays on g = 0, which p does not shape.
+    **{f"reject {argv[0]} vpath delta=0 --p": (
+        [*argv, "--delta", "0", "--p", "3", "--out", "x.csv"], [])
+       for argv in (["traj", "--kind", "vpath", "--steps", "5"],
+                    ["simulate", "--traj", "vpath", "--pairs", "data.csv"],
+                    ["bench", "--traj", "vpath", "--euler-steps", "50", "--trials", "3"])},
     **{f"reject bench {flag} {value}": (["bench", "--euler-steps", "50", "--trials", "3",
                                          flag, value, "--out", "x.csv"], [])
        for flag, value in (("--sampler-steps", ","), ("--sampler-steps", "0,10"),

@@ -41,8 +41,13 @@ def _given(**settings) -> dict:
 
 
 def _path(kind: str, phi: float, args):
-    """make_trajectory with the --delta and --p that were given."""
-    return make_trajectory(kind, phi, **_given(delta=args.delta, p=args.p))
+    """make_trajectory with the --delta and --p that were given, for a
+    command that draws the whole path: p shapes only a path that lifts off
+    g = 0, so --p is rejected on one that does not."""
+    traj = make_trajectory(kind, phi, **_given(delta=args.delta, p=args.p))
+    if args.p is not None and not traj.lifts:
+        raise ConfigError(f"--p is not read by a {kind} path at delta {traj.delta:g}")
+    return traj
 
 
 def _angle(text: str) -> float:
@@ -108,7 +113,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .dynamics import euler_integrate
-    from .sampler import SamplerConfig, restore
+    from .sampler import SamplerConfig, _restore_fixed
 
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
@@ -128,7 +133,7 @@ def _cmd_bench(args) -> int:
     )
     rows = []
     for n, cfg in zip(args.sampler_steps, cfgs):
-        analytic = restore(sched, den, x1, cfg, noise=[zeros] * (n + 1))
+        analytic = _restore_fixed(sched, den, x1, cfg, zeros)
         gap = np.abs(analytic - euler_end)
         rows.append([n, args.euler_steps, float(gap.mean()), float(gap.max())])
     header = ["sampler_steps", "euler_steps", "mean_abs_gap", "max_abs_gap"]
@@ -284,7 +289,7 @@ def _cmd_restore(args) -> int:
             setattr(args, flag, value)
 
     den, sched = _predictor(args)
-    traj = _path(args.traj, sched.phi, args)
+    traj = make_trajectory(args.traj, sched.phi, **_given(delta=args.delta, p=args.p))
     cfg = SamplerConfig(trajectory=traj, **_given(
         n_steps=args.steps, eta=args.eta, boot_epsilon=args.boot_epsilon, seed=args.seed))
     if unread := [key for key in settings if key not in plan(sched, cfg).reads]:

@@ -24,22 +24,23 @@ applies them, for every step kind.
 
 One loop runs every path, for exactly n_steps denoiser calls, over a plan
 compiled once per schedule and sampler settings (see `plan`).  A step draws
-noise only where its kappa is nonzero.  Each run binds the denoiser once,
-before the first draw, to x1 and the steps' source times (MlpDenoiser.bind).
-A denoiser without bind, or an MlpDenoiser whose predict has been replaced,
-is called through predict at every step, and that prediction is converted to
-float64 and checked against the state's shape; the inputs themselves are
-checked once, where they enter restore and restore_batch.
+noise only where its kappa is nonzero.  There is one noise contract: item i
+of a batch draws from default_rng([seed, item_offset + i]), and restore,
+which takes one point, is item 0, restore_batch's one-row case.  Each run
+binds the denoiser once, before the first draw, to x1 and the steps' source
+times (MlpDenoiser.bind).  A denoiser without bind, or an MlpDenoiser whose
+predict has been replaced, is called through predict at every step, and that
+prediction is converted to float64 and checked against the state's shape;
+the inputs themselves are checked once, where they enter restore and
+restore_batch.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -352,59 +353,59 @@ _BAD_INPUT = "x1 holds non-finite values in {bad} of {n} rows"
 _BAD_OUTPUT = "restoration produced non-finite values in {bad} of {n} rows"
 
 
+def _restore(sched: GvpSchedule, denoiser, x1: np.ndarray, cfg: SamplerConfig, draw):
+    """The plan, the input check, the run and the output check of every
+    restoration.  draw(n) gives the run's n noise draws in draw order; it is
+    called at the run's first draw, so a run that draws nothing never calls it."""
+    p = plan(sched, cfg)
+    _require_finite(x1, DomainError, _BAD_INPUT)
+
+    def zs():
+        yield from draw(p.n_draws)
+
+    return _require_finite(_run(p, denoiser, x1, zs()), NonFiniteOutput, _BAD_OUTPUT)
+
+
+def _restore_fixed(sched: GvpSchedule, denoiser, x1: np.ndarray, cfg: SamplerConfig, z):
+    """The restoration of the float64 array x1 with every noise draw equal to
+    z, an array shaped like x1: the zero-noise and affine-in-noise runs of
+    the verify checks and `rgflow bench`."""
+    return _restore(sched, denoiser, x1, cfg, lambda n: [z] * n)
+
+
 def restore(
     sched: GvpSchedule,
     denoiser,
     x1,
     cfg: SamplerConfig,
     rng: np.random.Generator | None = None,
-    noise: Iterable[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Run the restoration loop for one degraded point.
+    """Restore one degraded point, the vector x1: restore_batch(x1[None])[0]
+    bit for bit, drawing item 0's stream default_rng([cfg.seed, 0]).  A given
+    `rng` replaces that stream, so restore(..., rng=default_rng([cfg.seed,
+    i])) is item i of a batch; the run takes all its draws from it in one
+    normal() call, leaving it where that many sequential draws would.
 
-    Stochastic draws come from `rng` (defaulting to a generator seeded with
-    cfg.seed) unless an explicit `noise` sequence is supplied; draws are
-    consumed in step order: one for a start at g > 0, then one per step whose
-    noise coefficient is nonzero.  So eta = 0 runs depend on at most one draw
-    regardless of n_steps, and n_steps = 1 from g = 0 (one boot step to the
-    clean end, kappa = 0) draws none.  The draw count is known from the plan,
-    so the run takes all its draws from `rng` in one normal() call, at its
-    first draw, leaving `rng` in the state that many sequential draws would.
-    A run reads exactly its draw count of items from `noise`, so a
-    regression path reads none, and a run that draws nothing builds no
-    generator.
+    Draws are consumed in step order: one for a start at g > 0, then one per
+    step whose noise coefficient is nonzero, so an eta = 0 run takes at most
+    one, and a run that draws nothing builds no generator.
 
-    A rejected configuration, a NaN or inf in x1 (DomainError), a `noise`
-    sequence too short for the plan (ConfigError), one of its first n_draws
-    items not shaped like x1 (DimensionMismatch) or holding NaN or inf
-    (DomainError), and an x1 that an MlpDenoiser's bind rejects
-    (DimensionMismatch) are all raised before any denoiser call or draw.  If
-    a denoiser without bind fails mid-run (say, a prediction of another
-    shape on a path that starts at g > 0), a passed `rng` may already have
-    advanced by the whole block.  A result holding NaN or inf
-    raises NonFiniteOutput.
+    An x1 that is not a vector (DimensionMismatch naming restore_batch), a
+    rejected configuration, a NaN or inf in x1 (DomainError), and an x1 that
+    an MlpDenoiser's bind rejects (DimensionMismatch) are raised before any
+    denoiser call or draw.  If a denoiser without bind fails mid-run, a
+    passed `rng` may already have advanced by the whole block.  A result
+    holding NaN or inf raises NonFiniteOutput.
     """
     x1 = np.asarray(x1, dtype=np.float64)
-    p = plan(sched, cfg)
-    _require_finite(x1, DomainError, _BAD_INPUT)
-    if noise is None:
+    if x1.ndim != 1:
+        raise DimensionMismatch(f"restore takes a vector, not shape {x1.shape}; use restore_batch")
 
-        def draws():
-            gen = np.random.default_rng(cfg.seed) if rng is None else rng
-            yield from gen.normal(0.0, sched.sigma_d, size=(p.n_draws, *x1.shape))
+    def draw(n: int) -> np.ndarray:
+        gen = np.random.default_rng([cfg.seed, 0]) if rng is None else rng
+        return gen.normal(0.0, sched.sigma_d, size=(n, *x1.shape))
 
-        zs = draws()
-    else:
-        items = [np.asarray(a, dtype=np.float64) for a in itertools.islice(noise, p.n_draws)]
-        if len(items) < p.n_draws:
-            raise ConfigError(f"noise override exhausted at draw {len(items)}")
-        for k, z in enumerate(items):
-            if z.shape != x1.shape:
-                raise DimensionMismatch(f"noise draw {k} has shape {z.shape}, x1 {x1.shape}")
-            bad_noise = f"noise draw {k} holds NaN or inf in {{bad}} of {{n}} rows"
-            _require_finite(z, DomainError, bad_noise)
-        zs = iter(items)
-    return _require_finite(_run(p, denoiser, x1, zs), NonFiniteOutput, _BAD_OUTPUT)
+    return _restore(sched, denoiser, x1, cfg, draw)
 
 
 def restore_batch(
@@ -416,16 +417,14 @@ def restore_batch(
 ) -> np.ndarray:
     """Restore a batch of degraded points with per-item noise streams.
 
-    Item i draws from default_rng([cfg.seed, item_offset + i]), exactly the
-    stream a sequential restore(..., rng=default_rng([cfg.seed, i])) would
-    consume, so the noise is independent of batching, chunking, or
-    scheduling order (and so is the result under a per-coordinate denoiser;
-    an MLP's matmuls may round differently for another row count).  Each
-    item takes its draws in one normal() call.  The streams are seeded at
-    the run's first draw, all items at once where they fit the vectorized
-    seeding (see _pcg64_states), so a run that draws nothing (a
-    regression path, one boot step with kappa = 0, or an empty batch) seeds
-    none.
+    Item i draws from default_rng([cfg.seed, item_offset + i]) in one
+    normal() call, and restore is item 0 of a one-row batch.  So the noise is
+    independent of batching, chunking, or scheduling order (and so is the
+    result under a per-coordinate denoiser; an MLP's matmuls may round
+    differently for another row count).  The streams are seeded at the run's
+    first draw, all items at once where they fit the vectorized seeding (see
+    _pcg64_states), so a run that draws nothing (a regression path, one boot
+    step with kappa = 0, or an empty batch) seeds none.
 
     A rejected configuration, a negative or non-integer item_offset
     (ConfigError), and a NaN or inf in x1_batch (DomainError, counting the
@@ -434,13 +433,8 @@ def restore_batch(
     """
     item_offset = check_seed(item_offset, "item_offset")
     x1_batch = np.atleast_2d(np.asarray(x1_batch, dtype=np.float64))
-    p = plan(sched, cfg)
-    _require_finite(x1_batch, DomainError, _BAD_INPUT)
-
-    def draws():
-        yield from _item_noise(cfg.seed, item_offset, p.n_draws, x1_batch.shape, sched.sigma_d)
-
-    return _require_finite(_run(p, denoiser, x1_batch, draws()), NonFiniteOutput, _BAD_OUTPUT)
+    return _restore(sched, denoiser, x1_batch, cfg, lambda n: _item_noise(
+        cfg.seed, item_offset, n, x1_batch.shape, sched.sigma_d))
 
 
 # -- per-item noise streams ------------------------------------------------------

@@ -24,7 +24,7 @@ from .denoiser import (
 )
 from .dynamics import euler_integrate
 from .process import empirical_variance, interpolate
-from .sampler import SamplerConfig, hybrid_step, kappa, restore, restore_batch
+from .sampler import SamplerConfig, _restore_fixed, hybrid_step, kappa, restore, restore_batch
 from .schedule import _HALF_PI, GvpSchedule
 from .sweep import run_sweep
 from .toydata import energy_distance, make_gaussian_pairs, make_scurve_dataset, mse
@@ -233,7 +233,7 @@ def check_sampler_euler_agreement() -> CheckResult:
     x1 = rng.normal(0.0, 1.0, size=100)
     zeros = np.zeros(100)
     cfg = SamplerConfig(trajectory=traj, n_steps=100, eta=0.0)
-    analytic = restore(sched, den, x1, cfg, noise=[zeros] * 101)
+    analytic = _restore_fixed(sched, den, x1, cfg, zeros)
     euler = euler_integrate(sched, traj, den, x1, zeros, 10_000)
     gap = float(np.mean(np.abs(analytic - euler)))
     return _result(
@@ -258,8 +258,8 @@ def check_gaussian_conditional_law() -> CheckResult:
     cfg = SamplerConfig(trajectory=traj, n_steps=100, eta=0.0, seed=0)
 
     one = np.ones(1)
-    base = restore(sched, den, one, cfg, noise=[np.zeros(1)])
-    lifted = restore(sched, den, one, cfg, noise=[np.ones(1)])
+    base = _restore_fixed(sched, den, one, cfg, np.zeros(1))
+    lifted = _restore_fixed(sched, den, one, cfg, one)
     b2 = float((lifted[0] - base[0]) ** 2)
 
     n = 20_000

@@ -117,6 +117,23 @@ class TestTraj:
         assert err == f"error: p must be finite and > 0, got {float(p)}"
 
 
+@pytest.mark.parametrize("command", ["traj", "simulate", "bench"])
+@pytest.mark.parametrize("p", ["1.5", "3"])
+def test_p_read_only_where_the_path_lifts(toy_dataset, tmp_path, capsys, command, p):
+    """traj, simulate and bench draw the whole path, and p shapes only a
+    path that leaves g = 0: a vpath at --delta 0 rejects --p with one
+    error line, and one at --delta 0.3 takes it."""
+    data, _ = toy_dataset
+    rest = {"traj": ("traj", "--kind", "vpath", "--steps", "5"),
+            "simulate": ("simulate", "--traj", "vpath", "--pairs", data, "--steps", "5"),
+            "bench": ("bench", "--traj", "vpath", "--euler-steps", "50",
+                      "--sampler-steps", "5", "--trials", "3")}[command]
+    err = assert_rejected(capsys, tmp_path / "x.csv", *rest, "--delta", "0", "--p", p)
+    assert err == "error: --p is not read by a vpath path at delta 0"
+    assert run(*rest, "--delta", "0.3", "--p", p, "--out", tmp_path / "y.csv") == 0
+    assert (tmp_path / "y.csv").exists()
+
+
 class TestAngleArguments:
     @pytest.mark.parametrize("command, flag, value", [
         ("traj", "--delta", "pi/0"),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from rgflow import (
     CheatDenoiser,
+    ConfigError,
     DimensionMismatch,
     DomainError,
     Elliptical,
@@ -30,6 +31,7 @@ from rgflow import (
     load_checkpoint,
     load_dataset,
     make_gaussian_pairs,
+    make_trajectory,
     mlp_backward,
     restore,
     restore_batch,
@@ -48,6 +50,7 @@ from rgflow.denoiser import (
     weighted_prediction_loss,
 )
 from rgflow.schedule import check_rho, check_sigma_d
+from rgflow.trajectory import TRAJECTORY_KINDS
 
 HALF_PI = math.pi / 2.0
 
@@ -163,8 +166,8 @@ class TestGaussianOracle:
         than 3 Monte-Carlo standard errors at every tested (r, g)."""
         rho = 0.5
         ds = make_gaussian_pairs(rho, 10_000, seed=3)
-        x0 = ds.x0_matrix()[:, 0]
-        x1 = ds.x1_matrix()[:, 0]
+        x0 = ds.x0[:, 0]
+        x1 = ds.x1[:, 0]
         sched = GvpSchedule(rho, 1.0)
         oracle = GaussianOracle(rho=rho)
         mlp = MlpDenoiser(dim=1, hidden=16, emb_dim=8)  # zero output head
@@ -590,6 +593,38 @@ class TestLoadedNet:
         assert got.tobytes() == want[0].tobytes()
         pair = restore_batch(sched, net, np.stack([x1, -x1]), cfg, item_offset=item)
         np.testing.assert_allclose(pair[0], got, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(TRAJECTORY_KINDS)),
+           delta=st.one_of(st.sampled_from([0.0, math.pi / 8, HALF_PI]),
+                           st.floats(0.0, HALF_PI)),
+           eta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           n_steps=st.integers(1, 15),
+           seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96 - 1),
+                          st.integers(2**96, 2**160),
+                          st.sampled_from([2**32 - 1, 2**32, 2**96 - 1, 2**96])),
+           den=st.sampled_from(["oracle", "loaded"]))
+    @example(kind="elliptical", delta=math.pi / 8, eta=0.5, n_steps=15, seed=2**96,
+             den="loaded")
+    def test_restore_is_its_one_row_batch(self, kind, delta, eta, n_steps, seed, den):
+        """restore(x1) without a generator is restore_batch(x1[None])[0] bit
+        for bit, item 0's stream default_rng([seed, 0]), on either side of
+        2**32 and of 2**96 (where default_rng(seed) stops being that
+        stream), on the Gaussian oracle and a loaded net of perfbench's
+        size; a rejected configuration is rejected by both."""
+        sched = GvpSchedule(0.5, 1.0)
+        net = GaussianOracle(rho=0.5) if den == "oracle" else _loaded_bench_size(2, 1.0)
+        params = {} if kind == "regression" else {"delta": delta}
+        traj = make_trajectory(kind, sched.phi, **params)
+        cfg = SamplerConfig(trajectory=traj, n_steps=n_steps, eta=eta, seed=seed)
+        x1 = np.random.default_rng(n_steps).normal(size=2)
+        if traj.lifts and traj.starts_noiseless and n_steps == 1 and eta != 1.0:
+            for run in (restore, restore_batch):
+                with pytest.raises(ConfigError):
+                    run(sched, net, x1 if run is restore else x1[None], cfg)
+            return
+        got = restore(sched, net, x1, cfg)
+        assert got.tobytes() == restore_batch(sched, net, x1[None], cfg)[0].tobytes()
 
     def test_threads_binding_one_net(self, tmp_path):
         """Six threads binding one loaded net over 100 grids each, under a

@@ -506,20 +506,17 @@ class TestRestore:
 
     def test_eta_zero_depends_only_on_boot_draw(self):
         """At eta = 0 every post-boot noise coefficient vanishes, so a single
-        supplied draw fully determines the run at any step count."""
+        supplied draw fully determines the run at any step count: the run
+        reads one item from an iterator that holds one."""
         sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = Elliptical(phi=sched.phi, delta=0.6)
         z = np.array([0.37])
-        outs = [
-            restore(
-                sched, den, np.array([1.0]),
-                SamplerConfig(trajectory=traj, n_steps=n, eta=0.0),
-                noise=[z],
-            )
-            for n in (2, 5, 20)
-        ]
-        assert all(np.all(np.isfinite(o)) for o in outs)
+        for n in (2, 5, 20):
+            p = sampler.plan(sched, SamplerConfig(trajectory=traj, n_steps=n, eta=0.0))
+            assert p.n_draws == 1
+            out = sampler._run(p, den, np.array([1.0]), iter([z]))
+            assert np.all(np.isfinite(out))
 
     def test_two_call_run_matches_one_step_regression(self):
         """Any two-call elliptical run collapses to the one-step regression
@@ -554,8 +551,8 @@ class TestRestore:
         outs = []
         for delta in (math.pi / 8, math.pi / 4, HALF_PI):
             traj = Elliptical(phi=sched.phi, delta=delta)
-            cfg = SamplerConfig(trajectory=traj, n_steps=2, eta=0.0)
-            outs.append(restore(sched, den, x1, cfg, noise=[z]))
+            p = sampler.plan(sched, SamplerConfig(trajectory=traj, n_steps=2, eta=0.0))
+            outs.append(sampler._run(p, den, x1, iter([z])))
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
 
@@ -758,6 +755,10 @@ class TestNoiseContract:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_draw_count_and_sources_agree(self, kind, delta, eta, n_steps, seed):
+        """The run reads exactly the oracle's count of draws, the plan's
+        n_draws, from a list of them (one fewer runs out), and restore's
+        block drawn from a passed generator gives the same output as that
+        list drawn one by one from an equal generator."""
         sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = _path(kind, sched.phi, delta=delta, p=1.5)
@@ -765,23 +766,25 @@ class TestNoiseContract:
         x1 = np.random.default_rng(seed).normal(size=2)
         if traj.starts_noiseless and n_steps == 1 and eta != 1.0:
             with pytest.raises(ConfigError):
-                restore(sched, den, x1, cfg, noise=[])
+                restore(sched, den, x1, cfg)
             return
+        p = sampler.plan(sched, cfg)
         needed = _draws_needed(traj, cfg)
+        assert p.n_draws == needed
         draws = np.random.default_rng(seed)
         zs = [draws.normal(0.0, sched.sigma_d, size=2) for _ in range(needed)]
-        from_list = restore(sched, den, x1, cfg, noise=zs)
+        from_list = sampler._run(p, den, x1, iter(zs))
         assert np.all(np.isfinite(from_list))
         if needed:
-            with pytest.raises(ConfigError):
-                restore(sched, den, x1, cfg, noise=zs[:-1])
+            with pytest.raises(StopIteration):
+                sampler._run(p, den, x1, iter(zs[:-1]))
         from_rng = restore(sched, den, x1, cfg, rng=np.random.default_rng(seed))
         assert np.array_equal(from_rng, from_list)
 
     def test_noise_read_up_to_the_draw_count(self):
-        """restore reads exactly the plan's draw count of items from a
-        `noise=` generator that raises past that point, and a regression path
-        reads none; the result equals a run drawing from `rng`."""
+        """A run reads exactly the plan's draw count of items from a noise
+        generator that raises past that point, and a regression path reads
+        none; the result equals restore drawing from `rng`."""
         sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         x1 = np.array([0.3, -0.2])
@@ -800,7 +803,7 @@ class TestNoiseContract:
             cfg = SamplerConfig(trajectory=traj, n_steps=10, eta=eta, seed=4)
             n = sampler.plan(sched, cfg).n_draws
             assert (n > 0) == noisy
-            got = restore(sched, den, x1, cfg, noise=items(n))
+            got = sampler._run(sampler.plan(sched, cfg), den, x1, items(n))
             want = restore(sched, den, x1, cfg, rng=np.random.default_rng(3))
             assert got.tobytes() == want.tobytes()
 
@@ -1019,8 +1022,9 @@ class TestPlan:
 
     def test_rejections_come_before_any_denoiser_call_or_draw(self, monkeypatch):
         """A path from g = 0 in one step below eta = 1, a schedule whose phi
-        the path leaves, and a noise list too short for the plan are all
-        rejected before the denoiser runs or a generator is built."""
+        the path leaves, a restore input that is not a vector and a negative
+        item_offset are all rejected before the denoiser runs or a generator
+        is built."""
         built = []
         real = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
@@ -1042,16 +1046,9 @@ class TestPlan:
                 restore_batch(sched, Spy(), x1s, cfg)
             with pytest.raises(error):
                 restore(sched, Spy(), x1s[0], cfg)
-        cfg = SamplerConfig(trajectory=Elliptical(phi=sched.phi, delta=0.5), n_steps=6, eta=0.5)
-        with pytest.raises(ConfigError, match="exhausted at draw 2"):
-            restore(sched, Spy(), x1s[0], cfg, noise=[np.zeros(2)] * 2)
-        # One draw, at the start: its item must have x1's shape and be finite.
         cfg = SamplerConfig(trajectory=Linear(phi=sched.phi, delta=0.5), n_steps=4)
-        for item, error in ((0.5, DimensionMismatch), (np.array([0.5]), DimensionMismatch),
-                            (np.ones(3), DimensionMismatch),
-                            (np.array([np.nan, 0.0]), DomainError)):
-            with pytest.raises(error, match="noise draw 0"):
-                restore(sched, Spy(), x1s[0], cfg, noise=[item])
+        with pytest.raises(DimensionMismatch, match="restore_batch"):
+            restore(sched, Spy(), x1s, cfg)
         with pytest.raises(ConfigError, match="item_offset"):
             restore_batch(sched, Spy(), x1s, cfg, item_offset=-1)
         assert Spy.calls == 0
@@ -1093,6 +1090,22 @@ class TestPlan:
 
 
 class TestInputGuards:
+    @pytest.mark.parametrize(
+        "x1", [np.float64(0.3), 0.3, np.ones((1, 2)), np.ones((3, 2)), np.ones((1, 1, 2))],
+        ids=["0-d", "scalar", "one-row", "3-row", "3-d"])
+    def test_restore_input_not_a_vector_rejected(self, x1):
+        """restore takes one point: any input that is not a vector, a
+        one-row matrix included, is a DimensionMismatch that names
+        restore_batch, on a path that draws and on one that does not."""
+        sched = GvpSchedule(0.5, 1.0)
+        den = GaussianOracle(rho=0.5)
+        for traj in (Regression(phi=sched.phi), Elliptical(phi=sched.phi, delta=0.5)):
+            cfg = SamplerConfig(trajectory=traj, n_steps=4, eta=0.5)
+            with pytest.raises(DimensionMismatch, match=r"not shape \(.*\); use restore_batch"):
+                restore(sched, den, x1, cfg)
+            with pytest.raises(DimensionMismatch, match="use restore_batch"):
+                restore(sched, den, x1, cfg, rng=np.random.default_rng(0))
+
     def test_foreign_prediction_of_another_shape_rejected(self):
         """A prediction called through predict at every step (a denoiser
         without bind, or an MlpDenoiser whose predict is replaced) must have

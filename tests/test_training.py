@@ -382,8 +382,8 @@ class TestTrainLoop:
         sched = GvpSchedule(rho, 1.0)
         rng = np.random.default_rng(5)
         hold = make_gaussian_pairs(rho, 2000, seed=55, dim=1)
-        x0 = hold.x0_matrix()
-        x1 = hold.x1_matrix()
+        x0 = hold.x0
+        x1 = hold.x1
         gaps = []
         for r_f, g in ((-0.4, 0.3), (0.0, 0.8), (0.4, 1.2)):
             r = r_f * sched.phi
@@ -416,8 +416,8 @@ class TestTrainLoop:
                 trajectory=Elliptical(phi=sched.phi, delta=math.pi / 8.0),
                 n_steps=15, eta=0.0, seed=7,
             )
-            out = restore_batch(sched, net, hold.x1_matrix(), sample_cfg)
-            results[name] = mse(out, hold.x0_matrix())
+            out = restore_batch(sched, net, hold.x1, sample_cfg)
+            results[name] = mse(out, hold.x0)
         assert results["regression"] >= 2.0 * results["elliptical"]
 
     def test_nonfinite_loss_diagnostics(self):
