@@ -433,6 +433,9 @@ CLI_RUNS = {
     "sweep model held-out": (["sweep", "--data", "held.csv", "--model", "ck.json",
                               "--deltas", "0,pi/8", "--etas", "0,1", "--nfes", "1,2",
                               "--out", "sweep_h.csv"], ["sweep_h.csv"]),
+    # A UTF-8 byte-order mark before the header hides no x1_ column.
+    "restore oracle bom": (["restore", "--oracle", "gaussian", "--rho", "0.5", "--mode", "disi-r",
+                            "--input", "bom.csv", "--out", "bom_r.csv"], ["bom_r.csv"]),
     "sweep delta=0": (["sweep", "--data", "data.csv", "--oracle", "gaussian", "--deltas", "0",
                        "--nfes", "1,2", "--out", "sweep_0.csv"], ["sweep_0.csv"]),
     "reject traj elliptical --p": (["traj", "--kind", "elliptical", "--p", "3", "--steps", "5",
@@ -483,6 +486,7 @@ def _cli_entries(entries: dict) -> None:
             huge.params.update(W2=np.zeros((8, 8)), b2=np.ones(8), W3=np.full((8, 2), 1e308))
             save_checkpoint("huge.json", huge, rho=0.5)
             write_csv("points.csv", ["x_1", "x_2"], np.random.default_rng(6).normal(size=(600, 2)))
+            Path("bom.csv").write_bytes(b"\xef\xbb\xbfx1_1,x1_2\n0.5,-1.25\n2.0,0.75\n")
             # Drawn as conf.json's training set, from another seed.
             save_dataset(make_scurve_dataset(300, jitter=0.05, strength=0.8, noise=0.25, seed=9),
                          "held.csv")

@@ -13,7 +13,7 @@ import importlib
 
 _EXPORTS = {
     "denoiser": "CheatDenoiser Checkpoint GaussianOracle MlpDenoiser load_checkpoint "
-                "mlp_backward save_checkpoint time_embed",
+                "save_checkpoint time_embed",
     "dynamics": "VelocityPair euler_integrate velocities velocity_r",
     "errors": "ConfigError DimensionMismatch DomainError EmptyDataset InsufficientData "
               "NonFiniteLoss NonFiniteOutput RgflowError SingularStart SingularTime",

@@ -507,45 +507,6 @@ class MlpDenoiser:
         return _dense_backward(self.params, _LAYERS, cache, d_out, out)
 
 
-def _weighted_error(net: MlpDenoiser, core, targets, weights):
-    """Terms of loss = mean_i exp(w_i) * ||sigma_d * core_i - target_i||^2.
-
-    Returns the per-row squared errors, exp(w) and d loss / d core.
-    """
-    err = net.sigma_d * core - targets
-    ew = np.exp(weights)
-    d_core = (ew[:, None] * 2.0 * err * net.sigma_d) / core.shape[0]
-    return (err * err).sum(axis=1), ew, d_core
-
-
-def _batch_terms(net: MlpDenoiser, inputs, targets, weights, name: str):
-    """The backward cache and _weighted_error's terms of a batch; an empty
-    batch is a DomainError naming `name`.  weights: a scalar or one a row."""
-    feats = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if feats.shape[0] == 0:
-        raise DomainError(f"{name} needs a nonempty batch")
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (feats.shape[0],))
-    core, cache = net.forward_batch(feats)
-    return cache, *_weighted_error(net, core, targets, weights)
-
-
-def mlp_backward(net: MlpDenoiser, inputs, targets, weights) -> dict:
-    """Exact gradients of the weighted squared error.
-
-    Loss: mean_i exp(w_i) * ||sigma_d * F(in_i) - target_i||^2 over a batch
-    of pre-built feature rows.  Gradients are returned for every parameter.
-    """
-    cache, _, _, d_core = _batch_terms(net, inputs, targets, weights, "mlp_backward")
-    return net.backward_batch(cache, d_core)
-
-
-def weighted_prediction_loss(net: MlpDenoiser, inputs, targets, weights) -> float:
-    """The scalar loss differentiated by mlp_backward; finite-difference hook."""
-    _, sq, ew, _ = _batch_terms(net, inputs, targets, weights, "weighted_prediction_loss")
-    return float(np.mean(ew * sq))
-
-
 # -- checkpoint I/O -----------------------------------------------------------
 
 _PARAM_KEYS = tuple(k for layer in _LAYERS for k in layer)

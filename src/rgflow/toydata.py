@@ -306,7 +306,9 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
     UTF-8 CSV or cells that are not finite numbers (DomainError).
     """
     try:
-        with Path(path).open(newline="") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # stay glued to the first header name.
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DomainError(f"{path} is not CSV text: {exc}") from None

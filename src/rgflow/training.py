@@ -7,7 +7,9 @@ fresh noise; forms the interpolated states; and descends
 
 jointly in the denoiser and the scalar weight net w.  The self-calibrating
 weight settles near -ln(local squared error), so hard time regions are
-down-weighted automatically.
+down-weighted automatically.  This module alone writes that loss and its
+gradients (_objective): `train` reports and descends it, and verify's
+gradient check differentiates it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .denoiser import (
     _dense_forward,
     _special,
     _time_pairs,
-    _weighted_error,
 )
 from .errors import ConfigError, NonFiniteLoss, check_seed
 from .process import forward_state
@@ -152,6 +153,35 @@ class AdaptiveWeight:
         """Gradients of sum(d_w * w), in a new dict or written into `out`'s
         arrays, as _dense_backward."""
         return _dense_backward(self.params, _WEIGHT_LAYERS, cache, d_w[:, None], out)
+
+
+def _objective(net: MlpDenoiser, weight_net: AdaptiveWeight | None, feats, w_feats, x0):
+    """The loss `train` reports and descends on one batch,
+
+        mean_i [exp(w_i) ||sigma_d core_i - x0_i||^2 - w_i],
+
+    core = net.forward_batch(feats), w = weight_net.forward(w_feats), or 0
+    without a weight net; and `gradients(net_out=None, w_out=None)`, which
+    returns both nets' gradients (None for a missing weight net), each in a
+    new dict or written into the given dict's arrays.
+    """
+    n = len(x0)
+    w, w_cache = weight_net.forward(w_feats) if weight_net is not None else (np.zeros(n), None)
+    core, cache = net.forward_batch(feats)
+    sd = net.sigma_d
+    err = sd * core - x0
+    sq = (err * err).sum(axis=1)
+    ew = np.exp(w)
+    loss = float(np.mean(ew * sq - w))
+
+    def gradients(net_out: dict | None = None, w_out: dict | None = None):
+        net_grads = net.backward_batch(cache, (ew[:, None] * 2.0 * err * sd) / n, out=net_out)
+        if weight_net is None:
+            return net_grads, None
+        # d loss / d w_i = (exp(w_i) sq_i - 1) / n
+        return net_grads, weight_net.backward(w_cache, (ew * sq - 1.0) / n, out=w_out)
+
+    return loss, gradients
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -334,15 +364,13 @@ def train(
     trace = np.empty(cfg.n_steps)
     batch, sampler, phi, decay = cfg.batch_size, cfg.time_sampler, schedule.phi, cfg.ema_decay
     chunk = max(1, _CHUNK_ROWS // batch)
-    no_weight = np.zeros(batch)
+    w_net = weight_net if adaptive else None
 
     def evaluate(rows: slice, when: str, step: int):
-        """The loss terms of the chunk's `rows` at the current weights, or
+        """_objective on the chunk's `rows` at the current weights, or
         NonFiniteLoss naming `when` `step` if the loss is not finite."""
-        w, w_cache = weight_net.forward(w_feats[rows]) if adaptive else (no_weight, None)
-        core, cache = net.forward_batch(feats[rows])
-        sq, ew, d_core = _weighted_error(net, core, x0[rows], w)
-        loss = float(np.mean(ew * sq - w))
+        w_rows = None if w_net is None else w_feats[rows]
+        loss, gradients = _objective(net, w_net, feats[rows], w_rows, x0[rows])
         if not math.isfinite(loss):
             rs, gs = r[rows], g[rows]
             raise NonFiniteLoss(
@@ -350,7 +378,7 @@ def train(
                 f"r in [{rs.min():.4g}, {rs.max():.4g}], "
                 f"g in [{gs.min():.4g}, {gs.max():.4g}]"
             )
-        return loss, w_cache, cache, sq, ew, d_core
+        return loss, gradients
 
     for first in range(0, cfg.n_steps, chunk):
         steps = range(first, min(first + chunk, cfg.n_steps))
@@ -373,12 +401,8 @@ def train(
 
         for row, step in enumerate(steps):
             rows = slice(row * batch, (row + 1) * batch)
-            loss, w_cache, cache, sq, ew, d_core = evaluate(rows, "at step", step)
-            trace[step] = loss
-
-            net.backward_batch(cache, d_core, out=net_grads)
-            if adaptive:
-                weight_net.backward(w_cache, (ew * sq - 1.0) / batch, out=w_grads)
+            trace[step], gradients = evaluate(rows, "at step", step)
+            gradients(net_grads, w_grads)
             opt.step(opt_params, opt_grad)
 
             ema *= decay

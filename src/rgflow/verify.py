@@ -17,10 +17,8 @@ from .denoiser import (
     CheatDenoiser,
     GaussianOracle,
     MlpDenoiser,
-    mlp_backward,
     save_checkpoint,
     load_checkpoint,
-    weighted_prediction_loss,
 )
 from .dynamics import euler_integrate
 from .process import empirical_variance, interpolate
@@ -29,12 +27,14 @@ from .schedule import _HALF_PI, GvpSchedule
 from .sweep import run_sweep
 from .toydata import energy_distance, make_gaussian_pairs, make_scurve_dataset, mse
 from .training import (
+    AdaptiveWeight,
     EllipticalSpecialist,
     LinearSpecialist,
     LogitNormalSampler,
     RegressionSpecialist,
     TrainConfig,
     UniformSampler,
+    _objective,
     train,
 )
 from .trajectory import Elliptical, Linear, QuadBezier, Regression, VPath
@@ -281,35 +281,42 @@ def check_gaussian_conditional_law() -> CheckResult:
 
 
 def check_gradient_correctness() -> CheckResult:
-    """Manual backprop matches central finite differences elementwise."""
+    """The gradients of the loss `train` descends (training._objective) match
+    central finite differences of that loss in every parameter of both nets,
+    with adaptive weighting on and off, at sigma_d 1 and 0.7."""
     rng = np.random.default_rng(53)
     h = 1e-5
     worst = 0.0
-    for _trial in range(10):
-        net = MlpDenoiser(dim=2, hidden=12, emb_dim=8, sigma_d=1.0, params={})
+    for trial in range(10):
+        sd = (1.0, 0.7)[trial % 2]
+        net = MlpDenoiser(dim=2, hidden=12, emb_dim=8, sigma_d=sd, params={})
         net.reinit(rng)
-        # Random output layer too: the zero-init convention is for training
-        # starts, while the gradient field must be correct everywhere.
-        net.params["W3"] = rng.normal(0.0, 0.4, size=net.params["W3"].shape)
-        net.params["b3"] = rng.normal(0.0, 0.4, size=net.params["b3"].shape)
-        feats = rng.normal(size=(3, net.input_dim))
-        targets = rng.normal(size=(3, 2))
-        weights = rng.normal(0.0, 0.5, size=3)
-        grads = mlp_backward(net, feats, targets, weights)
-        for key, g_analytic in grads.items():
-            p = net.params[key]
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + h
-                up = weighted_prediction_loss(net, feats, targets, weights)
-                p[idx] = orig - h
-                dn = weighted_prediction_loss(net, feats, targets, weights)
-                p[idx] = orig
-                fd = (up - dn) / (2.0 * h)
-                denom = max(abs(g_analytic[idx]), abs(fd), 1e-3)
-                worst = max(worst, abs(g_analytic[idx] - fd) / denom)
+        w_net = AdaptiveWeight(emb_dim=4, hidden=6, rng=rng) if trial % 4 < 2 else None
+        nets = [net] if w_net is None else [net, w_net]
+        # Random weights in every layer: the zero-init biases and output
+        # layers are for training starts, while the gradient field must be
+        # correct everywhere.
+        for each in nets:
+            each.params = {k: rng.normal(0.0, 0.4, size=p.shape) for k, p in each.params.items()}
+        r, g = rng.uniform(-1.0, 1.0, size=3), rng.uniform(0.0, _HALF_PI, size=3)
+        feats = net.features(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), r, g)
+        w_feats = None if w_net is None else w_net.features(r, g)
+        x0 = rng.normal(size=(3, 2))
+        gradients = _objective(net, w_net, feats, w_feats, x0)[1]
+        # zip stops at the denoiser's gradients when there is no weight net.
+        for each, grads in zip(nets, gradients()):
+            for key, g_analytic in grads.items():
+                p = each.params[key]
+                for idx in np.ndindex(p.shape):
+                    orig = p[idx]
+                    p[idx] = orig + h
+                    up = _objective(net, w_net, feats, w_feats, x0)[0]
+                    p[idx] = orig - h
+                    dn = _objective(net, w_net, feats, w_feats, x0)[0]
+                    p[idx] = orig
+                    fd = (up - dn) / (2.0 * h)
+                    denom = max(abs(g_analytic[idx]), abs(fd), 1e-3)
+                    worst = max(worst, abs(g_analytic[idx] - fd) / denom)
     return _result(
         "gradient-check", worst < 1e-4, f"max relative error = {worst:.2e}", "< 1e-4"
     )

@@ -440,6 +440,20 @@ class TestRestoreCli:
         _, rows = read_csv(out)
         assert len(rows) == 400
 
+    def test_byte_order_mark_keeps_every_column(self, tmp_path):
+        """A UTF-8 byte-order mark before an x1_1,x1_2 header still reads two
+        x1_ columns, so the output is that of the same file without it."""
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(b"x1_1,x1_2\n0.5,-1.25\n2.0,0.75\n")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = []
+        for path in (plain, bom):
+            outs.append(tmp_path / f"out_{path.name}")
+            assert run("restore", "--oracle", "gaussian", "--rho", "0.5", "--mode", "disi-r",
+                       "--input", path, "--out", outs[-1]) == 0
+        assert read_csv(outs[0])[0] == ["x_1", "x_2"]
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
     def test_invalid_single_step_config(self, toy_dataset, tmp_path):
         data, ck = toy_dataset
         code = run("restore", "--model", ck, "--input", data,
@@ -1050,7 +1064,7 @@ def _cli_run(*argv, status: int = 0) -> str:
 
 
 # The names `rgflow` exported when it imported every submodule eagerly, less
-# path_continuity_order, which is gone.
+# path_continuity_order and mlp_backward, which are gone.
 PARENT_EXPORTS = """
     AdamW AdaptiveWeight CheatDenoiser Checkpoint CoeffDerivs CoeffSet ConfigError
     DimensionMismatch DomainError Elliptical EllipticalSpecialist EmptyDataset
@@ -1060,7 +1074,7 @@ PARENT_EXPORTS = """
     TrainResult Trajectory UniformSampler VPath VelocityPair boot_step degrade
     empirical_variance energy_distance estimate_rho euler_integrate forward_state
     hybrid_step interpolate kappa load_checkpoint load_dataset make_gaussian_pairs
-    make_scurve make_scurve_dataset make_time_sampler make_trajectory mlp_backward mse
+    make_scurve make_scurve_dataset make_time_sampler make_trajectory mse
     regression_step restore restore_batch run_sweep sample_noise
     save_checkpoint save_dataset standardize time_embed train velocities velocity_r
 """.split()
@@ -1266,7 +1280,7 @@ class TestScipyUfuncs:
 class TestExports:
     def test_every_parent_name_is_its_modules_object(self):
         assert sorted(rgflow.__all__) == sorted(PARENT_EXPORTS)
-        assert len(set(PARENT_EXPORTS)) == 67
+        assert len(set(PARENT_EXPORTS)) == 66
         for name in rgflow.__all__:
             value = getattr(rgflow, name)
             assert getattr(sys.modules[value.__module__], name) is value, name

@@ -1,4 +1,4 @@
-"""Denoiser contract: oracles, MLP, embeddings, checkpoints, gradients."""
+"""Denoiser contract: oracles, MLP, embeddings, checkpoints."""
 
 import json
 import math
@@ -6,7 +6,6 @@ import os
 import sys
 import tempfile
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from rgflow import (
     load_dataset,
     make_gaussian_pairs,
     make_trajectory,
-    mlp_backward,
     restore,
     restore_batch,
     save_checkpoint,
@@ -47,7 +45,6 @@ from rgflow.denoiser import (
     _gelu_grad,
     _grid_rows,
     _row_blocks,
-    weighted_prediction_loss,
 )
 from rgflow.schedule import check_rho, check_sigma_d
 from rgflow.trajectory import TRAJECTORY_KINDS
@@ -942,64 +939,6 @@ class TestGelu:
         erf = np.array([math.erf(t / math.sqrt(2.0)) for t in z])
         want = sigma_d * 0.5 * z * (1.0 + erf)
         assert np.all(np.abs(got[:, 0] - want) <= 1e-12 * np.maximum(1.0, np.abs(z)))
-
-
-class TestMlpBackward:
-    def _random_net(self, rng):
-        net = MlpDenoiser(dim=2, hidden=10, emb_dim=8, params={})
-        net.reinit(rng)
-        net.params["W3"] = rng.normal(0.0, 0.3, size=net.params["W3"].shape)
-        net.params["b3"] = rng.normal(0.0, 0.3, size=net.params["b3"].shape)
-        return net
-
-    def test_zero_gradient_at_exact_fit(self):
-        rng = np.random.default_rng(5)
-        net = self._random_net(rng)
-        feats = rng.normal(size=(4, net.input_dim))
-        core, _ = net.forward_batch(feats)
-        grads = mlp_backward(net, feats, net.sigma_d * core, np.zeros(4))
-        assert all(np.all(g == 0.0) for g in grads.values())
-
-    def test_weight_scaling_doubles_gradients(self):
-        rng = np.random.default_rng(6)
-        net = self._random_net(rng)
-        feats = rng.normal(size=(4, net.input_dim))
-        targets = rng.normal(size=(4, 2))
-        w = rng.normal(size=4)
-        g1 = mlp_backward(net, feats, targets, w)
-        g2 = mlp_backward(net, feats, targets, w + math.log(2.0))
-        for key in g1:
-            np.testing.assert_allclose(g2[key], 2.0 * g1[key], rtol=1e-12)
-
-    def test_matches_finite_differences_spot(self):
-        rng = np.random.default_rng(7)
-        net = self._random_net(rng)
-        feats = rng.normal(size=(3, net.input_dim))
-        targets = rng.normal(size=(3, 2))
-        w = rng.normal(size=3)
-        grads = mlp_backward(net, feats, targets, w)
-        h = 1e-5
-        for key in ("W1", "W2", "W3", "b2"):
-            p = net.params[key]
-            idx = tuple(rng.integers(0, s) for s in p.shape)
-            orig = p[idx]
-            p[idx] = orig + h
-            up = weighted_prediction_loss(net, feats, targets, w)
-            p[idx] = orig - h
-            dn = weighted_prediction_loss(net, feats, targets, w)
-            p[idx] = orig
-            fd = (up - dn) / (2 * h)
-            assert grads[key][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-
-    def test_empty_batch_rejected(self):
-        """Both the loss and its gradients reject an empty batch by name,
-        before numpy warns about a mean over nothing."""
-        net = MlpDenoiser(dim=2, hidden=8, emb_dim=4)
-        for fn in (mlp_backward, weighted_prediction_loss):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DomainError, match=f"{fn.__name__} needs a nonempty batch"):
-                    fn(net, np.zeros((0, net.input_dim)), np.zeros((0, 2)), [])
 
 
 def _rewritten_checkpoint(tmp_path, mutate):

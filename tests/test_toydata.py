@@ -252,6 +252,20 @@ class TestDatasetIO:
         assert len(back) == 200
         assert back.rho_hat == pytest.approx(0.5, abs=0.15)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        """A UTF-8 byte-order mark before the header (as some spreadsheet
+        programs write) loads as the same data set, sidecar or not."""
+        ds = make_gaussian_pairs(0.5, 30, seed=2, dim=2)
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        save_dataset(ds, plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        (tmp_path / "plain.meta.json").unlink()
+        for path in (plain, bom):
+            back = load_dataset(path)
+            assert back.x0.tobytes() == ds.x0.tobytes()
+            assert back.x1.tobytes() == ds.x1.tobytes()
+        assert load_dataset(bom).rho_hat == load_dataset(plain).rho_hat
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

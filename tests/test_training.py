@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from rgflow import (
     train,
 )
 from rgflow import training
-from rgflow.denoiser import _weighted_error
 
 HALF_PI = math.pi / 2.0
 PHI = GvpSchedule(0.5, 1.0).phi
@@ -89,34 +89,133 @@ class TestTimeSamplers:
             make_time_sampler("cosine")
 
 
-def train_objective(x0hat, x0, w):
-    """Per-row terms of the loss `train` descends, exp(w) ||x0hat - x0||^2 - w,
-    built as `train` builds them.  With sigma_d = 1 the core output is x0hat."""
-    x0hat = np.atleast_2d(x0hat)
-    net = MlpDenoiser(dim=x0hat.shape[1], hidden=1, emb_dim=2)
-    w = np.broadcast_to(np.asarray(w, dtype=np.float64), (x0hat.shape[0],))
-    sq, ew, _ = _weighted_error(net, x0hat, np.atleast_2d(x0), w)
-    return ew * sq - w
+def _fd_gradients(loss, param_sets, h=1e-5):
+    """Central differences of loss() in every entry of each params dict."""
+    out = []
+    for params in param_sets:
+        out.append({})
+        for key, p in params.items():
+            fd = out[-1][key] = np.empty_like(p)
+            for idx in np.ndindex(p.shape):
+                orig = p[idx]
+                p[idx] = orig + h
+                up = loss()
+                p[idx] = orig - h
+                dn = loss()
+                p[idx] = orig
+                fd[idx] = (up - dn) / (2.0 * h)
+    return out
 
 
-class TestWeightedLoss:
+def _random_nets(rng, sigma_d=1.0, adaptive=True, dim=2):
+    """A small denoiser and weight net (None without adaptive weighting) with
+    random weights in every layer, the zero-initialised ones too."""
+    net = MlpDenoiser(dim=dim, hidden=8, emb_dim=4, sigma_d=sigma_d, params={})
+    net.reinit(rng)
+    w_net = AdaptiveWeight(emb_dim=4, hidden=6, rng=rng) if adaptive else None
+    for each in (net, w_net) if adaptive else (net,):
+        each.params = {k: rng.normal(0.0, 0.3, size=p.shape) for k, p in each.params.items()}
+    return net, w_net
+
+
+def _random_batch(rng, net, w_net, n=5):
+    """(feats, w_feats, x0) of n random states at random times."""
+    r, g = rng.uniform(-PHI, PHI, size=n), rng.uniform(0.0, HALF_PI, size=n)
+    feats = net.features(rng.normal(size=(n, net.dim)), rng.normal(size=(n, net.dim)), r, g)
+    return feats, None if w_net is None else w_net.features(r, g), rng.normal(size=(n, net.dim))
+
+
+class TestObjective:
+    """training._objective: the one loss `train` reports and descends,
+    mean_i [exp(w_i) ||sigma_d core_i - x0_i||^2 - w_i], and its gradients."""
+
+    @pytest.mark.parametrize("sigma_d", [1.0, 0.7])
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_gradients_match_finite_differences(self, sigma_d, adaptive):
+        """Every parameter of both nets, or of the denoiser alone (w = 0)."""
+        rng = np.random.default_rng(7)
+        net, w_net = _random_nets(rng, sigma_d, adaptive)
+        batch = _random_batch(rng, net, w_net)
+        grads = training._objective(net, w_net, *batch)[1]()
+        nets = [net] if w_net is None else [net, w_net]
+        assert (grads[1] is None) == (w_net is None)
+        fd = _fd_gradients(lambda: training._objective(net, w_net, *batch)[0],
+                           [each.params for each in nets])
+        for got, want in zip(grads, fd):
+            assert got.keys() == want.keys()
+            for key in want:
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-4, atol=1e-8,
+                                           err_msg=key)
+
+    def test_no_weight_net_is_a_zero_weight(self):
+        """Without a weight net the loss and the denoiser's gradient are, bit
+        for bit, those under a weight net whose output is 0, as at its
+        initialisation: the plain mean squared error."""
+        rng = np.random.default_rng(8)
+        net, _ = _random_nets(rng, 0.7, adaptive=False)
+        w_net = AdaptiveWeight(emb_dim=4, hidden=6, rng=rng)
+        feats, w_feats, x0 = _random_batch(rng, net, w_net)
+        loss, gradients = training._objective(net, None, feats, None, x0)
+        w_loss, w_gradients = training._objective(net, w_net, feats, w_feats, x0)
+        assert loss == w_loss
+        for key, value in gradients()[0].items():
+            assert value.tobytes() == w_gradients()[0][key].tobytes(), key
+        core, _ = net.forward_batch(feats)
+        assert loss == pytest.approx(np.mean(((0.7 * core - x0) ** 2).sum(axis=1)), rel=1e-14)
+
     def test_unweighted_case(self):
-        x0hat = np.array([1.0, 2.0])
-        x0 = np.array([0.0, 0.0])
-        assert train_objective(x0hat, x0, 0.0)[0] == pytest.approx(5.0, abs=1e-15)
+        """A constant prediction (1, 2) against x0 = 0 costs 1 + 4."""
+        rng = np.random.default_rng(9)
+        net, _ = _random_nets(rng, adaptive=False)
+        net.params["W3"][...], net.params["b3"][...] = 0.0, [1.0, 2.0]
+        feats, _, x0 = _random_batch(rng, net, None)
+        assert training._objective(net, None, feats, None, np.zeros_like(x0))[0] == 5.0
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_exact_fit_gives_zero_denoiser_gradient(self, adaptive):
+        rng = np.random.default_rng(5)
+        net, w_net = _random_nets(rng, 0.7, adaptive)
+        feats, w_feats, _ = _random_batch(rng, net, w_net)
+        x0 = net.sigma_d * net.forward_batch(feats)[0]
+        net_grads, _ = training._objective(net, w_net, feats, w_feats, x0)[1]()
+        assert all(np.all(g == 0.0) for g in net_grads.values())
 
     def test_exact_fit_pays_negative_weight(self):
-        x = np.array([0.3, -0.4])
-        assert train_objective(x, x, 0.7)[0] == pytest.approx(-0.7, abs=1e-15)
+        rng = np.random.default_rng(10)
+        net, w_net = _random_nets(rng)
+        feats, w_feats, _ = _random_batch(rng, net, w_net)
+        x0 = net.sigma_d * net.forward_batch(feats)[0]
+        w, _ = w_net.forward(w_feats)
+        assert training._objective(net, w_net, feats, w_feats, x0)[0] == -np.mean(w)
 
-    def test_optimal_weight_is_negative_log_error(self):
+    def test_weight_plus_ln2_doubles_denoiser_gradient(self):
+        rng = np.random.default_rng(6)
+        net, w_net = _random_nets(rng, 0.7)
+        batch = _random_batch(rng, net, w_net)
+        g1, _ = training._objective(net, w_net, *batch)[1]()
+        w_net.params["c2"] += math.log(2.0)
+        g2, _ = training._objective(net, w_net, *batch)[1]()
+        for key in g1:
+            np.testing.assert_allclose(g2[key], 2.0 * g1[key], rtol=1e-12, err_msg=key)
+
+    def test_best_weight_is_negative_log_error(self):
+        """With squared error `err` on every row and a constant weight w (the
+        weight net's bias), exp(w) err - w is least at w = -ln(err): there
+        the bias's gradient vanishes and a step either way costs more."""
         err = 0.37
-        ws = np.linspace(-4.0, 4.0, 8001)
-        x0hat = np.full((ws.size, 1), math.sqrt(err))
-        x0 = np.zeros((ws.size, 1))
-        losses = train_objective(x0hat, x0, ws)
-        w_star = ws[int(np.argmin(losses))]
-        assert w_star == pytest.approx(-math.log(err), abs=2e-3)
+        rng = np.random.default_rng(11)
+        net, w_net = _random_nets(rng, dim=1)
+        net.params["W3"][...], net.params["b3"][...] = 0.0, math.sqrt(err)
+        w_net.params["V2"][...] = 0.0
+        feats, w_feats, x0 = _random_batch(rng, net, w_net)
+
+        def at(w):
+            w_net.params["c2"][...] = w
+            return training._objective(net, w_net, feats, w_feats, np.zeros_like(x0))
+
+        best, gradients = at(-math.log(err))
+        assert abs(gradients()[1]["c2"][0]) < 1e-15
+        assert best < at(-math.log(err) - 1e-3)[0] and best < at(-math.log(err) + 1e-3)[0]
 
 
 class TestAdaptiveWeight:
@@ -133,37 +232,6 @@ class TestAdaptiveWeight:
         w = AdaptiveWeight(rng=np.random.default_rng(0))
         vals, _ = w.forward(w.features(np.array([0.1, -0.3]), np.array([0.2, 1.0])))
         np.testing.assert_array_equal(vals, 0.0)
-
-    def test_weight_gradient_matches_finite_differences(self):
-        """d/dw of exp(w) L - w is exp(w) L - 1; pushed through the weight
-        net's parameters it must match central differences."""
-        rng = np.random.default_rng(1)
-        net = AdaptiveWeight(rng=rng)
-        net.params["V2"] = rng.normal(0.0, 0.2, size=net.params["V2"].shape)
-        r = np.array([0.1, -0.2, 0.3])
-        g = np.array([0.5, 1.0, 0.05])
-        L = np.array([0.9, 0.1, 2.0])
-        feats = net.features(r, g)
-
-        def loss():
-            w, _ = net.forward(feats)
-            return float(np.mean(np.exp(w) * L - w))
-
-        w, cache = net.forward(feats)
-        d_w = (np.exp(w) * L - 1.0) / r.size
-        grads = net.backward(cache, d_w)
-        h = 1e-6
-        for key in ("V1", "V2", "c1", "c2"):
-            p = net.params[key]
-            idx = tuple(rng.integers(0, s) for s in p.shape)
-            orig = p[idx]
-            p[idx] = orig + h
-            up = loss()
-            p[idx] = orig - h
-            dn = loss()
-            p[idx] = orig
-            fd = (up - dn) / (2 * h)
-            assert grads[key][idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
 class TestAdamW:
@@ -295,6 +363,47 @@ class TestTrainLoop:
             if adaptive:
                 sizes.append(sum(p.size for p in result.weight_net.params.values()))
             assert calls == [sum(sizes)] * 7
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_optimizer_gets_the_gradient_of_the_reported_loss(self, monkeypatch, adaptive):
+        """Each step hands AdamW, in params order, the gradient of the loss
+        that step reports: central differences of its batch's _objective in
+        every parameter that the optimizer updates."""
+        calls, grads = [], []
+        objective, step = training._objective, AdamW.step
+
+        def recorded(net, w_net, feats, w_feats, x0):
+            nets = [net] if w_net is None else [net, w_net]
+            calls.append(([{k: p.copy() for k, p in each.params.items()} for each in nets],
+                          feats.copy(), None if w_feats is None else w_feats.copy(), x0.copy()))
+            return objective(net, w_net, feats, w_feats, x0)
+
+        def stepped(self, params, g):
+            grads.append(g.copy())
+            step(self, params, g)
+
+        monkeypatch.setattr(training, "_objective", recorded)
+        monkeypatch.setattr(AdamW, "step", stepped)
+        ds = make_gaussian_pairs(0.5, 100, seed=1, dim=2)
+        cfg = TrainConfig(n_steps=3, batch_size=4, seed=9, hidden=6, emb_dim=4,
+                          learning_rate=1e-2, adaptive_weighting=adaptive)
+        result = train(ds, cfg)
+        # One call a step, and the last step's batch once more after its update.
+        assert len(calls) == len(grads) + 1 == cfg.n_steps + 1
+        for i, (param_sets, feats, w_feats, x0) in enumerate(calls[:-1]):
+            net = replace(result.denoiser, params=param_sets[0])
+            w_net = None
+            if adaptive:
+                w_net = AdaptiveWeight(rng=np.random.default_rng(0))
+                w_net.params = param_sets[1]
+
+            def loss():
+                return objective(net, w_net, feats, w_feats, x0)[0]
+
+            assert loss() == result.loss_trace[i]
+            fd = _fd_gradients(loss, param_sets)
+            want = np.concatenate([v.ravel() for params in fd for v in params.values()])
+            np.testing.assert_allclose(grads[i], want, rtol=1e-4, atol=1e-8)
 
     def test_weight_net_frozen_without_adaptive_weighting(self):
         """With adaptive weighting off, the weight net keeps its initial draw:
