@@ -13,16 +13,19 @@ and one-point and over one and two rows through a loaded MLP of perfbench's
 size (hidden 128, emb 32, whose products take other BLAS kernels); the
 checkpoint and sidecar fields load_checkpoint and load_dataset reject;
 predict and bound steps; the step functions; training runs (loss trace,
-final, EMA and weight-net parameters, and the caller's generator state) and
-AdamW steps on a fixed vector;
+final, EMA and weight-net parameters) and AdamW steps on a fixed vector;
 datasets (generated, saved and loaded back, with and without their sidecar)
 and their Monte-Carlo variance; rejected calls; and the bytes of the files
 that `rgflow` subcommands write, run in process through rgflow.cli.main.
-`compare` prints the entries that differ, or that one dump lacks, and their
-count.
+Its ENVIRONMENT entry records numpy's version, its BLAS build and the
+OpenBLAS kernel picked for this CPU: the MLP passes and training runs are
+bitwise reproducible on one kernel only, so dumps from two kernels differ
+there.  `compare` prints the entries that differ, or that one dump lacks, and
+their count, after a first line naming the two kernels when they differ.
 """
 
 import contextlib
+import ctypes
 import io
 import json
 import math
@@ -46,6 +49,26 @@ GRID = {"etas": (0.0, 0.5, 1.0), "n_steps": (1, 2, 10, 15), "rows": (1, 257, 258
         "sigma_ds": (1.0, 0.7), "samplers": SAMPLERS, "train_steps": (1, 63, 65, 300)}
 QUICK = {"etas": (0.0, 0.5), "n_steps": (1, 10), "rows": (1, 258), "sigma_ds": (1.0, 0.7),
          "samplers": ("elliptical", "lognorm2"), "train_steps": (1, 65)}
+
+
+ENVIRONMENT = "environment"
+
+
+def environment() -> dict:
+    """numpy's version, its BLAS build, and the kernel its bundled OpenBLAS
+    picked (scipy_openblas_get_corename64_; None without that symbol)."""
+    from numpy._core import _multiarray_umath
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except AttributeError:
+        kernel = None
+    else:
+        corename.restype = ctypes.c_char_p
+        kernel = corename().decode()
+    return {"numpy": np.__version__, "kernel": kernel,
+            "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")}}
 
 
 def _value(fn):
@@ -76,7 +99,7 @@ def dump(src, out=None, quick: bool = False) -> dict:
     grid = QUICK if quick else GRID
     x1 = np.random.default_rng(11).normal(size=(max(grid["rows"]), 2))
     vecs = np.random.default_rng(13).normal(size=(4, 5, 2))
-    entries = {}
+    entries = {ENVIRONMENT: environment()}
 
     def put(name, fn):
         entries[name] = _value(fn)
@@ -224,14 +247,12 @@ def _train_entries(rg, put, grid) -> None:
 
     def run(tag, ds, **kw):
         cfg = rg.TrainConfig(**{"seed": 5, "hidden": 16, "emb_dim": 8, "ema_decay": 0.9, **kw})
-        rng = np.random.default_rng(21)
-        res = rg.train(ds, cfg, rng=rng)
+        res = rg.train(ds, cfg)
         for part, net in (("params", res.denoiser), ("ema", res.ema_denoiser),
                           ("weight_net", res.weight_net)):
             put(f"train {tag} {part}",
                 lambda: np.concatenate([p.ravel() for p in net.params.values()]))
         put(f"train {tag} trace", lambda: res.loss_trace)
-        put(f"train {tag} rng", lambda: repr(rng.bit_generator.state))
 
     def pairs(sd, dim):
         return rg.make_gaussian_pairs(0.6, 400, sigma_d=sd, seed=3, dim=dim)
@@ -245,6 +266,8 @@ def _train_entries(rg, put, grid) -> None:
         run(f"steps={n}", pairs(1.0, 2), n_steps=n)
     run("dim=1", pairs(0.7, 1), n_steps=65, time_sampler=rg.make_time_sampler("lognorm2"))
     run("batch=1500", pairs(1.0, 2), n_steps=3, batch_size=1500)
+    # The S-curve settings are spelled out here and below, so that a tree
+    # with other defaults draws the same data.
     scurve = rg.make_scurve_dataset(2000, jitter=0.05, strength=1.0, noise=0.25, seed=1)
     run("perfbench", scurve, n_steps=50, seed=1, hidden=128, emb_dim=32, ema_decay=0.9999)
 
@@ -257,17 +280,17 @@ def _train_entries(rg, put, grid) -> None:
 
 
 def _adamw_entry(rg, put) -> None:
-    """A fixed vector after 60 AdamW steps at the default settings, so that
+    """A fixed vector after 60 AdamW steps at TrainConfig's settings, so that
     the optimizer's rounding is pinned apart from the training runs."""
     rng = np.random.default_rng(17)
     params = rng.normal(size=1000)
-    opt = rg.AdamW()
+    settings = {"lr": 1e-4, "weight_decay": 1e-2}
+    opt = rg.AdamW(**settings)
     for _ in range(60):
         opt.step(params, rng.normal(size=params.size))
     put("adamw", lambda: params)
-    for name, kw in (("lr nan", {"lr": math.nan}), ("beta1=1", {"betas": (1.0, 0.999)}),
-                     ("eps=0", {"eps": 0.0}), ("weight_decay<0", {"weight_decay": -1.0})):
-        put(f"reject adamw {name}", lambda: rg.AdamW(**kw))
+    for name, kw in (("lr nan", {"lr": math.nan}), ("weight_decay<0", {"weight_decay": -1.0})):
+        put(f"reject adamw {name}", lambda: rg.AdamW(**{**settings, **kw}))
 
 
 def _dataset_entries(rg, put) -> None:
@@ -433,9 +456,14 @@ CLI_RUNS = {
     "sweep model held-out": (["sweep", "--data", "held.csv", "--model", "ck.json",
                               "--deltas", "0,pi/8", "--etas", "0,1", "--nfes", "1,2",
                               "--out", "sweep_h.csv"], ["sweep_h.csv"]),
-    # A UTF-8 byte-order mark before the header hides no x1_ column.
+    # A UTF-8 byte-order mark before the header hides no x1_ column, and one
+    # before a checkpoint or a config is not part of its JSON.
     "restore oracle bom": (["restore", "--oracle", "gaussian", "--rho", "0.5", "--mode", "disi-r",
                             "--input", "bom.csv", "--out", "bom_r.csv"], ["bom_r.csv"]),
+    "restore bom checkpoint": (["restore", "--model", "bom_ck.json", "--mode", "disi-r",
+                                "--input", "bom.csv", "--out", "bom_ck.csv"], ["bom_ck.csv"]),
+    "train bom config": (["train", "--config", "bom_conf.json", "--out", "bom_t.json"],
+                         ["bom_t.json"]),
     "sweep delta=0": (["sweep", "--data", "data.csv", "--oracle", "gaussian", "--deltas", "0",
                        "--nfes", "1,2", "--out", "sweep_0.csv"], ["sweep_0.csv"]),
     "reject traj elliptical --p": (["traj", "--kind", "elliptical", "--p", "3", "--steps", "5",
@@ -468,8 +496,10 @@ CLI_CONFIGS = {
 
 def _cli_entries(entries: dict) -> None:
     """Each of CLI_RUNS, in order, in one scratch directory: the bytes of
-    each file it writes, and its exit code (argparse's, for an option it
+    each file it writes (None if it wrote none, as a tree that rejects the
+    run does), and its exit code (argparse's, for an option it
     rejects), stdout and stderr."""
+    import rgflow
     from rgflow import MlpDenoiser, make_scurve_dataset, save_checkpoint, save_dataset
     from rgflow.cli import main
     from rgflow.toydata import write_csv
@@ -486,7 +516,12 @@ def _cli_entries(entries: dict) -> None:
             huge.params.update(W2=np.zeros((8, 8)), b2=np.ones(8), W3=np.full((8, 2), 1e308))
             save_checkpoint("huge.json", huge, rho=0.5)
             write_csv("points.csv", ["x_1", "x_2"], np.random.default_rng(6).normal(size=(600, 2)))
-            Path("bom.csv").write_bytes(b"\xef\xbb\xbfx1_1,x1_2\n0.5,-1.25\n2.0,0.75\n")
+            bom = b"\xef\xbb\xbf"
+            Path("bom.csv").write_bytes(bom + b"x1_1,x1_2\n0.5,-1.25\n2.0,0.75\n")
+            save_checkpoint("bom_ck.json", _mlp(rgflow, 1.0, hidden=8, emb_dim=4), rho=0.5)
+            Path("bom_ck.json").write_bytes(bom + Path("bom_ck.json").read_bytes())
+            Path("bom_conf.json").write_bytes(
+                bom + json.dumps({"n": 50, "steps": 2, "hidden": 4, "emb_dim": 2}).encode())
             # Drawn as conf.json's training set, from another seed.
             save_dataset(make_scurve_dataset(300, jitter=0.05, strength=0.8, noise=0.25, seed=9),
                          "held.csv")
@@ -499,7 +534,8 @@ def _cli_entries(entries: dict) -> None:
                         code = exc.code
                 entries[f"cli {name}"] = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
                 for file in files:
-                    entries[f"cli {name} {file}"] = Path(file).read_bytes()
+                    path = Path(file)
+                    entries[f"cli {name} {file}"] = path.read_bytes() if path.exists() else None
         finally:
             os.chdir(home)
 
@@ -516,6 +552,11 @@ def main(argv=None) -> int:
         return 0
     if argv[:1] == ["compare"] and len(argv) == 3:
         a, b = (pickle.loads(Path(p).read_bytes()) for p in argv[1:])
+        kernels = [d.get(ENVIRONMENT, {}).get("kernel") for d in (a, b)]
+        if kernels[0] != kernels[1]:
+            # The environment entry then differs too, so the dumps never agree.
+            print(f"kernel mismatch: {kernels[0]} vs {kernels[1]}; MLP passes and training "
+                  "runs are bitwise reproducible on one BLAS kernel only")
         names = compare(a, b)
         for name in names:
             print(f"differs: {name}")

@@ -106,7 +106,7 @@ def _perfbench_shapes() -> None:
     from rgflow.schedule import GvpSchedule
     from rgflow.trajectory import Elliptical, Regression
 
-    ds = toydata.make_scurve_dataset(600, seed=1, jitter=0.05, strength=1.0, noise=0.25)
+    ds = toydata.make_scurve_dataset(600, seed=1)
     toydata.save_dataset(ds, "bench.csv")
     holdout = toydata.load_dataset("bench.csv")
     result = training.train(ds, training.TrainConfig(n_steps=50, ema_decay=0.99, seed=1))

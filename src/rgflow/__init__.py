@@ -20,7 +20,6 @@ _EXPORTS = {
     "process": "empirical_variance forward_state interpolate sample_noise",
     "sampler": "SamplerConfig boot_step hybrid_step kappa regression_step restore restore_batch",
     "schedule": "CoeffDerivs CoeffSet GvpSchedule",
-    "sweep": "run_sweep",
     "toydata": "ToyDataset degrade energy_distance estimate_rho load_dataset make_gaussian_pairs "
                "make_scurve make_scurve_dataset mse save_dataset standardize",
     "training": "AdaptiveWeight AdamW EllipticalSpecialist LinearSpecialist LogitNormalSampler "
@@ -29,7 +28,7 @@ _EXPORTS = {
                   "make_trajectory",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = {*_EXPORTS, "cli", "verify"}
+_SUBMODULES = {*_EXPORTS, "cli", "sweep", "verify"}
 
 __all__ = list(_HOME)
 __version__ = "0.1.0"

@@ -145,11 +145,11 @@ def _cmd_bench(args) -> int:
 # key: the data kind that alone reads it (None: every run does), the keyword
 # it sets (a TrainConfig field, that data kind's generator's keyword, or None
 # for a setting read by name), its JSON type (a bool flag takes 0 or 1) and
-# the data set's default.
+# its default (None: the keyword is not passed, so its owner's default holds).
 _TRAIN_SETTINGS = {
     "data": (None, None, str, "scurve"), "n": (None, None, int, 2000),
-    "jitter": ("scurve", "jitter", float, 0.05), "strength": ("scurve", "strength", float, 1.0),
-    "noise": ("scurve", "noise", float, 0.25),
+    "jitter": ("scurve", "jitter", float, None), "strength": ("scurve", "strength", float, None),
+    "noise": ("scurve", "noise", float, None),
     "gaussian_rho": ("gaussian", "rho", float, 0.5), "dim": ("gaussian", "dim", int, 2),
     "sigma_d": (None, None, float, 1.0),
     "time_sampler": (None, "time_sampler", str, None), "batch": (None, "batch_size", int, None),
@@ -197,7 +197,8 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"unknown --data {data!r}; expected scurve or gaussian")
     for key, (reader, field, _, _) in _TRAIN_SETTINGS.items():
         if reader == data:
-            settings[field] = pick(key)
+            if (value := pick(key)) is not None:
+                settings[field] = value
         elif reader is not None and getattr(args, key) is not None:
             raise ConfigError(f"--{key.replace('_', '-')} is not read on {data} data")
         elif reader is not None and key in conf:

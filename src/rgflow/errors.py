@@ -85,9 +85,10 @@ def json_field(doc: dict, key: str, kind: type, owner: str, error: type[RgflowEr
 
 def read_json_object(path, name: str, error: type[RgflowError]) -> dict:
     """The JSON object in the file at `path`, else `error` naming `name` for
-    text that is not UTF-8 JSON, nested too deep to parse, or not an object."""
+    text that is not UTF-8 JSON, nested too deep to parse, or not an object.
+    A leading UTF-8 byte-order mark is dropped, as read_matrix drops it."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:
         raise error(f"{name} is not JSON: {exc}") from None
     return json_typed(doc, dict, name, error)

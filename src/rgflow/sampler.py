@@ -12,13 +12,9 @@ denoiser prediction across the step, so large steps stay accurate.  eta runs
 from deterministic (eta = 0, kappa = 0) to fully stochastic (eta = 1,
 k^s = 1, kappa = sin g2 - sin g1).  Only at eta = 0 does the endpoint law
 converge to the target as NFE grows; for eta > 0 each step's injected
-variance shrinks as O(h^2).  For Gaussian pairs at rho = 0.5 on the
-elliptical path at delta = pi/4, the endpoint variance given x1 (target 0.75)
-at NFE 10/100/1000/4000 is exactly 0.534/0.727/0.748/0.7494 at eta 0,
-2.005/0.864/0.247/0.179 at eta 0.5 and 0.554/0.058/0.006/0.0015 at eta 1;
-restore_batch (20 000 items, seed 3) samples 0.724, 0.867 and 0.058 at NFE
-100 for eta 0, 0.5 and 1, and 0.554 at eta 1 and NFE 10.  From g1 = 0, where k diverges, only the
-eta = 1 step (boot_step) is defined; along g = 0 it is the regression update,
+variance shrinks as O(h^2).  The README tabulates the endpoint variance on
+a Gaussian oracle by eta and NFE, exact and sampled.  From g1 = 0, where k
+diverges, only the eta = 1 step (boot_step) is defined; along g = 0 it is the regression update,
 k^s = 1 and kappa = 0.  _fold reduces a step to its four scalars and _update
 applies them, for every step kind.
 

@@ -8,9 +8,8 @@ valid plan.  The lifted NFE = 1 cell runs at eta = 1 only: one boot step
 from (phi, 0) straight to the clean end, the regression update, so its
 metrics equal the delta = 0 NFE = 1 row's bit for bit.
 
-For eta > 0 the endpoint law does not converge to the target as NFE grows:
-at rho = 0.5 and delta = pi/4 its variance (target 0.75) reads 0.727 at
-eta 0 but 0.058 at eta 1 for NFE 100 (figures in the sampler docstring).
+For eta > 0 the endpoint law does not converge to the target as NFE grows
+(the README tabulates its variance by eta and NFE).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ SWEEP_FIELDS = ("delta", "eta", "nfe", "mse", "energy_distance")
 
 
 def sweep_cells(
-    sched: GvpSchedule, deltas=(0.0,), etas=(0.0, 1.0), nfes=(1, 2, 5), seed: int = 0,
+    sched: GvpSchedule, deltas, etas, nfes, seed: int = 0,
     boot_epsilon: float = SamplerConfig.boot_epsilon,
 ) -> list[tuple[dict, SamplerConfig]]:
     """Each (delta, eta, NFE) cell's row and configuration.  A delta that
@@ -74,7 +73,3 @@ def cell_plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan | None:
             raise  # not the documented NA cell
         return None
 
-
-def run_sweep(sched: GvpSchedule, denoiser, x0, x1, *grid, **settings) -> list[dict]:
-    """Every cell's row: run_cells over sweep_cells(sched, *grid, **settings)."""
-    return run_cells(sched, denoiser, x0, x1, sweep_cells(sched, *grid, **settings))

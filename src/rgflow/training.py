@@ -127,9 +127,8 @@ class AdaptiveWeight:
     Output layer starts at zero, so training begins with plain squared error.
     """
 
-    def __init__(self, emb_dim: int = 16, hidden: int = 32, rng=None) -> None:
+    def __init__(self, rng: np.random.Generator, emb_dim: int = 16, hidden: int = 32) -> None:
         _check_sizes(emb_dim, hidden)
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.emb_dim = emb_dim
         self.hidden = hidden
         d_in = 2 * emb_dim
@@ -199,31 +198,20 @@ class AdamW:
     which is p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p) with both bias
     corrections folded into the scalars lr_t and eps_t (Kingma & Ba's efficient
     order) and the decay applied as a scale: the same update in exact
-    arithmetic, rounded otherwise.  `step` updates the vector in place.  Its
-    moments and two scratch buffers are allocated on the first step; every
-    later step runs each operation with `out=` or in place and allocates no
-    array.
+    arithmetic, rounded otherwise.  The betas (0.9, 0.999) and eps 1e-8 are
+    fixed.  `step` updates the vector in place.  Its moments and two scratch
+    buffers are allocated on the first step; every later step runs each
+    operation with `out=` or in place and allocates no array.
     """
 
-    def __init__(
-        self,
-        lr: float = 1e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 1e-2,
-    ) -> None:
-        b1, b2 = betas
+    B1, B2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float, weight_decay: float) -> None:
         if not (math.isfinite(lr) and lr > 0.0):
             raise ConfigError(f"lr must be finite and > 0, got {lr}")
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got {betas}")
-        if not (math.isfinite(eps) and eps > 0.0):
-            raise ConfigError(f"eps must be finite and > 0, got {eps}")
         if not (math.isfinite(weight_decay) and weight_decay >= 0.0):
             raise ConfigError(f"weight_decay must be finite and >= 0, got {weight_decay}")
         self.lr = lr
-        self.b1, self.b2 = b1, b2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m: np.ndarray | None = None
@@ -236,7 +224,7 @@ class AdamW:
             self.m, self.v = np.zeros_like(params), np.zeros_like(params)
             self._s1, self._s2 = np.empty_like(params), np.empty_like(params)
         self.t += 1
-        b1, b2 = self.b1, self.b2
+        b1, b2 = self.B1, self.B2
         m, v, s1, s2 = self.m, self.v, self._s1, self._s2
         # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
         m *= b1
@@ -249,7 +237,7 @@ class AdamW:
         # p = (1 - lr wd) p - lr_t m / (sqrt(v) + eps_t)
         root_c2 = math.sqrt(1.0 - b2**self.t)
         np.sqrt(v, out=s2)
-        s2 += self.eps * root_c2
+        s2 += self.EPS * root_c2
         np.divide(m, s2, out=s1)
         s1 *= self.lr * root_c2 / (1.0 - b1**self.t)
         params *= 1.0 - self.lr * self.weight_decay
@@ -316,27 +304,21 @@ class TrainResult:
 _CHUNK_ROWS = 1024
 
 
-def train(
-    dataset: ToyDataset, cfg: TrainConfig, rng: np.random.Generator | None = None
-) -> TrainResult:
+def train(dataset: ToyDataset, cfg: TrainConfig) -> TrainResult:
     """Fit an MlpDenoiser (and weight net) on a standardized pair dataset.
 
     The schedule is GvpSchedule(dataset.rho_hat, dataset.sigma_d).
     Identical cfg.seed and dataset give bitwise-identical loss traces, and
     the trace of an n-step run is the first n entries of a longer one.
 
-    `rng` (default: default_rng(cfg.seed)) draws the initial weights, then
-    per step, in order, the pair indices, the times (one sample_batch call)
-    and the noise.  The steps run in chunks of about _CHUNK_ROWS rows whose
-    draws are all made before the chunk's first step, so a completed run
-    leaves `rng` as a step-by-step run would, while a NonFiniteLoss may leave
-    it advanced up to the end of the failing chunk.  Each step's loss is
-    checked before its update, and the last update by the loss of its batch
-    once more, so that no run returns weights whose loss is not finite.
+    default_rng(cfg.seed) draws the initial weights (the denoiser's, then the
+    weight net's), then per step, in order, the pair indices, the times (one
+    sample_batch call) and the noise.  Each step's loss is checked before its
+    update, and the last update by the loss of its batch once more, so that
+    no run returns weights whose loss is not finite.
     """
     schedule = GvpSchedule(rho=dataset.rho_hat, sigma_d=dataset.sigma_d)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
 
     x0_all, x1_all = dataset.x0, dataset.x1
     n_pairs, dim = x0_all.shape
@@ -346,7 +328,7 @@ def train(
         dim=dim, hidden=cfg.hidden, emb_dim=cfg.emb_dim, sigma_d=sd, params={}
     )
     net.reinit(rng)
-    weight_net = AdaptiveWeight(rng=rng)
+    weight_net = AdaptiveWeight(rng)
     # One flat vector holds the denoiser's parameters, then the weight net's;
     # the params dicts become views into it.  The backward passes write each
     # gradient into the same place of a flat buffer laid out alike.  Without
@@ -359,7 +341,7 @@ def train(
     adaptive = cfg.adaptive_weighting
     opt_params = flat if adaptive else net_flat
     opt_grad = grad if adaptive else grad[: ema.size]
-    opt = AdamW(cfg.learning_rate, weight_decay=cfg.weight_decay)
+    opt = AdamW(cfg.learning_rate, cfg.weight_decay)
 
     trace = np.empty(cfg.n_steps)
     batch, sampler, phi, decay = cfg.batch_size, cfg.time_sampler, schedule.phi, cfg.ema_decay

@@ -24,7 +24,7 @@ from .dynamics import euler_integrate
 from .process import empirical_variance, interpolate
 from .sampler import SamplerConfig, _restore_fixed, hybrid_step, kappa, restore, restore_batch
 from .schedule import _HALF_PI, GvpSchedule
-from .sweep import run_sweep
+from .sweep import run_cells, sweep_cells
 from .toydata import energy_distance, make_gaussian_pairs, make_scurve_dataset, mse
 from .training import (
     AdaptiveWeight,
@@ -291,7 +291,7 @@ def check_gradient_correctness() -> CheckResult:
         sd = (1.0, 0.7)[trial % 2]
         net = MlpDenoiser(dim=2, hidden=12, emb_dim=8, sigma_d=sd, params={})
         net.reinit(rng)
-        w_net = AdaptiveWeight(emb_dim=4, hidden=6, rng=rng) if trial % 4 < 2 else None
+        w_net = AdaptiveWeight(rng, emb_dim=4, hidden=6) if trial % 4 < 2 else None
         nets = [net] if w_net is None else [net, w_net]
         # Random weights in every layer: the zero-init biases and output
         # layers are for training starts, while the gradient field must be
@@ -329,12 +329,12 @@ def check_training_progress() -> CheckResult:
     """20k-step S-curve training beats the identity baseline on both the
     fidelity (one-step MSE) and distribution (energy distance) axes.
 
-    The degradation (shear 1.0, noise 0.25, rho_hat ~ 0.63) is strong enough
-    that the degraded cloud is distributionally distinct from the clean one,
-    so the energy-distance comparison is meaningful.
+    The S-curve task's degradation (make_scurve_dataset's defaults) is strong
+    enough that the degraded cloud is distributionally distinct from the
+    clean one, so the energy-distance comparison is meaningful.
     """
-    ds = make_scurve_dataset(2000, jitter=0.05, strength=1.0, noise=0.25, seed=1)
-    holdout = make_scurve_dataset(2000, jitter=0.05, strength=1.0, noise=0.25, seed=101)
+    ds = make_scurve_dataset(2000, seed=1)
+    holdout = make_scurve_dataset(2000, seed=101)
     cfg = TrainConfig(n_steps=20_000, seed=3)
     result = train(ds, cfg)
     sched = GvpSchedule(rho=ds.rho_hat, sigma_d=ds.sigma_d)
@@ -380,7 +380,7 @@ def check_sweep_structure() -> CheckResult:
     deltas = (0.0, math.pi / 8.0, math.pi / 4.0, _HALF_PI)
     etas = (0.0, 0.2, 0.5, 1.0)
     nfes = (1, 2, 5, 15, 50)
-    rows = run_sweep(sched, den, x0, x1, deltas, etas, nfes, seed=13)
+    rows = run_cells(sched, den, x0, x1, sweep_cells(sched, deltas, etas, nfes, seed=13))
 
     problems = []
 

@@ -189,6 +189,18 @@ class TestTrainCli:
         header, rows = read_csv(trace)
         assert header == ["step", "loss"] and len(rows) == 50
 
+    def test_scurve_data_is_the_task(self, tmp_path):
+        """`rgflow train` draws make_scurve_dataset's defaults, the one
+        S-curve task, and a setting given overrides only itself."""
+        for flags, settings in (([], {}), (["--noise", "0.5"], {"noise": 0.5})):
+            data = tmp_path / "d.csv"
+            assert run("train", "--n", "50", "--steps", "1", "--hidden", "4", "--emb-dim", "2",
+                       "--seed", "3", *flags, "--save-data", data,
+                       "--out", tmp_path / "ck.json") == 0
+            ds, want = rgflow.load_dataset(data), rgflow.make_scurve_dataset(50, seed=3, **settings)
+            assert ds.provenance == want.provenance
+            assert ds.x0.tobytes() == want.x0.tobytes() and ds.x1.tobytes() == want.x1.tobytes()
+
     def test_config_file_with_flag_override(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"data": "gaussian", "dim": 1, "n": 100,
@@ -356,6 +368,16 @@ class TestTrainConfigTypes:
         conf = tmp_path / "conf.json"
         conf.write_bytes(b"\xff\xfe\x00{")
         assert_rejected(capsys, tmp_path / "ck.json", "train", "--config", conf)
+
+    def test_byte_order_mark_is_not_part_of_the_json(self, tmp_path):
+        """A config that starts with a UTF-8 byte-order mark trains as the
+        same config without it does."""
+        text = json.dumps(self.SMALL).encode()
+        for name, raw in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            conf = tmp_path / f"{name}.json"
+            conf.write_bytes(raw)
+            assert run("train", "--config", conf, "--out", tmp_path / f"{name}_ck.json") == 0
+        assert (tmp_path / "bom_ck.json").read_bytes() == (tmp_path / "plain_ck.json").read_bytes()
 
     def test_values_of_their_type_are_used(self, tmp_path, monkeypatch):
         """An integer in a float field is read as that number, a JSON false
@@ -1064,7 +1086,7 @@ def _cli_run(*argv, status: int = 0) -> str:
 
 
 # The names `rgflow` exported when it imported every submodule eagerly, less
-# path_continuity_order and mlp_backward, which are gone.
+# path_continuity_order, mlp_backward and run_sweep, which are gone.
 PARENT_EXPORTS = """
     AdamW AdaptiveWeight CheatDenoiser Checkpoint CoeffDerivs CoeffSet ConfigError
     DimensionMismatch DomainError Elliptical EllipticalSpecialist EmptyDataset
@@ -1075,7 +1097,7 @@ PARENT_EXPORTS = """
     empirical_variance energy_distance estimate_rho euler_integrate forward_state
     hybrid_step interpolate kappa load_checkpoint load_dataset make_gaussian_pairs
     make_scurve make_scurve_dataset make_time_sampler make_trajectory mse
-    regression_step restore restore_batch run_sweep sample_noise
+    regression_step restore restore_batch sample_noise
     save_checkpoint save_dataset standardize time_embed train velocities velocity_r
 """.split()
 
@@ -1148,7 +1170,7 @@ class TestImport:
         assert "rgflow.training" in trained and "rgflow.sampler" not in trained
 
     def test_submodules_resolve_after_bare_import(self):
-        code = ("import rgflow; assert rgflow.sweep.run_sweep is rgflow.run_sweep; "
+        code = ("import rgflow; assert rgflow.sweep.run_cells and rgflow.sweep.sweep_cells; "
                 "assert rgflow.cli.main and rgflow.verify.run_checks")
         assert {"rgflow.sweep", "rgflow.cli", "rgflow.verify"} <= _modules_after(code)
 
@@ -1280,7 +1302,7 @@ class TestScipyUfuncs:
 class TestExports:
     def test_every_parent_name_is_its_modules_object(self):
         assert sorted(rgflow.__all__) == sorted(PARENT_EXPORTS)
-        assert len(set(PARENT_EXPORTS)) == 66
+        assert len(set(PARENT_EXPORTS)) == 65
         for name in rgflow.__all__:
             value = getattr(rgflow, name)
             assert getattr(sys.modules[value.__module__], name) is value, name

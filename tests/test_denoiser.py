@@ -1046,6 +1046,22 @@ class TestCheckpoint:
             with pytest.raises(DomainError):
                 load_checkpoint(path)
 
+    def test_byte_order_mark_is_not_part_of_the_json(self, tmp_path):
+        """A UTF-8 byte-order mark before a checkpoint loads as the same
+        checkpoint; bytes that are not UTF-8 are still a DomainError."""
+        rng = np.random.default_rng(10)
+        net = MlpDenoiser(dim=2, hidden=4, emb_dim=4, params={})
+        net.reinit(rng)
+        plain, bom, again = tmp_path / "plain.json", tmp_path / "bom.json", tmp_path / "again.json"
+        save_checkpoint(plain, net, rho=0.3)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        ck = load_checkpoint(bom)
+        save_checkpoint(again, ck.net, rho=ck.rho)
+        assert again.read_bytes() == plain.read_bytes()
+        bom.write_bytes(b"\xff" + plain.read_bytes())
+        with pytest.raises(DomainError, match="is not JSON"):
+            load_checkpoint(bom)
+
     def test_ema_optional(self, tmp_path):
         net = MlpDenoiser(dim=1, hidden=4, emb_dim=4)
         path = tmp_path / "c.json"

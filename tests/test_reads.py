@@ -24,10 +24,10 @@ from rgflow import (
     make_gaussian_pairs,
     make_trajectory,
     restore_batch,
-    run_sweep,
     sampler,
 )
 from rgflow.cli import main
+from rgflow.sweep import run_cells, sweep_cells
 from rgflow.toydata import write_csv
 from rgflow.trajectory import TRAJECTORY_KINDS
 
@@ -154,8 +154,9 @@ def test_lifted_one_step_cell_equals_the_regression_row(oracle):
     energy distance equal the delta = 0 row's bit for bit, at every delta."""
     ds = make_gaussian_pairs(0.5, 64, seed=77, dim=2)
     den = GaussianOracle(rho=0.5) if oracle == "gaussian" else CheatDenoiser(ds.x0)
-    rows = run_sweep(SCHED, den, ds.x0, ds.x1, (0.0, math.pi / 8, math.pi / 4, HALF_PI),
-                     (0.0, 1.0), (1,), seed=13)
+    cells = sweep_cells(SCHED, (0.0, math.pi / 8, math.pi / 4, HALF_PI), (0.0, 1.0), (1,),
+                        seed=13)
+    rows = run_cells(SCHED, den, ds.x0, ds.x1, cells)
     run = [(r["mse"], r["energy_distance"]) for r in rows if r["mse"] != "NA"]
     assert [r["eta"] for r in rows if r["mse"] != "NA"] == ["NA", 1.0, 1.0, 1.0]
     assert len(set(run)) == 1

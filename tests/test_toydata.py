@@ -21,6 +21,7 @@ from rgflow import (
     save_dataset,
     standardize,
 )
+from rgflow.toydata import sidecar_path
 
 
 class TestScurve:
@@ -67,13 +68,13 @@ class TestStandardize:
 class TestDegrade:
     def test_identity_degradation_keeps_pairing(self):
         clean = make_scurve(200, jitter=0.05, seed=2)
-        out = degrade(clean, strength=0.0, noise=0.0, seed=0)
+        out = degrade(clean, strength=0.0, noise=0.0, seed=0, sigma_d=1.0)
         assert np.array_equal(out, clean)
         assert estimate_rho(clean, out) == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_degradation_correlation(self):
         clean = make_scurve(5000, jitter=0.05, seed=2)
-        out = degrade(clean, strength=0.5, noise=0.1, seed=4)
+        out = degrade(clean, strength=0.5, noise=0.1, seed=4, sigma_d=1.0)
         rho = estimate_rho(clean, out)
         assert 0.0 < rho < 1.0
 
@@ -85,9 +86,9 @@ class TestDegrade:
     def test_validation(self):
         clean = make_scurve(50, seed=1)
         with pytest.raises(DomainError):
-            degrade(clean, strength=-1.0)
+            degrade(clean, strength=-1.0, noise=0.1, seed=0, sigma_d=1.0)
         with pytest.raises(DimensionMismatch):
-            degrade(np.zeros((10, 3)))
+            degrade(np.zeros((10, 3)), strength=0.5, noise=0.1, seed=0, sigma_d=1.0)
 
 
 class TestGaussianPairs:
@@ -115,7 +116,7 @@ def test_bad_seed_is_config_error(seed):
     clean = make_scurve(10, seed=0)
     for make in (
         lambda: make_scurve(10, seed=seed),
-        lambda: degrade(clean, seed=seed),
+        lambda: degrade(clean, strength=0.5, noise=0.1, seed=seed, sigma_d=1.0),
         lambda: make_gaussian_pairs(0.5, 10, seed=seed),
         lambda: make_scurve_dataset(10, seed=seed),
     ):
@@ -230,6 +231,15 @@ class TestScurveDataset:
         assert ds.provenance["seed"] == 5
         assert 0.0 < ds.rho_hat < 1.0
 
+    def test_defaults_are_the_task(self):
+        """The defaults are the one S-curve task: jitter 0.05, then a shear
+        of strength 1.0 plus noise 0.25."""
+        ds = make_scurve_dataset(100, seed=5)
+        want = make_scurve_dataset(100, jitter=0.05, strength=1.0, noise=0.25, sigma_d=1.0,
+                                   seed=5)
+        assert ds.provenance == want.provenance
+        assert ds.x0.tobytes() == want.x0.tobytes() and ds.x1.tobytes() == want.x1.tobytes()
+
 
 class TestDatasetIO:
     def test_roundtrip_with_sidecar(self, tmp_path):
@@ -265,6 +275,22 @@ class TestDatasetIO:
             assert back.x0.tobytes() == ds.x0.tobytes()
             assert back.x1.tobytes() == ds.x1.tobytes()
         assert load_dataset(bom).rho_hat == load_dataset(plain).rho_hat
+
+    def test_sidecar_byte_order_mark_is_not_part_of_the_json(self, tmp_path):
+        """A UTF-8 byte-order mark before a sidecar loads as the same
+        sidecar; bytes that are not UTF-8 are still a DomainError."""
+        ds = make_gaussian_pairs(0.5, 30, seed=2, dim=2)
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        meta = sidecar_path(path)
+        text = meta.read_bytes()
+        meta.write_bytes(b"\xef\xbb\xbf" + text)
+        back = load_dataset(path)
+        assert (back.sigma_d, back.rho_hat, back.provenance) == (
+            ds.sigma_d, ds.rho_hat, ds.provenance)
+        meta.write_bytes(b"\xff" + text)
+        with pytest.raises(DomainError, match="is not JSON"):
+            load_dataset(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -27,6 +27,7 @@ from rgflow import (
     SamplerConfig,
     TrainConfig,
     UniformSampler,
+    forward_state,
     make_gaussian_pairs,
     make_time_sampler,
     mse,
@@ -266,20 +267,19 @@ class TestAdamW:
     @settings(max_examples=30, deadline=None)
     @given(
         lr=st.floats(1e-6, 0.1),
-        b1=st.floats(0.0, 0.99),
-        b2=st.floats(0.9, 0.9999),
-        eps=st.floats(1e-12, 1e-3),
         wd=st.floats(0.0, 0.1),
         grad_scale=st.floats(1e-4, 1e4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_step_agrees_with_textbook_formula(self, lr, b1, b2, eps, wd, grad_scale, seed):
+    def test_step_agrees_with_textbook_formula(self, lr, wd, grad_scale, seed):
         """Over 200 steps the folded update stays within rounding of
-        p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)."""
+        p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p), at the fixed betas
+        (0.9, 0.999) and eps 1e-8."""
+        b1, b2, eps = 0.9, 0.999, 1e-8
         rng = np.random.default_rng(seed)
         flat = rng.normal(size=64)
         ref, m, v = flat.copy(), np.zeros(64), np.zeros(64)
-        opt = AdamW(lr, (b1, b2), eps, wd)
+        opt = AdamW(lr, wd)
         for t in range(1, 201):
             grads = grad_scale * rng.normal(size=64)
             m = b1 * m + (1.0 - b1) * grads
@@ -295,7 +295,7 @@ class TestAdamW:
         rng = np.random.default_rng(1)
         params = rng.normal(size=25_602)
         grads = rng.normal(size=params.size)
-        opt = AdamW()
+        opt = AdamW(1e-4, 1e-2)
         opt.step(params, grads)
         tracemalloc.start()
         try:
@@ -309,27 +309,15 @@ class TestAdamW:
 
     BAD_SETTINGS = {
         "lr=0": ("lr", 0.0), "lr<0": ("lr", -1e-3), "lr=nan": ("lr", math.nan),
-        "lr=inf": ("lr", math.inf), "beta1=1": ("betas", (1.0, 0.999)),
-        "beta2=1": ("betas", (0.9, 1.0)), "beta1<0": ("betas", (-0.1, 0.999)),
-        "beta2=nan": ("betas", (0.9, math.nan)), "eps=0": ("eps", 0.0),
-        "eps=nan": ("eps", math.nan), "eps=inf": ("eps", math.inf),
-        "wd<0": ("weight_decay", -1e-2), "wd=nan": ("weight_decay", math.nan),
-        "wd=inf": ("weight_decay", math.inf),
+        "lr=inf": ("lr", math.inf), "wd<0": ("weight_decay", -1e-2),
+        "wd=nan": ("weight_decay", math.nan), "wd=inf": ("weight_decay", math.inf),
     }
 
     @pytest.mark.parametrize("name, value", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
     def test_bad_settings_rejected(self, name, value):
-        """Each of these would fill the parameters with NaN or raise
-        ZeroDivisionError at the first step."""
+        """Each of these would fill the parameters with NaN at the first step."""
         with pytest.raises(ConfigError, match=f"^{name} must"):
-            AdamW(**{name: value})
-
-    def test_edge_settings_step_finitely(self):
-        params = np.ones(4)
-        opt = AdamW(betas=(0.0, 0.0), weight_decay=0.0)
-        opt.step(params, np.zeros(4))
-        opt.step(params, np.array([1.0, -1.0, 0.0, 2.0]))
-        assert np.all(np.isfinite(params))
+            AdamW(**{"lr": 1e-4, "weight_decay": 1e-2, name: value})
 
 
 class TestTrainLoop:
@@ -566,11 +554,12 @@ class TestChunkedInputs:
 
     CHUNK = training._CHUNK_ROWS // 16
 
-    @staticmethod
-    def run(n_steps, rng=None, **kw):
-        ds = make_gaussian_pairs(0.5, 300, seed=1, dim=2)
+    DATA = make_gaussian_pairs(0.5, 300, seed=1, dim=2)
+
+    @classmethod
+    def run(cls, n_steps, **kw):
         cfg = TrainConfig(n_steps=n_steps, seed=9, hidden=16, emb_dim=8, **kw)
-        return train(ds, cfg, rng=rng)
+        return train(cls.DATA, cfg)
 
     def test_trace_is_a_prefix_of_a_longer_run(self):
         """The loss trace of an n-step run is bitwise the first n entries of
@@ -579,23 +568,50 @@ class TestChunkedInputs:
         for n in (1, 50, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1):
             assert self.run(n).loss_trace.tobytes() == full[:n].tobytes(), n
 
+    @pytest.mark.parametrize("adaptive", [True, False])
     @pytest.mark.parametrize("sampler", [EllipticalSpecialist(), LogitNormalSampler()])
     @pytest.mark.parametrize("n_steps", [1, CHUNK + 1, 2 * CHUNK])
-    def test_generator_left_as_by_per_step_draws(self, sampler, n_steps):
-        """A completed run leaves the caller's generator in the state of one
-        that drew the initial weights, then each step's pair indices, times
-        and noise, in that order."""
-        rng = np.random.default_rng(3)
-        self.run(n_steps, rng=rng, time_sampler=sampler)
-        ref = np.random.default_rng(3)
-        MlpDenoiser(dim=2, hidden=16, emb_dim=8, params={}).reinit(ref)
-        AdaptiveWeight(rng=ref)
-        phi = GvpSchedule(0.5, 1.0).phi
-        for _ in range(n_steps):
-            ref.integers(0, 300, size=16)
-            sampler.sample_batch(phi, ref, 16)
-            ref.normal(0.0, 1.0, size=(16, 2))
-        assert rng.bit_generator.state == ref.bit_generator.state
+    def test_draws_follow_the_documented_order(self, monkeypatch, n_steps, sampler, adaptive):
+        """default_rng(cfg.seed) draws the denoiser's initial weights, the
+        weight net's (with adaptive weighting off too), then per step the
+        pair indices, the times (one sample_batch call) and the noise: every
+        step's batch, in a short run and on both sides of a chunk's end, is
+        bitwise the one built from those draws, and loss_trace[0] is
+        _objective on the first batch at the initial weights."""
+        seen = []
+        objective = training._objective
+
+        def recorded(net, w_net, feats, w_feats, x0):
+            nets = [net] if w_net is None else [net, w_net]
+            seen.append(([{k: p.copy() for k, p in each.params.items()} for each in nets],
+                         feats.copy(), None if w_feats is None else w_feats.copy(), x0.copy()))
+            return objective(net, w_net, feats, w_feats, x0)
+
+        monkeypatch.setattr(training, "_objective", recorded)
+        result = self.run(n_steps, time_sampler=sampler, adaptive_weighting=adaptive)
+        ds, ref = self.DATA, np.random.default_rng(9)
+        net = MlpDenoiser(dim=2, hidden=16, emb_dim=8, params={})
+        net.reinit(ref)
+        w_net = AdaptiveWeight(ref)
+        w_used = w_net if adaptive else None
+        # Without adaptive weighting the weight net keeps its initial draw.
+        initial = seen[0][0] if adaptive else [seen[0][0][0], result.weight_net.params]
+        for got, want in zip(initial, (net.params, w_net.params), strict=True):
+            assert got.keys() == want.keys()
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        sched = GvpSchedule(ds.rho_hat, ds.sigma_d)
+        for step in range(n_steps):
+            idx = ref.integers(0, len(ds), size=16)
+            times = sampler.sample_batch(sched.phi, ref, 16)
+            r, g = times["r"], times["g"]
+            z = ref.normal(0.0, ds.sigma_d, size=(16, 2))
+            x0, x1 = ds.x0[idx], ds.x1[idx]
+            batch = (net.features(forward_state(sched, x0, x1, z, r, g), x1, r, g),
+                     w_net.features(r, g) if adaptive else None, x0)
+            for got, want in zip(seen[step][1:], batch):
+                assert (got is None) if want is None else got.tobytes() == want.tobytes(), step
+            if step == 0:
+                assert result.loss_trace[0] == objective(net, w_used, *batch)[0]
 
     def test_backward_into_buffers_equals_new_dicts(self):
         """The backward passes give the same gradient bits whether they
