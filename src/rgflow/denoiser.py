@@ -23,8 +23,10 @@ scale folded into the weights, for two or more rows; the two agree to
 
 load_checkpoint returns nets of read-only tensors, so a loaded model cannot
 be changed by an in-place write, and its bind reuses the first-layer rows of
-each time grid it has bound before.  Nets holding writable tensors (every net
-training returns) recompute them at each bind, so in-place updates are seen.
+each time grid it has bound before.  Nets holding writable tensors (every
+net training returns) recompute them at each bind, so in-place updates are
+seen.  A bound vector or one-row step runs as one flat pass over its two
+hidden layers.
 """
 
 from __future__ import annotations
@@ -357,13 +359,15 @@ class MlpDenoiser:
         sequence of scalar (r, g) pairs.
 
         The returned f(x, i) equals predict(x, x1, *times[i]) for a state x
-        shaped like x1.  bind checks x1's width (DimensionMismatch) at once.
-        The weights are read when bind is called, so update params between
-        runs.  The first layer's rows of the grid are kept on the net while
-        params["W1"] and params["b1"] are read-only arrays that own their
-        data, as load_checkpoint gives them, and reused by each later bind
-        over that grid while params holds those same two arrays; writable
-        weights are read afresh at every bind (see _first_rows).
+        shaped like x1, and never writes into x.  bind checks x1's width
+        (DimensionMismatch) at once.  The weights are read when bind is
+        called, so update params between runs.  The first layer's rows of
+        the grid are kept on the net while params["W1"] and params["b1"] are
+        read-only arrays that own their data, as load_checkpoint gives them,
+        and reused by each later bind over that grid while params holds
+        those same two arrays; writable weights are read afresh at every
+        bind (see _first_rows).  Every other weight, and the erf kernel's
+        folded copies, are read or formed at each bind.
 
         When predict has been replaced (a subclass override, or a wrapper
         set on the class or the instance), bind returns None after checking
@@ -407,79 +411,88 @@ class MlpDenoiser:
         layer's rows (_first_rows) of a time grid, for x shaped like x1.
 
         One inference-only pass per step keeps nothing for a backward pass.
-        A 1-D state runs as a vector, each product a gemv, with no reshape to
-        a one-row batch; a batch's rows run in the blocks of _row_blocks, so
-        that its activations stay cache-sized.
-
         The GELU takes one of two kernels, chosen from x1's shape.  A vector
         or a one-row batch runs z = z * Phi(z) with ndtr, as training does,
-        so that a one-point restore equals its one-row batch bit for bit.
-        Two or more rows run GELU(z) = z (1 + erf(z / sqrt 2)) / 2 on
-        pre-activations scaled by C = 1/sqrt 2, with every scale folded into
-        the weights at bind time: for z' = C z the layer's output is
-        C z' (1 + erf(z')), so C goes into W1's x, x1 and time blocks, C into
-        b2, C^2 = 1/2 into W2 (exact) and C into W3.  One erf, a `+ 1` and a
-        product per layer beat ndtr on a block; on a 128-wide vector the
-        extra `+ 1` call costs more than erf saves.  The two kernels agree
-        to ~1e-13, not bit for bit.
+        in one flat pass over the two hidden layers, each product a gemv
+        (np.dot), so that a one-point restore equals its one-row batch bit
+        for bit.  Two or more rows run in the blocks of _row_blocks, so that
+        their activations stay cache-sized, and take the GELU
+        z (1 + erf(z / sqrt 2)) / 2 on pre-activations scaled by
+        C = 1/sqrt 2, with every scale folded into the weights at bind time:
+        for z' = C z the layer's output is C z' (1 + erf(z')), so C goes
+        into W1's x, x1 and time blocks, C into b2, C^2 = 1/2 into W2
+        (exact) and C into W3.  One erf, a `+ 1` and a product per layer
+        beat ndtr on a block; on a 128-wide vector the extra `+ 1` call
+        costs more than erf saves.  The two kernels agree to ~1e-13, not bit
+        for bit.
         """
         d, sd, p = self.dim, self.sigma_d, self.params
         w1 = p["W1"]
-        w1_x, w1_x1 = w1[:d], w1[d : 2 * d]
-        hidden = [(p[w_key], p[b_key]) for w_key, b_key in _LAYERS[1:]]
         # W1 splits along the input blocks, W1 = [W1_x ; W1_x1 ; W1_t].  Only
-        # x changes within a run, so the x1 block is computed here, once, and
-        # the time block comes in `biases`.
+        # x changes within a run, so the x1 block's product is formed here,
+        # once, and the time block's comes in `biases`.
+        w1_x, w1_x1, w2, b2, w3, b3 = w1[:d], w1[d : 2 * d], p["W2"], p["b2"], p["W3"], p["b3"]
         # x / 1.0 and z * 1.0 are exact, so a unit sigma_d (the default of
         # `rgflow train` and of every perfbench workload) skips them.
         unit = sd == 1.0
-        # np.dot dispatches fastest on a vector, while on a batch matmul forms
-        # the x and x1 products, whose inner width is dim, faster (~10 against
-        # ~15 us for 256 rows at dim 2, hidden 128); both give the same bits.
-        narrow = np.dot if x1.ndim == 1 else np.matmul
-        erf = ndtr = None
-        if x1.ndim == 2 and len(x1) > 1:
-            erf = _erf()
-            w1_x, w1_x1, biases = w1_x * _C, w1_x1 * _C, biases * _C
-            hidden = [(p["W2"] * 0.5, p["b2"] * _C), (p["W3"] * _C, p["b3"])]
-        else:
-            ndtr = _ndtr()
-        x1_part = narrow(x1 if unit else x1 / sd, w1_x1)
         # x1 fixes the state's layout, so a step checks only x's type and shape.
         shape = x1.shape
-        blocks = _row_blocks(len(x1)) if x1.ndim == 2 and len(x1) > _BLOCK_ROWS + 1 else None
 
-        def block(x, x1_term, bias):
-            z = narrow(x if unit else x / sd, w1_x)
-            z += x1_term
-            z += bias
-            for w, b in hidden:
-                if erf is None:
-                    z *= ndtr(z)
-                else:
-                    e = erf(z)
-                    e += 1.0
-                    z *= e
-                z = np.dot(z, w)
-                z += b
-            if not unit:
-                z *= sd
-            return z
-
-        def step(x, i: int) -> np.ndarray:
+        def scaled(x) -> np.ndarray:
             if type(x) is not np.ndarray or x.dtype is not _F64:
                 x = np.asarray(x, dtype=np.float64)
             if x.shape != shape:
                 raise DimensionMismatch(f"x {x.shape} / x1 {shape} incompatible with dim={d}")
-            bias = biases[i]
-            if blocks is None:
-                return block(x, x1_part, bias)
-            out = np.empty(shape)
-            for s in blocks:
-                out[s] = block(x[s], x1_part[s], bias)
-            return out
+            return x if unit else x / sd
 
-        return step
+        if x1.ndim == 1 or len(x1) == 1:
+            dot, ndtr = np.dot, _ndtr()
+            x1_part = dot(x1 if unit else x1 / sd, w1_x1)
+
+            def step(x, i: int) -> np.ndarray:
+                z = dot(scaled(x), w1_x)
+                z += x1_part
+                z += biases[i]
+                z *= ndtr(z)
+                z = dot(z, w2)
+                z += b2
+                z *= ndtr(z)
+                z = dot(z, w3)
+                z += b3
+                return z
+
+        else:
+            erf = _erf()
+            w1_x, w1_x1, w2, b2, w3 = w1_x * _C, w1_x1 * _C, w2 * 0.5, b2 * _C, w3 * _C
+            biases = biases * _C
+            # On a batch matmul forms the x and x1 products, whose inner width
+            # is dim, faster than np.dot (~10 against ~15 us for 256 rows at
+            # dim 2, hidden 128); both give the same bits.
+            x1_part = np.matmul(x1 if unit else x1 / sd, w1_x1)
+            blocks = _row_blocks(len(x1))
+
+            def block(x, x1_term, bias):
+                z = np.matmul(x, w1_x)
+                z += x1_term
+                z += bias
+                for w, b in ((w2, b2), (w3, b3)):
+                    e = erf(z)
+                    e += 1.0
+                    z *= e
+                    z = np.dot(z, w)
+                    z += b
+                return z
+
+            def step(x, i: int) -> np.ndarray:
+                x = scaled(x)
+                bias = biases[i]
+                out = np.empty(shape)
+                for s in blocks:
+                    out[s] = block(x[s], x1_part[s], bias)
+                return out
+
+        # Either kernel's output is x0hat / sigma_d.
+        return step if unit else lambda x, i: step(x, i) * sd
 
     def predict(self, x, x1, r, g) -> np.ndarray:
         """x0hat at state x: bind's one-step case, at one scalar (r, g).

@@ -80,7 +80,7 @@ def euler_integrate(
     grid = traj.discretize(n_steps)
     x = _begin(_start(sched, traj.start_rg), x1, z)
     r, g = grid.r.tolist(), grid.g.tolist()
-    predict = _bind(denoiser, x1, tuple(zip(r[:-1], g[:-1])))
+    predict, _ = _bind(denoiser, x1, tuple(zip(r[:-1], g[:-1])))
     for i in range(len(grid) - 1):
         r_cur, g_cur, r_nxt, g_nxt = r[i], g[i], r[i + 1], g[i + 1]
         x0hat = predict(x, i)

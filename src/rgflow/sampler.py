@@ -19,23 +19,28 @@ k^s = 1 and kappa = 0.  _fold reduces a step to its four scalars and _update
 applies them, for every step kind.
 
 One loop runs every path, for exactly n_steps denoiser calls, over a plan
-compiled once per schedule and sampler settings (see `plan`).  A step draws
-noise only where its kappa is nonzero.  There is one noise contract: item i
-of a batch draws from default_rng([seed, item_offset + i]), and restore,
-which takes one point, is item 0, restore_batch's one-row case.  Each run
-binds the denoiser once, before the first draw, to x1 and the steps' source
-times (MlpDenoiser.bind).  A denoiser without bind, or an MlpDenoiser whose
-predict has been replaced, is called through predict at every step, and that
-prediction is converted to float64 and checked against the state's shape;
-the inputs themselves are checked once, where they enter restore and
-restore_batch.
+compiled once per schedule and sampler settings (see `plan`).  The plan
+keeps what the loop reads of each step, its folded scalars and the vector of
+the steps' b, so a run builds only its b x1 terms, its noise block, drawn
+whole at its first draw, and its states.  A step draws noise only where its
+kappa is nonzero.  There is one noise contract: item i of a batch draws from
+default_rng([seed, item_offset + i]), and restore, which takes one point, is
+item 0, restore_batch's one-row case.  Each run binds the denoiser once,
+before the first draw, to x1 and the steps' source times (MlpDenoiser.bind).
+Such a bound predictor never writes its input, so a run from g = 0 starts
+from x1 itself.  A denoiser without bind, or an MlpDenoiser whose predict
+has been replaced, is called through predict at every step, on a copy of
+x1, and that prediction is converted to float64 and checked against the
+state's shape; the inputs themselves are checked once, where they enter
+restore and restore_batch, and the result once on the way out, each by one
+sum of squares before any elementwise pass.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -130,16 +135,16 @@ def _fold(sched: GvpSchedule, frm, to, eta: float) -> Step:
     return Step(ks, a, b, kap)
 
 
-def _update(step: Step, x, x0hat, b_x1, z):
-    """k^s x + a x0hat + b x1 + kappa z with the scalars of `step`, summed
-    left to right into a new array.  The caller forms the term b_x1 = b x1
-    (a run forms all its steps' in one product); z is read only where kappa
-    is nonzero."""
-    out = step.ks * x
-    out += step.a * x0hat
+def _update(ks: float, x, a: float, x0hat, b_x1, kappa: float, z):
+    """ks x + a x0hat + b x1 + kappa z, summed left to right into a new
+    array, from a step's folded scalars.  The caller forms the term
+    b_x1 = b x1 (a run forms all its steps' in one product); z is read only
+    where kappa is nonzero."""
+    out = ks * x
+    out += a * x0hat
     out += b_x1
-    if step.kappa != 0.0:
-        out += step.kappa * z
+    if kappa != 0.0:
+        out += kappa * z
     return out
 
 
@@ -156,7 +161,7 @@ def hybrid_step(
     """One hybrid update from (r1, g1) to (r2, g2); g1 > 0 unless eta = 1."""
     step = _fold(sched, frm, to, eta)
     x_prev, x0hat, x1, z = _match(x_prev, x0hat, x1, z)
-    return _update(step, x_prev, x0hat, step.b * x1, z)
+    return _update(step.ks, x_prev, step.a, x0hat, step.b * x1, step.kappa, z)
 
 
 def boot_step(
@@ -183,7 +188,7 @@ def regression_step(
     where k^s = 1, kappa = 0, a = alpha_r2 - alpha_r1 and b likewise."""
     step = _fold(sched, (r1, 0.0), (r2, 0.0), 1.0)
     x_prev, x0hat, x1 = _match(x_prev, x0hat, x1)
-    return _update(step, x_prev, x0hat, step.b * x1, None)
+    return _update(step.ks, x_prev, step.a, x0hat, step.b * x1, step.kappa, None)
 
 
 @dataclass(frozen=True)
@@ -212,16 +217,20 @@ class SamplerConfig:
 class Plan:
     """Everything a restoration computes before its first denoiser call.
 
-    `start` gives the first state, b x1 + kappa z (see _start), and `steps`
-    the updates; `n_draws` counts those of them whose kappa is nonzero, one
-    draw each, in that order.  `times` holds each step's source point,
-    where the denoiser is queried.  `reads` names those of delta, p (where
-    the path has them), eta, boot_epsilon and seed that the run reads: no
-    other changes its output.
+    `start` gives the first state, b x1 + kappa z (see _start).  Each
+    update is held as what the loop reads of it: `b`, the read-only vector
+    of the steps' b, and `scalars`, each step's (ks, a, kappa, j), j its
+    index in the run's draws or None where kappa is 0.  `n_draws` counts
+    the start and steps whose kappa is nonzero, one draw each, in that
+    order.  `times` holds each step's source point, where the denoiser is
+    queried.  `reads` names those of delta, p (where the path has them),
+    eta, boot_epsilon and seed that the run reads: no other changes its
+    output.
     """
 
     start: Step
-    steps: tuple[Step, ...]
+    b: np.ndarray = field(repr=False, compare=False)
+    scalars: tuple[tuple[float, float, float, int | None], ...]
     n_draws: int
     times: tuple[tuple[float, float], ...]
     reads: frozenset[str]
@@ -271,14 +280,20 @@ def _plan(
         for frm, to in zip(points[:-1], points[1:])
     )
     start = _start(sched, points[0])
-    n_draws = sum(s.kappa != 0.0 for s in (start, *steps))
+    n_draws = int(start.kappa != 0.0)
+    scalars = []
+    for s in steps:
+        scalars.append((s.ks, s.a, s.kappa, n_draws if s.kappa != 0.0 else None))
+        n_draws += s.kappa != 0.0
+    b = np.array([s.b for s in steps])
+    b.flags.writeable = False
     # One step from (phi, 0) runs to (-phi, 0) at any delta, unless the kind
     # starts at delta; only a lifted run of two or more steps visits a point
     # off g = 0, which p shapes; a lifted one-step run reads eta, which is 1.
     reads = {"delta": hasattr(traj, "delta") and (n_steps > 1 or traj.starts_at_delta),
              "p": hasattr(traj, "p") and traj.lifts and n_steps > 1,
              "eta": traj.lifts, "boot_epsilon": boot, "seed": n_draws > 0}
-    return Plan(start, steps, n_draws, tuple(points[:-1]),
+    return Plan(start, b, tuple(scalars), n_draws, tuple(points[:-1]),
                 frozenset(k for k, read in reads.items() if read))
 
 
@@ -303,13 +318,13 @@ def plan(sched: GvpSchedule, cfg: SamplerConfig) -> Plan:
 
 
 def _bind(denoiser, x1, times):
-    """f(x, i) = denoiser.predict(x, x1, *times[i]): the predictor the
-    denoiser's own bind returns, else a call of predict at every step whose
-    result is converted to float64 and must have the state's shape
-    (DimensionMismatch)."""
+    """(f, own): f(x, i) = denoiser.predict(x, x1, *times[i]), and whether
+    f is the predictor the denoiser's own bind returns, which never writes
+    its x.  Else f calls predict at every step and converts its result to
+    float64, which must have the state's shape (DimensionMismatch)."""
     bound = denoiser.bind(x1, times) if hasattr(denoiser, "bind") else None
     if bound is not None:
-        return bound
+        return bound, True
 
     def predict(x, i: int) -> np.ndarray:
         x0hat = np.asarray(denoiser.predict(x, x1, *times[i]), dtype=np.float64)
@@ -317,28 +332,43 @@ def _bind(denoiser, x1, times):
             raise DimensionMismatch(f"prediction {x0hat.shape} for a state {np.shape(x)}")
         return x0hat
 
-    return predict
+    return predict, False
 
 
-def _run(p: Plan, denoiser, x1: np.ndarray, zs) -> np.ndarray:
+def _run(p: Plan, denoiser, x1: np.ndarray, draw) -> np.ndarray:
     """Run plan `p` from x1.  The denoiser is bound to x1 and the steps'
     times once, before the first draw: predict(x, i) is x0hat at x for step
-    i.  `zs` yields the run's p.n_draws noise samples in draw order; it is
-    advanced where the start or a step needs noise, so a generator that
-    draws them all at its first next() draws nothing for a run without
-    noise.  Every step's b x1 term is formed up front, in one product."""
-    predict = _bind(denoiser, x1, p.times)
-    b_x1 = np.multiply.outer([step.b for step in p.steps], x1)
-    x = _begin(p.start, x1, next(zs) if p.start.kappa != 0.0 else None)
-    for i, step in enumerate(p.steps):
-        x = _update(step, x, predict(x, i), b_x1[i], next(zs) if step.kappa != 0.0 else None)
+    i.  draw(n) gives the run's n = p.n_draws noise samples, indexed in draw
+    order; it is called once, at the run's first draw, so a run without
+    noise never calls it.  Every step's b x1 term is formed up front, in one
+    product over p.b, and each update reads its scalars from p.scalars.
+
+    Where the denoiser's own bind gives the predictor, which never writes
+    its x, a run whose start is x1 itself (b = 1, kappa = 0) starts from
+    that array, not a copy; every update writes a new array, so x1 is never
+    written."""
+    predict, own = _bind(denoiser, x1, p.times)
+    zs = draw(p.n_draws) if p.start.kappa != 0.0 else None
+    if own and p.start.b == 1.0 and p.start.kappa == 0.0:
+        x = x1
+    else:
+        x = _begin(p.start, x1, None if zs is None else zs[0])
+    b_x1 = np.multiply.outer(p.b, x1)
+    for i, (ks, a, kappa, j) in enumerate(p.scalars):
+        x0hat = predict(x, i)
+        if j is not None and zs is None:
+            zs = draw(p.n_draws)
+        x = _update(ks, x, a, x0hat, b_x1[i], kappa, None if j is None else zs[j])
     return x
 
 
 def _require_finite(x: np.ndarray, error: type, message: str) -> np.ndarray:
     """Return x, or raise `error` with `message` formatted with the count of
-    rows holding NaN or inf ({bad}) and the row count ({n})."""
-    if not np.isfinite(x).all():
+    rows holding NaN or inf ({bad}) and the row count ({n}).  A finite sum
+    of squares proves every element finite (NaN and inf carry into it, and
+    no square is negative), so the elementwise pass runs only where that
+    sum is NaN or inf, also where finite elements overflow it."""
+    if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
         rows = np.atleast_2d(x)
         bad = int((~np.isfinite(rows)).any(axis=1).sum())
         raise error(message.format(bad=bad, n=len(rows)))
@@ -355,11 +385,7 @@ def _restore(sched: GvpSchedule, denoiser, x1: np.ndarray, cfg: SamplerConfig, d
     called at the run's first draw, so a run that draws nothing never calls it."""
     p = plan(sched, cfg)
     _require_finite(x1, DomainError, _BAD_INPUT)
-
-    def zs():
-        yield from draw(p.n_draws)
-
-    return _require_finite(_run(p, denoiser, x1, zs()), NonFiniteOutput, _BAD_OUTPUT)
+    return _require_finite(_run(p, denoiser, x1, draw), NonFiniteOutput, _BAD_OUTPUT)
 
 
 def _restore_fixed(sched: GvpSchedule, denoiser, x1: np.ndarray, cfg: SamplerConfig, z):

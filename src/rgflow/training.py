@@ -186,6 +186,16 @@ def _objective(net: MlpDenoiser, weight_net: AdaptiveWeight | None, feats, w_fea
 # -- optimizer -------------------------------------------------------------------
 
 
+def _check_adamw(lr: float, weight_decay: float, lr_name: str) -> None:
+    """ConfigError unless lr is finite and > 0 and weight_decay finite and
+    >= 0, either of which would fill the parameters with NaN at AdamW's
+    first step; the message calls lr `lr_name`."""
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ConfigError(f"{lr_name} must be finite and > 0, got {lr}")
+    if not (math.isfinite(weight_decay) and weight_decay >= 0.0):
+        raise ConfigError(f"weight_decay must be finite and >= 0, got {weight_decay}")
+
+
 class AdamW:
     """Adam with decoupled weight decay over one flat parameter vector.
 
@@ -207,10 +217,7 @@ class AdamW:
     B1, B2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, lr: float, weight_decay: float) -> None:
-        if not (math.isfinite(lr) and lr > 0.0):
-            raise ConfigError(f"lr must be finite and > 0, got {lr}")
-        if not (math.isfinite(weight_decay) and weight_decay >= 0.0):
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {weight_decay}")
+        _check_adamw(lr, weight_decay, "lr")
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
@@ -277,10 +284,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        _check_adamw(self.learning_rate, self.weight_decay, "learning_rate")
         if not (0.0 <= self.ema_decay < 1.0):
             raise ConfigError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
         if self.batch_size < 1 or self.n_steps < 1:

@@ -499,17 +499,18 @@ class TestLoadedNet:
                     got, want = (restore_batch(sched, n, x1[:rows], cfg) for n in (net, copy))
                     assert got.shape == (rows, 2) and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 2)])
     def test_rows_computed_once_per_grid_only_for_immutable_weights(self, tmp_path,
-                                                                     monkeypatch):
-        """Ten binds over one grid embed it once on a loaded net and ten
-        times on a writable one, or on one whose W1 is a read-only view of a
+                                                                     monkeypatch, shape):
+        """Ten binds over one grid, for a vector, one row and two or more
+        rows (the erf kernel), embed it once on a loaded net and ten times
+        on a writable net, or on one whose W1 alone is a read-only view of a
         writable array; predict keeps nothing."""
         loaded = _loaded(tmp_path).net
         writable = _writable_copy(loaded)
         viewed = _writable_copy(loaded)
-        viewed.params["W1"] = viewed.params["W1"].view()
+        viewed.params = dict(loaded.params, W1=viewed.params["W1"].view())
         viewed.params["W1"].flags.writeable = False
-        viewed.params["b1"] = loaded.params["b1"]
         calls = []
         grid_rows = denoiser._grid_rows
 
@@ -519,45 +520,60 @@ class TestLoadedNet:
 
         monkeypatch.setattr(denoiser, "_grid_rows", spy)
         times = [(0.3, 0.1), (0.2, 0.4)]
-        x1 = np.zeros(2)
+        x1 = np.zeros(shape)
         for net, want in ((loaded, 1), (writable, 10), (viewed, 10)):
             calls.clear()
             steps = [net.bind(x1, times) for _ in range(10)]
             assert len(calls) == want
+            assert (tuple(times) in net._rows) == (want == 1)
             assert {s(x1, 1).tobytes() for s in steps} == {net.predict(x1, x1, 0.2, 0.4).tobytes()}
         fresh = _loaded(tmp_path, name="fresh.json").net
         fresh.predict(x1, x1, 0.3, 0.1)
+        assert fresh._rows == {}
         calls.clear()
         fresh.bind(x1, [(0.3, 0.1)])
         assert len(calls) == 1
 
     def test_new_weights_are_seen(self, tmp_path):
-        """New read-only arrays under params["W1"] or params["b1"], or a
-        whole new params dict, are read by the next bind: the restore equals
-        that of a fresh net holding the same arrays."""
+        """A new read-only array under any one of the six params keys, a
+        whole new params dict, or a read-only W2 made writable and changed
+        in place, is read by the next bind: a vector, a one-row and a
+        multi-row restore each equal those of a fresh writable copy."""
         ck = _loaded(tmp_path)
         net = ck.net
-        other = _loaded(tmp_path, seed=23, name="other.json").net.params
+        rng = np.random.default_rng(23)
+        other = {}
+        for key, a in net.params.items():
+            other[key] = a = rng.normal(0.0, 0.5, size=a.shape)
+            a.flags.writeable = False
         sched = GvpSchedule(0.5, net.sigma_d)
         cfg = _mode_config(sched, "eta05")
         x1 = np.random.default_rng(24).normal(size=(5, 2))
         results = []
 
         def check():
-            got = restore_batch(sched, net, x1, cfg)
-            assert got.tobytes() == restore_batch(sched, _writable_copy(net), x1, cfg).tobytes()
-            results.append(got.tobytes())
+            copy = _writable_copy(net)
+            got = []
+            for n in (net, copy):
+                got.append((restore(sched, n, x1[0], cfg).tobytes(),
+                            restore_batch(sched, n, x1[:1], cfg).tobytes(),
+                            restore_batch(sched, n, x1, cfg).tobytes()))
+            assert got[0] == got[1]
+            results.append(got[0])
 
         check()
-        for key in ("W1", "b1"):
+        for key in ("W1", "b1", "W2", "b2", "W3", "b3"):
             net.params[key] = other[key]
             check()
         net.params = dict(ck.ema_net.params)  # the first weights again
         check()
         net.params = other
         check()
-        assert results[3] == results[0]
-        assert len(set(results)) == 4
+        other["W2"].flags.writeable = True  # W2 is read at each bind
+        other["W2"] *= 1.5
+        check()
+        assert results[7] == results[0] and results[8] == results[6]
+        assert len(set(results)) == 8
 
     def test_kept_grids_are_bounded(self, tmp_path, monkeypatch):
         """Of 300 distinct grids a net keeps at most 256, the last one among

@@ -62,6 +62,22 @@ def _spy_item_noise(monkeypatch) -> list[list[int]]:
     return seeded
 
 
+class _Draws:
+    """A run's draw(n) over the list zs: it records the n of each call and
+    every index the run then reads, and raises IndexError past zs's end."""
+
+    def __init__(self, zs):
+        self.zs, self.calls, self.read = list(zs), [], []
+
+    def __call__(self, n: int):
+        self.calls.append(n)
+        return self
+
+    def __getitem__(self, j: int):
+        self.read.append(j)
+        return self.zs[j]
+
+
 class TestKappa:
     def test_fully_stochastic_value(self):
         got = kappa(1.0, 0.2, 0.5)
@@ -311,19 +327,17 @@ class TestUpdate:
         x, x0hat, x1, z = np.random.default_rng(seed).normal(size=(4, 3, 2))
         for v, zero in zip((x, x0hat, x1, z), zeros):
             v[0, 0] = zero  # signed zeros, where the order of a sum shows
-        step = sampler.Step(ks, a, b, kap)
         want = ks * x + a * x0hat + b * x1
         if kap != 0.0:
             want = want + kap * z
-        got = sampler._update(step, x, x0hat, self._b_x1(b, x1), z if kap != 0.0 else None)
+        got = sampler._update(ks, x, a, x0hat, self._b_x1(b, x1), kap, z if kap != 0.0 else None)
         assert got.tobytes() == want.tobytes()
 
     def test_unit_ks_and_zero_kappa(self):
         x, x0hat, x1 = np.random.default_rng(3).normal(size=(3, 5))
         x[:2] = [-0.0, 0.0]
         for a in (0.0, -0.0, 0.7):
-            step = sampler.Step(1.0, a, -0.2, 0.0)
-            got = sampler._update(step, x, x0hat, self._b_x1(-0.2, x1), None)
+            got = sampler._update(1.0, x, a, x0hat, self._b_x1(-0.2, x1), 0.0, None)
             assert got.tobytes() == (1.0 * x + a * x0hat + -0.2 * x1).tobytes()
 
     def test_step_functions_leave_inputs_unchanged(self):
@@ -507,7 +521,7 @@ class TestRestore:
     def test_eta_zero_depends_only_on_boot_draw(self):
         """At eta = 0 every post-boot noise coefficient vanishes, so a single
         supplied draw fully determines the run at any step count: the run
-        reads one item from an iterator that holds one."""
+        asks for one draw, once, and reads only that one."""
         sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = Elliptical(phi=sched.phi, delta=0.6)
@@ -515,7 +529,9 @@ class TestRestore:
         for n in (2, 5, 20):
             p = sampler.plan(sched, SamplerConfig(trajectory=traj, n_steps=n, eta=0.0))
             assert p.n_draws == 1
-            out = sampler._run(p, den, np.array([1.0]), iter([z]))
+            draws = _Draws([z])
+            out = sampler._run(p, den, np.array([1.0]), draws)
+            assert draws.calls == [1] and draws.read == [0]
             assert np.all(np.isfinite(out))
 
     def test_two_call_run_matches_one_step_regression(self):
@@ -552,7 +568,7 @@ class TestRestore:
         for delta in (math.pi / 8, math.pi / 4, HALF_PI):
             traj = Elliptical(phi=sched.phi, delta=delta)
             p = sampler.plan(sched, SamplerConfig(trajectory=traj, n_steps=2, eta=0.0))
-            outs.append(sampler._run(p, den, x1, iter([z])))
+            outs.append(sampler._run(p, den, x1, _Draws([z])))
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
 
@@ -755,10 +771,11 @@ class TestNoiseContract:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_draw_count_and_sources_agree(self, kind, delta, eta, n_steps, seed):
-        """The run reads exactly the oracle's count of draws, the plan's
-        n_draws, from a list of them (one fewer runs out), and restore's
-        block drawn from a passed generator gives the same output as that
-        list drawn one by one from an equal generator."""
+        """The run asks once for exactly the oracle's count of draws, the
+        plan's n_draws, and reads each of them once, in order (one fewer
+        runs out); it asks for none where it needs none.  restore's block
+        drawn from a passed generator gives the same output as that list
+        drawn one by one from an equal generator."""
         sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         traj = _path(kind, sched.phi, delta=delta, p=1.5)
@@ -773,27 +790,27 @@ class TestNoiseContract:
         assert p.n_draws == needed
         draws = np.random.default_rng(seed)
         zs = [draws.normal(0.0, sched.sigma_d, size=2) for _ in range(needed)]
-        from_list = sampler._run(p, den, x1, iter(zs))
+        draws = _Draws(zs)
+        from_list = sampler._run(p, den, x1, draws)
+        assert draws.calls == ([needed] if needed else [])
+        assert draws.read == list(range(needed))
         assert np.all(np.isfinite(from_list))
         if needed:
-            with pytest.raises(StopIteration):
-                sampler._run(p, den, x1, iter(zs[:-1]))
+            with pytest.raises(IndexError):
+                sampler._run(p, den, x1, _Draws(zs[:-1]))
         from_rng = restore(sched, den, x1, cfg, rng=np.random.default_rng(seed))
         assert np.array_equal(from_rng, from_list)
 
     def test_noise_read_up_to_the_draw_count(self):
-        """A run reads exactly the plan's draw count of items from a noise
-        generator that raises past that point, and a regression path reads
-        none; the result equals restore drawing from `rng`."""
+        """A run reads exactly the plan's draw count of items, each once and
+        in order, from draws that raise past that point, and a regression
+        path asks for none; the result equals restore drawing from `rng`."""
         sched = GvpSchedule(0.5, 1.0)
         den = GaussianOracle(rho=0.5)
         x1 = np.array([0.3, -0.2])
 
         def items(n):
-            rng = np.random.default_rng(3)
-            for _ in range(n):
-                yield rng.normal(0.0, sched.sigma_d, size=2)
-            raise AssertionError(f"noise read past draw {n}")
+            return _Draws(np.random.default_rng(3).normal(0.0, sched.sigma_d, size=(n, 2)))
 
         for traj, eta, noisy in (
             (Elliptical(phi=sched.phi, delta=0.6), 0.5, True),
@@ -803,7 +820,9 @@ class TestNoiseContract:
             cfg = SamplerConfig(trajectory=traj, n_steps=10, eta=eta, seed=4)
             n = sampler.plan(sched, cfg).n_draws
             assert (n > 0) == noisy
-            got = sampler._run(sampler.plan(sched, cfg), den, x1, items(n))
+            draws = items(n)
+            got = sampler._run(sampler.plan(sched, cfg), den, x1, draws)
+            assert draws.calls == ([n] if noisy else []) and draws.read == list(range(n))
             want = restore(sched, den, x1, cfg, rng=np.random.default_rng(3))
             assert got.tobytes() == want.tobytes()
 
@@ -1195,3 +1214,140 @@ class TestInputGuards:
                 assert caught == []
         assert calls == []
         assert built == [] and seeded == []
+
+
+class TestRequireFinite:
+    """sampler._require_finite takes one sum of squares first and looks at
+    each element only where that sum is NaN or inf."""
+
+    MESSAGE = "{bad} of {n}"
+
+    def test_finite_arrays_whose_sum_overflows_pass(self):
+        for x in ([1e308, 1e308], [[1e308, -1e308], [1e200, 3.0]], [1.5e154, 0.0],
+                  np.full((3, 5), 1e300)):
+            x = np.asarray(x)
+            assert sampler._require_finite(x, DomainError, self.MESSAGE) is x
+
+    def test_rows_holding_nan_or_inf_are_counted(self):
+        x = np.full((6, 3), 1e308)
+        x[1, 0], x[3, 2], x[4, 1], x[4, 2] = np.nan, np.inf, -np.inf, np.nan
+        with pytest.raises(DomainError, match="^3 of 6$"):
+            sampler._require_finite(x, DomainError, self.MESSAGE)
+        with pytest.raises(NonFiniteOutput, match="^1 of 1$"):
+            sampler._require_finite(np.array([1e308, -np.inf]), NonFiniteOutput, self.MESSAGE)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                     st.sampled_from([1e308, -1e308, 1e154, math.nan,
+                                                      math.inf, -math.inf, 0.0])),
+                           min_size=0, max_size=24),
+           width=st.sampled_from([1, 2, 3]))
+    def test_agrees_with_isfinite(self, values, width):
+        """It raises exactly where np.isfinite(x).all() is False, for a
+        vector and for rows, and counts the rows np.isfinite finds bad."""
+        values = values[: len(values) // width * width]
+        for x in (np.array(values, dtype=np.float64),
+                  np.array(values, dtype=np.float64).reshape(-1, width)):
+            rows = np.atleast_2d(x)
+            if np.isfinite(x).all():
+                assert sampler._require_finite(x, DomainError, self.MESSAGE) is x
+            else:
+                bad = int((~np.isfinite(rows)).any(axis=1).sum())
+                with pytest.raises(DomainError, match=f"^{bad} of {len(rows)}$"):
+                    sampler._require_finite(x, DomainError, self.MESSAGE)
+
+
+def _read_only_copy(net):
+    """The net with every tensor copied read-only, as load_checkpoint gives
+    them, so that its bind keeps what it derives from them."""
+    params = {}
+    for key, a in net.params.items():
+        params[key] = a = a.copy()
+        a.flags.writeable = False
+    return MlpDenoiser(dim=net.dim, hidden=net.hidden, emb_dim=net.emb_dim,
+                       sigma_d=net.sigma_d, params=params)
+
+
+def _random_net(sigma_d):
+    """A small MLP with random weights in every layer."""
+    rng = np.random.default_rng(29)
+    net = MlpDenoiser(dim=2, hidden=8, emb_dim=4, sigma_d=sigma_d, params={})
+    net.reinit(rng)
+    for key, a in net.params.items():
+        net.params[key] = rng.normal(0.0, 0.5, size=a.shape)
+    return net
+
+
+_NETS = {sd: (_random_net(sd), _read_only_copy(_random_net(sd))) for sd in (1.0, 0.7)}
+
+
+class _Scribbler:
+    """The Gaussian oracle, but its predict writes into its x argument."""
+
+    def __init__(self, rho, sigma_d):
+        self.oracle = GaussianOracle(rho=rho, sigma_d=sigma_d)
+
+    def predict(self, x, x1, r, g):
+        out = self.oracle.predict(x, x1, r, g)
+        x *= 0.5
+        return out
+
+
+class _ScribblingMlp(MlpDenoiser):
+    """An MLP whose replaced predict writes into its x argument."""
+
+    def predict(self, x, x1, r, g):
+        out = super().predict(x, x1, r, g)
+        x += 1.0
+        return out
+
+
+def _reference_run(p, den, x1, zs):
+    """A run in the loop's earlier form: _begin, then _update per Step,
+    each Step rebuilt from the plan's b and scalars, with its b x1 row of
+    one outer product, drawing from the iterator zs wherever kappa is
+    nonzero, and the predictor from _bind over the batch as given."""
+    predict, _ = sampler._bind(den, x1, p.times)
+    steps = [sampler.Step(ks, a, b, kap) for (ks, a, kap, _), b in zip(p.scalars, p.b)]
+    b_x1 = np.multiply.outer([step.b for step in steps], x1)
+    x = sampler._begin(p.start, x1, next(zs) if p.start.kappa != 0.0 else None)
+    for i, step in enumerate(steps):
+        z = next(zs) if step.kappa != 0.0 else None
+        x = sampler._update(step.ks, x, step.a, predict(x, i), b_x1[i], step.kappa, z)
+    return x
+
+
+class TestRunAgainstReferenceLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(**{k: v for k, v in _run_settings.items() if k != "den"},
+           den=st.sampled_from(["oracle", "writable", "loaded", "scribbler", "scribbling mlp"]),
+           rows=st.sampled_from([None, 1, 2, 5]), sigma_d=st.sampled_from([1.0, 0.7]))
+    def test_run_equals_the_reference_loop(self, kind, delta, eta, n_steps, seed, den, rows,
+                                           sigma_d):
+        """restore (rows None) and restore_batch equal the reference loop
+        bit for bit, with the noise of the contract, and so does _run given
+        that block; neither writes into the caller's x1, which is read-only
+        here, also where the denoiser's predict writes into its x."""
+        sched = GvpSchedule(0.5, sigma_d)
+        writable, loaded = _NETS[sigma_d]
+        den = {"oracle": GaussianOracle(rho=0.5, sigma_d=sigma_d), "writable": writable,
+               "loaded": loaded, "scribbler": _Scribbler(0.5, sigma_d),
+               "scribbling mlp": _ScribblingMlp(dim=2, hidden=8, emb_dim=4, sigma_d=sigma_d,
+                                                params=writable.params)}[den]
+        cfg = _config(sched, kind, delta, eta, n_steps, seed)
+        if _rejected(cfg):
+            return
+        p = sampler.plan(sched, cfg)
+        x1 = np.random.default_rng(seed).normal(0.0, sigma_d, size=2 if rows is None else (rows, 2))
+        x1.flags.writeable = False
+        before = x1.tobytes()
+        if rows is None:
+            block = np.random.default_rng([seed, 0]).normal(0.0, sigma_d, size=(p.n_draws, 2))
+            got = restore(sched, den, x1, cfg)
+        else:
+            block = _default_rng_block(seed, 0, p.n_draws, x1.shape, sigma_d)
+            got = restore_batch(sched, den, x1, cfg)
+        want = _reference_run(p, den, x1, iter(block))
+        assert got.tobytes() == want.tobytes()
+        assert sampler._run(p, den, x1, lambda n: block).tobytes() == want.tobytes()
+        assert x1.tobytes() == before

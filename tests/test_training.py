@@ -315,9 +315,13 @@ class TestAdamW:
 
     @pytest.mark.parametrize("name, value", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
     def test_bad_settings_rejected(self, name, value):
-        """Each of these would fill the parameters with NaN at the first step."""
+        """Each of these would fill the parameters with NaN at the first step.
+        AdamW and TrainConfig reject it alike, each naming its own field."""
         with pytest.raises(ConfigError, match=f"^{name} must"):
             AdamW(**{"lr": 1e-4, "weight_decay": 1e-2, name: value})
+        field = {"lr": "learning_rate"}.get(name, name)
+        with pytest.raises(ConfigError, match=f"^{field} must"):
+            TrainConfig(**{field: value})
 
 
 class TestTrainLoop:
